@@ -68,9 +68,14 @@ def _check_ideal_slot_forms(res: ResolvedContext, order_cap: int,
     ideals split into closed, mutually pairing coordinate blocks."""
     ctx = res.context
     ring = build_context_ring(ctx, order_cap)
-    quads = enumerate_context_ideals(ctx, lattice_cap, cross_check=True)
-    ok = True
-    lines = [f"two-sided ideals: {len(quads)} (slot and direct enumeration agree)"]
+    quads = enumerate_context_ideals(ctx, lattice_cap)
+    direct = enumerate_ideals(ring, "two", lattice_cap)
+    ok = {q.member_mask() for q in quads} == {c.members for c in direct}
+    if ok:
+        lines = [f"two-sided ideals: {len(quads)} (slot and direct enumeration agree)"]
+    else:
+        lines = [f"two-sided ideals: slot enumeration found {len(quads)}, "
+                 f"direct enumeration found {len(direct)} (they DISAGREE)"]
     for quad in quads:
         if decompose_ideal(ctx, quad.member_mask()).masks != quad.masks:
             ok = False
@@ -255,7 +260,7 @@ def _check_slotwise_radical(res: ResolvedContext, order_cap: int,
     """The slotwise radical equals the intersection of the primes of the
     built ring, recomputed here rather than trusted from the cache."""
     ctx = res.context
-    radical = context_prime_radical(ctx, lattice_cap, cross_check=False)
+    radical = context_prime_radical(ctx, lattice_cap)
     ring = build_context_ring(ctx, order_cap)
     direct = prime_radical(ring, lattice_cap)
     ok = radical.member_mask() == direct.members

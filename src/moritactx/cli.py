@@ -34,15 +34,17 @@ from .context import (
 )
 from .errors import AlgebraError, CapacityError, MctxError, ValidationFailedError
 from .ideals import (
+    DEFAULT_LATTICE_CAP,
     check_ideal,
     confirm_prime_witness,
     enumerate_ideals,
     is_prime_ideal,
     is_semiprime_ideal,
+    prime_radical,
     verify_ideal,
 )
 from .mctx import ResolvedContext, inline_ideal_mask, load_mctx
-from .modules import DEFAULT_LATTICE_CAP, confirm_prime_submodule_witness, is_prime_submodule
+from .modules import confirm_prime_submodule_witness, is_prime_submodule
 
 __all__ = ["run_command", "main"]
 
@@ -198,10 +200,12 @@ def _cmd_radical(args, out: _Printer) -> int:
     out.line(f"prime radical: {radical}")
     out.kv("radical", str(radical))
     checked = ctx.order <= order_cap
-    out.line(f"matches the intersection of primes: {_flag(checked)}"
+    matches = checked and (prime_radical(build_context_ring(ctx, cap=order_cap), lattice_cap)
+                           .members == radical.member_mask())
+    out.line(f"matches the intersection of primes: {_flag(matches)}"
              + ("" if checked else " (ring too large to cross-check)"))
     out.kv("cross_checked", checked)
-    return 0
+    return 1 if checked and not matches else 0
 
 
 def _cmd_decompose(args, out: _Printer) -> int:

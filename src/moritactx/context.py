@@ -320,9 +320,7 @@ def build_ks_context(ring: FiniteRing, s) -> MoritaContext:
     """The one-ring context with all four carriers equal and pairings s·x·y.
 
     ``s`` (an index or element of ``ring``) must be central; the witness in
-    the centrality error is the element it fails to commute with. For small
-    rings the built product table is re-derived from the scalar formula
-    entry by entry as a self-check.
+    the centrality error is the element it fails to commute with.
     """
     s_idx = s.index if hasattr(s, "index") else int(s)
     if not 0 <= s_idx < ring.order:
@@ -343,35 +341,7 @@ def build_ks_context(ring: FiniteRing, s) -> MoritaContext:
         raise InconsistencyError(
             f"scaled context over {ring.name} failed validation, which central "
             "scalars never should: " + "; ".join(str(v) for v in report.violations))
-    if ring.order <= 8:
-        _verify_scaled_formula(ctx, ring, s_idx)
     return ctx
-
-
-def _verify_scaled_formula(ctx: MoritaContext, ring: FiniteRing, s_idx: int) -> None:
-    """Compare the built product table against a direct slotwise recompute."""
-    built = build_context_ring(ctx)
-    n = built.order
-    _, mv, mw, ks = ctx.dims
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
-    mul, srow = ring.mul, ring.mul[s_idx]
-    chunk = max(1, (1 << 21) // n)
-    for lo in range(0, n, chunk):
-        rows = slice(lo, min(lo + chunk, n))
-        r1, v1 = r_of[rows][:, None], v_of[rows][:, None]
-        w1, s1 = w_of[rows][:, None], s_of[rows][:, None]
-        r2, v2, w2, s2 = r_of[None, :], v_of[None, :], w_of[None, :], s_of[None, :]
-        part_r = ring.add[mul[r1, r2], srow[mul[v1, w2]]]
-        part_v = ring.add[mul[r1, v2], mul[v1, s2]]
-        part_w = ring.add[mul[w1, r2], mul[s1, w2]]
-        part_s = ring.add[srow[mul[w1, v2]], mul[s1, s2]]
-        expected = ((part_r * mv + part_v) * mw + part_w) * ks + part_s
-        bad = built.mul[rows] != expected
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise InconsistencyError(
-                f"scaled context ring disagrees with the direct formula at "
-                f"({built.label(lo + i)}) * ({built.label(j)})")
 
 
 # -- product spans ------------------------------------------------------------
@@ -513,15 +483,15 @@ def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     in_u = bool_array(mask, ring.order)
 
-    def axis(values, r, v, w, s) -> int:
+    def axis(r, v, w, s) -> int:
         slots = ((r * mv + v) * mw + w) * ks + s
         return mask_from_bool(in_u[slots])
 
     lane = np.arange
-    i_mask = axis(None, lane(kr), V.zero, W.zero, S.zero)
-    v1_mask = axis(None, R.zero, lane(mv), W.zero, S.zero)
-    w1_mask = axis(None, R.zero, V.zero, lane(mw), S.zero)
-    j_mask = axis(None, R.zero, V.zero, W.zero, lane(ks))
+    i_mask = axis(lane(kr), V.zero, W.zero, S.zero)
+    v1_mask = axis(R.zero, lane(mv), W.zero, S.zero)
+    w1_mask = axis(R.zero, V.zero, lane(mw), S.zero)
+    j_mask = axis(R.zero, V.zero, W.zero, lane(ks))
 
     if quadruple_mask(ctx, i_mask, v1_mask, w1_mask, j_mask) != mask:
         raise InconsistencyError(
@@ -543,18 +513,16 @@ def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     return quad
 
 
-def enumerate_context_ideals(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
-                             cross_check: bool = True) -> list[IdealQuadruple]:
+def enumerate_context_ideals(ctx: MoritaContext,
+                             cap: int = DEFAULT_LATTICE_CAP) -> list[IdealQuadruple]:
     """All two-sided ideals of the context ring, as slot quadruples.
 
     Candidates are ideals of the corner rings crossed with two-sided
     submodules of the carriers, filtered by the eight compatibility
     conditions (evaluated pairwise, since each condition couples exactly
-    two slots). With ``cross_check`` the result is compared against direct
-    enumeration on the built ring whenever that ring is small enough to
-    build.
+    two slots).
     """
-    key = ("quadruples", cap, cross_check)
+    key = ("quadruples", cap)
     if key in ctx._cache:
         return ctx._cache[key]
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
@@ -600,15 +568,6 @@ def enumerate_context_ideals(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
                     if ok_jv[d, b] and ok_jw[d, c]:
                         found.append(IdealQuadruple(ctx, i, v1, w1, j))
     found.sort(key=lambda q: (q.size,) + q.masks)
-
-    if cross_check and ctx.order <= DEFAULT_ORDER_CAP:
-        ring = build_context_ring(ctx)
-        direct = {c.members for c in enumerate_ideals(ring, "two", cap)}
-        ours = {q.member_mask() for q in found}
-        if direct != ours:
-            raise InconsistencyError(
-                f"slot enumeration found {len(ours)} ideals of {ring.name}, "
-                f"direct enumeration found {len(direct)}")
     ctx._cache[key] = found
     return found
 
@@ -957,14 +916,11 @@ def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> Quadr
 # -- radical and quotient ----------------------------------------------------------
 
 
-def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
-                          cross_check: bool = True) -> RadicalQuadruple:
+def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> RadicalQuadruple:
     """The prime radical of the context ring, computed slotwise.
 
     Corner slots are the corner radicals; module slots are the closure
     sets those radicals induce, whose two descriptions must coincide.
-    With ``cross_check`` the result is compared against the intersection
-    of primes on the built ring whenever it fits under the order cap.
     """
     key = ("radical", cap)
     if key in ctx._cache:
@@ -980,13 +936,6 @@ def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
         Submodule(ctx.mod_v, sets.v_into_r, "bi"),
         Submodule(ctx.mod_w, sets.w_into_r, "bi"),
         rad_s)
-    if cross_check and ctx.order <= DEFAULT_ORDER_CAP:
-        ring = build_context_ring(ctx)
-        direct = prime_radical(ring, cap)
-        if direct.members != result.member_mask():
-            raise InconsistencyError(
-                f"slotwise radical of {ring.name} disagrees with the "
-                f"intersection of its prime ideals")
     ctx._cache[key] = result
     return result
 
@@ -1181,11 +1130,7 @@ def is_prime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Contex
 
 
 def is_semiprime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> ContextSemiprimeReport:
-    """Zero-ideal semiprimeness of the built ring, with corner facts.
-
-    The ring-level answer goes through the radical cross-check, so a
-    corrupted lattice cannot slip through as a quiet wrong boolean.
-    """
+    """Zero-ideal semiprimeness of the built ring, with corner facts."""
     ring = build_context_ring(ctx, cap)
     verdict = is_semiprime_ring(ring)
     return ContextSemiprimeReport(

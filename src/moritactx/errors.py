@@ -59,7 +59,7 @@ class WellDefinednessError(AlgebraError):
 
 
 class InconsistencyError(AlgebraError):
-    """An internal cross-check failed; this signals a bug, not bad input."""
+    """An internal invariant failed; this signals a bug, not bad input."""
 
 
 class UnknownBuiltinError(AlgebraError):

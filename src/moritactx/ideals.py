@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsets import bool_array, full_mask, indices_of, is_subset
-from .errors import CapacityError, InconsistencyError, NotAnIdealError, NotProperError
+from .errors import CapacityError, NotAnIdealError, NotProperError
 from .validation import Verdict
 
 __all__ = [
@@ -361,19 +361,9 @@ def is_prime_ring(ring) -> Verdict:
     return is_prime_ideal(Ideal(ring, 1 << ring.zero, "two"))
 
 
-def is_semiprime_ring(ring, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
-    """Is the zero ideal semiprime; cross-checked against the radical.
-
-    The elementwise answer must agree with "prime radical is zero" — a
-    mismatch means internal corruption, raised as InconsistencyError.
-    """
-    verdict = is_semiprime_ideal(Ideal(ring, 1 << ring.zero, "two"))
-    radical_zero = prime_radical(ring, cap).is_zero()
-    if bool(verdict) != radical_zero:
-        raise InconsistencyError(
-            f"semiprime test and prime radical disagree on {ring.name}: "
-            f"elementwise={bool(verdict)}, radical-zero={radical_zero}")
-    return verdict
+def is_semiprime_ring(ring) -> Verdict:
+    """Is the zero ideal semiprime — i.e. no nonzero a with a*ring*a = 0."""
+    return is_semiprime_ideal(Ideal(ring, 1 << ring.zero, "two"))
 
 
 def is_nilpotent_ideal(ring, mask: int) -> tuple[bool, int]:

@@ -24,6 +24,7 @@ from .errors import (
     ValidationFailedError,
     WellDefinednessError,
 )
+from .ideals import DEFAULT_LATTICE_CAP
 from .spans import AddGroup
 from .validation import ValidationReport, Verdict, Violation, as_table
 
@@ -48,8 +49,6 @@ __all__ = [
     "quotient_view",
     "quotient_module",
 ]
-
-DEFAULT_LATTICE_CAP = 20_000
 
 
 class Bimodule:

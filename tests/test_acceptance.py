@@ -12,6 +12,7 @@ import math
 import time
 from contextlib import contextmanager
 
+import numpy as np
 from naive import members_of, naive_ideals
 
 from moritactx import (
@@ -174,7 +175,7 @@ def test_slotwise_radical(capsys):
     with _criterion(capsys, "slotwise-radical", budget=120.0):
         for name, ctx in _battery():
             ring = build_context_ring(ctx)
-            rad = context_prime_radical(ctx, cross_check=False)
+            rad = context_prime_radical(ctx)
             assert rad.member_mask() == prime_radical(ring).members, name
 
 
@@ -228,6 +229,21 @@ def test_corner_chain_implications(capsys):
         assert semi.cond3 and not semi.surjective and not semi.cond1
 
 
+def _scaled_formula_mul(ctx, ring, s_idx: int) -> np.ndarray:
+    """The product table of a scalar context, recomputed slot by slot from
+    the formula (r, v, w, s)(r', v', w', s') =
+    (rr' + s·vw', rv' + vs', wr' + sw', s·wv' + ss')."""
+    _, mv, mw, ks = ctx.dims
+    r1, v1, w1, s1 = (a[:, None] for a in ctx.component_arrays())
+    r2, v2, w2, s2 = (a[None, :] for a in ctx.component_arrays())
+    mul, srow = ring.mul, ring.mul[s_idx]
+    part_r = ring.add[mul[r1, r2], srow[mul[v1, w2]]]
+    part_v = ring.add[mul[r1, v2], mul[v1, s2]]
+    part_w = ring.add[mul[w1, r2], mul[s1, w2]]
+    part_s = ring.add[srow[mul[w1, v2]], mul[s1, s2]]
+    return ((part_r * mv + part_v) * mw + part_w) * ks + part_s
+
+
 def test_scalar_context_criteria(capsys):
     # Scalar-twisted doubles over Z_n: prime iff the base is prime and the
     # scalar is nonzero; semiprime iff the base is squarefree and the scalar
@@ -242,7 +258,9 @@ def test_scalar_context_criteria(capsys):
         for n in range(2, 7):
             base = make_zn(n)
             for s in range(n):
-                ring = build_context_ring(build_ks_context(base, s))
+                ctx = build_ks_context(base, s)
+                ring = build_context_ring(ctx)
+                assert np.array_equal(ring.mul, _scaled_formula_mul(ctx, base, s)), (n, s)
                 assert bool(is_prime_ring(ring)) == (prime_int(n) and s != 0), (n, s)
                 assert bool(is_semiprime_ring(ring)) == \
                     (squarefree(n) and math.gcd(s, n) == 1), (n, s)
@@ -254,14 +272,16 @@ def test_scalar_context_criteria(capsys):
 
 
 def test_oracle_cross_checks(capsys):
-    # Three independent derivations must coincide: slotted enumeration vs
-    # direct lattice, elementwise vs lattice-pairwise primeness tests, and
-    # fast enumeration vs an exhaustive subset filter on tiny rings.
+    # Four independent derivations must coincide: slotted enumeration vs
+    # direct lattice, elementwise vs lattice-pairwise primeness tests,
+    # elementwise semiprimeness vs a zero prime radical, and fast
+    # enumeration vs an exhaustive subset filter on tiny rings.
     with _criterion(capsys, "oracle-cross-checks"):
         small_rings = [make_zn(n) for n in range(2, 7)]
         for name, ctx in _battery():
             ring = build_context_ring(ctx)
-            quads = enumerate_context_ideals(ctx, cross_check=True)
+            assert bool(is_semiprime_ring(ring)) == prime_radical(ring).is_zero(), name
+            quads = enumerate_context_ideals(ctx)
             lattice = enumerate_ideals(ring)
             assert {q.member_mask() for q in quads} == {i.members for i in lattice}, name
             for ideal in lattice:
@@ -275,6 +295,7 @@ def test_oracle_cross_checks(capsys):
                 small_rings.append(ring)
 
         for ring in small_rings:
+            assert bool(is_semiprime_ring(ring)) == prime_radical(ring).is_zero(), ring.name
             for side in ("two", "left", "right"):
                 got = {frozenset(members_of(ideal.members, ring.order))
                        for ideal in enumerate_ideals(ring, side)}

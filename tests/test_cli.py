@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from moritactx.bitsets import full_mask
 from moritactx.cli import run_command
+from moritactx.ideals import Ideal
 
 
 def run(capsys, *argv):
@@ -71,6 +73,21 @@ def test_radical_output(capsys):
     assert code == 0
     assert "prime radical: (R={0, 2}, V={0, 2}, W={0, 2}, S={0, 2})" in out
     assert "matches the intersection of primes: yes" in out
+
+
+def test_radical_flags_a_disagreeing_direct_radical(capsys, monkeypatch):
+    # The "matches" line reports the comparison the command actually ran.
+    monkeypatch.setattr("moritactx.cli.prime_radical",
+                        lambda ring, cap: Ideal(ring, full_mask(ring.order), "two"))
+    code, out, _ = run(capsys, "radical", "full:3")
+    assert code == 1
+    assert "matches the intersection of primes: NO" in out
+
+
+def test_radical_above_the_cap_is_not_cross_checked(capsys):
+    code, out, _ = run(capsys, "radical", "full:4", "--cap", "100", "--summary")
+    assert code == 0
+    assert "cross_checked=false" in out.splitlines()
 
 
 def test_decompose_named_ideal(capsys):

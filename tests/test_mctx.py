@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from moritactx import (
+    CHECK_TOKENS,
     MctxError,
     ValidationFailedError,
     build_ks_context,
@@ -227,3 +231,43 @@ def test_module_from_tables():
     res = load_mctx(text)
     assert res.context.mod_v.order == 2
     assert res.context.mod_v.left_act[3, 1] == 1
+
+
+# -- the README describes what the code does -------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_document_block_loads():
+    block = re.search(r"```\n(.*?)```", _readme_section("Document format"), re.S).group(1)
+    res = load_mctx(block)
+    assert res.document.name == "even-ideal"
+    assert res.context.dims == (6, 3, 2, 6)
+    assert set(res.ideals) == {"H"}
+
+
+def test_readme_table_headers_parse():
+    # Every table header the README documents opens a block, here of one row.
+    headers = re.findall(r"`(table [^`]*)`", _readme_section("Document format"))
+    assert "table add R" in headers
+    doc = parse_mctx("".join(f"{header}\n0\n" for header in headers))
+    assert doc.r_spec.kind == doc.v_spec.kind == "table"
+    assert doc.prod_vw.rule == doc.prod_wv.rule == "table"
+
+
+def test_readme_example_orders():
+    claims = re.findall(r"`(ex2\.\d+)` — order-(\d+)", README.read_text(encoding="utf-8"))
+    assert len(claims) == 3
+    for name, order in claims:
+        assert builtin_context(f"paper:{name}").context.order == int(order), name
+
+
+def test_readme_battery_check_count():
+    count = sum(len(CHECK_TOKENS) - (builtin_context(name).document.scalar is None)
+                for name in battery_names())
+    assert f"({count} checks," in README.read_text(encoding="utf-8")

@@ -2,14 +2,15 @@
 
 Everything is a lookup table over index sets 0..n-1, so every question —
 is this subset an ideal, is it prime, what is the radical — is decided by
-finite enumeration and checked against independent routes where possible.
+exhaustive finite enumeration. The library computes each answer one way;
+the independent routes that check it live in the tests, the check tokens
+and the CLI ``radical`` command, which compare them in the open.
 """
 
 from .catalog import BUILTIN_PATTERNS, battery_names, builtin_context, builtin_document
 from .checks import CHECK_TOKENS, CheckResult, run_check
 from .context import (
     ClosureSets,
-    ContextElement,
     ContextPrimeReport,
     ContextSemiprimeReport,
     IdealQuadruple,
@@ -101,7 +102,6 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    RingElement,
     RingMap,
     make_zn,
     quotient_ring,
@@ -116,7 +116,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # rings
-    "FiniteRing", "RingElement", "RingMap", "make_zn", "ring_from_tables",
+    "FiniteRing", "RingMap", "make_zn", "ring_from_tables",
     "validate_ring", "quotient_ring", "verify_ring_map",
     # modules
     "Bimodule", "ModuleView", "Submodule", "ring_bimodule", "subset_bimodule",
@@ -130,7 +130,7 @@ __all__ = [
     "is_semiprime_ideal_pairwise", "prime_spectrum", "prime_radical",
     "is_prime_ring", "is_semiprime_ring", "is_nilpotent_ideal",
     # contexts
-    "MoritaContext", "ContextElement", "IdealQuadruple", "RadicalQuadruple",
+    "MoritaContext", "IdealQuadruple", "RadicalQuadruple",
     "ClosureSets", "OneSidedDecomposition", "QuadruplePrimeReport",
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",

@@ -80,36 +80,32 @@ def _check_ideal_slot_forms(res: ResolvedContext, order_cap: int,
         if decompose_ideal(ctx, quad.member_mask()).masks != quad.masks:
             ok = False
             lines.append(f"  slot round-trip failed for {quad}")
-    for side in ("right", "left"):
-        ideals = enumerate_ideals(ring, side, lattice_cap)
-        bad = 0
-        for ideal in ideals:
-            dec = side_decomposition(ctx, ideal.members, side)
-            if not (dec.part1_closed and dec.part2_closed and dec.pairing_1_to_2
-                    and dec.pairing_2_to_1 and dec.reconstructs):
-                bad += 1
-        ok = ok and bad == 0
-        lines.append(f"{side} ideals: {len(ideals)}, block form holds for {len(ideals) - bad}")
-    return ok, lines
+    blocks_ok, block_lines = _block_audit(
+        ctx, ring, lattice_cap, "block form holds",
+        lambda dec: (dec.part1_closed and dec.part2_closed and dec.pairing_1_to_2
+                     and dec.pairing_2_to_1 and dec.reconstructs))
+    return ok and blocks_ok, lines + block_lines
 
 
 def _check_block_embeddings(res: ResolvedContext, order_cap: int,
                             lattice_cap: int) -> tuple[bool, list[str]]:
     """Each block element of a one-sided ideal, placed alone in its two
     slots with zeros elsewhere, is a member of the ideal."""
-    ctx = res.context
-    ring = build_context_ring(ctx, order_cap)
+    ring = build_context_ring(res.context, order_cap)
+    return _block_audit(res.context, ring, lattice_cap, "solo embeddings hold",
+                        lambda dec: dec.part1_embeds and dec.part2_embeds)
+
+
+def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str,
+                 holds) -> tuple[bool, list[str]]:
+    """Per side, how many one-sided ideals have a block decomposition that ``holds``."""
     ok = True
     lines = []
     for side in ("right", "left"):
         ideals = enumerate_ideals(ring, side, lattice_cap)
-        bad = 0
-        for ideal in ideals:
-            dec = side_decomposition(ctx, ideal.members, side)
-            if not (dec.part1_embeds and dec.part2_embeds):
-                bad += 1
-        ok = ok and bad == 0
-        lines.append(f"{side} ideals: {len(ideals)}, solo embeddings hold for {len(ideals) - bad}")
+        good = sum(bool(holds(side_decomposition(ctx, ideal.members, side))) for ideal in ideals)
+        ok = ok and good == len(ideals)
+        lines.append(f"{side} ideals: {len(ideals)}, {what} for {good}")
     return ok, lines
 
 

@@ -38,8 +38,6 @@ from .ideals import (
     check_ideal,
     confirm_prime_witness,
     enumerate_ideals,
-    is_prime_ideal,
-    is_semiprime_ideal,
     prime_radical,
     verify_ideal,
 )
@@ -98,6 +96,18 @@ def _context_header(out: _Printer, res: ResolvedContext) -> None:
     out.kv("context", ctx.name)
     out.kv("dims", ",".join(str(d) for d in ctx.dims))
     out.kv("order", ctx.order)
+
+
+def _quad_verdicts(ctx, quads, order_cap: int) -> list[tuple[bool, bool] | None]:
+    """(prime, semiprime) for each quadruple, None for the improper one.
+
+    The context ring is built first under the command's order cap, so the
+    per-ideal reports find it in the cache.
+    """
+    build_context_ring(ctx, cap=order_cap)
+    return [(check_prime_quadruple(ctx, quad).is_prime,
+             check_semiprime_quadruple(ctx, quad).is_semiprime) if quad.is_proper() else None
+            for quad in quads]
 
 
 # -- commands ------------------------------------------------------------------
@@ -170,15 +180,12 @@ def _cmd_primes(args, out: _Printer) -> int:
     out.line(f"proper two-sided ideals: {len(proper)}")
     out.kv("proper", len(proper))
     n_prime = n_semi = 0
-    for k, quad in enumerate(proper):
-        prime = check_prime_quadruple(ctx, quad)
-        semi = check_semiprime_quadruple(ctx, quad)
-        n_prime += prime.is_prime
-        n_semi += semi.is_semiprime
-        out.line(f"  [{k}] {quad}: prime={_flag(prime.is_prime)}"
-                 f" semiprime={_flag(semi.is_semiprime)}")
-        out.kv(f"ideal.{k}.prime", prime.is_prime)
-        out.kv(f"ideal.{k}.semiprime", semi.is_semiprime)
+    for k, (quad, (prime, semi)) in enumerate(zip(proper, _quad_verdicts(ctx, proper, order_cap))):
+        n_prime += prime
+        n_semi += semi
+        out.line(f"  [{k}] {quad}: prime={_flag(prime)} semiprime={_flag(semi)}")
+        out.kv(f"ideal.{k}.prime", prime)
+        out.kv(f"ideal.{k}.semiprime", semi)
     out.line(f"prime: {n_prime}, semiprime: {n_semi}")
     out.kv("prime", n_prime)
     out.kv("semiprime", n_semi)
@@ -286,14 +293,12 @@ def _cmd_report(args, out: _Printer) -> int:
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
     out.line(f"two-sided ideals: {len(quads)}")
     out.kv("two_sided_ideals", len(quads))
-    for k, quad in enumerate(quads):
-        flags = []
-        if quad.is_proper():
-            flags.append("prime" if check_prime_quadruple(ctx, quad).is_prime else "-")
-            flags.append("semiprime" if check_semiprime_quadruple(ctx, quad).is_semiprime else "-")
+    for k, (quad, verdicts) in enumerate(zip(quads, _quad_verdicts(ctx, quads, order_cap))):
+        if verdicts is None:
+            flags = "improper"
         else:
-            flags.append("improper")
-        out.line(f"  [{k}] size={quad.size} {quad} [{'/'.join(flags)}]")
+            flags = f"{'prime' if verdicts[0] else '-'}/{'semiprime' if verdicts[1] else '-'}"
+        out.line(f"  [{k}] size={quad.size} {quad} [{flags}]")
 
     radical = context_prime_radical(ctx, cap=lattice_cap)
     out.line(f"prime radical: {radical}")

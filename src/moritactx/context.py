@@ -26,7 +26,6 @@ from .errors import (
     MalformedTableError,
     NotAnIdealError,
     NotASubmoduleError,
-    NotProperError,
     WellDefinednessError,
 )
 from .ideals import (
@@ -58,7 +57,6 @@ from .validation import ValidationReport, Verdict, Violation, as_table
 
 __all__ = [
     "MoritaContext",
-    "ContextElement",
     "IdealQuadruple",
     "RadicalQuadruple",
     "ClosureSets",
@@ -160,64 +158,8 @@ class MoritaContext:
             self._cache["components"] = (r_of, v_of, w_of, s_of)
         return self._cache["components"]
 
-    def label(self, index: int) -> str:
-        r, v, w, s = self.decode(index)
-        return (f"({self.ring_r.label(r)}, {self.mod_v.label(v)}, "
-                f"{self.mod_w.label(w)}, {self.ring_s.label(s)})")
-
-    def element(self, r: int, v: int, w: int, s: int) -> ContextElement:
-        return ContextElement(self, r, v, w, s)
-
-    def element_at(self, index: int) -> ContextElement:
-        return ContextElement(self, *self.decode(index))
-
     def __repr__(self) -> str:
         return f"<MoritaContext {self.name} dims={self.dims}>"
-
-
-@dataclass(frozen=True)
-class ContextElement:
-    """One element of a context ring, in slot coordinates."""
-
-    context: MoritaContext
-    r: int
-    v: int
-    w: int
-    s: int
-
-    def __post_init__(self):
-        kr, mv, mw, ks = self.context.dims
-        if not (0 <= self.r < kr and 0 <= self.v < mv
-                and 0 <= self.w < mw and 0 <= self.s < ks):
-            raise MalformedTableError(
-                f"slot coordinates ({self.r}, {self.v}, {self.w}, {self.s}) "
-                f"out of range for dims {self.context.dims}")
-
-    @property
-    def index(self) -> int:
-        return self.context.encode(self.r, self.v, self.w, self.s)
-
-    @property
-    def label(self) -> str:
-        return self.context.label(self.index)
-
-    def _check(self, other: ContextElement) -> None:
-        if other.context is not self.context:
-            raise ValueError("elements live in different contexts")
-
-    def __add__(self, other: ContextElement) -> ContextElement:
-        self._check(other)
-        ring = build_context_ring(self.context)
-        return self.context.element_at(int(ring.add[self.index, other.index]))
-
-    def __mul__(self, other: ContextElement) -> ContextElement:
-        self._check(other)
-        ring = build_context_ring(self.context)
-        return self.context.element_at(int(ring.mul[self.index, other.index]))
-
-    def __neg__(self) -> ContextElement:
-        ring = build_context_ring(self.context)
-        return self.context.element_at(int(ring.neg[self.index]))
 
 
 # -- validation ---------------------------------------------------------------
@@ -276,7 +218,8 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     Addition is slotwise. Multiplication follows the array rule: the
     diagonal slots collect a ring product plus a pairing value, the off-
     diagonal slots collect the two one-sided actions. Zero and one are the
-    diagonal embeddings of the corner identities.
+    diagonal embeddings of the corner identities. Elements are labelled by
+    their slots. ``cap`` is checked on every call, cached or not.
     """
     n = ctx.order
     if n > cap:
@@ -306,23 +249,33 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
         ss = S.add[Q[w1, v2], S.mul[s1, s2]]
         mul[rows] = ((rr * mv + vv) * mw + ww) * ks + ss
 
+    def slot_label(index: int) -> str:
+        r, v, w, s = ctx.decode(index)
+        return f"({R.label(r)}, {V.label(v)}, {W.label(w)}, {S.label(s)})"
+
     ring = FiniteRing(
         add, mul,
         zero=ctx.encode(R.zero, V.zero, W.zero, S.zero),
         one=ctx.encode(R.one, V.zero, W.zero, S.one),
-        name=f"T({ctx.name})", label_fn=ctx.label,
+        name=f"T({ctx.name})", label_fn=slot_label,
     )
     ctx._cache["ring"] = ring
     return ring
 
 
-def build_ks_context(ring: FiniteRing, s) -> MoritaContext:
+def _context_ring(ctx: MoritaContext) -> FiniteRing:
+    """The context ring for helpers that take no cap: the one already built,
+    under whatever cap its caller chose, else a build under the default."""
+    return ctx._cache.get("ring") or build_context_ring(ctx)
+
+
+def build_ks_context(ring: FiniteRing, s: int) -> MoritaContext:
     """The one-ring context with all four carriers equal and pairings s·x·y.
 
-    ``s`` (an index or element of ``ring``) must be central; the witness in
+    ``s`` (an element index of ``ring``) must be central; the witness in
     the centrality error is the element it fails to commute with.
     """
-    s_idx = s.index if hasattr(s, "index") else int(s)
+    s_idx = int(s)
     if not 0 <= s_idx < ring.order:
         raise MalformedTableError(f"scalar index {s_idx} out of range for {ring.name}")
     clash = ring.mul[s_idx] != ring.mul[:, s_idx]
@@ -477,7 +430,7 @@ def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     verified ideal signals a bug, not bad input.
     """
     mask = _as_mask(u)
-    ring = build_context_ring(ctx)
+    ring = _context_ring(ctx)
     verify_ideal(ring, mask, "two")
     kr, mv, mw, ks = ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
@@ -609,6 +562,18 @@ class OneSidedDecomposition:
                 and self.reconstructs)
 
 
+def _onesided_ideal(ctx: MoritaContext, u, side: str) -> tuple[FiniteRing, int]:
+    """The context ring and the mask of ``u``, checked to be a ``side``-sided ideal."""
+    mask = _as_mask(u)
+    ring = _context_ring(ctx)
+    verdict = check_ideal(ring, mask, side)
+    if not verdict:
+        raise NotAnIdealError(
+            f"subset is not a {side}-sided ideal of {ring.name}; "
+            f"first failure {verdict.witness}")
+    return ring, mask
+
+
 def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     """One-sided module structures on the two coordinate blocks (cached)."""
     key = ("pair-views", side)
@@ -658,13 +623,7 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     one-sided ideals they all come out true, which is exactly what the
     structure checks assert downstream.
     """
-    mask = _as_mask(u)
-    ring = build_context_ring(ctx)
-    verdict = check_ideal(ring, mask, side)
-    if not verdict:
-        raise NotAnIdealError(
-            f"subset is not a {side}-sided ideal of {ring.name}; "
-            f"first failure {verdict.witness}")
+    ring, mask = _onesided_ideal(ctx, u, side)
     kr, mv, mw, ks = ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     P, Q = ctx.prod_vw, ctx.prod_wv
@@ -730,13 +689,7 @@ def is_prime_onesided_ideal(ctx: MoritaContext, u, side: str) -> Verdict:
     — a·x·b inside for every x forces a or b inside — which only needs the
     target to be additively closed.
     """
-    mask = _as_mask(u)
-    ring = build_context_ring(ctx)
-    verdict = check_ideal(ring, mask, side)
-    if not verdict:
-        raise NotAnIdealError(
-            f"subset is not a {side}-sided ideal of {ring.name}; "
-            f"first failure {verdict.witness}")
+    ring, mask = _onesided_ideal(ctx, u, side)
     return is_prime_ideal(Ideal(ring, mask, side))
 
 
@@ -799,24 +752,6 @@ def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
 # -- prime and semiprime slotted ideals ---------------------------------------------
 
 
-def _corner_prime(ring: FiniteRing, mask: int) -> bool:
-    """Elementwise corner primeness, with the whole ring passing vacuously.
-
-    An improper corner leaves no elements outside to witness a failure, so
-    the defining implication holds by default; treating it otherwise would
-    break the slot descriptions on contexts whose pairings vanish.
-    """
-    if mask == full_mask(ring.order):
-        return True
-    return bool(is_prime_ideal(Ideal(ring, mask, "two")))
-
-
-def _corner_semiprime(ring: FiniteRing, mask: int) -> bool:
-    if mask == full_mask(ring.order):
-        return True
-    return bool(is_semiprime_ideal(Ideal(ring, mask, "two")))
-
-
 @dataclass(frozen=True)
 class QuadruplePrimeReport:
     """Primeness of a slotted ideal, against its corner-and-closure description.
@@ -868,25 +803,28 @@ class QuadrupleSemiprimeReport:
         return self.is_semiprime != self.cond2
 
 
-def _slot_description(ctx: MoritaContext, quad: IdealQuadruple) -> tuple[ClosureSets, bool, bool]:
+def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test) -> tuple:
+    """``test`` (elementwise primeness or semiprimeness) on the slotted ideal,
+    then its slot description: ``test`` on each corner, and whether each
+    module slot equals both of its closure sets.
+
+    An improper corner passes vacuously: it leaves no elements outside to
+    witness a failure, so the defining implication holds by default;
+    treating it otherwise would break the slot descriptions on contexts
+    whose pairings vanish.
+    """
+    verdict = test(verify_ideal(_context_ring(ctx), quad.member_mask(), "two"))
     sets = closure_sets(ctx, quad.r_part, quad.s_part)
+    r_ok, s_ok = (not c.is_proper() or bool(test(c)) for c in (quad.r_part, quad.s_part))
     _, v1_mask, w1_mask, _ = quad.masks
-    v_matches = v1_mask == sets.v_into_r == sets.v_into_s
-    w_matches = w1_mask == sets.w_into_r == sets.w_into_s
-    return sets, v_matches, w_matches
+    return (verdict, r_ok, s_ok, v1_mask == sets.v_into_r == sets.v_into_s,
+            w1_mask == sets.w_into_r == sets.w_into_s, sets)
 
 
 def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadruplePrimeReport:
     """Compare elementwise primeness of a slotted ideal with its slot description."""
-    ring = build_context_ring(ctx)
-    t_mask = quad.member_mask()
-    verify_ideal(ring, t_mask, "two")
-    if t_mask == full_mask(ring.order):
-        raise NotProperError("primeness is only defined for proper ideals")
-    verdict = is_prime_ideal(Ideal(ring, t_mask, "two"))
-    sets, v_matches, w_matches = _slot_description(ctx, quad)
-    r_prime = _corner_prime(ctx.ring_r, quad.r_part.members)
-    s_prime = _corner_prime(ctx.ring_s, quad.s_part.members)
+    verdict, r_prime, s_prime, v_matches, w_matches, sets = _slot_description(
+        ctx, quad, is_prime_ideal)
     return QuadruplePrimeReport(
         quadruple=quad, is_prime=bool(verdict), witness=verdict.witness,
         cond2=r_prime and s_prime and v_matches and w_matches,
@@ -897,15 +835,8 @@ def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> Quadruple
 
 def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadrupleSemiprimeReport:
     """Compare elementwise semiprimeness of a slotted ideal with its slot description."""
-    ring = build_context_ring(ctx)
-    t_mask = quad.member_mask()
-    verify_ideal(ring, t_mask, "two")
-    if t_mask == full_mask(ring.order):
-        raise NotProperError("semiprimeness is only defined for proper ideals")
-    verdict = is_semiprime_ideal(Ideal(ring, t_mask, "two"))
-    sets, v_matches, w_matches = _slot_description(ctx, quad)
-    r_semiprime = _corner_semiprime(ctx.ring_r, quad.r_part.members)
-    s_semiprime = _corner_semiprime(ctx.ring_s, quad.s_part.members)
+    verdict, r_semiprime, s_semiprime, v_matches, w_matches, sets = _slot_description(
+        ctx, quad, is_semiprime_ideal)
     return QuadrupleSemiprimeReport(
         quadruple=quad, is_semiprime=bool(verdict), witness=verdict.witness,
         cond2=r_semiprime and s_semiprime and v_matches and w_matches,
@@ -1006,12 +937,12 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
     verifies it is a ring isomorphism; the verdict's witness localizes any
     failure to an operation and a pair of cosets.
     """
-    ring = build_context_ring(ctx)
+    ring = _context_ring(ctx)
     qres = quotient_context(ctx, cap)
     radical = qres.radical
     rad_ideal = verify_ideal(ring, radical.member_mask(), "two")
     ring_q, proj_t = quotient_ring(ring, rad_ideal)
-    target = build_context_ring(qres.context)
+    target = build_context_ring(qres.context, cap=ring.order)   # never larger than ring
     if ring_q.order != target.order:
         return Verdict(False, ("bijective",))
     _, first = np.unique(proj_t.image_array(), return_index=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsets import bool_array, full_mask, indices_of, is_subset
-from .errors import CapacityError, NotAnIdealError, NotProperError
+from .errors import NotAnIdealError, NotProperError
 from .validation import Verdict
 
 __all__ = [
@@ -143,42 +143,28 @@ def _principal_masks(ring, sidedness: str) -> list[int]:
     return out
 
 
-def principal_ideal(ring, a, sidedness: str = "two") -> Ideal:
-    """Smallest ideal of the named sidedness containing a (index or element)."""
+def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
+    """Smallest ideal of the named sidedness containing the element index a."""
     if sidedness not in SIDES:
         raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
-    index = a.index if hasattr(a, "index") else int(a)
-    return Ideal(ring, _principal_masks(ring, sidedness)[index], sidedness)
+    return Ideal(ring, _principal_masks(ring, sidedness)[int(a)], sidedness)
 
 
 def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CAP) -> list[Ideal]:
     """All ideals of the named sidedness, sorted by (size, mask).
 
     Principal ideals are closed under pairwise join to a fixpoint; every
-    ideal is a join of principal ones. CapacityError beyond ``cap``.
+    ideal is a join of principal ones. CapacityError when the lattice would
+    hold more than ``cap`` ideals; the principal ones count too.
     """
     if sidedness not in SIDES:
         raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
     key = ("ideals", sidedness, cap)
     if key in ring._cache:
         return ring._cache[key]
-    group = ring.addgroup
-    seeds = set(_principal_masks(ring, sidedness))
-    found: set[int] = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt: list[int] = []
-        for a in frontier:
-            for b in seeds:
-                j = group.join_masks(a, b)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-                    if len(found) > cap:
-                        raise CapacityError(
-                            f"{sidedness}-sided ideal lattice of {ring.name} exceeds cap {cap}", cap)
-        frontier = nxt
-    out = [Ideal(ring, m, sidedness) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
+    masks = ring.addgroup.join_closure(_principal_masks(ring, sidedness), cap,
+                                       f"{sidedness}-sided ideal lattice of {ring.name}")
+    out = [Ideal(ring, m, sidedness) for m in masks]
     ring._cache[key] = out
     return out
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bitsets import bool_array, full_mask, indices_of, mask_from_bool
 from .errors import (
-    CapacityError,
     InconsistencyError,
     MalformedTableError,
     NotASubmoduleError,
@@ -24,9 +23,10 @@ from .errors import (
     ValidationFailedError,
     WellDefinednessError,
 )
-from .ideals import DEFAULT_LATTICE_CAP
-from .spans import AddGroup
-from .validation import ValidationReport, Verdict, Violation, as_table
+from .ideals import DEFAULT_LATTICE_CAP, Ideal, check_ideal
+from .spans import AddGroup, Carrier
+from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
+                         as_square_table, as_table, distributive_witness)
 
 __all__ = [
     "Bimodule",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-class Bimodule:
+class Bimodule(Carrier):
     """An (L, R)-bimodule on the index set 0..order-1.
 
     ``left_act`` has shape (|L|, m): row r is the action of ring element r.
@@ -61,15 +61,13 @@ class Bimodule:
     """
 
     __slots__ = ("order", "add", "zero", "left_ring", "left_act", "right_ring", "right_act",
-                 "name", "_labels", "_label_fn", "_addgroup", "ambient_ring", "ambient_index", "_cache")
+                 "name", "ambient_ring", "ambient_index", "_cache")
 
     def __init__(self, add, zero: int, left_ring, left_act, right_ring, right_act,
                  labels=None, name: str | None = None, label_fn=None,
                  ambient_ring=None, ambient_index=None):
-        add = as_table(add, None, None, "module add")
+        add = as_square_table(add, "module add")
         m = add.shape[0]
-        if add.shape[1] != m:
-            raise MalformedTableError(f"module add: expected a square table, got {add.shape}")
         self.order = m
         self.add = add
         self.zero = int(zero)
@@ -78,28 +76,13 @@ class Bimodule:
         self.right_ring = right_ring
         self.right_act = as_table(right_act, m, right_ring.order, "right action")
         self.name = name or f"bimod{m}"
-        self._labels = tuple(str(x) for x in labels) if labels is not None else None
-        self._label_fn = label_fn
-        self._addgroup: AddGroup | None = None
+        self._present(labels, label_fn)
         self.ambient_ring = ambient_ring
         if ambient_index is not None:
             ambient_index = np.asarray(ambient_index, dtype=np.int32)
             ambient_index.setflags(write=False)
         self.ambient_index = ambient_index
         self._cache: dict = {}
-
-    @property
-    def addgroup(self) -> AddGroup:
-        if self._addgroup is None:
-            self._addgroup = AddGroup(self.add, self.zero)
-        return self._addgroup
-
-    def label(self, i: int) -> str:
-        if self._labels is not None:
-            return self._labels[i]
-        if self._label_fn is not None:
-            return self._label_fn(i)
-        return str(i)
 
     def left_view(self) -> ModuleView:
         return ModuleView(self.left_ring, "left", self.add, self.left_act, self.zero,
@@ -109,33 +92,27 @@ class Bimodule:
         return ModuleView(self.right_ring, "right", self.add, self.right_act.T, self.zero,
                           name=self.name, module=self)
 
-    def format_subset(self, mask: int) -> str:
-        members = indices_of(mask, self.order)
-        return "{" + ", ".join(self.label(int(i)) for i in members) + "}"
-
     def __repr__(self) -> str:
         return f"<Bimodule {self.name} order={self.order} over ({self.left_ring.name}, {self.right_ring.name})>"
 
 
-class ModuleView:
+class ModuleView(Carrier):
     """A finite module over one ring.
 
     The action table is normalized so ``act[r]`` is always the row "r acting
     on each element", whichever side the scalars are written on. ``module``
-    points back to the parent bimodule when there is one.
+    points back to the parent bimodule when there is one; the view then
+    shares its labels, additive group and caches.
     """
 
-    __slots__ = ("ring", "side", "add", "act", "zero", "order", "name",
-                 "module", "_labels", "_label_fn", "_addgroup", "_cache")
+    __slots__ = ("ring", "side", "add", "act", "zero", "order", "name", "module", "_cache")
 
     def __init__(self, ring, side: str, add, act, zero: int,
                  labels=None, name: str | None = None, label_fn=None, module: Bimodule | None = None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        add = as_table(add, None, None, "module add")
+        add = as_square_table(add, "module add")
         m = add.shape[0]
-        if add.shape[1] != m:
-            raise MalformedTableError(f"module add: expected a square table, got {add.shape}")
         self.ring = ring
         self.side = side
         self.add = add
@@ -144,31 +121,12 @@ class ModuleView:
         self.order = m
         self.name = name or f"{side}mod{m}"
         self.module = module
-        self._labels = tuple(str(x) for x in labels) if labels is not None else None
-        self._label_fn = label_fn
-        self._addgroup = None
-        self._cache = module._cache if module is not None else {}
-
-    @property
-    def addgroup(self) -> AddGroup:
-        if self.module is not None:
-            return self.module.addgroup
-        if self._addgroup is None:
-            self._addgroup = AddGroup(self.add, self.zero)
-        return self._addgroup
-
-    def label(self, i: int) -> str:
-        if self.module is not None:
-            return self.module.label(i)
-        if self._labels is not None:
-            return self._labels[i]
-        if self._label_fn is not None:
-            return self._label_fn(i)
-        return str(i)
-
-    def format_subset(self, mask: int) -> str:
-        members = indices_of(mask, self.order)
-        return "{" + ", ".join(self.label(int(i)) for i in members) + "}"
+        if module is None:
+            self._present(labels, label_fn)
+            self._cache = {}
+        else:
+            self._present(None, module.label, module.addgroup)
+            self._cache = module._cache
 
     def __repr__(self) -> str:
         return f"<ModuleView {self.side} {self.name} over {self.ring.name}>"
@@ -211,6 +169,14 @@ def ring_bimodule(ring) -> Bimodule:
     )
 
 
+_SUBSET_FAILURES = {
+    "zero": "subset does not contain zero",
+    "add": "subset is not closed under addition",
+    "left": "subset is not stable under left multiplication by the ring",
+    "right": "subset is not stable under right multiplication by the ring",
+}
+
+
 def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodule:
     """An additively closed, two-sided-absorbing subset of a ring.
 
@@ -218,17 +184,11 @@ def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodul
     NotASubmoduleError if any closure fails (the induced tables would leave
     the carrier).
     """
+    verdict = check_ideal(ring, members_mask, "two")
+    if not verdict:
+        raise NotASubmoduleError(_SUBSET_FAILURES[verdict.witness[0]])
     k = ring.order
     members = indices_of(members_mask, k)
-    inside = bool_array(members_mask, k)
-    if members.size == 0 or not inside[ring.zero]:
-        raise NotASubmoduleError("subset does not contain zero")
-    if not inside[ring.add[np.ix_(members, members)]].all():
-        raise NotASubmoduleError("subset is not closed under addition")
-    if not inside[ring.mul[:, members]].all():
-        raise NotASubmoduleError("subset is not stable under left multiplication by the ring")
-    if not inside[ring.mul[members, :]].all():
-        raise NotASubmoduleError("subset is not stable under right multiplication by the ring")
     rank = np.full(k, -1, dtype=np.int64)
     rank[members] = np.arange(members.size)
     add = rank[ring.add[np.ix_(members, members)]]
@@ -309,13 +269,9 @@ def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray,
             r2, x = map(int, np.argwhere(lhs != rhs)[0])
             violations.append(Violation(f"{tag}-additive-in-ring", (r1, r2, x)))
             break
-    for r in range(ring.order):
-        lhs = act[r][add]                             # r . (x+y)
-        rhs = add[np.ix_(act[r], act[r])]             # r.x + r.y
-        if (lhs != rhs).any():
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            violations.append(Violation(f"{tag}-additive-in-module", (r, x, y)))
-            break
+    w = distributive_witness(add, act)               # r . (x+y) = r.x + r.y
+    if w:
+        violations.append(Violation(f"{tag}-additive-in-module", w))
     for r1 in range(ring.order):
         composed = act[ring.mul[r1]]                  # (r1*r2) acting, rows over r2
         staged = act[:, act[r1]] if right_side else act[r1][act]
@@ -328,25 +284,12 @@ def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray,
 def validate_bimodule(mod: Bimodule) -> ValidationReport:
     """Exhaustively check the bimodule axioms; one witness per failed law."""
     violations: list[Violation] = []
-    m = mod.order
     add, zero = mod.add, mod.zero
-    idx = np.arange(m, dtype=np.int32)
+    idx = np.arange(mod.order, dtype=np.int32)
 
     if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
         violations.append(Violation("additive-identity", (zero,)))
-    if (np.sort(add, axis=1) != idx[None, :]).any():
-        row = int(np.flatnonzero((np.sort(add, axis=1) != idx[None, :]).any(axis=1))[0])
-        violations.append(Violation("additive-inverse", (row,)))
-    if (add != add.T).any():
-        a, b = map(int, np.argwhere(add != add.T)[0])
-        violations.append(Violation("additive-commutativity", (a, b)))
-    for a in range(m):
-        lhs = add[add[a], :]
-        rhs = add[a][add]
-        if (lhs != rhs).any():
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            violations.append(Violation("additive-associativity", (a, b, c)))
-            break
+    violations.extend(abelian_group_violations(add))
 
     _check_action(violations, add, mod.left_ring, mod.left_act, "left", right_side=False)
     _check_action(violations, add, mod.right_ring, mod.right_act.T, "right", right_side=True)
@@ -367,31 +310,33 @@ def verify_submodule(module: Bimodule, mask: int, sidedness: str) -> Submodule:
     """Check closure for the named sidedness and wrap the mask."""
     if sidedness not in ("left", "right", "bi"):
         raise ValueError(f"sidedness must be 'left', 'right' or 'bi', got {sidedness!r}")
-    m = module.order
-    members = indices_of(mask, m)
-    inside = bool_array(mask, m)
-    if members.size == 0 or not inside[module.zero]:
-        raise NotASubmoduleError("submodule must contain zero")
-    if not inside[module.add[np.ix_(members, members)]].all():
-        raise NotASubmoduleError("subset is not closed under addition")
-    if sidedness in ("left", "bi") and not inside[module.left_act[:, members]].all():
-        raise NotASubmoduleError("subset is not stable under the left ring action")
-    if sidedness in ("right", "bi") and not inside[module.right_act[members, :]].all():
-        raise NotASubmoduleError("subset is not stable under the right ring action")
+    actions = []
+    if sidedness in ("left", "bi"):
+        actions.append(("left", module.left_act))
+    if sidedness in ("right", "bi"):
+        actions.append(("right", module.right_act.T))
+    _verify_closed(module, mask, actions)
     return Submodule(module, mask, sidedness)
 
 
 def verify_view_submodule(view: ModuleView, mask: int) -> int:
     """Check closure of a mask inside a one-sided view; return the mask."""
-    members = indices_of(mask, view.order)
-    inside = bool_array(mask, view.order)
-    if members.size == 0 or not inside[view.zero]:
-        raise NotASubmoduleError("submodule must contain zero")
-    if not inside[view.add[np.ix_(members, members)]].all():
-        raise NotASubmoduleError("subset is not closed under addition")
-    if not inside[view.act[:, members]].all():
-        raise NotASubmoduleError(f"subset is not stable under the {view.side} ring action")
+    _verify_closed(view, mask, [(view.side, view.act)])
     return mask
+
+
+def _verify_closed(carrier, mask: int, actions: list[tuple[str, np.ndarray]]) -> None:
+    """Raise NotASubmoduleError unless the mask holds zero and is closed under
+    addition and each (side, normalized action table) in ``actions``."""
+    members = indices_of(mask, carrier.order)
+    inside = bool_array(mask, carrier.order)
+    if members.size == 0 or not inside[carrier.zero]:
+        raise NotASubmoduleError("submodule must contain zero")
+    if not inside[carrier.add[np.ix_(members, members)]].all():
+        raise NotASubmoduleError("subset is not closed under addition")
+    for side, act in actions:
+        if not inside[act[:, members]].all():
+            raise NotASubmoduleError(f"subset is not stable under the {side} ring action")
 
 
 # -- span machinery --------------------------------------------------------------
@@ -411,21 +356,15 @@ def cyclic_submodule(view: ModuleView, x: int) -> int:
     return mask
 
 
-def _join_closure(group: AddGroup, cyclic: set[int], cap: int, what: str) -> list[int]:
-    found: set[int] = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        nxt: list[int] = []
-        for a in frontier:
-            for b in cyclic:
-                j = group.join_masks(a, b)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-                    if len(found) > cap:
-                        raise CapacityError(f"{what} lattice exceeds cap {cap}", cap)
-        frontier = nxt
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+def _orbit_lattice(group: AddGroup, orbits, cap: int, what: str) -> list[int]:
+    """Join closure of the spans of the distinct orbits, sorted by (size, mask).
+
+    An orbit closed under the action spans a cyclic submodule; identical
+    orbits are spanned once.
+    """
+    distinct = {orbit.tobytes(): orbit for orbit in orbits}
+    cyclic = {group.span_mask(orbit) for orbit in distinct.values()}
+    return group.join_closure(cyclic, cap, what)
 
 
 def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
@@ -437,16 +376,9 @@ def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) 
     key = ("submods", view.side, cap)
     if key in view._cache:
         return view._cache[key]
-    cyclic: set[int] = set()
-    seen: set[bytes] = set()
-    for x in range(view.order):
-        orbit = np.unique(view.act[:, x])
-        fp = orbit.tobytes()
-        if fp in seen:
-            continue
-        seen.add(fp)
-        cyclic.add(view.addgroup.span_mask(orbit))
-    out = _join_closure(view.addgroup, cyclic, cap, f"submodule ({view.side}) of {view.name}")
+    orbits = (np.unique(view.act[:, x]) for x in range(view.order))
+    out = _orbit_lattice(view.addgroup, orbits, cap,
+                         f"submodule ({view.side}) of {view.name} lattice")
     view._cache[key] = out
     return out
 
@@ -456,16 +388,8 @@ def enumerate_bisubmodule_masks(module: Bimodule, cap: int = DEFAULT_LATTICE_CAP
     key = ("bisubmods", cap)
     if key in module._cache:
         return module._cache[key]
-    cyclic: set[int] = set()
-    seen: set[bytes] = set()
-    for x in range(module.order):
-        two_sided_orbit = np.unique(module.right_act[module.left_act[:, x]])
-        fp = two_sided_orbit.tobytes()
-        if fp in seen:
-            continue
-        seen.add(fp)
-        cyclic.add(module.addgroup.span_mask(two_sided_orbit))
-    out = _join_closure(module.addgroup, cyclic, cap, f"bisubmodule of {module.name}")
+    orbits = (np.unique(module.right_act[module.left_act[:, x]]) for x in range(module.order))
+    out = _orbit_lattice(module.addgroup, orbits, cap, f"bisubmodule of {module.name} lattice")
     module._cache[key] = out
     return out
 
@@ -543,8 +467,6 @@ def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
 
 def annihilator(view: ModuleView):
     """The two-sided ideal of ring elements acting as zero on the module."""
-    from .ideals import Ideal, check_ideal
-
     mask = mask_from_bool((view.act == view.zero).all(axis=1))
     verdict = check_ideal(view.ring, mask, "two")
     if not verdict:
@@ -564,17 +486,12 @@ def quotient_view(view: ModuleView, mask: int) -> tuple[ModuleView, np.ndarray]:
     projection array old index -> new index.
     """
     verify_view_submodule(view, mask)
-    members = indices_of(mask, view.order)
-    rep_of = view.add[:, members].min(axis=1)
-    reps = np.unique(rep_of)
-    rank = np.full(view.order, -1, dtype=np.int64)
-    rank[reps] = np.arange(reps.size)
-    proj = rank[rep_of]
+    reps, proj = view.addgroup.cosets(mask)
     q_add = proj[view.add[np.ix_(reps, reps)]]
     q_act = proj[view.act[:, reps]]
     labels = [view.label(int(r)) for r in reps]
     out = ModuleView(view.ring, view.side, q_add, q_act, int(proj[view.zero]),
-                     labels=labels, name=f"{view.name}/sub{members.size}")
+                     labels=labels, name=f"{view.name}/sub{mask.bit_count()}")
     return out, proj
 
 
@@ -589,13 +506,7 @@ def quotient_module(module: Bimodule, mask: int,
     exhaustively and WellDefinednessError carries a witness otherwise.
     """
     verify_submodule(module, mask, "bi")
-    members = indices_of(mask, module.order)
-    rep_of = module.add[:, members].min(axis=1)
-    reps = np.unique(rep_of)
-    rank = np.full(module.order, -1, dtype=np.int64)
-    rank[reps] = np.arange(reps.size)
-    proj = rank[rep_of]
-
+    reps, proj = module.addgroup.cosets(mask)
     q_add = proj[module.add[np.ix_(reps, reps)]]
 
     def induced(act_rows: np.ndarray, ring, ring_pair) -> tuple[np.ndarray, object]:
@@ -622,5 +533,5 @@ def quotient_module(module: Bimodule, mask: int,
     ract_rows, rring = induced(module.right_act.T, module.right_ring, right)
     labels = [module.label(int(r)) for r in reps]
     quotient = Bimodule(q_add, int(proj[module.zero]), lring, lact, rring, ract_rows.T,
-                        labels=labels, name=f"{module.name}/sub{members.size}")
+                        labels=labels, name=f"{module.name}/sub{mask.bit_count()}")
     return quotient, proj

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import bool_array, indices_of, mask_from_bool
-from .errors import InvalidOrderError, MalformedTableError, NotAnIdealError
-from .spans import AddGroup
-from .validation import ValidationReport, Verdict, Violation, as_table
+from .errors import InvalidOrderError, MalformedTableError
+from .ideals import verify_ideal
+from .spans import Carrier
+from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
+                         as_square_table, as_table, assoc_witness, distributive_witness)
 
 __all__ = [
     "FiniteRing",
-    "RingElement",
     "RingMap",
     "make_zn",
     "ring_from_tables",
@@ -29,20 +29,18 @@ __all__ = [
 ]
 
 
-class FiniteRing:
+class FiniteRing(Carrier):
     """A finite ring with identity, on the index set 0..order-1.
 
     Treat instances as immutable. Identity-based equality is intentional:
     structurally equal rings built twice are distinct carriers.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "neg", "name", "_labels", "_label_fn", "_addgroup", "_cache")
+    __slots__ = ("order", "add", "mul", "zero", "one", "neg", "name", "_cache")
 
     def __init__(self, add, mul, zero: int, one: int, labels=None, name: str | None = None, label_fn=None):
-        add = as_table(add, None, None, "add")
+        add = as_square_table(add, "add")
         k = add.shape[0]
-        if add.shape[1] != k:
-            raise MalformedTableError(f"add: expected a square table, got {add.shape}")
         mul = as_table(mul, k, k, "mul")
         if not (0 <= zero < k and 0 <= one < k):
             raise MalformedTableError(f"zero/one indices out of range for order {k}")
@@ -54,9 +52,7 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.name = name or f"ring{k}"
-        self._labels = tuple(str(x) for x in labels) if labels is not None else None
-        self._label_fn = label_fn
-        self._addgroup: AddGroup | None = None
+        self._present(labels, label_fn)
         self._cache: dict = {}
         self._basic_sanity()
 
@@ -74,67 +70,8 @@ class FiniteRing:
         neg.setflags(write=False)
         self.neg = neg
 
-    # -- presentation helpers -------------------------------------------------
-
-    def label(self, i: int) -> str:
-        if self._labels is not None:
-            return self._labels[i]
-        if self._label_fn is not None:
-            return self._label_fn(i)
-        return str(i)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        if self._labels is None:
-            self._labels = tuple(self.label(i) for i in range(self.order))
-        return self._labels
-
-    @property
-    def addgroup(self) -> AddGroup:
-        if self._addgroup is None:
-            self._addgroup = AddGroup(self.add, self.zero)
-        return self._addgroup
-
-    def element(self, index: int) -> RingElement:
-        return RingElement(self, int(index))
-
-    def format_subset(self, mask: int) -> str:
-        members = indices_of(mask, self.order)
-        return "{" + ", ".join(self.label(int(i)) for i in members) + "}"
-
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """One ring element; a thin index wrapper with arithmetic operators."""
-
-    ring: FiniteRing
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.ring.order:
-            raise MalformedTableError(f"element index {self.index} out of range for order {self.ring.order}")
-
-    def _check(self, other: RingElement) -> None:
-        if other.ring is not self.ring:
-            raise ValueError("elements live in different rings")
-
-    def __add__(self, other: RingElement) -> RingElement:
-        self._check(other)
-        return RingElement(self.ring, int(self.ring.add[self.index, other.index]))
-
-    def __mul__(self, other: RingElement) -> RingElement:
-        self._check(other)
-        return RingElement(self.ring, int(self.ring.mul[self.index, other.index]))
-
-    def __neg__(self) -> RingElement:
-        return RingElement(self.ring, int(self.ring.neg[self.index]))
-
-    @property
-    def label(self) -> str:
-        return self.ring.label(self.index)
 
 
 @dataclass(frozen=True)
@@ -160,10 +97,6 @@ class RingMap:
     def image_array(self) -> np.ndarray:
         return np.asarray(self.image, dtype=np.int64)
 
-    def kernel_mask(self) -> int:
-        arr = self.image_array()
-        return mask_from_bool(arr == self.target.zero)
-
 
 def make_zn(n: int) -> FiniteRing:
     """The ring of integers mod n, with labels 0..n-1."""
@@ -182,10 +115,8 @@ def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> 
     range problems raise MalformedTableError; axiom failures come back as
     violations with one witness each.
     """
-    add = as_table(add, None, None, "add")
+    add = as_square_table(add, "add")
     k = add.shape[0]
-    if add.shape[1] != k:
-        raise MalformedTableError(f"add: expected a square table, got {add.shape}")
     mul = as_table(mul, k, k, "mul")
     idx = np.arange(k, dtype=np.int32)
     violations: list[Violation] = []
@@ -200,27 +131,7 @@ def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> 
     if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
         bad = int(np.flatnonzero(add[zero] != idx)[0])
         violations.append(Violation("additive-identity", (zero, bad)))
-
-    if (np.sort(add, axis=1) != idx[None, :]).any():
-        row = int(np.flatnonzero((np.sort(add, axis=1) != idx[None, :]).any(axis=1))[0])
-        violations.append(Violation("additive-inverse", (row,)))
-
-    if (add != add.T).any():
-        a, b = map(int, np.argwhere(add != add.T)[0])
-        violations.append(Violation("additive-commutativity", (a, b)))
-
-    def assoc_witness(table: np.ndarray) -> tuple | None:
-        for a in range(k):
-            left = table[table[a], :]
-            right = table[a][table]
-            if (left != right).any():
-                b, c = map(int, np.argwhere(left != right)[0])
-                return (a, b, c)
-        return None
-
-    w = assoc_witness(add)
-    if w:
-        violations.append(Violation("additive-associativity", w))
+    violations.extend(abelian_group_violations(add))
     w = assoc_witness(mul)
     if w:
         violations.append(Violation("multiplicative-associativity", w))
@@ -236,20 +147,13 @@ def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> 
         if one == zero:
             violations.append(Violation("identity-distinct", (zero,)))
 
-    for a in range(k):
-        left = mul[a][add]                       # a*(b+c)
-        right = add[np.ix_(mul[a], mul[a])]      # a*b + a*c
-        if (left != right).any():
-            b, c = map(int, np.argwhere(left != right)[0])
-            violations.append(Violation("left-distributivity", (a, b, c)))
-            break
-    for a in range(k):
-        left = mul[:, a][add]                    # (b+c)*a
-        right = add[np.ix_(mul[:, a], mul[:, a])]
-        if (left != right).any():
-            b, c = map(int, np.argwhere(left != right)[0])
-            violations.append(Violation("right-distributivity", (b, c, a)))
-            break
+    w = distributive_witness(add, mul)           # a*(b+c) = a*b + a*c
+    if w:
+        violations.append(Violation("left-distributivity", w))
+    w = distributive_witness(add, mul.T)         # (b+c)*a = b*a + c*a
+    if w:
+        a, b, c = w
+        violations.append(Violation("right-distributivity", (b, c, a)))
 
     return ValidationReport("ring", tuple(violations))
 
@@ -273,17 +177,6 @@ def ring_from_tables(add, mul, zero: int | None = None, one: int | None = None,
     return FiniteRing(add, mul, zero, one, labels=labels, name=name)
 
 
-def _check_two_sided_ideal(ring: FiniteRing, mask: int) -> None:
-    members = indices_of(mask, ring.order)
-    inside = bool_array(mask, ring.order)
-    if members.size == 0 or not inside[ring.zero]:
-        raise NotAnIdealError("subset does not contain zero")
-    if not inside[ring.add[np.ix_(members, members)]].all():
-        raise NotAnIdealError("subset is not closed under addition")
-    if not inside[ring.mul[:, members]].all() or not inside[ring.mul[members, :]].all():
-        raise NotAnIdealError("subset does not absorb ring multiplication on both sides")
-
-
 def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:
     """Quotient by a two-sided ideal, with the projection map.
 
@@ -291,19 +184,12 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:
     each element to the rank of its coset representative.
     """
     mask = ideal.members if hasattr(ideal, "members") else int(ideal)
-    _check_two_sided_ideal(ring, mask)
-    members = indices_of(mask, ring.order)
-    rep_of = ring.add[:, members].min(axis=1)
-    reps = np.unique(rep_of)
-    rank = np.full(ring.order, -1, dtype=np.int64)
-    rank[reps] = np.arange(reps.size)
-    proj = rank[rep_of]
-
+    verify_ideal(ring, mask, "two")
+    reps, proj = ring.addgroup.cosets(mask)
     q_add = proj[ring.add[np.ix_(reps, reps)]]
     q_mul = proj[ring.mul[np.ix_(reps, reps)]]
     labels = [ring.label(int(r)) for r in reps]
-    size = int(members.size)
-    qname = f"{ring.name}/<{size}>"
+    qname = f"{ring.name}/<{mask.bit_count()}>"
     quotient = FiniteRing(q_add, q_mul, zero=int(proj[ring.zero]), one=int(proj[ring.one]),
                           labels=labels, name=qname)
     return quotient, RingMap(ring, quotient, tuple(int(x) for x in proj))

@@ -6,6 +6,8 @@ the form "x * S * y lands inside an additively closed set" only needs to be
 checked on additive generators of S, because the products are biadditive.
 The kernels here compute generating sequences and subgroup spans cheaply so
 the ring- and module-level code can stay near-linear in the carrier size.
+The lattice join closure and the coset split used by every quotient live
+here too, as does ``Carrier``, the labelling shared by rings and modules.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from collections.abc import Iterable
 import numpy as np
 
 from .bitsets import bool_array, indices_of, mask_from_bool
+from .errors import CapacityError
 
-__all__ = ["AddGroup"]
+__all__ = ["AddGroup", "Carrier"]
 
 
 class AddGroup:
@@ -83,6 +86,44 @@ class AddGroup:
         """Subgroup generated by the union of two subgroup masks."""
         return self.span_mask(indices_of(b, self.order), base=a)
 
+    def join_closure(self, seeds: Iterable[int], cap: int, what: str) -> list[int]:
+        """Every join of the seed subgroups, sorted by (size, mask).
+
+        Joins are taken pairwise with the seeds until a fixpoint. The seeds
+        count against ``cap`` too: CapacityError, naming the lattice as
+        ``what``, as soon as it would hold more than ``cap`` masks.
+        """
+        seeds = set(seeds)
+        found: set[int] = set(seeds)
+        frontier = list(seeds)
+        while frontier:
+            nxt: list[int] = []
+            for a in frontier:
+                for b in seeds:
+                    # Checked before every join: the seeds count, and a new
+                    # mask always leaves one more join to run.
+                    if len(found) > cap:
+                        raise CapacityError(f"{what} exceeds cap {cap}", cap)
+                    j = self.join_masks(a, b)
+                    if j not in found:
+                        found.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        return sorted(found, key=lambda m: (m.bit_count(), m))
+
+    def cosets(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cosets of a subgroup: (representatives, projection).
+
+        Each coset is represented by its least member, in ascending order;
+        the projection sends every element to the rank of its coset.
+        """
+        members = indices_of(mask, self.order)
+        rep_of = self.add[:, members].min(axis=1)
+        reps = np.unique(rep_of)
+        rank = np.full(self.order, -1, dtype=np.int64)
+        rank[reps] = np.arange(reps.size)
+        return reps, rank[rep_of]
+
     def subgroup_generators(self, mask: int) -> np.ndarray:
         """Greedy generating sequence for an existing subgroup mask."""
         members = indices_of(mask, self.order)
@@ -102,3 +143,42 @@ class AddGroup:
             return False
         table = self.add[np.ix_(members, members)]
         return bool(bool_array(mask, self.order)[table].all())
+
+
+class Carrier:
+    """Labels, subset formatting and the additive group of an indexed carrier.
+
+    Rings and modules share this presentation. Subclasses set ``order``,
+    ``add`` and ``zero`` and call ``_present``: an explicit label tuple
+    wins over ``label_fn``, which wins over the bare index.
+    """
+
+    __slots__ = ("_labels", "_label_fn", "_addgroup")
+
+    def _present(self, labels, label_fn, addgroup: AddGroup | None = None) -> None:
+        self._labels = tuple(str(x) for x in labels) if labels is not None else None
+        self._label_fn = label_fn
+        self._addgroup = addgroup
+
+    def label(self, i: int) -> str:
+        if self._labels is not None:
+            return self._labels[i]
+        if self._label_fn is not None:
+            return self._label_fn(i)
+        return str(i)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(self.label(i) for i in range(self.order))
+        return self._labels
+
+    @property
+    def addgroup(self) -> AddGroup:
+        if self._addgroup is None:
+            self._addgroup = AddGroup(self.add, self.zero)
+        return self._addgroup
+
+    def format_subset(self, mask: int) -> str:
+        members = indices_of(mask, self.order)
+        return "{" + ", ".join(self.label(int(i)) for i in members) + "}"

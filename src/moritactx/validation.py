@@ -1,4 +1,4 @@
-"""Shared result types and raw-table normalization helpers."""
+"""Shared result types, raw-table normalization and the group-axiom block."""
 
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "as_table",
+    "as_square_table",
+    "assoc_witness",
+    "distributive_witness",
+    "abelian_group_violations",
 ]
 
 
@@ -96,3 +100,53 @@ def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | N
     out = arr.astype(np.int32)
     out.setflags(write=False)
     return out
+
+
+def as_square_table(data, what: str) -> np.ndarray:
+    """``as_table`` for an operation on one carrier: square, entries in range."""
+    arr = as_table(data, None, None, what)
+    if arr.shape[1] != arr.shape[0]:
+        raise MalformedTableError(f"{what}: expected a square table, got {arr.shape}")
+    return arr
+
+
+def assoc_witness(table: np.ndarray) -> tuple | None:
+    """First (a, b, c) with (a.b).c != a.(b.c) in a square operation table."""
+    for a in range(table.shape[0]):
+        left = table[table[a], :]
+        right = table[a][table]
+        if (left != right).any():
+            b, c = map(int, np.argwhere(left != right)[0])
+            return (a, b, c)
+    return None
+
+
+def distributive_witness(add: np.ndarray, act: np.ndarray) -> tuple | None:
+    """First (a, x, y) with a.(x+y) != a.x + a.y, where row ``act[a]`` is a acting."""
+    for a in range(act.shape[0]):
+        left = act[a][add]
+        right = add[np.ix_(act[a], act[a])]
+        if (left != right).any():
+            x, y = map(int, np.argwhere(left != right)[0])
+            return (a, x, y)
+    return None
+
+
+def abelian_group_violations(add: np.ndarray) -> list[Violation]:
+    """Inverse, commutativity and associativity of an addition table.
+
+    The identity law is left to the caller, whose witness shape differs
+    between rings and modules.
+    """
+    idx = np.arange(add.shape[0], dtype=np.int32)
+    violations: list[Violation] = []
+    if (np.sort(add, axis=1) != idx[None, :]).any():
+        row = int(np.flatnonzero((np.sort(add, axis=1) != idx[None, :]).any(axis=1))[0])
+        violations.append(Violation("additive-inverse", (row,)))
+    if (add != add.T).any():
+        a, b = map(int, np.argwhere(add != add.T)[0])
+        violations.append(Violation("additive-commutativity", (a, b)))
+    w = assoc_witness(add)
+    if w:
+        violations.append(Violation("additive-associativity", w))
+    return violations

@@ -163,3 +163,22 @@ def test_help_exits_cleanly(capsys):
 def test_missing_subcommand_is_invalid(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["primes", "report"])
+def test_raised_cap_reaches_the_per_ideal_reports(monkeypatch, capsys, command):
+    # A default order cap below full:4's order 256 stands in for a context
+    # above the real default, without building a ring that large.
+    from moritactx.context import build_context_ring
+
+    monkeypatch.setattr(build_context_ring, "__defaults__", (100,))
+    code, out, err = run(capsys, command, "full:4", "--cap", "1000")
+    assert (code, err) == (0, "")
+    assert "context ring prime: NO" in out
+
+
+def test_lattice_cap_counts_the_seeds(capsys):
+    # Every ideal of Z6 is principal, so the lattice is its 4 seeds.
+    code, _, err = run(capsys, "ideals", "full:6", "--cap", "3")
+    assert code == 3
+    assert "two-sided ideal lattice of Z6 exceeds cap 3" in err

@@ -34,7 +34,8 @@ from moritactx import (
     validate_ring,
     verify_quotient_iso,
 )
-from moritactx.catalog import builtin_context
+from moritactx.catalog import builtin_context, builtin_document
+from moritactx.mctx import load_mctx
 
 from naive import naive_context_product, naive_quadruple_ideals, members_of
 
@@ -76,22 +77,28 @@ def test_identity_and_zero_slots():
     assert ctx.decode(ring.one) == (1, 0, 0, 1)
 
 
-def test_element_arithmetic_in_scaled_context(z2):
-    ctx = build_ks_context(z2, 1)
-    e = ctx.element(1, 1, 1, 1)
-    square = e * e
-    assert (square.r, square.v, square.w, square.s) == (0, 0, 0, 0)
-
-
-def test_context_element_range_check():
-    ctx = ctx_of("full:2")
-    with pytest.raises(MalformedTableError):
-        ctx.element(2, 0, 0, 0)
-
-
 def test_capacity_cap_is_enforced():
     with pytest.raises(CapacityError):
         build_context_ring(ctx_of("full:6"), cap=100)
+
+
+def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):
+    # A default order cap below full:4's order 256 stands in for a context
+    # above the real default, without building a ring that large.
+    monkeypatch.setattr(build_context_ring, "__defaults__", (100,))
+    ctx = load_mctx(builtin_document("full:4")).context      # nothing built yet
+    zero = enumerate_context_ideals(ctx)[0]
+    with pytest.raises(CapacityError):
+        check_prime_quadruple(ctx, zero)
+    ring = build_context_ring(ctx, cap=1000)
+    assert check_prime_quadruple(ctx, zero).is_prime is False
+    assert check_semiprime_quadruple(ctx, zero).is_semiprime is False
+    assert decompose_ideal(ctx, zero.member_mask()).masks == zero.masks
+    assert side_decomposition(ctx, 1 << ring.zero, "right").all_hold
+    assert not is_prime_onesided_ideal(ctx, 1 << ring.zero, "left")
+    # An explicit cap still holds for a ring already built.
+    with pytest.raises(CapacityError):
+        build_context_ring(ctx, cap=100)
 
 
 def test_validation_catches_broken_pairings(z2):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from moritactx import (
+    CapacityError,
     Ideal,
     NotAnIdealError,
     NotProperError,
@@ -169,3 +170,10 @@ def test_prime_implies_semiprime():
         for ideal in enumerate_ideals(ring):
             if ideal.is_proper() and is_prime_ideal(ideal).holds:
                 assert is_semiprime_ideal(ideal).holds
+
+
+def test_lattice_cap_counts_the_principal_ideals(z6):
+    # Z6 has 4 ideals, all principal: no join adds a new one.
+    assert len(enumerate_ideals(z6, "two", cap=4)) == 4
+    with pytest.raises(CapacityError, match="two-sided ideal lattice of Z6 exceeds cap 3"):
+        enumerate_ideals(z6, "two", cap=3)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from moritactx import (
+    CapacityError,
     MalformedTableError,
     NotASubmoduleError,
     annihilator,
@@ -19,6 +20,7 @@ from moritactx import (
     verify_submodule,
     zero_bimodule,
 )
+from moritactx.catalog import builtin_context
 from moritactx.modules import enumerate_view_submodules, verify_view_submodule
 
 from naive import naive_is_prime_submodule, naive_view_submodules
@@ -148,3 +150,13 @@ def test_quotient_module_keeps_both_actions(z6):
     quot, proj = quotient_module(mod, 0b001001)  # collapse {0,3}
     assert quot.order == 3
     assert validate_bimodule(quot).ok
+
+
+def test_lattice_cap_counts_the_cyclic_submodules():
+    # Z6 over itself has 4 submodules on each side, all cyclic.
+    mod = builtin_context("full:6").context.mod_v
+    with pytest.raises(CapacityError, match="bisubmodule of Z6 lattice exceeds cap 3"):
+        enumerate_submodules(mod, "bi", cap=3)
+    with pytest.raises(CapacityError, match=r"submodule \(left\) of Z6 lattice exceeds cap 3"):
+        enumerate_view_submodules(mod.left_view(), cap=3)
+    assert len(enumerate_view_submodules(mod.left_view(), cap=4)) == 4

@@ -46,6 +46,14 @@ def test_span_is_a_subgroup_and_idempotent(ring, seeds):
     mask = group.span_mask(seeds)
     assert group.is_subgroup(mask)
     assert group.span_mask(indices_of(mask, ring.order).tolist()) == mask
+    # Cosets: the projection is constant on each coset x + H, and each
+    # representative is the least member of its coset.
+    reps, proj = group.cosets(mask)
+    members = indices_of(mask, ring.order)
+    for x in range(ring.order):
+        coset = ring.add[x, members]
+        assert set(proj[coset].tolist()) == {proj[x]}
+        assert reps[proj[x]] == coset.min()
 
 
 @given(rings, st.integers(min_value=0, max_value=(1 << 10) - 1))

@@ -12,6 +12,7 @@ from moritactx import (
     principal_ideal,
     quotient_ring,
     ring_from_tables,
+    subset_bimodule,
     validate_ring,
     verify_ring_map,
 )
@@ -60,17 +61,18 @@ def test_ring_from_tables_rejects_garbage():
         ring_from_tables([[0, 1], [1, 0]], [[1, 1], [1, 1]])
 
 
-def test_element_arithmetic(z6):
-    a, b = z6.element(4), z6.element(5)
-    assert (a + b).index == 3
-    assert (a * b).index == 2
-    assert (-a).index == 2
-    assert a.label == "4"
-
-
-def test_labels_and_format_subset(z4):
+def test_labels_and_format_subset(z4, z6):
     assert [z4.label(i) for i in range(4)] == ["0", "1", "2", "3"]
     assert z4.format_subset(0b0101) == "{0, 2}"
+    # A subset bimodule and both its views label like the ring they sit in.
+    mod = subset_bimodule(z6, 0b010101)
+    assert mod.labels == ("0", "2", "4")
+    for mask in range(1, 1 << mod.order):
+        ambient = sum(1 << int(mod.ambient_index[i]) for i in range(mod.order) if mask >> i & 1)
+        shown = z6.format_subset(ambient)
+        assert mod.format_subset(mask) == shown
+        assert mod.left_view().format_subset(mask) == shown
+        assert mod.right_view().format_subset(mask) == shown
 
 
 def test_quotient_of_z8_by_4z8_is_z4(z8):

@@ -44,7 +44,6 @@ from .errors import (
     AlgebraError,
     CapacityError,
     CentralityError,
-    InconsistencyError,
     InvalidOrderError,
     MalformedTableError,
     MctxError,
@@ -151,5 +150,5 @@ __all__ = [
     "AlgebraError", "MalformedTableError", "InvalidOrderError",
     "ValidationFailedError", "NotAnIdealError", "NotASubmoduleError",
     "NotProperError", "CapacityError", "CentralityError", "WellDefinednessError",
-    "InconsistencyError", "UnknownBuiltinError", "MctxError",
+    "UnknownBuiltinError", "MctxError",
 ]

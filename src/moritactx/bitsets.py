@@ -18,6 +18,7 @@ __all__ = [
     "indices_of",
     "is_subset",
     "full_mask",
+    "as_mask",
 ]
 
 
@@ -49,3 +50,8 @@ def is_subset(a: int, b: int) -> bool:
 
 def full_mask(size: int) -> int:
     return (1 << size) - 1
+
+
+def as_mask(subset) -> int:
+    """The mask of a subset argument: an object with ``members``, or a mask."""
+    return int(getattr(subset, "members", subset))

@@ -128,7 +128,7 @@ def _cmd_validate(args, out: _Printer) -> int:
             out.line(f"  {exc}")
         return 1
     _context_header(out, res)
-    report = validate_context(res.context)   # builtins arrive pre-validated; re-derive
+    report = validate_context(res.context)   # scalar forms are not validated at load
     if not report.ok:
         out.line("validation: FAIL")
         out.kv("valid", False)
@@ -325,7 +325,7 @@ def _cmd_report(args, out: _Printer) -> int:
 def _cmd_example(args, out: _Printer) -> int:
     res = builtin_context(f"paper:{args.name}")
     ctx = res.context
-    ring = build_context_ring(ctx)
+    ring = build_context_ring(ctx, cap=_caps(args)[0])
     _context_header(out, res)
     facts: list[tuple[str, bool]] = []
 

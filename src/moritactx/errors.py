@@ -58,10 +58,6 @@ class WellDefinednessError(AlgebraError):
     """An induced quotient operation depends on the chosen representatives."""
 
 
-class InconsistencyError(AlgebraError):
-    """An internal invariant failed; this signals a bug, not bad input."""
-
-
 class UnknownBuiltinError(AlgebraError):
     """A builtin context name did not resolve."""
 

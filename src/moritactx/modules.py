@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import bool_array, full_mask, indices_of, mask_from_bool
+from .bitsets import as_mask, bool_array, full_mask, indices_of, mask_from_bool
 from .errors import (
-    InconsistencyError,
     MalformedTableError,
     NotASubmoduleError,
     NotProperError,
@@ -421,7 +420,7 @@ def is_prime_submodule(view: ModuleView, members: int | Submodule) -> Verdict:
     (ring element, module element) pair; improper input raises
     NotProperError.
     """
-    mask = members.members if isinstance(members, Submodule) else int(members)
+    mask = as_mask(members)
     m = view.order
     if mask == full_mask(m):
         raise NotProperError("primeness is only defined for proper submodules")
@@ -455,7 +454,7 @@ def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
     the submodule, and r does not send the whole module inside — i.e. the
     pair is a bona fide counterexample, wherever a scan happened to stop.
     """
-    mask = members.members if isinstance(members, Submodule) else int(members)
+    mask = as_mask(members)
     inside = bool_array(mask, view.order)
     if inside[x]:
         return False
@@ -466,13 +465,9 @@ def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
 
 
 def annihilator(view: ModuleView):
-    """The two-sided ideal of ring elements acting as zero on the module."""
-    mask = mask_from_bool((view.act == view.zero).all(axis=1))
-    verdict = check_ideal(view.ring, mask, "two")
-    if not verdict:
-        raise InconsistencyError(
-            f"annihilator of {view.name} failed the ideal check at {verdict.witness}")
-    return Ideal(view.ring, mask, "two")
+    """The ring elements acting as zero on the module: the kernel of the
+    action map, hence a two-sided ideal, returned without a closure check."""
+    return Ideal(view.ring, mask_from_bool((view.act == view.zero).all(axis=1)), "two")
 
 
 # -- quotients ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitsets import as_mask
 from .errors import InvalidOrderError, MalformedTableError
 from .ideals import verify_ideal
 from .spans import Carrier
@@ -36,7 +37,7 @@ class FiniteRing(Carrier):
     structurally equal rings built twice are distinct carriers.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "neg", "name", "_cache")
+    __slots__ = ("order", "add", "mul", "zero", "one", "name", "_cache")
 
     def __init__(self, add, mul, zero: int, one: int, labels=None, name: str | None = None, label_fn=None):
         add = as_square_table(add, "add")
@@ -66,9 +67,6 @@ class FiniteRing(Carrier):
         hits = self.add == self.zero
         if not (hits.sum(axis=1) == 1).all():
             raise MalformedTableError("some element lacks a unique additive inverse")
-        neg = hits.argmax(axis=1).astype(np.int32)
-        neg.setflags(write=False)
-        self.neg = neg
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"
@@ -183,7 +181,7 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:
     Cosets are ordered by their least member index; the projection sends
     each element to the rank of its coset representative.
     """
-    mask = ideal.members if hasattr(ideal, "members") else int(ideal)
+    mask = as_mask(ideal)
     verify_ideal(ring, mask, "two")
     reps, proj = ring.addgroup.cosets(mask)
     q_add = proj[ring.add[np.ix_(reps, reps)]]

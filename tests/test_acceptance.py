@@ -23,6 +23,7 @@ from moritactx import (
     check_ideal,
     check_prime_quadruple,
     check_semiprime_quadruple,
+    closure_sets,
     confirm_prime_submodule_witness,
     confirm_prime_witness,
     context_prime_radical,
@@ -44,7 +45,10 @@ from moritactx import (
     product_span_vw,
     product_span_wv,
     side_decomposition,
+    validate_context,
+    verify_ideal,
     verify_quotient_iso,
+    verify_submodule,
 )
 from moritactx.catalog import battery_names, surjective_battery_names
 
@@ -259,6 +263,7 @@ def test_scalar_context_criteria(capsys):
             base = make_zn(n)
             for s in range(n):
                 ctx = build_ks_context(base, s)
+                assert validate_context(ctx).ok, (n, s)
                 ring = build_context_ring(ctx)
                 assert np.array_equal(ring.mul, _scaled_formula_mul(ctx, base, s)), (n, s)
                 assert bool(is_prime_ring(ring)) == (prime_int(n) and s != 0), (n, s)
@@ -275,7 +280,10 @@ def test_oracle_cross_checks(capsys):
     # Four independent derivations must coincide: slotted enumeration vs
     # direct lattice, elementwise vs lattice-pairwise primeness tests,
     # elementwise semiprimeness vs a zero prime radical, and fast
-    # enumeration vs an exhaustive subset filter on tiny rings.
+    # enumeration vs an exhaustive subset filter on tiny rings.  The slots
+    # the library reads off without re-checking are checked here: every
+    # decomposed ideal has closed, compatible slots, every closure set is
+    # a two-sided submodule, and the radical's closure sets agree.
     with _criterion(capsys, "oracle-cross-checks"):
         small_rings = [make_zn(n) for n in range(2, 7)]
         for name, ctx in _battery():
@@ -284,8 +292,22 @@ def test_oracle_cross_checks(capsys):
             quads = enumerate_context_ideals(ctx)
             lattice = enumerate_ideals(ring)
             assert {q.member_mask() for q in quads} == {i.members for i in lattice}, name
+            for quad in quads:
+                sets = closure_sets(ctx, quad.r_part, quad.s_part)
+                for mod, m in ((ctx.mod_v, sets.v_into_r), (ctx.mod_v, sets.v_into_s),
+                               (ctx.mod_w, sets.w_into_r), (ctx.mod_w, sets.w_into_s)):
+                    verify_submodule(mod, m, "bi")
+            rad = context_prime_radical(ctx)
+            sets = closure_sets(ctx, rad.r_part, rad.s_part)
+            assert sets.v_agree and sets.w_agree, name
             for ideal in lattice:
-                assert decompose_ideal(ctx, ideal.members).member_mask() == ideal.members
+                quad = decompose_ideal(ctx, ideal.members)
+                assert quad.member_mask() == ideal.members
+                verify_ideal(ctx.ring_r, quad.r_part.members, "two")
+                verify_submodule(ctx.mod_v, quad.v_part.members, "bi")
+                verify_submodule(ctx.mod_w, quad.w_part.members, "bi")
+                verify_ideal(ctx.ring_s, quad.s_part.members, "two")
+                assert all(ok for _, ok, _ in quad.conditions()), (name, str(quad))
                 if not ideal.is_proper():
                     continue
                 assert is_prime_ideal(ideal).holds == is_prime_ideal_pairwise(ideal).holds

@@ -182,3 +182,20 @@ def test_lattice_cap_counts_the_seeds(capsys):
     code, _, err = run(capsys, "ideals", "full:6", "--cap", "3")
     assert code == 3
     assert "two-sided ideal lattice of Z6 exceeds cap 3" in err
+
+
+def test_lattice_cap_bounds_the_context_lattice(capsys):
+    # T(ex2.12) has 21 two-sided ideals; its corner and carrier lattices
+    # each fit under a cap of 10, the context's own lattice does not.
+    code, _, err = run(capsys, "ideals", "paper:ex2.12", "--cap", "10")
+    assert code == 3
+    assert "two-sided ideal lattice of T(paper:ex2.12) exceeds cap 10" in err
+    code, out, _ = run(capsys, "ideals", "paper:ex2.12", "--cap", "21")
+    assert code == 0
+    assert "two-sided ideals: 21" in out
+
+
+def test_example_honours_the_cap(capsys):
+    code, _, err = run(capsys, "example", "ex2.12", "--cap", "10")
+    assert code == 3
+    assert "has order 64, over the cap 10" in err

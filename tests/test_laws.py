@@ -7,6 +7,7 @@ import pytest
 from moritactx import (
     annihilator,
     build_context_ring,
+    check_ideal,
     check_prime_quadruple,
     check_semiprime_quadruple,
     context_prime_radical,
@@ -88,6 +89,7 @@ def test_ring_mod_radical_is_semiprime(n):
 def test_quotient_context_has_zero_radical(name):
     ctx = builtin_context(name).context
     quotient = quotient_context(ctx).context
+    assert validate_context(quotient).ok
     assert context_prime_radical(quotient).size == 1
 
 
@@ -104,6 +106,7 @@ def test_prime_submodule_gives_prime_annihilator(n, side):
             continue
         quot, _ = quotient_view(view, mask)
         ann = annihilator(quot)
+        assert check_ideal(ann.ring, ann.members, "two").holds
         assert ann.is_proper()
         assert is_prime_ideal(ann).holds
         hits += 1

@@ -7,6 +7,7 @@ from moritactx import (
     MalformedTableError,
     NotASubmoduleError,
     annihilator,
+    check_ideal,
     cyclic_submodule,
     enumerate_submodules,
     is_prime_submodule,
@@ -134,6 +135,7 @@ def test_prime_submodule_witness_confirms(z8):
 def test_annihilator_of_residue_carrier(z6):
     mod = residue_bimodule(3, z6, z6)
     ann = annihilator(mod.left_view())
+    assert check_ideal(z6, ann.members, "two").holds
     assert ann.members == 0b001001  # multiples of 3 kill Z3
 
 

@@ -145,14 +145,9 @@ class MoritaContext:
     def component_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Slot coordinates of every element index, as four parallel arrays."""
         if "components" not in self._cache:
-            _, mv, mw, ks = self.dims
-            idx = np.arange(self.order, dtype=np.int64)
-            rest, s_of = np.divmod(idx, ks)
-            rest, w_of = np.divmod(rest, mw)
-            r_of, v_of = np.divmod(rest, mv)
-            for arr in (r_of, v_of, w_of, s_of):
+            self._cache["components"] = np.unravel_index(np.arange(self.order), self.dims)
+            for arr in self._cache["components"]:
                 arr.setflags(write=False)
-            self._cache["components"] = (r_of, v_of, w_of, s_of)
         return self._cache["components"]
 
     def __repr__(self) -> str:
@@ -216,35 +211,40 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     diagonal slots collect a ring product plus a pairing value, the off-
     diagonal slots collect the two one-sided actions. Zero and one are the
     diagonal embeddings of the corner identities. Elements are labelled by
-    their slots. ``cap`` is checked on every call, cached or not.
+    their slots. ``cap`` is checked on every call, cached or not, and the
+    error gives the MiB the two int32 tables would need.
+
+    Each slot of a product reads four of the eight coordinates. Small int32
+    slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to their place in
+    the index, give the (r, v) half of every product; ww[w1,s1,r2,w2] +
+    ss[w1,s1,v2,s2] the (w, s) half. One broadcast ``np.add`` of the halves
+    fills the 8-axis array (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n table
+    in row-major order. The addition table splits into halves the same way.
     """
     n = ctx.order
     if n > cap:
-        raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap}", cap)
+        mib = 2 * n * n * 4 / 2**20                     # two int32 n×n tables
+        raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
+                            f"(tables need {f'{mib:.0f}' if mib >= 1 else 'under 1'} MiB)", cap)
     if "ring" in ctx._cache:
         return ctx._cache["ring"]
     kr, mv, mw, ks = ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
+    pr, pv, pw = np.int32(mv * mw * ks), np.int32(mw * ks), np.int32(ks)   # place values
 
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, (1 << 21) // n)
-    for lo in range(0, n, chunk):
-        rows = slice(lo, min(lo + chunk, n))
-        r1, v1 = r_of[rows][:, None], v_of[rows][:, None]
-        w1, s1 = w_of[rows][:, None], s_of[rows][:, None]
-        r2, v2, w2, s2 = r_of[None, :], v_of[None, :], w_of[None, :], s_of[None, :]
+    def grid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:, None, :, None], y[None, :, None, :]     # x[a, b], y[c, d] at [a, c, b, d]
 
-        add[rows] = ((R.add[r1, r2] * mv + V.add[v1, v2]) * mw
-                     + W.add[w1, w2]) * ks + S.add[s1, s2]
+    def halves(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+        return np.add(top, bottom, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
 
-        rr = R.add[R.mul[r1, r2], P[v1, w2]]
-        vv = V.add[V.left_act[r1, v2], V.right_act[v1, s2]]
-        ww = W.add[W.right_act[w1, r2], W.left_act[s1, w2]]
-        ss = S.add[Q[w1, v2], S.mul[s1, s2]]
-        mul[rows] = ((rr * mv + vv) * mw + ww) * ks + ss
+    rr = (R.add[grid(R.mul, ctx.prod_vw)] * pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
+    vv = (V.add[grid(V.left_act, V.right_act)] * pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
+    ww = (W.add[grid(W.right_act, W.left_act)] * pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
+    ss = S.add[grid(ctx.prod_wv, S.mul)].reshape(1, 1, mw, ks, 1, mv, 1, ks)
+    mul = halves(rr + vv, ww + ss)
+    add = halves(np.add(*grid(R.add * pr, V.add * pv)).reshape(kr, mv, 1, 1, kr, mv, 1, 1),
+                 np.add(*grid(W.add * pw, S.add)).reshape(1, 1, mw, ks, 1, 1, mw, ks))
 
     def slot_label(index: int) -> str:
         r, v, w, s = ctx.decode(index)
@@ -365,10 +365,9 @@ def quadruple_mask(ctx: MoritaContext, i_mask: int, v1_mask: int,
                    w1_mask: int, j_mask: int) -> int:
     """Members of the context ring whose four slots lie in the four sets."""
     kr, mv, mw, ks = ctx.dims
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
-    keep = (bool_array(i_mask, kr)[r_of] & bool_array(v1_mask, mv)[v_of]
-            & bool_array(w1_mask, mw)[w_of] & bool_array(j_mask, ks)[s_of])
-    return mask_from_bool(keep)
+    keep = (bool_array(i_mask, kr)[:, None, None, None] & bool_array(v1_mask, mv)[:, None, None]
+            & bool_array(w1_mask, mw)[:, None] & bool_array(j_mask, ks))    # axes r, v, w, s
+    return mask_from_bool(keep.ravel())
 
 
 def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,

@@ -80,8 +80,9 @@ def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | N
     ``rows``/``cols`` may be None to accept whatever square-ish shape arrives;
     ``limit`` bounds the entries (defaults to ``cols`` when omitted).
     """
-    try:
-        arr = np.asarray(data, dtype=np.int64)
+    integer = isinstance(data, np.ndarray) and data.dtype.kind in "iu"
+    try:        # an integer array is range-checked in its own dtype, not widened
+        arr = data if integer else np.asarray(data, dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise MalformedTableError(f"{what}: ragged or non-integer table") from exc
     if arr.ndim != 2:

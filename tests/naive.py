@@ -137,6 +137,12 @@ def naive_context_product(ctx, x: tuple, y: tuple) -> tuple:
     )
 
 
+def naive_context_sum(ctx, x: tuple, y: tuple) -> tuple:
+    """The four-slot sum: each slot added in its own carrier."""
+    carriers = (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
+    return tuple(int(c.add[a, b]) for c, a, b in zip(carriers, x, y))
+
+
 def naive_additive_span(add, zero: int, seeds: list[int]) -> frozenset[int]:
     out = {zero, *seeds}
     while True:

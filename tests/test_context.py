@@ -37,7 +37,8 @@ from moritactx import (
 from moritactx.catalog import builtin_context, builtin_document
 from moritactx.mctx import load_mctx
 
-from naive import naive_context_product, naive_quadruple_ideals, members_of
+from naive import (members_of, naive_context_product, naive_context_sum,
+                   naive_quadruple_ideals)
 
 
 def ctx_of(name):
@@ -64,6 +65,19 @@ def test_context_multiplication_matches_the_formula():
             assert got == expected, (x, y)
 
 
+@pytest.mark.parametrize("name", ["tri:4,2", "zero:2,4", "paper:ex2.12", "paper:ex2.8"])
+def test_context_tables_match_the_formula_everywhere(name):
+    # Slot orders differ on each of these, so a swapped axis in the
+    # broadcast build cannot go unnoticed.
+    ctx = ctx_of(name)
+    ring = build_context_ring(ctx)
+    slots = [ctx.decode(i) for i in range(ctx.order)]
+    for i, x in enumerate(slots):
+        for j, y in enumerate(slots):
+            assert ctx.decode(ring.add[i, j]) == naive_context_sum(ctx, x, y), (x, y)
+            assert ctx.decode(ring.mul[i, j]) == naive_context_product(ctx, x, y), (x, y)
+
+
 def test_encode_decode_round_trip():
     ctx = ctx_of("tri:4,2")
     for index in range(ctx.order):
@@ -80,6 +94,18 @@ def test_identity_and_zero_slots():
 def test_capacity_cap_is_enforced():
     with pytest.raises(CapacityError):
         build_context_ring(ctx_of("full:6"), cap=100)
+
+
+def test_capacity_error_gives_the_table_size():
+    # zero:100,101 has order 10100; two int32 tables of 10100² entries
+    # take 2·10100²·4 bytes, about 778 MiB. Nothing that size is allocated.
+    with pytest.raises(CapacityError, match=r"has order 10100, over the cap 10000 "
+                                            r"\(tables need 778 MiB\)$"):
+        build_context_ring(ctx_of("zero:100,101"))
+    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 13 MiB\)$"):
+        build_context_ring(ctx_of("full:6"), cap=100)
+    with pytest.raises(CapacityError, match=r"has order 81, over the cap 10 \(tables need under 1 MiB\)$"):
+        build_context_ring(ctx_of("full:3"), cap=10)
 
 
 def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):

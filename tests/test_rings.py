@@ -45,6 +45,7 @@ def test_validate_ring_flags_broken_distributivity():
     report = validate_ring(add, mul)
     assert not report.ok
     assert any("distributivity" in v.law for v in report.violations)
+from moritactx.validation import as_table
 
 
 def test_ring_from_tables_round_trip(z4):
@@ -59,6 +60,39 @@ def test_ring_from_tables_rejects_garbage():
         ring_from_tables([[0, 1], [1, 0]], [[0, 0], [0]])
     with pytest.raises(ValidationFailedError):
         ring_from_tables([[0, 1], [1, 0]], [[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+def test_as_table_range_checks_an_integer_array_in_its_own_dtype(dtype):
+    arr = np.array([[0, 1, 2], [2, 7, 0]], dtype=dtype)
+    message = r"^t: entry 7 at \(1, 1\) outside 0\.\.2$"
+    with pytest.raises(MalformedTableError, match=message):
+        as_table(arr, 2, 3, "t")
+    with pytest.raises(MalformedTableError, match=message):
+        as_table(arr.tolist(), 2, 3, "t")
+    with pytest.raises(MalformedTableError, match=r"^t: entry 2 at \(0, 2\) outside 0\.\.1$"):
+        as_table(arr, 2, 3, "t", limit=2)
+    if dtype is np.int32:
+        arr[0, 1] = -1
+        with pytest.raises(MalformedTableError, match=r"^t: entry -1 at \(0, 1\) outside 0\.\.6$"):
+            as_table(arr, 2, 3, "t", limit=7)
+    with pytest.raises(MalformedTableError, match=r"^t: expected 3 rows, got 2$"):
+        as_table(arr, 3, 3, "t", limit=8)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+def test_as_table_returns_a_read_only_int32_copy(dtype):
+    arr = np.array([[0, 1], [1, 0]], dtype=dtype)
+    out = as_table(arr, 2, 2, "t")
+    assert out.dtype == np.int32 and not out.flags.writeable
+    assert arr.flags.writeable
+    arr[0, 0] = 1
+    assert out[0, 0] == 0
+
+
+def test_as_table_rejects_ragged_lists():
+    with pytest.raises(MalformedTableError, match=r"^t: ragged or non-integer table$"):
+        as_table([[0, 1], [1]], 2, 2, "t")
 
 
 def test_labels_and_format_subset(z4, z6):

@@ -58,15 +58,10 @@ from .ideals import (
     Ideal,
     check_ideal,
     confirm_prime_witness,
-    confirm_semiprime_witness,
     enumerate_ideals,
-    ideal_product_mask,
-    is_nilpotent_ideal,
     is_prime_ideal,
-    is_prime_ideal_pairwise,
     is_prime_ring,
     is_semiprime_ideal,
-    is_semiprime_ideal_pairwise,
     is_semiprime_ring,
     prime_radical,
     prime_spectrum,
@@ -124,10 +119,8 @@ __all__ = [
     "confirm_prime_submodule_witness", "annihilator", "quotient_view", "quotient_module",
     # ideals
     "Ideal", "check_ideal", "verify_ideal", "principal_ideal", "enumerate_ideals",
-    "is_prime_ideal", "is_semiprime_ideal", "confirm_prime_witness",
-    "confirm_semiprime_witness", "ideal_product_mask", "is_prime_ideal_pairwise",
-    "is_semiprime_ideal_pairwise", "prime_spectrum", "prime_radical",
-    "is_prime_ring", "is_semiprime_ring", "is_nilpotent_ideal",
+    "is_prime_ideal", "is_semiprime_ideal", "confirm_prime_witness", "prime_spectrum",
+    "prime_radical", "is_prime_ring", "is_semiprime_ring",
     # contexts
     "MoritaContext", "IdealQuadruple", "RadicalQuadruple",
     "ClosureSets", "OneSidedDecomposition", "QuadruplePrimeReport",

@@ -236,7 +236,9 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
         return x[:, None, :, None], y[None, :, None, :]     # x[a, b], y[c, d] at [a, c, b, d]
 
     def halves(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        return np.add(top, bottom, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
+        table = np.add(top, bottom, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
+        table.setflags(write=False)                 # read-only: the ring takes it uncopied
+        return table
 
     rr = (R.add[grid(R.mul, ctx.prod_vw)] * pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
     vv = (V.add[grid(V.left_act, V.right_act)] * pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)

@@ -1,11 +1,12 @@
-"""Ideals of finite rings: lattices, primeness, radicals, nilpotency.
+"""Ideals of finite rings: lattices, primeness, radicals.
 
-Everything here leans on one observation: for an additively closed target
-set, a condition quantified over all ring elements between two fixed ones
-("a, anything, b") only needs checking at the additive generators of the
-middle factor, because products are biadditive. That turns the cubic scans
-into generator-width ones and keeps rings of a few thousand elements
-comfortable.
+Two observations keep every kernel here off the n² entries of the table.
+Products are biadditive, so for an additively closed target a condition
+quantified over all ring elements between two fixed ones ("a, anything,
+b"), or an absorption test, only needs the additive generators. And in a
+unital ring the right ideal generated by a is the row set aT = {a*t}, the
+left one the column set Ta; whether a*T*b lands inside depends on a only
+through aT, so the prime scan works one class of aT at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import bool_array, full_mask, indices_of, is_subset
+from .bitsets import bool_array, full_mask, indices_of
 from .errors import NotAnIdealError, NotProperError
 from .validation import Verdict
 
@@ -28,15 +29,10 @@ __all__ = [
     "is_prime_ideal",
     "is_semiprime_ideal",
     "confirm_prime_witness",
-    "confirm_semiprime_witness",
-    "is_prime_ideal_pairwise",
-    "is_semiprime_ideal_pairwise",
     "prime_spectrum",
     "prime_radical",
     "is_prime_ring",
     "is_semiprime_ring",
-    "is_nilpotent_ideal",
-    "ideal_product_mask",
 ]
 
 DEFAULT_LATTICE_CAP = 20_000
@@ -75,13 +71,25 @@ class Ideal:
 def check_ideal(ring, mask: int, sidedness: str) -> Verdict:
     """Closure check with a witness; no exception on failure.
 
-    Witness forms: ("zero",), ("add", a, b), ("left", r, a), ("right", a, r).
+    Decided at generator width: the mask holds zero, the span of its own
+    additive generators is the mask, and the products of its generators
+    with T's land inside on each absorbing side (enough, as products are
+    biadditive). A mask that fails is scanned in full for the lex-first
+    witness. Witness forms: ("zero",), ("add", a, b), ("left", r, a),
+    ("right", a, r).
     """
     if sidedness not in SIDES:
         raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
     k = ring.order
-    members = indices_of(mask, k)
     inside = bool_array(mask, k)
+    if inside[ring.zero]:
+        group = ring.addgroup
+        gens, tgens = group.subgroup_generators(mask), group.generators
+        if (group.span_mask(gens) == mask
+                and (sidedness == "right" or inside[ring.mul[np.ix_(tgens, gens)]].all())
+                and (sidedness == "left" or inside[ring.mul[np.ix_(gens, tgens)]].all())):
+            return Verdict(True)
+    members = indices_of(mask, k)
     if members.size == 0 or not inside[ring.zero]:
         return Verdict(False, ("zero",))
     sums = inside[ring.add[np.ix_(members, members)]]
@@ -114,33 +122,57 @@ def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
 # -- principal ideals and the lattice ------------------------------------------
 
 
-def _principal_masks(ring, sidedness: str) -> list[int]:
-    """Masks of the ideals generated by each single element (dedup-cached).
+def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
+    """Class of each row, numbered by first appearance, and each class's bytes."""
+    seen: dict[bytes, int] = {}
+    classes = np.fromiter((seen.setdefault(row.tobytes(), len(seen)) for row in rows),
+                          dtype=np.int64, count=len(rows))
+    return classes, list(seen)
 
-    The two-sided ideal of a is the additive span of {g*a*h} with g, h over
-    the additive generators plus identity; one-sided drops a factor. Rows of
-    generator products fingerprint duplicate generators cheaply.
+
+def _row_classes(ring, side: str) -> tuple[np.ndarray, list[int]]:
+    """Classes of the row sets aT (side "right") or Ta ("left"), cached.
+
+    Returns the class of each a and the mask of each class. The packed
+    bit-rows are built a chunk of rows at a time from a one-hot of the
+    table, so no n×n boolean array is ever held.
+    """
+    key = ("row-classes", side)
+    if key not in ring._cache:
+        k = ring.order
+        table = ring.mul if side == "right" else ring.mul.T
+        rows = np.empty((k, (k + 7) // 8), dtype=np.uint8)
+        step = max(1, 2**22 // k)                  # one-hot chunks of at most 4 MiB
+        for lo in range(0, k, step):
+            hot = np.zeros((min(step, k - lo), k), dtype=bool)
+            np.put_along_axis(hot, table[lo:lo + step], True, axis=1)
+            rows[lo:lo + step] = np.packbits(hot, axis=1, bitorder="little")
+        classes, keys = _classes(rows)
+        ring._cache[key] = (classes, [int.from_bytes(row, "little") for row in keys])
+    return ring._cache[key]
+
+
+def _principal_masks(ring, sidedness: str) -> list[int]:
+    """Masks of the ideals generated by each single element (cached).
+
+    One-sided, they are the row sets aT and Ta, read off with no span. The
+    two-sided ideal TaT is the sum of the (g*a)T over the middle generators
+    g, so elements with the same classes (g*a)T share it; it is spanned
+    once per such key, from the products g*a*h of its least element.
     """
     key = ("principal", sidedness)
-    if key in ring._cache:
-        return ring._cache[key]
-    group = ring.addgroup
-    gens = np.append(group.generators, ring.one).astype(np.int64)
-    k = ring.order
-    if sidedness == "left":
-        prods = ring.mul[gens, :].T                  # (k, g): row a lists g*a
-    elif sidedness == "right":
-        prods = ring.mul[:, gens]                    # (k, g): row a lists a*h
-    else:
-        parts = [ring.mul[ring.mul[g]][:, gens] for g in gens]   # each (k, g): g*a*h
-        prods = np.concatenate(parts, axis=1)
-    prods = np.sort(prods, axis=1)
-    uniq, inverse = np.unique(prods, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    spans = [group.span_mask(row) for row in uniq]
-    out = [spans[inverse[a]] for a in range(k)]
-    ring._cache[key] = out
-    return out
+    if key not in ring._cache:
+        if sidedness == "two":
+            right, _ = _row_classes(ring, "right")
+            gens = _mid_generators(ring)
+            classes, _ = _classes(np.sort(right[ring.mul[gens, :].T], axis=1))  # of the (g*a)T
+            _, first = np.unique(classes, return_index=True)
+            masks = [ring.addgroup.span_mask(ring.mul[ring.mul[gens, a][:, None], gens[None, :]])
+                     for a in first]
+        else:
+            classes, masks = _row_classes(ring, sidedness)
+        ring._cache[key] = [masks[c] for c in classes]
+    return ring._cache[key]
 
 
 def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
@@ -177,25 +209,23 @@ def _mid_generators(ring) -> np.ndarray:
     return np.append(ring.addgroup.generators, ring.one).astype(np.int64)
 
 
-def _prime_scan(mul: np.ndarray, gens: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
-    """First (a, b) with a*mid*b all inside the target but a, b outside.
+def _prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
+    """First (a, b) with a*T*b inside the target but a, b outside.
 
-    Rows a*g are deduplicated: distinct a with the same product row impose
-    the same condition on b, so the b-vector is computed once per row.
+    a*T*b = (aT)*b, so a's outcome depends only on its class aT: the least
+    outside a of each class is tested, in ascending order, which keeps the
+    witness lex-first. The condition on b reads the products a*g over the
+    middle generators g.
     """
-    k = mul.shape[0]
+    mul, gens = ring.mul, _mid_generators(ring)
+    classes, _ = _row_classes(ring, "right")
     outside = np.flatnonzero(~inside)
-    cache: dict[bytes, np.ndarray] = {}
-    for a in outside:
+    _, first = np.unique(classes[outside], return_index=True)
+    for a in np.sort(outside[first]):
         u = np.unique(mul[a, gens])
-        fp = u.tobytes()
-        cond_b = cache.get(fp)
-        if cond_b is None:
-            cond_b = inside[mul[u, :]].all(axis=0)   # per b: (a*mid)*b inside
-            cache[fp] = cond_b
-        bad = cond_b & ~inside
-        if bad.any():
-            return int(a), int(np.flatnonzero(bad)[0])
+        bad = np.flatnonzero(inside[mul[u, :]].all(axis=0) & ~inside)  # (a*mid)*b inside
+        if bad.size:
+            return int(a), int(bad[0])
     return None
 
 
@@ -209,7 +239,7 @@ def is_prime_ideal(ideal: Ideal) -> Verdict:
     if not ideal.is_proper():
         raise NotProperError("primeness is only defined for proper ideals")
     inside = bool_array(ideal.members, ring.order)
-    hit = _prime_scan(ring.mul, _mid_generators(ring), inside)
+    hit = _prime_scan(ring, inside)
     if hit is not None:
         return Verdict(False, hit)
     return Verdict(True)
@@ -248,66 +278,6 @@ def confirm_prime_witness(ring, mask: int, a: int, b: int) -> bool:
         return False
     u = np.unique(ring.mul[a, _mid_generators(ring)])
     return bool(inside[ring.mul[u, b]].all())
-
-
-def confirm_semiprime_witness(ring, mask: int, a: int) -> bool:
-    """Does the element a actually refute semiprimeness of the given subset?"""
-    return confirm_prime_witness(ring, mask, a, a)
-
-
-def ideal_product_mask(ring, amask: int, bmask: int) -> int:
-    """Additive span of pairwise products of two additively closed sets.
-
-    Products of subgroup generators generate the span: every member of
-    either factor is a sum of its generators and multiplication is
-    biadditive.
-    """
-    group = ring.addgroup
-    agens = group.subgroup_generators(amask)
-    bgens = group.subgroup_generators(bmask)
-    if agens.size == 0 or bgens.size == 0:
-        return 1 << ring.zero
-    prods = ring.mul[np.ix_(agens, bgens)].ravel()
-    return group.span_mask(np.unique(prods))
-
-
-def is_prime_ideal_pairwise(ideal: Ideal, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
-    """Primeness via products of ideals: A*B inside forces A or B inside.
-
-    Quantifies over the two-sided ideal lattice — an independent route from
-    the elementwise definition, kept separate on purpose. The witness is a
-    pair of ideal masks.
-    """
-    ring = ideal.ring
-    if not ideal.is_proper():
-        raise NotProperError("primeness is only defined for proper ideals")
-    lattice = enumerate_ideals(ring, "two", cap)
-    target = ideal.members
-    inside_flags = [is_subset(c.members, target) for c in lattice]
-    for i, a in enumerate(lattice):
-        if inside_flags[i]:
-            continue
-        for j, b in enumerate(lattice):
-            if inside_flags[j]:
-                continue
-            if is_subset(ideal_product_mask(ring, a.members, b.members), target):
-                return Verdict(False, (a.members, b.members))
-    return Verdict(True)
-
-
-def is_semiprime_ideal_pairwise(ideal: Ideal, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
-    """Semiprimeness via squares of ideals: A*A inside forces A inside."""
-    ring = ideal.ring
-    if not ideal.is_proper():
-        raise NotProperError("semiprimeness is only defined for proper ideals")
-    lattice = enumerate_ideals(ring, "two", cap)
-    target = ideal.members
-    for a in lattice:
-        if is_subset(a.members, target):
-            continue
-        if is_subset(ideal_product_mask(ring, a.members, a.members), target):
-            return Verdict(False, (a.members,))
-    return Verdict(True)
 
 
 # -- spectra and radicals -----------------------------------------------------------
@@ -350,23 +320,3 @@ def is_prime_ring(ring) -> Verdict:
 def is_semiprime_ring(ring) -> Verdict:
     """Is the zero ideal semiprime — i.e. no nonzero a with a*ring*a = 0."""
     return is_semiprime_ideal(Ideal(ring, 1 << ring.zero, "two"))
-
-
-def is_nilpotent_ideal(ring, mask: int) -> tuple[bool, int]:
-    """Whether repeated self-products of an additively closed set reach zero.
-
-    Returns (answer, exponent): the first power that collapses to {0}, or
-    the stabilized step count when it never does.
-    """
-    zero_mask = 1 << ring.zero
-    seen = []
-    current = mask
-    power = 1
-    while True:
-        if current == zero_mask:
-            return True, power
-        if current in seen:
-            return False, power
-        seen.append(current)
-        current = ideal_product_mask(ring, current, mask)
-        power += 1

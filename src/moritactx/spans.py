@@ -82,29 +82,34 @@ class AddGroup:
         self._extend(inside, chunks, np.asarray(seeds, dtype=np.int64).ravel())
         return mask_from_bool(inside)
 
-    def join_masks(self, a: int, b: int) -> int:
-        """Subgroup generated by the union of two subgroup masks."""
-        return self.span_mask(indices_of(b, self.order), base=a)
+    def join_masks(self, a: int, b_gens: np.ndarray) -> int:
+        """Join of the subgroup mask ``a`` with the subgroup that ``b_gens`` generates."""
+        return self.span_mask(b_gens, base=a)
 
     def join_closure(self, seeds: Iterable[int], cap: int, what: str) -> list[int]:
         """Every join of the seed subgroups, sorted by (size, mask).
 
-        Joins are taken pairwise with the seeds until a fixpoint. The seeds
-        count against ``cap`` too: CapacityError, naming the lattice as
-        ``what``, as soon as it would hold more than ``cap`` masks.
+        Joins are taken pairwise with the seeds until a fixpoint. A pair
+        where one side contains the other joins to a mask already found and
+        is skipped; otherwise only the seed's generators, computed once, are
+        spanned on top of the other side. The seeds count against ``cap``
+        too: CapacityError, naming the lattice as ``what``, as soon as it
+        would hold more than ``cap`` masks.
         """
-        seeds = set(seeds)
+        seeds = {b: self.subgroup_generators(b) for b in set(seeds)}
         found: set[int] = set(seeds)
         frontier = list(seeds)
         while frontier:
             nxt: list[int] = []
             for a in frontier:
-                for b in seeds:
-                    # Checked before every join: the seeds count, and a new
+                for b, b_gens in seeds.items():
+                    # Checked before every pair: the seeds count, and a new
                     # mask always leaves one more join to run.
                     if len(found) > cap:
                         raise CapacityError(f"{what} exceeds cap {cap}", cap)
-                    j = self.join_masks(a, b)
+                    if a & b in (a, b):             # one contains the other
+                        continue
+                    j = self.join_masks(a, b_gens)
                     if j not in found:
                         found.add(j)
                         nxt.append(j)

@@ -78,7 +78,8 @@ def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | N
     """Normalize raw table data to a read-only int32 array, checking shape and range.
 
     ``rows``/``cols`` may be None to accept whatever square-ish shape arrives;
-    ``limit`` bounds the entries (defaults to ``cols`` when omitted).
+    ``limit`` bounds the entries (defaults to ``cols`` when omitted). An
+    array that is already read-only int32 is returned as is, not copied.
     """
     integer = isinstance(data, np.ndarray) and data.dtype.kind in "iu"
     try:        # an integer array is range-checked in its own dtype, not widened
@@ -98,6 +99,8 @@ def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | N
         raise MalformedTableError(
             f"{what}: entry {arr[bad[0], bad[1]]} at ({bad[0]}, {bad[1]}) outside 0..{hi - 1}"
         )
+    if arr.dtype == np.int32 and not arr.flags.writeable:
+        return arr
     out = arr.astype(np.int32)
     out.setflags(write=False)
     return out

@@ -1,14 +1,22 @@
 """Brute-force oracles, written as plainly as possible.
 
-Everything here quantifies over raw subsets or loops over all elements,
-with none of the span/lattice machinery the package uses. Slow on
-purpose — these exist so the fast paths have something independent to
-disagree with.
+Most of what is here quantifies over raw subsets or loops over all
+elements, with none of the span/lattice machinery the package uses. Slow
+on purpose — these exist so the fast paths have something independent to
+disagree with. The two sections at the end do use the package's spans and
+lattices: the full-table kernels the library replaced with generator-width
+ones, and the lattice-pairwise primeness and nilpotency routes.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+
+import numpy as np
+
+from moritactx import Ideal, NotProperError, Verdict, confirm_prime_witness, enumerate_ideals
+from moritactx.bitsets import bool_array, indices_of, is_subset
+from moritactx.ideals import DEFAULT_LATTICE_CAP
 
 
 def members_of(mask: int, order: int) -> list[int]:
@@ -194,3 +202,171 @@ def naive_quadruple_ideals(ctx) -> set[tuple]:
         if ok:
             found.add((tuple(i), tuple(v1), tuple(w1), tuple(j)))
     return found
+
+
+# -- full-table kernels ------------------------------------------------------------
+#
+# The routes the library took before it decided ideals at generator width and
+# scanned primes one class of aT at a time: every entry of a row or column of
+# the table is read.
+
+
+def _mid_generators(ring) -> np.ndarray:
+    return np.append(ring.addgroup.generators, ring.one).astype(np.int64)
+
+
+def full_scan_check_ideal(ring, mask: int, sidedness: str) -> Verdict:
+    """Closure check over every sum of members and every product with T."""
+    k = ring.order
+    members = indices_of(mask, k)
+    inside = bool_array(mask, k)
+    if members.size == 0 or not inside[ring.zero]:
+        return Verdict(False, ("zero",))
+    sums = inside[ring.add[np.ix_(members, members)]]
+    if not sums.all():
+        i, j = map(int, np.argwhere(~sums)[0])
+        return Verdict(False, ("add", int(members[i]), int(members[j])))
+    if sidedness in ("left", "two"):
+        prods = inside[ring.mul[:, members]]
+        if not prods.all():
+            r, i = map(int, np.argwhere(~prods)[0])
+            return Verdict(False, ("left", r, int(members[i])))
+    if sidedness in ("right", "two"):
+        prods = inside[ring.mul[members, :]]
+        if not prods.all():
+            i, r = map(int, np.argwhere(~prods)[0])
+            return Verdict(False, ("right", int(members[i]), r))
+    return Verdict(True)
+
+
+def span_principal_masks(ring, sidedness: str) -> list[int]:
+    """Each element's principal ideal as the additive span of its products
+    with the middle generators (one-sided) or between two of them."""
+    group = ring.addgroup
+    gens = _mid_generators(ring)
+    if sidedness == "left":
+        prods = ring.mul[gens, :].T                  # row a lists g*a
+    elif sidedness == "right":
+        prods = ring.mul[:, gens]                    # row a lists a*h
+    else:
+        prods = np.concatenate([ring.mul[ring.mul[g][:, None], gens[None, :]] for g in gens],
+                               axis=1)               # row a lists g*a*h
+    uniq, inverse = np.unique(np.sort(prods, axis=1), axis=0, return_inverse=True)
+    spans = [group.span_mask(row) for row in uniq]
+    return [spans[i] for i in inverse.ravel()]
+
+
+def fingerprint_prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
+    """First (a, b) outside with a*T*b inside; the condition on b is shared
+    only by elements a with the same products a*g."""
+    mul, gens = ring.mul, _mid_generators(ring)
+    cache: dict[bytes, np.ndarray] = {}
+    for a in np.flatnonzero(~inside):
+        u = np.unique(mul[a, gens])
+        cond_b = cache.get(u.tobytes())
+        if cond_b is None:
+            cond_b = cache[u.tobytes()] = inside[mul[u, :]].all(axis=0)
+        bad = cond_b & ~inside
+        if bad.any():
+            return int(a), int(np.flatnonzero(bad)[0])
+    return None
+
+
+def plain_join_closure(group, seeds) -> list[int]:
+    """Every join of the seeds, each pair spanned from all members of the seed."""
+    seeds = set(seeds)
+    found = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in seeds:
+                j = group.span_mask(indices_of(b, group.order), base=a)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+# -- lattice-pairwise routes ----------------------------------------------------------
+
+
+def confirm_semiprime_witness(ring, mask: int, a: int) -> bool:
+    """Does the element a actually refute semiprimeness of the given subset?"""
+    return confirm_prime_witness(ring, mask, a, a)
+
+
+def ideal_product_mask(ring, amask: int, bmask: int) -> int:
+    """Additive span of pairwise products of two additively closed sets.
+
+    Products of subgroup generators generate the span: every member of
+    either factor is a sum of its generators and multiplication is
+    biadditive.
+    """
+    group = ring.addgroup
+    agens = group.subgroup_generators(amask)
+    bgens = group.subgroup_generators(bmask)
+    if agens.size == 0 or bgens.size == 0:
+        return 1 << ring.zero
+    prods = ring.mul[np.ix_(agens, bgens)].ravel()
+    return group.span_mask(np.unique(prods))
+
+
+def is_prime_ideal_pairwise(ideal: Ideal, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
+    """Primeness via products of ideals: A*B inside forces A or B inside.
+
+    Quantifies over the two-sided ideal lattice — an independent route from
+    the elementwise definition, kept separate on purpose. The witness is a
+    pair of ideal masks.
+    """
+    ring = ideal.ring
+    if not ideal.is_proper():
+        raise NotProperError("primeness is only defined for proper ideals")
+    lattice = enumerate_ideals(ring, "two", cap)
+    target = ideal.members
+    inside_flags = [is_subset(c.members, target) for c in lattice]
+    for i, a in enumerate(lattice):
+        if inside_flags[i]:
+            continue
+        for j, b in enumerate(lattice):
+            if inside_flags[j]:
+                continue
+            if is_subset(ideal_product_mask(ring, a.members, b.members), target):
+                return Verdict(False, (a.members, b.members))
+    return Verdict(True)
+
+
+def is_semiprime_ideal_pairwise(ideal: Ideal, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
+    """Semiprimeness via squares of ideals: A*A inside forces A inside."""
+    ring = ideal.ring
+    if not ideal.is_proper():
+        raise NotProperError("semiprimeness is only defined for proper ideals")
+    lattice = enumerate_ideals(ring, "two", cap)
+    target = ideal.members
+    for a in lattice:
+        if is_subset(a.members, target):
+            continue
+        if is_subset(ideal_product_mask(ring, a.members, a.members), target):
+            return Verdict(False, (a.members,))
+    return Verdict(True)
+
+
+def is_nilpotent_ideal(ring, mask: int) -> tuple[bool, int]:
+    """Whether repeated self-products of an additively closed set reach zero.
+
+    Returns (answer, exponent): the first power that collapses to {0}, or
+    the stabilized step count when it never does.
+    """
+    zero_mask = 1 << ring.zero
+    seen = []
+    current = mask
+    power = 1
+    while True:
+        if current == zero_mask:
+            return True, power
+        if current in seen:
+            return False, power
+        seen.append(current)
+        current = ideal_product_mask(ring, current, mask)
+        power += 1

@@ -13,7 +13,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from naive import members_of, naive_ideals
+from naive import (is_prime_ideal_pairwise, is_semiprime_ideal_pairwise, members_of,
+                   naive_ideals)
 
 from moritactx import (
     Ideal,
@@ -32,13 +33,11 @@ from moritactx import (
     enumerate_ideals,
     is_prime_context,
     is_prime_ideal,
-    is_prime_ideal_pairwise,
     is_prime_onesided_ideal,
     is_prime_ring,
     is_prime_submodule,
     is_semiprime_context,
     is_semiprime_ideal,
-    is_semiprime_ideal_pairwise,
     is_semiprime_ring,
     make_zn,
     prime_radical,

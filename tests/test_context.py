@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from moritactx import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    is_nilpotent_ideal,
     is_prime_context,
     is_prime_onesided_ideal,
     is_semiprime_context,
@@ -37,7 +37,7 @@ from moritactx import (
 from moritactx.catalog import builtin_context, builtin_document
 from moritactx.mctx import load_mctx
 
-from naive import (members_of, naive_context_product, naive_context_sum,
+from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
                    naive_quadruple_ideals)
 
 
@@ -106,6 +106,29 @@ def test_capacity_error_gives_the_table_size():
         build_context_ring(ctx_of("full:6"), cap=100)
     with pytest.raises(CapacityError, match=r"has order 81, over the cap 10 \(tables need under 1 MiB\)$"):
         build_context_ring(ctx_of("full:3"), cap=10)
+
+
+def test_context_ring_tables_are_not_copied():
+    # The build hands its read-only int32 tables to the ring uncopied: each
+    # is still the (n, n) view of the 8-axis array it was built in.
+    ctx = ctx_of("paper:ex2.12")
+    ring = build_context_ring(ctx)
+    for table in (ring.add, ring.mul):
+        assert table.dtype == np.int32 and not table.flags.writeable
+        assert table.base is not None and table.base.shape == ctx.dims * 2
+
+
+def test_context_ring_build_peaks_near_its_tables():
+    # With the tables uncopied, the peak is the two tables plus the n×n
+    # bool of the ring's inverse check: 1.125 times the tables.
+    ctx = load_mctx(builtin_document("full:6")).context     # fresh, nothing cached
+    tracemalloc.start()
+    try:
+        ring = build_context_ring(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (ring.add.nbytes + ring.mul.nbytes)
 
 
 def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):

@@ -9,15 +9,10 @@ from moritactx import (
     NotProperError,
     check_ideal,
     confirm_prime_witness,
-    confirm_semiprime_witness,
     enumerate_ideals,
-    ideal_product_mask,
-    is_nilpotent_ideal,
     is_prime_ideal,
-    is_prime_ideal_pairwise,
     is_prime_ring,
     is_semiprime_ideal,
-    is_semiprime_ideal_pairwise,
     is_semiprime_ring,
     make_zn,
     prime_radical,
@@ -27,6 +22,11 @@ from moritactx import (
 )
 
 from naive import (
+    confirm_semiprime_witness,
+    ideal_product_mask,
+    is_nilpotent_ideal,
+    is_prime_ideal_pairwise,
+    is_semiprime_ideal_pairwise,
     naive_ideals,
     naive_is_prime,
     naive_is_semiprime,

@@ -13,7 +13,6 @@ from moritactx import (
     context_prime_radical,
     enumerate_context_ideals,
     enumerate_ideals,
-    is_nilpotent_ideal,
     is_prime_ideal,
     is_prime_submodule,
     is_semiprime_ring,
@@ -29,6 +28,7 @@ from moritactx import (
 from moritactx.bitsets import is_subset
 from moritactx.catalog import battery_names, builtin_context, surjective_battery_names
 from moritactx.modules import enumerate_view_submodules
+from naive import is_nilpotent_ideal
 
 SMALL = ("full:2", "full:3", "full:4", "tri:4,2", "zero:2,2", "zero:2,4",
          "paper:ex2.8", "paper:ex2.12")

@@ -90,6 +90,14 @@ def test_as_table_returns_a_read_only_int32_copy(dtype):
     assert out[0, 0] == 0
 
 
+def test_as_table_takes_a_read_only_int32_array_as_is():
+    arr = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    arr.setflags(write=False)
+    assert as_table(arr, 2, 2, "t") is arr
+    with pytest.raises(MalformedTableError, match=r"^t: entry 1 at \(0, 1\) outside 0\.\.0$"):
+        as_table(arr, 2, 2, "t", limit=1)
+
+
 def test_as_table_rejects_ragged_lists():
     with pytest.raises(MalformedTableError, match=r"^t: ragged or non-integer table$"):
         as_table([[0, 1], [1]], 2, 2, "t")

@@ -24,7 +24,6 @@ from .errors import (
     CentralityError,
     MalformedTableError,
     NotAnIdealError,
-    NotASubmoduleError,
 )
 from .ideals import (
     DEFAULT_LATTICE_CAP,
@@ -47,9 +46,9 @@ from .modules import (
     quotient_module,
     ring_bimodule,
     validate_bimodule,
-    verify_view_submodule,
 )
 from .rings import FiniteRing, RingMap, quotient_ring, verify_ring_map
+from .spans import check_closed
 from .validation import ValidationReport, Verdict, Violation, as_table
 
 __all__ = [
@@ -131,7 +130,8 @@ class MoritaContext:
         kr, mv, mw, ks = self.dims
         return kr * mv * mw * ks
 
-    def encode(self, r: int, v: int, w: int, s: int) -> int:
+    def encode(self, r, v, w, s):
+        """Element index of the slots (r, v, w, s); elementwise on arrays."""
         _, mv, mw, ks = self.dims
         return ((r * mv + v) * mw + w) * ks + s
 
@@ -426,8 +426,7 @@ def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     in_u = bool_array(mask, ring.order)
 
     def axis(r, v, w, s) -> int:
-        slots = ((r * mv + v) * mw + w) * ks + s
-        return mask_from_bool(in_u[slots])
+        return mask_from_bool(in_u[ctx.encode(r, v, w, s)])
 
     lane = np.arange
     i_mask = axis(lane(kr), V.zero, W.zero, S.zero)
@@ -619,29 +618,20 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     in_p2[p2_all[members]] = True
     part1_mask, part2_mask = mask_from_bool(in_p1), mask_from_bool(in_p2)
 
-    def closed(view: ModuleView, m: int) -> bool:
-        try:
-            verify_view_submodule(view, m)
-            return True
-        except NotASubmoduleError:
-            return False
-
     p1_members = indices_of(part1_mask, view1.order)
     p2_members = indices_of(part2_mask, view2.order)
     enc = ctx.encode
     if side == "right":
         a1, b1 = p1_members // mw, p1_members % mw
         a2, b2 = p2_members // ks, p2_members % ks
-        solo1 = ((a1 * mv + V.zero) * mw + b1) * ks + S.zero      # (r, 0, w, 0)
-        solo2 = ((R.zero * mv + a2) * mw + W.zero) * ks + b2      # (0, v, 0, s)
+        solo1, solo2 = enc(a1, V.zero, b1, S.zero), enc(R.zero, a2, W.zero, b2)
         # (r, w)·v = (rv, wv) must land in block 2; (v, s)·w = (vw, sw) in block 1
         pairing_1_to_2 = bool(in_p2[V.left_act[a1] * ks + Q[b1]].all())
         pairing_2_to_1 = bool(in_p1[P[a2] * mw + W.left_act[b2]].all())
     else:
         a1, b1 = p1_members // mv, p1_members % mv
         a2, b2 = p2_members // ks, p2_members % ks
-        solo1 = ((a1 * mv + b1) * mw + W.zero) * ks + S.zero      # (r, v, 0, 0)
-        solo2 = ((R.zero * mv + V.zero) * mw + a2) * ks + b2      # (0, 0, w, s)
+        solo1, solo2 = enc(a1, b1, W.zero, S.zero), enc(R.zero, V.zero, a2, b2)
         # w·(r, v) = (wr, wv) must land in block 2; v·(w, s) = (vw, vs) in block 1
         pairing_1_to_2 = bool(in_p2[W.right_act[:, a1].T * ks + Q[:, b1].T].all())
         pairing_2_to_1 = bool(in_p1[P[:, a2].T * mv + V.right_act[:, b2].T].all())
@@ -649,8 +639,8 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     return OneSidedDecomposition(
         context=ctx, side=side, part1_view=view1, part2_view=view2,
         part1_mask=part1_mask, part2_mask=part2_mask,
-        part1_closed=closed(view1, part1_mask),
-        part2_closed=closed(view2, part2_mask),
+        part1_closed=bool(check_closed(view1.addgroup, part1_mask, view1.actions)),
+        part2_closed=bool(check_closed(view2.addgroup, part2_mask, view2.actions)),
         part1_embeds=bool(in_u[solo1].all()),
         part2_embeds=bool(in_u[solo2].all()),
         pairing_1_to_2=pairing_1_to_2,
@@ -900,10 +890,8 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
         return Verdict(False, ("bijective",))
     _, first = np.unique(proj_t.image_array(), return_index=True)
     r_of, v_of, w_of, s_of = ctx.component_arrays()
-    qdims = qres.context.dims
-    pr, ps = qres.proj_r.image_array(), qres.proj_s.image_array()
-    image = ((pr[r_of[first]] * qdims[1] + qres.proj_v[v_of[first]]) * qdims[2]
-             + qres.proj_w[w_of[first]]) * qdims[3] + ps[s_of[first]]
+    image = qres.context.encode(qres.proj_r.image_array()[r_of[first]], qres.proj_v[v_of[first]],
+                                qres.proj_w[w_of[first]], qres.proj_s.image_array()[s_of[first]])
     f = RingMap(ring_q, target, tuple(int(x) for x in image))
     return verify_ring_map(f, require_bijective=True)
 

@@ -1,12 +1,13 @@
 """Ideals of finite rings: lattices, primeness, radicals.
 
-Two observations keep every kernel here off the n² entries of the table.
-Products are biadditive, so for an additively closed target a condition
-quantified over all ring elements between two fixed ones ("a, anything,
-b"), or an absorption test, only needs the additive generators. And in a
-unital ring the right ideal generated by a is the row set aT = {a*t}, the
-left one the column set Ta; whether a*T*b lands inside depends on a only
-through aT, so the prime scan works one class of aT at a time.
+Ideals are the ring's submodules over itself, so closure checks and
+principal ideals come from the module kernels in ``spans``. Two
+observations keep every kernel off the n² entries of the table. Products
+are biadditive, so a condition quantified over all ring elements between
+two fixed ones ("a, anything, b") only needs the additive generators. And
+in a unital ring the right ideal generated by a is its orbit aT = {a*t},
+the left one Ta; whether a*T*b lands inside depends on a only through aT,
+so the prime scan works one class of aT at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import bool_array, full_mask, indices_of
+from .bitsets import bool_array, full_mask
 from .errors import NotAnIdealError, NotProperError
+from .spans import Subset, check_closed, cyclic_masks
 from .validation import Verdict
 
 __all__ = [
@@ -41,7 +43,7 @@ SIDES = ("left", "right", "two")
 
 
 @dataclass(frozen=True)
-class Ideal:
+class Ideal(Subset):
     """A subset of a ring closed under + and absorbing on the named sides."""
 
     ring: object
@@ -49,64 +51,26 @@ class Ideal:
     sidedness: str
 
     @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def member_indices(self) -> np.ndarray:
-        return indices_of(self.members, self.ring.order)
-
-    def is_proper(self) -> bool:
-        return self.members != full_mask(self.ring.order)
-
-    def is_zero(self) -> bool:
-        return self.size == 1
+    def carrier(self):
+        return self.ring
 
     def contains(self, index: int) -> bool:
         return bool((self.members >> index) & 1)
-
-    def __str__(self) -> str:
-        return self.ring.format_subset(self.members)
 
 
 def check_ideal(ring, mask: int, sidedness: str) -> Verdict:
     """Closure check with a witness; no exception on failure.
 
-    Decided at generator width: the mask holds zero, the span of its own
-    additive generators is the mask, and the products of its generators
-    with T's land inside on each absorbing side (enough, as products are
-    biadditive). A mask that fails is scanned in full for the lex-first
-    witness. Witness forms: ("zero",), ("add", a, b), ("left", r, a),
-    ("right", a, r).
+    The ring as a module over itself: ``check_closed`` with ``mul`` acting
+    on the left and ``mul.T`` on the right, on each absorbing side. Witness
+    forms: ("zero",), ("add", a, b), ("left", r, a), ("right", a, r).
     """
     if sidedness not in SIDES:
         raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
-    k = ring.order
-    inside = bool_array(mask, k)
-    if inside[ring.zero]:
-        group = ring.addgroup
-        gens, tgens = group.subgroup_generators(mask), group.generators
-        if (group.span_mask(gens) == mask
-                and (sidedness == "right" or inside[ring.mul[np.ix_(tgens, gens)]].all())
-                and (sidedness == "left" or inside[ring.mul[np.ix_(gens, tgens)]].all())):
-            return Verdict(True)
-    members = indices_of(mask, k)
-    if members.size == 0 or not inside[ring.zero]:
-        return Verdict(False, ("zero",))
-    sums = inside[ring.add[np.ix_(members, members)]]
-    if not sums.all():
-        i, j = map(int, np.argwhere(~sums)[0])
-        return Verdict(False, ("add", int(members[i]), int(members[j])))
-    if sidedness in ("left", "two"):
-        prods = inside[ring.mul[:, members]]
-        if not prods.all():
-            r, i = map(int, np.argwhere(~prods)[0])
-            return Verdict(False, ("left", r, int(members[i])))
-    if sidedness in ("right", "two"):
-        prods = inside[ring.mul[members, :]]
-        if not prods.all():
-            i, r = map(int, np.argwhere(~prods)[0])
-            return Verdict(False, ("right", int(members[i]), r))
-    return Verdict(True)
+    gens = ring.addgroup.generators
+    actions = [(side, act, gens) for side, act in (("left", ring.mul), ("right", ring.mul.T))
+               if sidedness in (side, "two")]
+    return check_closed(ring.addgroup, mask, actions)
 
 
 def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
@@ -122,57 +86,21 @@ def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
 # -- principal ideals and the lattice ------------------------------------------
 
 
-def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
-    """Class of each row, numbered by first appearance, and each class's bytes."""
-    seen: dict[bytes, int] = {}
-    classes = np.fromiter((seen.setdefault(row.tobytes(), len(seen)) for row in rows),
-                          dtype=np.int64, count=len(rows))
-    return classes, list(seen)
-
-
-def _row_classes(ring, side: str) -> tuple[np.ndarray, list[int]]:
-    """Classes of the row sets aT (side "right") or Ta ("left"), cached.
-
-    Returns the class of each a and the mask of each class. The packed
-    bit-rows are built a chunk of rows at a time from a one-hot of the
-    table, so no n×n boolean array is ever held.
-    """
-    key = ("row-classes", side)
-    if key not in ring._cache:
-        k = ring.order
-        table = ring.mul if side == "right" else ring.mul.T
-        rows = np.empty((k, (k + 7) // 8), dtype=np.uint8)
-        step = max(1, 2**22 // k)                  # one-hot chunks of at most 4 MiB
-        for lo in range(0, k, step):
-            hot = np.zeros((min(step, k - lo), k), dtype=bool)
-            np.put_along_axis(hot, table[lo:lo + step], True, axis=1)
-            rows[lo:lo + step] = np.packbits(hot, axis=1, bitorder="little")
-        classes, keys = _classes(rows)
-        ring._cache[key] = (classes, [int.from_bytes(row, "little") for row in keys])
-    return ring._cache[key]
-
-
 def _principal_masks(ring, sidedness: str) -> list[int]:
-    """Masks of the ideals generated by each single element (cached).
-
-    One-sided, they are the row sets aT and Ta, read off with no span. The
-    two-sided ideal TaT is the sum of the (g*a)T over the middle generators
-    g, so elements with the same classes (g*a)T share it; it is spanned
-    once per such key, from the products g*a*h of its least element.
-    """
+    """Masks of the ideals generated by each single element (cached): the
+    orbits aT and Ta, and TaT, the sum of the (g*a)T (``cyclic_masks``)."""
     key = ("principal", sidedness)
     if key not in ring._cache:
-        if sidedness == "two":
-            right, _ = _row_classes(ring, "right")
-            gens = _mid_generators(ring)
-            classes, _ = _classes(np.sort(right[ring.mul[gens, :].T], axis=1))  # of the (g*a)T
-            _, first = np.unique(classes, return_index=True)
-            masks = [ring.addgroup.span_mask(ring.mul[ring.mul[gens, a][:, None], gens[None, :]])
-                     for a in first]
-        else:
-            classes, masks = _row_classes(ring, sidedness)
-        ring._cache[key] = [masks[c] for c in classes]
+        gens = ring.addgroup.generators
+        between = (ring.mul[gens], ring.mul.T[gens]) if sidedness == "two" else None
+        ring._cache[key] = cyclic_masks(ring.addgroup, _orbits(ring, sidedness), between)
     return ring._cache[key]
+
+
+def _orbits(ring, side: str) -> tuple[np.ndarray, list[int]]:
+    """Classes of the orbits Ta (side "left") or aT (any other side)."""
+    return (ring.orbits("left", ring.mul) if side == "left"
+            else ring.orbits("right", ring.mul.T))
 
 
 def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
@@ -204,21 +132,16 @@ def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CA
 # -- primeness -------------------------------------------------------------------
 
 
-def _mid_generators(ring) -> np.ndarray:
-    """Additive generators plus the identity: the middle factors that matter."""
-    return np.append(ring.addgroup.generators, ring.one).astype(np.int64)
-
-
 def _prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
     """First (a, b) with a*T*b inside the target but a, b outside.
 
     a*T*b = (aT)*b, so a's outcome depends only on its class aT: the least
     outside a of each class is tested, in ascending order, which keeps the
     witness lex-first. The condition on b reads the products a*g over the
-    middle generators g.
+    additive generators g.
     """
-    mul, gens = ring.mul, _mid_generators(ring)
-    classes, _ = _row_classes(ring, "right")
+    mul, gens = ring.mul, ring.addgroup.generators
+    classes, _ = _orbits(ring, "right")
     outside = np.flatnonzero(~inside)
     _, first = np.unique(classes[outside], return_index=True)
     for a in np.sort(outside[first]):
@@ -255,7 +178,7 @@ def is_semiprime_ideal(ideal: Ideal) -> Verdict:
     if not ideal.is_proper():
         raise NotProperError("semiprimeness is only defined for proper ideals")
     inside = bool_array(ideal.members, ring.order)
-    gens = _mid_generators(ring)
+    gens = ring.addgroup.generators
     k = ring.order
     arange = np.arange(k)
     # t[a, j] = a * gens[j] * a
@@ -276,7 +199,7 @@ def confirm_prime_witness(ring, mask: int, a: int, b: int) -> bool:
     inside = bool_array(mask, ring.order)
     if inside[a] or inside[b]:
         return False
-    u = np.unique(ring.mul[a, _mid_generators(ring)])
+    u = np.unique(ring.mul[a, ring.addgroup.generators])
     return bool(inside[ring.mul[u, b]].all())
 
 

@@ -5,7 +5,8 @@ action of another, stored as dense lookup tables. A ``ModuleView`` is a
 module over a single ring — either one side of a bimodule or a standalone
 carrier (used for column spaces of context rings) — and is where the
 one-sided notions live: cyclic submodules, submodule lattices, primeness,
-annihilators, quotients.
+annihilators, quotients. Closure checks and cyclic submodules come from the
+kernels in ``spans`` that ideals use, which assume additive actions.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import (
     ValidationFailedError,
     WellDefinednessError,
 )
-from .ideals import DEFAULT_LATTICE_CAP, Ideal, check_ideal
-from .spans import AddGroup, Carrier
+from .ideals import DEFAULT_LATTICE_CAP, Ideal, _orbits, check_ideal
+from .spans import Carrier, Subset, check_closed, cyclic_masks
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
                          as_square_table, as_table, distributive_witness)
 
@@ -41,7 +42,6 @@ __all__ = [
     "cyclic_submodule",
     "enumerate_submodules",
     "enumerate_view_submodules",
-    "enumerate_bisubmodule_masks",
     "is_prime_submodule",
     "confirm_prime_submodule_witness",
     "annihilator",
@@ -127,12 +127,17 @@ class ModuleView(Carrier):
             self._present(None, module.label, module.addgroup)
             self._cache = module._cache
 
+    @property
+    def actions(self) -> list:
+        """The view's action, as ``check_closed`` takes it."""
+        return [(self.side, self.act, self.ring.addgroup.generators)]
+
     def __repr__(self) -> str:
         return f"<ModuleView {self.side} {self.name} over {self.ring.name}>"
 
 
 @dataclass(frozen=True)
-class Submodule:
+class Submodule(Subset):
     """A subset of a bimodule closed under + and the actions named by ``sidedness``."""
 
     module: Bimodule
@@ -140,20 +145,8 @@ class Submodule:
     sidedness: str
 
     @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def member_indices(self) -> np.ndarray:
-        return indices_of(self.members, self.module.order)
-
-    def is_proper(self) -> bool:
-        return self.members != full_mask(self.module.order)
-
-    def is_zero(self) -> bool:
-        return self.size == 1
-
-    def __str__(self) -> str:
-        return self.module.format_subset(self.members)
+    def carrier(self) -> Bimodule:
+        return self.module
 
 
 # -- constructors --------------------------------------------------------------
@@ -305,99 +298,73 @@ def validate_bimodule(mod: Bimodule) -> ValidationReport:
     return ValidationReport(f"bimodule {mod.name}", tuple(violations))
 
 
+def _raise_unless_closed(carrier, mask: int, actions: list) -> None:
+    """NotASubmoduleError naming the first closure ``check_closed`` finds broken."""
+    witness = check_closed(carrier.addgroup, mask, actions).witness
+    if witness:
+        kind = witness[0]
+        raise NotASubmoduleError("submodule must contain zero" if kind == "zero"
+                                 else "subset is not closed under addition" if kind == "add"
+                                 else f"subset is not stable under the {kind} ring action")
+
+
 def verify_submodule(module: Bimodule, mask: int, sidedness: str) -> Submodule:
-    """Check closure for the named sidedness and wrap the mask."""
+    """Check closure for the named sidedness (``check_closed``) and wrap the mask."""
     if sidedness not in ("left", "right", "bi"):
         raise ValueError(f"sidedness must be 'left', 'right' or 'bi', got {sidedness!r}")
-    actions = []
-    if sidedness in ("left", "bi"):
-        actions.append(("left", module.left_act))
-    if sidedness in ("right", "bi"):
-        actions.append(("right", module.right_act.T))
-    _verify_closed(module, mask, actions)
+    actions = [(side, act, ring.addgroup.generators) for side, act, ring in
+               (("left", module.left_act, module.left_ring),
+                ("right", module.right_act.T, module.right_ring)) if sidedness in (side, "bi")]
+    _raise_unless_closed(module, mask, actions)
     return Submodule(module, mask, sidedness)
 
 
 def verify_view_submodule(view: ModuleView, mask: int) -> int:
-    """Check closure of a mask inside a one-sided view; return the mask."""
-    _verify_closed(view, mask, [(view.side, view.act)])
+    """Check closure of a mask in a one-sided view (``check_closed``); return the mask."""
+    _raise_unless_closed(view, mask, view.actions)
     return mask
 
 
-def _verify_closed(carrier, mask: int, actions: list[tuple[str, np.ndarray]]) -> None:
-    """Raise NotASubmoduleError unless the mask holds zero and is closed under
-    addition and each (side, normalized action table) in ``actions``."""
-    members = indices_of(mask, carrier.order)
-    inside = bool_array(mask, carrier.order)
-    if members.size == 0 or not inside[carrier.zero]:
-        raise NotASubmoduleError("submodule must contain zero")
-    if not inside[carrier.add[np.ix_(members, members)]].all():
-        raise NotASubmoduleError("subset is not closed under addition")
-    for side, act in actions:
-        if not inside[act[:, members]].all():
-            raise NotASubmoduleError(f"subset is not stable under the {side} ring action")
-
-
-# -- span machinery --------------------------------------------------------------
+# -- cyclic submodules and lattices --------------------------------------------------
 
 
 def cyclic_submodule(view: ModuleView, x: int) -> int:
-    """Mask of the smallest one-sided submodule containing x.
-
-    The orbit {r.x : r over the ring} is already closed under the action, so
-    its additive span is the cyclic submodule.
-    """
-    per = view._cache.setdefault(("cyclic", view.side), {})
-    if x in per:
-        return per[x]
-    mask = view.addgroup.span_mask(np.unique(view.act[:, x]))
-    per[x] = mask
-    return mask
-
-
-def _orbit_lattice(group: AddGroup, orbits, cap: int, what: str) -> list[int]:
-    """Join closure of the spans of the distinct orbits, sorted by (size, mask).
-
-    An orbit closed under the action spans a cyclic submodule; identical
-    orbits are spanned once.
-    """
-    distinct = {orbit.tobytes(): orbit for orbit in orbits}
-    cyclic = {group.span_mask(orbit) for orbit in distinct.values()}
-    return group.join_closure(cyclic, cap, what)
+    """Mask of the smallest one-sided submodule containing x: its orbit
+    {r.x : r over the ring}, already closed under + and the action."""
+    return cyclic_masks(view.addgroup, view.orbits(view.side, view.act))[x]
 
 
 def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """All one-sided submodule masks of a view, sorted by (size, mask).
 
-    Cyclic spans are deduplicated by orbit fingerprint, then closed under
-    pairwise join to a fixpoint; every submodule is a join of cyclic ones.
+    The distinct cyclic submodules are closed under pairwise join to a
+    fixpoint; every submodule is a join of cyclic ones.
     """
     key = ("submods", view.side, cap)
-    if key in view._cache:
-        return view._cache[key]
-    orbits = (np.unique(view.act[:, x]) for x in range(view.order))
-    out = _orbit_lattice(view.addgroup, orbits, cap,
-                         f"submodule ({view.side}) of {view.name} lattice")
-    view._cache[key] = out
-    return out
-
-
-def enumerate_bisubmodule_masks(module: Bimodule, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """All bisubmodule masks, sorted by (size, mask)."""
-    key = ("bisubmods", cap)
-    if key in module._cache:
-        return module._cache[key]
-    orbits = (np.unique(module.right_act[module.left_act[:, x]]) for x in range(module.order))
-    out = _orbit_lattice(module.addgroup, orbits, cap, f"bisubmodule of {module.name} lattice")
-    module._cache[key] = out
-    return out
+    if key not in view._cache:
+        cyclic = cyclic_masks(view.addgroup, view.orbits(view.side, view.act))
+        view._cache[key] = view.addgroup.join_closure(
+            cyclic, cap, f"submodule ({view.side}) of {view.name} lattice")
+    return view._cache[key]
 
 
 def enumerate_submodules(module: Bimodule, sidedness: str = "bi",
                          cap: int = DEFAULT_LATTICE_CAP) -> list[Submodule]:
-    """All submodules of the named sidedness, sorted by (size, mask)."""
+    """All submodules of the named sidedness, sorted by (size, mask).
+
+    Bisubmodules are the joins of the cyclic ones L.x.R, each the sum of
+    the orbits (g.x)R over the left ring's additive generators g.
+    """
     if sidedness == "bi":
-        masks = enumerate_bisubmodule_masks(module, cap)
+        key = ("bisubmods", cap)
+        if key not in module._cache:
+            right = module.right_act.T
+            between = (module.left_act[module.left_ring.addgroup.generators],
+                       right[module.right_ring.addgroup.generators])
+            cyclic = cyclic_masks(module.addgroup, module.orbits("right", right), between)
+            module._cache[key] = module.addgroup.join_closure(
+                cyclic, cap, f"bisubmodule of {module.name} lattice")
+        masks = module._cache[key]
     elif sidedness == "left":
         masks = enumerate_view_submodules(module.left_view(), cap)
     elif sidedness == "right":
@@ -415,34 +382,29 @@ def is_prime_submodule(view: ModuleView, members: int | Submodule) -> Verdict:
 
     Left reading: r.(ring.x) inside N forces r.(whole module) inside N or x
     inside N; the right reading mirrors it with scalars on the other side.
-    The products in the middle only need the ring's additive generators,
-    since a full ring row is sums of those. The witness is the first failing
-    (ring element, module element) pair; improper input raises
-    NotProperError.
+    Both conditions depend on r only through rR (Rr for a right view), so
+    the least r of each class is tested, in ascending order, which keeps
+    the witness the first failing (ring element, module element) pair. The
+    products in the middle only need the ring's additive generators, since
+    a full ring row is sums of those. Improper input raises NotProperError.
     """
     mask = as_mask(members)
     m = view.order
     if mask == full_mask(m):
         raise NotProperError("primeness is only defined for proper submodules")
     inside = bool_array(mask, m)
-    gens = view.ring.addgroup.generators
-    act = view.act
-    rmul = view.ring.mul
+    ring = view.ring
+    gens = ring.addgroup.generators
     on_left = view.side == "left"
-    cache: dict[bytes, np.ndarray] = {}
-    for r in range(view.ring.order):
-        u = np.unique(rmul[r, gens] if on_left else rmul[gens, r])
-        rows = inside[act[u]]
+    classes, _ = _orbits(ring, "right" if on_left else "left")
+    _, least = np.unique(classes, return_index=True)     # ascending: classes number by first r
+    for r in least:
+        rows = inside[view.act[np.unique(ring.mul[r, gens] if on_left else ring.mul[gens, r])]]
         if rows.all():                               # r sends the whole module into N
             continue
-        fp = u.tobytes()
-        cond = cache.get(fp)
-        if cond is None:
-            cond = rows.all(axis=0)                  # per x: r.(ring.x) inside N
-            cache[fp] = cond
-        bad = cond & ~inside
+        bad = rows.all(axis=0) & ~inside             # per x: r.(ring.x) inside N
         if bad.any():
-            return Verdict(False, (r, int(np.flatnonzero(bad)[0])))
+            return Verdict(False, (int(r), int(np.flatnonzero(bad)[0])))
     return Verdict(True)
 
 

@@ -64,9 +64,10 @@ class FiniteRing(Carrier):
             raise MalformedTableError("zero is not an additive identity")
         if not (self.mul[self.one] == idx).all() or not (self.mul[:, self.one] == idx).all():
             raise MalformedTableError("one is not a two-sided multiplicative identity")
-        hits = self.add == self.zero
-        if not (hits.sum(axis=1) == 1).all():
-            raise MalformedTableError("some element lacks a unique additive inverse")
+        step = max(1, 2**22 // k)                   # rows per chunk: at most 4 MiB of bools
+        for lo in range(0, k, step):
+            if not ((self.add[lo:lo + step] == self.zero).sum(axis=1) == 1).all():
+                raise MalformedTableError("some element lacks a unique additive inverse")
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"

@@ -1,13 +1,15 @@
-"""Additive-subgroup closure kernels over a finite abelian group table.
+"""Additive-subgroup kernels over a finite abelian group table.
 
 The whole package leans on one observation: a finite abelian group of order
 k is generated by at most log2(k) elements, and every product condition of
 the form "x * S * y lands inside an additively closed set" only needs to be
 checked on additive generators of S, because the products are biadditive.
-The kernels here compute generating sequences and subgroup spans cheaply so
-the ring- and module-level code can stay near-linear in the carrier size.
-The lattice join closure and the coset split used by every quotient live
-here too, as does ``Carrier``, the labelling shared by rings and modules.
+A ring's ideals are its submodules over itself, so the closure, orbit and
+cyclic kernels here serve rings and modules alike: they take action tables,
+``act[r]`` being r acting on every element, and assume unital additive
+actions, as every view the package builds has. The lattice join closure
+and the coset split used by every quotient live here too, as does
+``Carrier``, the labelling shared by rings and modules.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .bitsets import bool_array, indices_of, mask_from_bool
+from .bitsets import bool_array, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError
+from .validation import Verdict
 
-__all__ = ["AddGroup", "Carrier"]
+__all__ = ["AddGroup", "Carrier", "Subset", "check_closed", "orbit_classes", "cyclic_masks"]
 
 
 class AddGroup:
@@ -41,16 +44,22 @@ class AddGroup:
     def generators(self) -> np.ndarray:
         """A greedy generating sequence (at most log2(order) entries)."""
         if self._generators is None:
-            inside = np.zeros(self.order, dtype=bool)
-            inside[self.zero] = True
-            chunks = [np.array([self.zero], dtype=np.int64)]
-            gens: list[int] = []
-            for e in range(self.order):
-                if not inside[e]:
-                    gens.append(e)
-                    self._extend(inside, chunks, (e,))
-            self._generators = np.array(gens, dtype=np.int64)
+            self._generators, _ = self.generate(np.ones(self.order, dtype=bool))
         return self._generators
+
+    def generate(self, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy generators of the subgroup the marked elements span (each the
+        least marked element outside the span so far), and that span as bools."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.zero] = True
+        chunks = [np.array([self.zero], dtype=np.int64)]
+        gens: list[int] = []
+        rest = want & ~inside
+        while rest.any():
+            gens.append(int(rest.argmax()))
+            self._extend(inside, chunks, gens[-1:])
+            rest &= ~inside
+        return np.array(gens, dtype=np.int64), inside
 
     def _extend(self, inside: np.ndarray, chunks: list[np.ndarray], gens: Iterable[int]) -> None:
         # Grows the subgroup marked in `inside` by each generator in turn,
@@ -131,31 +140,89 @@ class AddGroup:
 
     def subgroup_generators(self, mask: int) -> np.ndarray:
         """Greedy generating sequence for an existing subgroup mask."""
-        members = indices_of(mask, self.order)
-        inside = np.zeros(self.order, dtype=bool)
-        inside[self.zero] = True
-        chunks = [np.array([self.zero], dtype=np.int64)]
-        gens: list[int] = []
-        for e in members:
-            if not inside[e]:
-                gens.append(int(e))
-                self._extend(inside, chunks, (int(e),))
-        return np.array(gens, dtype=np.int64)
+        return self.generate(bool_array(mask, self.order))[0]
 
-    def is_subgroup(self, mask: int) -> bool:
-        members = indices_of(mask, self.order)
-        if members.size == 0 or not bool_array(mask, self.order)[self.zero]:
-            return False
-        table = self.add[np.ix_(members, members)]
-        return bool(bool_array(mask, self.order)[table].all())
+
+def check_closed(group: AddGroup, mask: int, actions) -> Verdict:
+    """Is the mask a submodule: zero, closed under + and under each action?
+
+    ``actions`` lists (side, act, gens), ``gens`` the acting ring's additive
+    generators. For additive actions it is decided at generator width: the
+    mask is the span of its generators, and each act[g] sends those inside.
+    A mask that fails is scanned in full for the lex-first witness:
+    ("zero",), ("add", a, b), ("left", r, x) or ("right", x, r).
+    """
+    inside = bool_array(mask, group.order)
+    if not inside[group.zero]:
+        return Verdict(False, ("zero",))
+    gens, span = group.generate(inside)
+    if (span == inside).all() and all(inside[act[np.ix_(rgens, gens)]].all()
+                                      for _, act, rgens in actions):
+        return Verdict(True)
+    members = np.flatnonzero(inside)
+    sums = inside[group.add[np.ix_(members, members)]]
+    if not sums.all():
+        i, j = map(int, np.argwhere(~sums)[0])
+        return Verdict(False, ("add", int(members[i]), int(members[j])))
+    for side, act, _ in actions:
+        prods = inside[act[:, members]]
+        if not prods.all():
+            if side == "left":
+                r, i = map(int, np.argwhere(~prods)[0])
+                return Verdict(False, ("left", r, int(members[i])))
+            i, r = map(int, np.argwhere(~prods.T)[0])
+            return Verdict(False, ("right", int(members[i]), r))
+    return Verdict(True)
+
+
+def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
+    """Class of each row, numbered by first appearance, and each class's bytes."""
+    seen: dict[bytes, int] = {}
+    classes = np.fromiter((seen.setdefault(row.tobytes(), len(seen)) for row in rows),
+                          dtype=np.int64, count=len(rows))
+    return classes, list(seen)
+
+
+def orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Class of each element's orbit (column x of ``act``), numbered by first
+    appearance, and each class's mask. The orbits are packed into bit-rows a
+    chunk at a time, so no elements × elements bool array is ever held."""
+    table = act.T
+    m = table.shape[0]
+    rows = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    step = max(1, 2**22 // m)                       # one-hot chunks of at most 4 MiB
+    for lo in range(0, m, step):
+        hot = np.zeros((min(step, m - lo), m), dtype=bool)
+        np.put_along_axis(hot, table[lo:lo + step], True, axis=1)
+        rows[lo:lo + step] = np.packbits(hot, axis=1, bitorder="little")
+    classes, keys = _classes(rows)
+    return classes, [int.from_bytes(row, "little") for row in keys]
+
+
+def cyclic_masks(group: AddGroup, orbits, between=None) -> list[int]:
+    """Mask of the submodule each element x generates.
+
+    One-sided, it is x's orbit, with ``orbits`` from ``orbit_classes``; no
+    span. Two-sided, ``between`` holds the first and last action's rows at
+    their rings' additive generators g and h, and ``orbits`` are the last
+    action's: the submodule is the sum of the orbits of the g.x, spanned
+    once per sorted set of their classes, from the g.x.h of its least x.
+    """
+    classes, masks = orbits
+    if between is not None:
+        first, last = between
+        classes, _ = _classes(np.sort(classes[first].T, axis=1))     # of the g.x
+        _, least = np.unique(classes, return_index=True)
+        masks = [group.span_mask(last[:, first[:, x]]) for x in least]
+    return [masks[c] for c in classes]
 
 
 class Carrier:
     """Labels, subset formatting and the additive group of an indexed carrier.
 
     Rings and modules share this presentation. Subclasses set ``order``,
-    ``add`` and ``zero`` and call ``_present``: an explicit label tuple
-    wins over ``label_fn``, which wins over the bare index.
+    ``add``, ``zero`` and ``_cache`` and call ``_present``: an explicit
+    label tuple wins over ``label_fn``, which wins over the bare index.
     """
 
     __slots__ = ("_labels", "_label_fn", "_addgroup")
@@ -184,6 +251,33 @@ class Carrier:
             self._addgroup = AddGroup(self.add, self.zero)
         return self._addgroup
 
+    def orbits(self, side: str, act: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """``orbit_classes`` of this carrier's ``side`` action ``act``, cached."""
+        key = ("orbits", side)
+        if key not in self._cache:
+            self._cache[key] = orbit_classes(act)
+        return self._cache[key]
+
     def format_subset(self, mask: int) -> str:
         members = indices_of(mask, self.order)
         return "{" + ", ".join(self.label(int(i)) for i in members) + "}"
+
+
+class Subset:
+    """What ideals and submodules share: a ``members`` mask of ``carrier``."""
+
+    @property
+    def size(self) -> int:
+        return self.members.bit_count()
+
+    def member_indices(self) -> np.ndarray:
+        return indices_of(self.members, self.carrier.order)
+
+    def is_proper(self) -> bool:
+        return self.members != full_mask(self.carrier.order)
+
+    def is_zero(self) -> bool:
+        return self.size == 1
+
+    def __str__(self) -> str:
+        return self.carrier.format_subset(self.members)

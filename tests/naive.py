@@ -3,9 +3,10 @@
 Most of what is here quantifies over raw subsets or loops over all
 elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
-disagree with. The two sections at the end do use the package's spans and
+disagree with. The sections at the end do use the package's spans and
 lattices: the full-table kernels the library replaced with generator-width
-ones, and the lattice-pairwise primeness and nilpotency routes.
+ones, for rings and for modules, and the lattice-pairwise primeness and
+nilpotency routes with the nilpotent radical built on them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from moritactx import Ideal, NotProperError, Verdict, confirm_prime_witness, enumerate_ideals
+from moritactx import (Ideal, NotASubmoduleError, NotProperError, Verdict, confirm_prime_witness,
+                       enumerate_ideals)
 from moritactx.bitsets import bool_array, indices_of, is_subset
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 
@@ -289,6 +291,59 @@ def plain_join_closure(group, seeds) -> list[int]:
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
+# -- full-table module kernels ------------------------------------------------------
+#
+# The routes modules took before they shared the ring kernels: closure over
+# every sum and every product, each element's orbit spanned, and a prime
+# scan over every ring element with its condition keyed on the products.
+
+
+def full_scan_verify_closed(carrier, mask: int, actions) -> None:
+    """Raise NotASubmoduleError unless the mask holds zero and is closed under
+    addition and each (side, normalized action table) in ``actions``."""
+    members = indices_of(mask, carrier.order)
+    inside = bool_array(mask, carrier.order)
+    if members.size == 0 or not inside[carrier.zero]:
+        raise NotASubmoduleError("submodule must contain zero")
+    if not inside[carrier.add[np.ix_(members, members)]].all():
+        raise NotASubmoduleError("subset is not closed under addition")
+    for side, act in actions:
+        if not inside[act[:, members]].all():
+            raise NotASubmoduleError(f"subset is not stable under the {side} ring action")
+
+
+def span_cyclic_masks(view) -> list[int]:
+    """Each element's cyclic submodule as the span of its orbit."""
+    return [view.addgroup.span_mask(np.unique(view.act[:, x])) for x in range(view.order)]
+
+
+def span_bicyclic_masks(module) -> list[int]:
+    """Each element's cyclic bisubmodule as the span of every l.x.r."""
+    return [module.addgroup.span_mask(np.unique(module.right_act[module.left_act[:, x]]))
+            for x in range(module.order)]
+
+
+def fingerprint_is_prime_submodule(view, mask: int) -> Verdict:
+    """Prime submodule scan over every ring element r, the condition on x
+    shared by elements with the same products with the additive generators."""
+    inside = bool_array(mask, view.order)
+    gens = view.ring.addgroup.generators
+    rmul = view.ring.mul
+    cache: dict[bytes, np.ndarray] = {}
+    for r in range(view.ring.order):
+        u = np.unique(rmul[r, gens] if view.side == "left" else rmul[gens, r])
+        rows = inside[view.act[u]]
+        if rows.all():
+            continue
+        cond = cache.get(u.tobytes())
+        if cond is None:
+            cond = cache[u.tobytes()] = rows.all(axis=0)
+        bad = cond & ~inside
+        if bad.any():
+            return Verdict(False, (r, int(np.flatnonzero(bad)[0])))
+    return Verdict(True)
+
+
 # -- lattice-pairwise routes ----------------------------------------------------------
 
 
@@ -370,3 +425,18 @@ def is_nilpotent_ideal(ring, mask: int) -> tuple[bool, int]:
         seen.append(current)
         current = ideal_product_mask(ring, current, mask)
         power += 1
+
+
+def nilpotent_radical(ring) -> int:
+    """Span of the nilpotent two-sided principal ideals, as a mask.
+
+    In a finite ring the prime radical is the largest nilpotent ideal, and a
+    sum of nilpotent ideals is nilpotent, so this is the prime radical,
+    found without a single prime ideal. The principal ideals come from the
+    span route above.
+    """
+    union = 1 << ring.zero
+    for mask in set(span_principal_masks(ring, "two")):
+        if is_nilpotent_ideal(ring, mask)[0]:
+            union |= mask
+    return ring.addgroup.span_mask(indices_of(union, ring.order))

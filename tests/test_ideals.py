@@ -5,6 +5,9 @@ import pytest
 from moritactx import (
     CapacityError,
     Ideal,
+    battery_names,
+    build_context_ring,
+    builtin_context,
     NotAnIdealError,
     NotProperError,
     check_ideal,
@@ -32,6 +35,7 @@ from naive import (
     naive_is_semiprime,
     naive_prime_radical,
     members_of,
+    nilpotent_radical,
 )
 
 
@@ -177,3 +181,11 @@ def test_lattice_cap_counts_the_principal_ideals(z6):
     assert len(enumerate_ideals(z6, "two", cap=4)) == 4
     with pytest.raises(CapacityError, match="two-sided ideal lattice of Z6 exceeds cap 3"):
         enumerate_ideals(z6, "two", cap=3)
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_prime_radical_is_the_span_of_the_nilpotent_principal_ideals(name):
+    # The radical of a finite ring is its largest nilpotent ideal: an
+    # oracle that never looks at a prime ideal.
+    ring = build_context_ring(builtin_context(name).context)
+    assert prime_radical(ring).members == nilpotent_radical(ring)

@@ -4,22 +4,33 @@ On the battery contexts, ``check_ideal`` must give the full scan's verdict
 and witness, for ideals of every side and for subsets that are not ideals;
 the principal masks must equal the spans of generator products; each
 lattice must equal the plain join closure of those spans; and the prime
-scan by class of aT must give the fingerprint scan's witness. The order-1296
-contexts share their shape, so one of them stands for the rest; ex2.4 is
-compared where the full-table routes fit in the suite's time.
+scan by class of aT must give the fingerprint scan's witness. The module
+kernels are the same ones, so the same comparisons run on the carriers V and
+W (bisubmodules and both one-sided views), on T over itself where T is
+small, and on the four block views of T's one-sided ideals: cyclic masks against spanned orbits, lattices against
+the plain join closure, closure checks against the full scan (verdict and
+message), and the prime submodule scan by class of rR against the
+fingerprint scan. The order-1296 contexts share their shape, so one of them
+stands for the rest; ex2.4 is compared where the full-table routes fit in
+the suite's time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from naive import (fingerprint_prime_scan, full_scan_check_ideal, plain_join_closure,
-                   span_principal_masks)
+from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan, full_scan_check_ideal,
+                   full_scan_verify_closed, plain_join_closure, span_bicyclic_masks,
+                   span_cyclic_masks, span_principal_masks)
 
-from moritactx import (build_context_ring, builtin_context, check_ideal, enumerate_ideals,
-                       is_prime_ideal)
+from moritactx import (NotASubmoduleError, build_context_ring, builtin_context, check_ideal,
+                       cyclic_submodule, enumerate_ideals, enumerate_submodules, is_prime_ideal,
+                       is_prime_submodule, ring_bimodule, verify_submodule)
 from moritactx.bitsets import bool_array, is_subset
+from moritactx.context import _pair_views
 from moritactx.ideals import _principal_masks
+from moritactx.modules import enumerate_view_submodules, verify_view_submodule
+from moritactx.spans import cyclic_masks
 
 SIDES = ("two", "left", "right")
 CONTEXTS = ("full:2", "full:3", "full:4", "full:5", "ks:4:2", "ks:6:1", "tri:4,2",
@@ -98,3 +109,86 @@ def test_kernels_match_the_full_table_routes_on_ex2_4():
     _assert_checks_agree(ring, lattice, ("two",))
     _assert_checks_agree(ring, _non_ideals(ring, lattice), ("two",))
     _assert_scans_agree(ring, "two")
+
+
+# -- module kernels ----------------------------------------------------------------
+
+MODULE_SIDES = ("bi", "left", "right")
+MODULE_CONTEXTS = (*CONTEXTS, "paper:ex2.4")        # no ring is built: ex2.4 is cheap here
+
+
+def _modules(ctx) -> list:
+    """V and W, and T over itself where it is small: the corner rings are all
+    commutative, and T is what tells a class rR from a class Rr."""
+    small = ctx.order <= 256
+    return [ctx.mod_v, ctx.mod_w, *([ring_bimodule(build_context_ring(ctx))] if small else [])]
+
+
+def _views(ctx):
+    """Both one-sided views of each of ``_modules``, and the four block views."""
+    modules = _modules(ctx)
+    views = [m.left_view() for m in modules] + [m.right_view() for m in modules]
+    return views + [*_pair_views(ctx, "right"), *_pair_views(ctx, "left")]
+
+
+def _failure(verify, *args) -> str | None:
+    try:
+        verify(*args)
+    except NotASubmoduleError as exc:
+        return str(exc)
+    return None
+
+
+def _actions(module, side: str):
+    return [(s, act) for s, act in (("left", module.left_act), ("right", module.right_act.T))
+            if side in (s, "bi")]
+
+
+def _bicyclic_masks(module) -> list[int]:
+    right = module.right_act.T
+    between = (module.left_act[module.left_ring.addgroup.generators],
+               right[module.right_ring.addgroup.generators])
+    return cyclic_masks(module.addgroup, module.orbits("right", right), between)
+
+
+@pytest.mark.parametrize("name", MODULE_CONTEXTS)
+def test_cyclic_masks_and_lattices_match_the_span_routes(name):
+    ctx = builtin_context(name).context
+    for view in _views(ctx):
+        spans = span_cyclic_masks(view)
+        assert [cyclic_submodule(view, x) for x in range(view.order)] == spans, view
+        assert enumerate_view_submodules(view) == plain_join_closure(view.addgroup, spans), view
+    for module in _modules(ctx):
+        spans = span_bicyclic_masks(module)
+        assert _bicyclic_masks(module) == spans, module
+        lattice = [sub.members for sub in enumerate_submodules(module, "bi")]
+        assert lattice == plain_join_closure(module.addgroup, spans), module
+
+
+@pytest.mark.parametrize("name", MODULE_CONTEXTS)
+def test_closure_checks_match_the_full_scan(name):
+    ctx = builtin_context(name).context
+    for view in _views(ctx):
+        lattice = enumerate_view_submodules(view)
+        for mask in [*lattice, *_non_ideals(view, lattice)]:
+            assert (_failure(verify_view_submodule, view, mask)
+                    == _failure(full_scan_verify_closed, view, mask, [(view.side, view.act)])), \
+                (view, view.format_subset(mask))
+    for module in _modules(ctx):
+        for lattice_side in MODULE_SIDES:
+            lattice = [sub.members for sub in enumerate_submodules(module, lattice_side)]
+            for mask in [*lattice, *_non_ideals(module, lattice)]:
+                for side in MODULE_SIDES:
+                    assert (_failure(verify_submodule, module, mask, side)
+                            == _failure(full_scan_verify_closed, module, mask,
+                                        _actions(module, side))), \
+                        (module, side, module.format_subset(mask))
+
+
+@pytest.mark.parametrize("name", MODULE_CONTEXTS)
+def test_prime_submodule_scan_matches_the_fingerprint_scan(name):
+    ctx = builtin_context(name).context
+    for view in _views(ctx):
+        for mask in enumerate_view_submodules(view)[:-1]:          # the proper ones
+            assert is_prime_submodule(view, mask) == fingerprint_is_prime_submodule(view, mask), \
+                (view, view.format_subset(mask))

@@ -35,9 +35,12 @@ from .context import (
 from .errors import AlgebraError, CapacityError, MctxError, ValidationFailedError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
+    Ideal,
     check_ideal,
     confirm_prime_witness,
     enumerate_ideals,
+    is_prime_ideal,
+    is_semiprime_ideal,
     prime_radical,
     verify_ideal,
 )
@@ -99,15 +102,11 @@ def _context_header(out: _Printer, res: ResolvedContext) -> None:
 
 
 def _quad_verdicts(ctx, quads, order_cap: int) -> list[tuple[bool, bool] | None]:
-    """(prime, semiprime) for each quadruple, None for the improper one.
-
-    The context ring is built first under the command's order cap, so the
-    per-ideal reports find it in the cache.
-    """
-    build_context_ring(ctx, cap=order_cap)
-    return [(check_prime_quadruple(ctx, quad).is_prime,
-             check_semiprime_quadruple(ctx, quad).is_semiprime) if quad.is_proper() else None
-            for quad in quads]
+    """(prime, semiprime) for each quadruple, None for the improper one."""
+    ring = build_context_ring(ctx, cap=order_cap)
+    ideals = (Ideal(ring, quad.member_mask(), "two") for quad in quads)
+    return [(bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal)))
+            if ideal.is_proper() else None for ideal in ideals]
 
 
 # -- commands ------------------------------------------------------------------

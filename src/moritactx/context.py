@@ -15,10 +15,11 @@ Index convention for the built ring: element (r, v, w, s) sits at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bitsets import as_mask, bool_array, full_mask, indices_of, mask_from_bool
+from .bitsets import as_mask, bool_array, full_mask, is_subset, mask_from_bool
 from .errors import (
     CapacityError,
     CentralityError,
@@ -317,6 +318,59 @@ def is_surjective_context(ctx: MoritaContext) -> bool:
             and product_span_wv(ctx) == full_mask(ctx.ring_s.order))
 
 
+# -- the 2×2 slot product rule -------------------------------------------------
+
+_R, _V, _W, _S = range(4)                   # slot numbers, in index order
+
+
+def _carriers(ctx: MoritaContext) -> tuple:
+    return (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
+
+
+def _at_slots(ctx: MoritaContext, values: dict) -> np.ndarray:
+    """Indices of the elements with ``values[k]`` in each slot k it names
+    and zero in the other slots; elementwise on arrays."""
+    return ctx.encode(*(values.get(k, c.zero) for k, c in enumerate(_carriers(ctx))))
+
+
+class _SlotProduct(NamedTuple):
+    """A slot times a whole carrier, landing in another slot: ``table[x, y]``
+    is x·y for x in slot ``src`` and y in slot ``carrier``, or y·x when
+    ``carrier_first``."""
+
+    law: str
+    src: int
+    dst: int
+    table: np.ndarray
+    carrier: int
+    carrier_first: bool
+
+
+def _slot_products(ctx: MoritaContext) -> tuple[_SlotProduct, ...]:
+    """The eight cross-slot products of the 2×2 rule. A slotted ideal is
+    closed under each (its law), and a one-sided ideal's blocks carry each
+    other through the four with the carrier on its absorbing side."""
+    V, W, P, Q = ctx.mod_v, ctx.mod_w, ctx.prod_vw, ctx.prod_wv
+    return (
+        _SlotProduct("v_part*W<=r_part", _V, _R, P, _W, False),
+        _SlotProduct("w_part*V<=s_part", _W, _S, Q, _V, False),
+        _SlotProduct("r_part*V<=v_part", _R, _V, V.left_act, _V, False),
+        _SlotProduct("s_part*W<=w_part", _S, _W, W.left_act, _W, False),
+        _SlotProduct("V*w_part<=r_part", _W, _R, P.T, _V, True),
+        _SlotProduct("W*v_part<=s_part", _V, _S, Q.T, _W, True),
+        _SlotProduct("V*s_part<=v_part", _S, _V, V.right_act.T, _V, True),
+        _SlotProduct("W*r_part<=w_part", _R, _W, W.right_act.T, _W, True),
+    )
+
+
+def _colon(ctx: MoritaContext, product: _SlotProduct, in_target: np.ndarray) -> np.ndarray:
+    """The x of the source carrier whose products with the whole acting
+    carrier lie in the target. Products are additive in y and the target is
+    a subgroup, so y runs over the acting carrier's additive generators."""
+    gens = _carriers(ctx)[product.carrier].addgroup.generators
+    return in_target[product.table[:, gens]].all(axis=1)
+
+
 # -- two-sided ideals in slot form ----------------------------------------------
 
 
@@ -351,11 +405,8 @@ class IdealQuadruple:
         return quadruple_conditions(self.context, *self.masks)
 
     def __str__(self) -> str:
-        ctx = self.context
-        return (f"(R={ctx.ring_r.format_subset(self.r_part.members)}, "
-                f"V={ctx.mod_v.format_subset(self.v_part.members)}, "
-                f"W={ctx.mod_w.format_subset(self.w_part.members)}, "
-                f"S={ctx.ring_s.format_subset(self.s_part.members)})")
+        return "(" + ", ".join(f"{tag}={c.format_subset(m)}" for tag, c, m
+                               in zip("RVWS", _carriers(self.context), self.masks)) + ")"
 
 
 @dataclass(frozen=True)
@@ -376,37 +427,30 @@ def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,
                          w1_mask: int, j_mask: int) -> list[tuple[str, bool, tuple | None]]:
     """The eight compatibility conditions a slot quadruple must satisfy.
 
-    Returns (law, ok, witness) triples in a fixed order. A quadruple of
-    closed slots forms an ideal of the context ring exactly when all eight
-    hold; witnesses are (row element, column element) pairs in the carriers
-    named by the law.
+    Returns (law, ok, witness) triples in the order of ``_slot_products``.
+    The slots must be additively closed, as an ideal's are: a law holds
+    when its source slot lies in its colon at the target, decided at
+    generator width. A quadruple of closed slots forms an ideal of the
+    context ring exactly when all eight hold. A failing law is scanned in
+    full for its lex-first witness: (slot element, carrier element), or
+    (carrier element, slot element) for the laws with the carrier on the
+    left.
     """
-    V, W = ctx.mod_v, ctx.mod_w
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    kr, mv, mw, ks = ctx.dims
-    in_i, in_j = bool_array(i_mask, kr), bool_array(j_mask, ks)
-    in_v1, in_w1 = bool_array(v1_mask, mv), bool_array(w1_mask, mw)
-    i_members, j_members = indices_of(i_mask, kr), indices_of(j_mask, ks)
-    v1_members, w1_members = indices_of(v1_mask, mv), indices_of(w1_mask, mw)
-
-    def entry(law: str, ok: np.ndarray, rows, cols) -> tuple[str, bool, tuple | None]:
-        if ok.all():
-            return (law, True, None)
-        a, b = np.argwhere(~ok)[0]
-        ra = int(rows[a]) if rows is not None else int(a)
-        cb = int(cols[b]) if cols is not None else int(b)
-        return (law, False, (ra, cb))
-
-    return [
-        entry("v_part*W<=r_part", in_i[P[v1_members, :]], v1_members, None),
-        entry("w_part*V<=s_part", in_j[Q[w1_members, :]], w1_members, None),
-        entry("r_part*V<=v_part", in_v1[V.left_act[i_members, :]], i_members, None),
-        entry("s_part*W<=w_part", in_w1[W.left_act[j_members, :]], j_members, None),
-        entry("V*w_part<=r_part", in_i[P[:, w1_members]], None, w1_members),
-        entry("W*v_part<=s_part", in_j[Q[:, v1_members]], None, v1_members),
-        entry("V*s_part<=v_part", in_v1[V.right_act[:, j_members]], None, j_members),
-        entry("W*r_part<=w_part", in_w1[W.right_act[:, i_members]], None, i_members),
-    ]
+    inside = [bool_array(m, n) for m, n in zip((i_mask, v1_mask, w1_mask, j_mask), ctx.dims)]
+    found = []
+    for p in _slot_products(ctx):
+        if _colon(ctx, p, inside[p.dst])[inside[p.src]].all():
+            found.append((p.law, True, None))
+            continue
+        members = np.flatnonzero(inside[p.src])
+        bad = ~inside[p.dst][p.table[members]]          # [slot element, carrier element]
+        if p.carrier_first:
+            y, x = np.argwhere(bad.T)[0]
+        else:
+            x, y = np.argwhere(bad)[0]
+        pair = (int(members[x]), int(y))
+        found.append((p.law, False, pair[::-1] if p.carrier_first else pair))
+    return found
 
 
 def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
@@ -421,21 +465,11 @@ def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     mask = as_mask(u)
     ring = _context_ring(ctx)
     verify_ideal(ring, mask, "two")
-    kr, mv, mw, ks = ctx.dims
-    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     in_u = bool_array(mask, ring.order)
-
-    def axis(r, v, w, s) -> int:
-        return mask_from_bool(in_u[ctx.encode(r, v, w, s)])
-
-    lane = np.arange
-    i_mask = axis(lane(kr), V.zero, W.zero, S.zero)
-    v1_mask = axis(R.zero, lane(mv), W.zero, S.zero)
-    w1_mask = axis(R.zero, V.zero, lane(mw), S.zero)
-    j_mask = axis(R.zero, V.zero, W.zero, lane(ks))
-
-    return IdealQuadruple(ctx, Ideal(R, i_mask, "two"), Submodule(V, v1_mask, "bi"),
-                          Submodule(W, w1_mask, "bi"), Ideal(S, j_mask, "two"))
+    i_mask, v1_mask, w1_mask, j_mask = (mask_from_bool(in_u[_at_slots(ctx, {k: np.arange(n)})])
+                                        for k, n in enumerate(ctx.dims))
+    return IdealQuadruple(ctx, Ideal(ctx.ring_r, i_mask, "two"), Submodule(ctx.mod_v, v1_mask, "bi"),
+                          Submodule(ctx.mod_w, w1_mask, "bi"), Ideal(ctx.ring_s, j_mask, "two"))
 
 
 def enumerate_context_ideals(ctx: MoritaContext,
@@ -444,58 +478,39 @@ def enumerate_context_ideals(ctx: MoritaContext,
 
     Candidates are ideals of the corner rings crossed with two-sided
     submodules of the carriers, filtered by the eight compatibility
-    conditions (evaluated pairwise, since each condition couples exactly
-    two slots). The corner and carrier lattices and the result each count
-    against ``cap``.
+    conditions. Each condition couples exactly two slots, so it is decided
+    pairwise: the colon of every lattice member under each slot product is
+    taken once, and a law holds where the source member lies inside it.
+    The corner and carrier lattices and the result each count against
+    ``cap``.
     """
     key = ("quadruples", cap)
     if key in ctx._cache:
         return ctx._cache[key]
-    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    r_ideals = enumerate_ideals(R, "two", cap)
-    s_ideals = enumerate_ideals(S, "two", cap)
-    v_subs = enumerate_submodules(V, "bi", cap)
-    w_subs = enumerate_submodules(W, "bi", cap)
+    r_ideals = enumerate_ideals(ctx.ring_r, "two", cap)
+    s_ideals = enumerate_ideals(ctx.ring_s, "two", cap)
+    v_subs = enumerate_submodules(ctx.mod_v, "bi", cap)
+    w_subs = enumerate_submodules(ctx.mod_w, "bi", cap)
 
-    in_i = [bool_array(c.members, R.order) for c in r_ideals]
-    in_j = [bool_array(c.members, S.order) for c in s_ideals]
-    in_v = [bool_array(c.members, V.order) for c in v_subs]
-    in_w = [bool_array(c.members, W.order) for c in w_subs]
-    mem_i = [c.member_indices() for c in r_ideals]
-    mem_j = [c.member_indices() for c in s_ideals]
-    mem_v = [c.member_indices() for c in v_subs]
-    mem_w = [c.member_indices() for c in w_subs]
-
-    # Each of the eight conditions couples one corner ideal with one module
-    # slot, so compatibility factors into four pairwise tables.
-    ok_iv = np.array([[bool(in_i[a][P[mem_v[b], :]].all()
-                            and in_v[b][V.left_act[mem_i[a], :]].all())
-                       for b in range(len(v_subs))] for a in range(len(r_ideals))])
-    ok_iw = np.array([[bool(in_i[a][P[:, mem_w[c]]].all()
-                            and in_w[c][W.right_act[:, mem_i[a]]].all())
-                       for c in range(len(w_subs))] for a in range(len(r_ideals))])
-    ok_jv = np.array([[bool(in_j[d][Q[:, mem_v[b]]].all()
-                            and in_v[b][V.right_act[:, mem_j[d]]].all())
-                       for b in range(len(v_subs))] for d in range(len(s_ideals))])
-    ok_jw = np.array([[bool(in_j[d][Q[mem_w[c], :]].all()
-                            and in_w[c][W.left_act[mem_j[d], :]].all())
-                       for c in range(len(w_subs))] for d in range(len(s_ideals))])
+    # holds[dst, src][t, x]: the law from slot src into slot dst, between the
+    # t-th lattice member of dst and the x-th of src. Each coupling of a
+    # corner with a module slot is the two laws between them.
+    masks = [[c.members for c in lattice] for lattice in (r_ideals, v_subs, w_subs, s_ideals)]
+    holds = {}
+    for p in _slot_products(ctx):
+        colons = [mask_from_bool(_colon(ctx, p, bool_array(t, ctx.dims[p.dst])))
+                  for t in masks[p.dst]]
+        holds[p.dst, p.src] = np.array([[is_subset(x, c) for x in masks[p.src]] for c in colons])
+    ok_iv, ok_iw = holds[_R, _V] & holds[_V, _R].T, holds[_R, _W] & holds[_W, _R].T
+    ok_jv, ok_jw = holds[_S, _V] & holds[_V, _S].T, holds[_S, _W] & holds[_W, _S].T
 
     found: list[IdealQuadruple] = []
-    for a, i in enumerate(r_ideals):
-        for b, v1 in enumerate(v_subs):
-            if not ok_iv[a, b]:
-                continue
-            for c, w1 in enumerate(w_subs):
-                if not ok_iw[a, c]:
-                    continue
-                for d, j in enumerate(s_ideals):
-                    if ok_jv[d, b] and ok_jw[d, c]:
-                        found.append(IdealQuadruple(ctx, i, v1, w1, j))
-                        if len(found) > cap:
-                            raise CapacityError(
-                                f"two-sided ideal lattice of T({ctx.name}) exceeds cap {cap}", cap)
+    for a, d in np.ndindex(len(r_ideals), len(s_ideals)):
+        vs, ws = np.flatnonzero(ok_iv[a] & ok_jv[d]), np.flatnonzero(ok_iw[a] & ok_jw[d])
+        if len(found) + vs.size * ws.size > cap:
+            raise CapacityError(f"two-sided ideal lattice of T({ctx.name}) exceeds cap {cap}", cap)
+        found += [IdealQuadruple(ctx, r_ideals[a], v_subs[b], w_subs[c], s_ideals[d])
+                  for b in vs for c in ws]
     found.sort(key=lambda q: (q.size,) + q.masks)
     ctx._cache[key] = found
     return found
@@ -538,58 +553,37 @@ class OneSidedDecomposition:
                 and self.reconstructs)
 
 
-def _onesided_ideal(ctx: MoritaContext, u, side: str) -> tuple[FiniteRing, int]:
-    """The context ring and the mask of ``u``, checked to be a ``side``-sided ideal."""
-    mask = as_mask(u)
-    ring = _context_ring(ctx)
-    verdict = check_ideal(ring, mask, side)
-    if not verdict:
-        raise NotAnIdealError(
-            f"subset is not a {side}-sided ideal of {ring.name}; "
-            f"first failure {verdict.witness}")
-    return ring, mask
+def _side_blocks(ctx: MoritaContext, side: str) -> tuple:
+    """The two coordinate blocks of a ``side``-sided ideal: each block's slot
+    pair, its acting ring, and that ring's action on each slot as act[t, x]."""
+    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
+    blocks = {"right": (((_R, _W), R, (R.mul.T, W.right_act.T)),
+                        ((_V, _S), S, (V.right_act.T, S.mul.T))),
+              "left": (((_R, _V), R, (R.mul, V.left_act)),
+                       ((_W, _S), S, (W.left_act, S.mul)))}
+    if side not in blocks:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return blocks[side]
 
 
 def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
-    """One-sided module structures on the two coordinate blocks (cached)."""
+    """One-sided module structures on the two coordinate blocks (cached).
+    Block element (a, b) of slots (k1, k2) sits at a*|k2| + b."""
     key = ("pair-views", side)
     if key in ctx._cache:
         return ctx._cache[key]
-    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    kr, mv, mw, ks = ctx.dims
-
-    def block(left_order: int, right_order: int, left_add, right_add,
-              left_label, right_label) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-        idx = np.arange(left_order * right_order)
-        a_of, b_of = idx // right_order, idx % right_order
-        add = (left_add[a_of[:, None], a_of[None, :]] * right_order
-               + right_add[b_of[:, None], b_of[None, :]])
-        labels = [f"({left_label(int(a))}, {right_label(int(b))})"
-                  for a, b in zip(a_of, b_of)]
-        return add, labels, a_of, b_of
-
-    if side == "right":
-        add1, labels1, a1, b1 = block(kr, mw, R.add, W.add, R.label, W.label)
-        act1 = (R.mul[a1, :] * mw + W.right_act[b1, :]).T
-        view1 = ModuleView(R, "right", add1, act1, R.zero * mw + W.zero,
-                           labels=labels1, name=f"{R.name}(+){W.name}")
-        add2, labels2, a2, b2 = block(mv, ks, V.add, S.add, V.label, S.label)
-        act2 = (V.right_act[a2, :] * ks + S.mul[b2, :]).T
-        view2 = ModuleView(S, "right", add2, act2, V.zero * ks + S.zero,
-                           labels=labels2, name=f"{V.name}(+){S.name}")
-    elif side == "left":
-        add1, labels1, a1, b1 = block(kr, mv, R.add, V.add, R.label, V.label)
-        act1 = R.mul[:, a1] * mv + V.left_act[:, b1]
-        view1 = ModuleView(R, "left", add1, act1, R.zero * mv + V.zero,
-                           labels=labels1, name=f"{R.name}(+){V.name}")
-        add2, labels2, a2, b2 = block(mw, ks, W.add, S.add, W.label, S.label)
-        act2 = W.left_act[:, a2] * ks + S.mul[:, b2]
-        view2 = ModuleView(S, "left", add2, act2, W.zero * ks + S.zero,
-                           labels=labels2, name=f"{W.name}(+){S.name}")
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx._cache[key] = (view1, view2)
-    return view1, view2
+    carriers = _carriers(ctx)
+    views = []
+    for (k1, k2), ring, (act_a, act_b) in _side_blocks(ctx, side):
+        A, B = carriers[k1], carriers[k2]
+        a, b = np.divmod(np.arange(A.order * B.order), B.order)
+        views.append(ModuleView(
+            ring, side, A.add[a[:, None], a] * B.order + B.add[b[:, None], b],
+            act_a[:, a] * B.order + act_b[:, b], A.zero * B.order + B.zero,
+            labels=[f"({A.label(int(x))}, {B.label(int(y))})" for x, y in zip(a, b)],
+            name=f"{A.name}(+){B.name}"))
+    ctx._cache[key] = tuple(views)
+    return ctx._cache[key]
 
 
 def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecomposition:
@@ -597,55 +591,35 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
 
     Every flag in the result is computed, not assumed; for genuine
     one-sided ideals they all come out true, which is exactly what the
-    structure checks assert downstream.
+    structure checks assert downstream. The pairing flags send a block's
+    members through the slot products with the carrier on the absorbing side.
     """
-    ring, mask = _onesided_ideal(ctx, u, side)
-    kr, mv, mw, ks = ctx.dims
-    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
-    members = indices_of(mask, ring.order)
-    in_u = bool_array(mask, ring.order)
-    view1, view2 = _pair_views(ctx, side)
+    ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
+    blocks = [slots for slots, _, _ in _side_blocks(ctx, side)]
+    views = _pair_views(ctx, side)
+    dims, comps = ctx.dims, ctx.component_arrays()
+    in_u = bool_array(ideal.members, ctx.order)
+    coords = [comps[k1] * dims[k2] + comps[k2] for k1, k2 in blocks]    # block coordinates
+    inside = [np.bincount(c[in_u], minlength=v.order) > 0 for c, v in zip(coords, views)]
+    solos = [dict(zip(slots, np.divmod(np.flatnonzero(ins), dims[slots[1]])))
+             for slots, ins in zip(blocks, inside)]          # each block's members, by slot
+    products = [p for p in _slot_products(ctx) if p.carrier_first == (side == "left")]
 
-    if side == "right":
-        p1_all, p2_all = r_of * mw + w_of, v_of * ks + s_of
-    else:
-        p1_all, p2_all = r_of * mv + v_of, w_of * ks + s_of
-    in_p1 = np.zeros(view1.order, dtype=bool)
-    in_p2 = np.zeros(view2.order, dtype=bool)
-    in_p1[p1_all[members]] = True
-    in_p2[p2_all[members]] = True
-    part1_mask, part2_mask = mask_from_bool(in_p1), mask_from_bool(in_p2)
+    def carried(src: int) -> bool:
+        image = {p.dst: p.table[solos[src][p.src]] for p in products if p.src in solos[src]}
+        k1, k2 = blocks[1 - src]
+        return bool(inside[1 - src][image[k1] * dims[k2] + image[k2]].all())
 
-    p1_members = indices_of(part1_mask, view1.order)
-    p2_members = indices_of(part2_mask, view2.order)
-    enc = ctx.encode
-    if side == "right":
-        a1, b1 = p1_members // mw, p1_members % mw
-        a2, b2 = p2_members // ks, p2_members % ks
-        solo1, solo2 = enc(a1, V.zero, b1, S.zero), enc(R.zero, a2, W.zero, b2)
-        # (r, w)·v = (rv, wv) must land in block 2; (v, s)·w = (vw, sw) in block 1
-        pairing_1_to_2 = bool(in_p2[V.left_act[a1] * ks + Q[b1]].all())
-        pairing_2_to_1 = bool(in_p1[P[a2] * mw + W.left_act[b2]].all())
-    else:
-        a1, b1 = p1_members // mv, p1_members % mv
-        a2, b2 = p2_members // ks, p2_members % ks
-        solo1, solo2 = enc(a1, b1, W.zero, S.zero), enc(R.zero, V.zero, a2, b2)
-        # w·(r, v) = (wr, wv) must land in block 2; v·(w, s) = (vw, vs) in block 1
-        pairing_1_to_2 = bool(in_p2[W.right_act[:, a1].T * ks + Q[:, b1].T].all())
-        pairing_2_to_1 = bool(in_p1[P[:, a2].T * mv + V.right_act[:, b2].T].all())
-
+    part_masks = [mask_from_bool(x) for x in inside]
+    closed = [bool(check_closed(v.addgroup, m, v.actions)) for v, m in zip(views, part_masks)]
+    embeds = [bool(in_u[_at_slots(ctx, solo)].all()) for solo in solos]
     return OneSidedDecomposition(
-        context=ctx, side=side, part1_view=view1, part2_view=view2,
-        part1_mask=part1_mask, part2_mask=part2_mask,
-        part1_closed=bool(check_closed(view1.addgroup, part1_mask, view1.actions)),
-        part2_closed=bool(check_closed(view2.addgroup, part2_mask, view2.actions)),
-        part1_embeds=bool(in_u[solo1].all()),
-        part2_embeds=bool(in_u[solo2].all()),
-        pairing_1_to_2=pairing_1_to_2,
-        pairing_2_to_1=pairing_2_to_1,
-        reconstructs=bool(((in_p1[p1_all] & in_p2[p2_all]) == in_u).all()),
+        context=ctx, side=side, part1_view=views[0], part2_view=views[1],
+        part1_mask=part_masks[0], part2_mask=part_masks[1],
+        part1_closed=closed[0], part2_closed=closed[1],
+        part1_embeds=embeds[0], part2_embeds=embeds[1],
+        pairing_1_to_2=carried(0), pairing_2_to_1=carried(1),
+        reconstructs=bool(((inside[0][coords[0]] & inside[1][coords[1]]) == in_u).all()),
     )
 
 
@@ -656,8 +630,7 @@ def is_prime_onesided_ideal(ctx: MoritaContext, u, side: str) -> Verdict:
     — a·x·b inside for every x forces a or b inside — which only needs the
     target to be additively closed.
     """
-    ring, mask = _onesided_ideal(ctx, u, side)
-    return is_prime_ideal(Ideal(ring, mask, side))
+    return is_prime_ideal(verify_ideal(_context_ring(ctx), as_mask(u), side))
 
 
 # -- closure sets -----------------------------------------------------------------
@@ -688,7 +661,8 @@ class ClosureSets:
 
 
 def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
-    """Membership scan for the four closure sets of a corner-ideal pair."""
+    """The four closure sets of a corner-ideal pair: the colons of the four
+    pairing products (those landing in a corner) at the two ideals."""
     i_mask, j_mask = as_mask(i), as_mask(j)
     for ring, m, which in ((ctx.ring_r, i_mask, "first"), (ctx.ring_s, j_mask, "second")):
         verdict = check_ideal(ring, m, "two")
@@ -696,15 +670,11 @@ def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
             raise NotAnIdealError(
                 f"{which} argument is not a two-sided ideal of {ring.name}; "
                 f"first failure {verdict.witness}")
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    in_i = bool_array(i_mask, ctx.ring_r.order)
-    in_j = bool_array(j_mask, ctx.ring_s.order)
-    return ClosureSets(
-        v_into_r=mask_from_bool(in_i[P].all(axis=1)),
-        v_into_s=mask_from_bool(in_j[Q].all(axis=0)),
-        w_into_r=mask_from_bool(in_i[P].all(axis=0)),
-        w_into_s=mask_from_bool(in_j[Q].all(axis=1)),
-    )
+    in_target = {_R: bool_array(i_mask, ctx.ring_r.order), _S: bool_array(j_mask, ctx.ring_s.order)}
+    sets = {(p.src, p.dst): mask_from_bool(_colon(ctx, p, in_target[p.dst]))
+            for p in _slot_products(ctx) if p.dst in in_target}
+    return ClosureSets(v_into_r=sets[_V, _R], v_into_s=sets[_V, _S],
+                       w_into_r=sets[_W, _R], w_into_s=sets[_W, _S])
 
 
 # -- prime and semiprime slotted ideals ---------------------------------------------

@@ -161,14 +161,6 @@ def ring_bimodule(ring) -> Bimodule:
     )
 
 
-_SUBSET_FAILURES = {
-    "zero": "subset does not contain zero",
-    "add": "subset is not closed under addition",
-    "left": "subset is not stable under left multiplication by the ring",
-    "right": "subset is not stable under right multiplication by the ring",
-}
-
-
 def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodule:
     """An additively closed, two-sided-absorbing subset of a ring.
 
@@ -176,9 +168,7 @@ def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodul
     NotASubmoduleError if any closure fails (the induced tables would leave
     the carrier).
     """
-    verdict = check_ideal(ring, members_mask, "two")
-    if not verdict:
-        raise NotASubmoduleError(_SUBSET_FAILURES[verdict.witness[0]])
+    _raise_unless_closed(check_ideal(ring, members_mask, "two"))
     k = ring.order
     members = indices_of(members_mask, k)
     rank = np.full(k, -1, dtype=np.int64)
@@ -298,9 +288,9 @@ def validate_bimodule(mod: Bimodule) -> ValidationReport:
     return ValidationReport(f"bimodule {mod.name}", tuple(violations))
 
 
-def _raise_unless_closed(carrier, mask: int, actions: list) -> None:
-    """NotASubmoduleError naming the first closure ``check_closed`` finds broken."""
-    witness = check_closed(carrier.addgroup, mask, actions).witness
+def _raise_unless_closed(verdict: Verdict) -> None:
+    """NotASubmoduleError naming the first closure a ``check_closed`` verdict finds broken."""
+    witness = verdict.witness
     if witness:
         kind = witness[0]
         raise NotASubmoduleError("submodule must contain zero" if kind == "zero"
@@ -315,13 +305,13 @@ def verify_submodule(module: Bimodule, mask: int, sidedness: str) -> Submodule:
     actions = [(side, act, ring.addgroup.generators) for side, act, ring in
                (("left", module.left_act, module.left_ring),
                 ("right", module.right_act.T, module.right_ring)) if sidedness in (side, "bi")]
-    _raise_unless_closed(module, mask, actions)
+    _raise_unless_closed(check_closed(module.addgroup, mask, actions))
     return Submodule(module, mask, sidedness)
 
 
 def verify_view_submodule(view: ModuleView, mask: int) -> int:
     """Check closure of a mask in a one-sided view (``check_closed``); return the mask."""
-    _raise_unless_closed(view, mask, view.actions)
+    _raise_unless_closed(check_closed(view.addgroup, mask, view.actions))
     return mask
 
 

@@ -5,8 +5,9 @@ elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
 disagree with. The sections at the end do use the package's spans and
 lattices: the full-table kernels the library replaced with generator-width
-ones, for rings and for modules, and the lattice-pairwise primeness and
-nilpotency routes with the nilpotent radical built on them.
+ones, for rings and for modules, the full-row slot laws, and the
+lattice-pairwise primeness and nilpotency routes with the nilpotent radical
+built on them.
 """
 
 from __future__ import annotations
@@ -151,6 +152,24 @@ def naive_context_sum(ctx, x: tuple, y: tuple) -> tuple:
     """The four-slot sum: each slot added in its own carrier."""
     carriers = (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
     return tuple(int(c.add[a, b]) for c, a, b in zip(carriers, x, y))
+
+
+def naive_closure_sets(ctx, i_mask: int, j_mask: int) -> tuple[int, int, int, int]:
+    """(v_into_r, v_into_s, w_into_r, w_into_s) by their definitions: the v
+    with every v·w in I, the v with every w·v in J, the w with every v·w in
+    I, and the w with every w·v in J."""
+    in_i = set(members_of(i_mask, ctx.ring_r.order))
+    in_j = set(members_of(j_mask, ctx.ring_s.order))
+    P, Q = ctx.prod_vw.tolist(), ctx.prod_wv.tolist()
+    vs, ws = range(ctx.mod_v.order), range(ctx.mod_w.order)
+
+    def mask(elements) -> int:
+        return sum(1 << x for x in elements)
+
+    return (mask(v for v in vs if all(P[v][w] in in_i for w in ws)),
+            mask(v for v in vs if all(Q[w][v] in in_j for w in ws)),
+            mask(w for w in ws if all(P[v][w] in in_i for v in vs)),
+            mask(w for w in ws if all(Q[w][v] in in_j for v in vs)))
 
 
 def naive_additive_span(add, zero: int, seeds: list[int]) -> frozenset[int]:
@@ -342,6 +361,44 @@ def fingerprint_is_prime_submodule(view, mask: int) -> Verdict:
         if bad.any():
             return Verdict(False, (r, int(np.flatnonzero(bad)[0])))
     return Verdict(True)
+
+
+# -- full-row slot laws ----------------------------------------------------------------
+#
+# The route the context module took before it read the eight slot laws off one
+# table of slot products and decided them on the acting carrier's generators:
+# every row of a slot member is read, each law written out by hand.
+
+
+def full_row_quadruple_conditions(ctx, i_mask: int, v1_mask: int, w1_mask: int,
+                                  j_mask: int) -> list[tuple[str, bool, tuple | None]]:
+    """The eight slot laws as (law, ok, witness), each scanned over full rows."""
+    V, W = ctx.mod_v, ctx.mod_w
+    P, Q = ctx.prod_vw, ctx.prod_wv
+    kr, mv, mw, ks = ctx.dims
+    in_i, in_j = bool_array(i_mask, kr), bool_array(j_mask, ks)
+    in_v1, in_w1 = bool_array(v1_mask, mv), bool_array(w1_mask, mw)
+    i_members, j_members = indices_of(i_mask, kr), indices_of(j_mask, ks)
+    v1_members, w1_members = indices_of(v1_mask, mv), indices_of(w1_mask, mw)
+
+    def entry(law: str, ok: np.ndarray, rows, cols) -> tuple[str, bool, tuple | None]:
+        if ok.all():
+            return (law, True, None)
+        a, b = np.argwhere(~ok)[0]
+        ra = int(rows[a]) if rows is not None else int(a)
+        cb = int(cols[b]) if cols is not None else int(b)
+        return (law, False, (ra, cb))
+
+    return [
+        entry("v_part*W<=r_part", in_i[P[v1_members, :]], v1_members, None),
+        entry("w_part*V<=s_part", in_j[Q[w1_members, :]], w1_members, None),
+        entry("r_part*V<=v_part", in_v1[V.left_act[i_members, :]], i_members, None),
+        entry("s_part*W<=w_part", in_w1[W.left_act[j_members, :]], j_members, None),
+        entry("V*w_part<=r_part", in_i[P[:, w1_members]], None, w1_members),
+        entry("W*v_part<=s_part", in_j[Q[:, v1_members]], None, v1_members),
+        entry("V*s_part<=v_part", in_v1[V.right_act[:, j_members]], None, j_members),
+        entry("W*r_part<=w_part", in_w1[W.right_act[:, i_members]], None, i_members),
+    ]
 
 
 # -- lattice-pairwise routes ----------------------------------------------------------

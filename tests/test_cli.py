@@ -36,6 +36,14 @@ def test_parse_error_is_invalid_input(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_subset_carrier_without_zero_is_invalid_input(tmp_path, capsys):
+    doc = tmp_path / "nozero.mctx"
+    doc.write_text("base zn 6\nV subset 2,4\n")
+    code, _, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert err == "error: carrier V: submodule must contain zero\n"
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "report", "nosuch:3")
     assert code == 2

@@ -13,19 +13,32 @@ message), and the prime submodule scan by class of rR against the
 fingerprint scan. The order-1296 contexts share their shape, so one of them
 stands for the rest; ex2.4 is compared where the full-table routes fit in
 the suite's time.
+
+The slot products behind the two-sided laws, the closure sets and the block
+views are compared on all 18 battery contexts (and full:60 for the first
+two): ``quadruple_conditions`` against the full-row laws (verdict and
+witness) on every candidate quadruple, compatible or not (on full:60, every
+one with J = I); ``closure_sets`` against its definition on every pair of
+corner ideals; and each block view's addition, action, zero and labels
+against T's sum and product formulas.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
-from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan, full_scan_check_ideal,
-                   full_scan_verify_closed, plain_join_closure, span_bicyclic_masks,
-                   span_cyclic_masks, span_principal_masks)
+from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
+                   full_row_quadruple_conditions, full_scan_check_ideal, full_scan_verify_closed,
+                   naive_closure_sets, naive_context_product, naive_context_sum,
+                   plain_join_closure, span_bicyclic_masks, span_cyclic_masks,
+                   span_principal_masks)
 
-from moritactx import (NotASubmoduleError, build_context_ring, builtin_context, check_ideal,
-                       cyclic_submodule, enumerate_ideals, enumerate_submodules, is_prime_ideal,
-                       is_prime_submodule, ring_bimodule, verify_submodule)
+from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
+                       builtin_context, check_ideal, closure_sets, cyclic_submodule, enumerate_ideals,
+                       enumerate_submodules, is_prime_ideal, is_prime_submodule,
+                       quadruple_conditions, ring_bimodule, verify_submodule)
 from moritactx.bitsets import bool_array, is_subset
 from moritactx.context import _pair_views
 from moritactx.ideals import _principal_masks
@@ -192,3 +205,96 @@ def test_prime_submodule_scan_matches_the_fingerprint_scan(name):
         for mask in enumerate_view_submodules(view)[:-1]:          # the proper ones
             assert is_prime_submodule(view, mask) == fingerprint_is_prime_submodule(view, mask), \
                 (view, view.format_subset(mask))
+
+
+# -- slot products -----------------------------------------------------------------
+
+SLOT_CONTEXTS = (*battery_names(), "full:60")      # full:60: 12 members in each slot lattice
+# Each side's two coordinate blocks: the slot pair (r, v, w, s numbered 0..3)
+# and the corner slot of the acting ring.
+BLOCKS = {"right": (((0, 2), 0), ((1, 3), 3)), "left": (((0, 1), 0), ((2, 3), 3))}
+
+
+def _slot_lattices(ctx) -> list[list[int]]:
+    return [[c.members for c in enumerate_ideals(ctx.ring_r, "two")],
+            [c.members for c in enumerate_submodules(ctx.mod_v, "bi")],
+            [c.members for c in enumerate_submodules(ctx.mod_w, "bi")],
+            [c.members for c in enumerate_ideals(ctx.ring_s, "two")]]
+
+
+@pytest.mark.parametrize("name", SLOT_CONTEXTS)
+def test_quadruple_conditions_match_the_full_rows(name):
+    # Every corner ideal × bisubmodule quadruple, compatible or not, so that
+    # failing laws and their witnesses are compared too.
+    ctx = builtin_context(name).context
+    r_ideals, v_subs, w_subs, s_ideals = _slot_lattices(ctx)
+    quads = product(r_ideals, v_subs, w_subs, s_ideals)
+    if name == "full:60":
+        # Each law reads one corner and one module slot, and both corners are
+        # Z60, so the quadruples with J = I still meet every pair of members
+        # that each law reads: 12³ calls instead of 12⁴.
+        assert r_ideals == s_ideals
+        quads = ((i, v1, w1, i) for i, v1, w1 in product(r_ideals, v_subs, w_subs))
+    failing = 0
+    for quad in quads:
+        conditions = quadruple_conditions(ctx, *quad)
+        assert conditions == full_row_quadruple_conditions(ctx, *quad), (name, quad)
+        failing += sum(not ok for _, ok, _ in conditions)
+    assert failing or ctx.mod_v.order == ctx.mod_w.order == 1, name
+
+
+@pytest.mark.parametrize("name", SLOT_CONTEXTS)
+def test_closure_sets_match_their_definition(name):
+    ctx = builtin_context(name).context
+    r_ideals, _, _, s_ideals = _slot_lattices(ctx)
+    for i_mask, j_mask in product(r_ideals, s_ideals):
+        sets = closure_sets(ctx, i_mask, j_mask)
+        assert ((sets.v_into_r, sets.v_into_s, sets.w_into_r, sets.w_into_s)
+                == naive_closure_sets(ctx, i_mask, j_mask)), (name, i_mask, j_mask)
+
+
+def _assert_pair_views_match(ctx, sums: bool = True):
+    """Each block view is T's addition (when ``sums``) and its one-sided
+    action of a corner, restricted to the block's elements (zero in the
+    other two slots)."""
+    carriers = (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
+    zero = tuple(c.zero for c in carriers)
+    for side, blocks in BLOCKS.items():
+        for view, ((k1, k2), corner) in zip(_pair_views(ctx, side), blocks):
+            first, second = carriers[k1], carriers[k2]
+            pairs = list(product(range(first.order), range(second.order)))
+
+            def slots(x: int) -> tuple:
+                out = list(zero)
+                out[k1], out[k2] = pairs[x]
+                return tuple(out)
+
+            def block(t: tuple) -> int:
+                assert [t[k] for k in range(4) if k not in (k1, k2)] == \
+                    [zero[k] for k in range(4) if k not in (k1, k2)], (view, t)
+                return t[k1] * second.order + t[k2]
+
+            assert view.order == len(pairs) and view.zero == block(zero), view
+            assert view.side == side and view.ring is carriers[corner], view
+            assert view.labels == tuple(f"({first.label(a)}, {second.label(b)})"
+                                        for a, b in pairs), view
+            for x, y in product(range(view.order), repeat=2) if sums else ():
+                assert view.add[x, y] == block(naive_context_sum(ctx, slots(x), slots(y))), view
+            for t, x in product(range(view.ring.order), range(view.order)):
+                scalar = zero[:corner] + (t,) + zero[corner + 1:]
+                prod = (naive_context_product(ctx, slots(x), scalar) if side == "right"
+                        else naive_context_product(ctx, scalar, slots(x)))
+                assert view.act[t, x] == block(prod), (view, t, x)
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_pair_views_match_the_context_sum_and_product(name):
+    _assert_pair_views_match(builtin_context(name).context)
+
+
+def test_pair_views_act_from_the_absorbing_side_of_noncommutative_corners():
+    # Every battery corner is commutative, so only a corner like T(full:2),
+    # the 2×2 matrices over Z2, tells r·t from t·r. Its blocks have 256
+    # elements; their sums are the battery's carrier sums again.
+    ring = build_context_ring(builtin_context("full:2").context)
+    _assert_pair_views_match(build_ks_context(ring, ring.one), sums=False)

@@ -7,6 +7,7 @@ from moritactx import (
     MalformedTableError,
     NotASubmoduleError,
     annihilator,
+    build_context_ring,
     check_ideal,
     cyclic_submodule,
     enumerate_submodules,
@@ -42,10 +43,16 @@ def test_subset_bimodule_of_even_residues(z6):
 
 
 def test_subset_bimodule_rejections(z6):
-    with pytest.raises(NotASubmoduleError):
+    # the same wording as verify_submodule's, from the same check_closed witness
+    with pytest.raises(NotASubmoduleError, match="^submodule must contain zero$"):
         subset_bimodule(z6, 0b000110)  # no zero
-    with pytest.raises(NotASubmoduleError):
+    with pytest.raises(NotASubmoduleError, match="^subset is not closed under addition$"):
         subset_bimodule(z6, 0b000011)  # {0,1} not additively closed
+    ctx = builtin_context("full:2").context
+    corner = 1 << ctx.encode(0, 0, 0, 0) | 1 << ctx.encode(1, 0, 0, 0)   # the r slot alone
+    with pytest.raises(NotASubmoduleError,
+                       match="^subset is not stable under the left ring action$"):
+        subset_bimodule(build_context_ring(ctx), corner)
 
 
 def test_residue_bimodule_reduces_labels(z6):

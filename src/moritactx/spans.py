@@ -98,32 +98,38 @@ class AddGroup:
     def join_closure(self, seeds: Iterable[int], cap: int, what: str) -> list[int]:
         """Every join of the seed subgroups, sorted by (size, mask).
 
-        Joins are taken pairwise with the seeds until a fixpoint. A pair
-        where one side contains the other joins to a mask already found and
-        is skipped; otherwise only the seed's generators, computed once, are
-        spanned on top of the other side. The seeds count against ``cap``
-        too: CapacityError, naming the lattice as ``what``, as soon as it
-        would hold more than ``cap`` masks.
+        The seeds must be subgroup masks. Each mask found is joined with
+        every seed until a fixpoint, but only a join not found yet is
+        spanned: subgroups have |A+B| = |A|·|B| / |A∩B|, so a found mask of
+        that size containing a | b is A+B already. A pair where one side
+        contains the other is skipped too. Otherwise the seed's generators,
+        computed on first use, are spanned on top of the other side. The
+        seeds count against ``cap`` too: CapacityError, naming the lattice
+        as ``what``, as soon as it would hold more than ``cap`` masks.
         """
-        seeds = {b: self.subgroup_generators(b) for b in set(seeds)}
-        found: set[int] = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt: list[int] = []
-            for a in frontier:
-                for b, b_gens in seeds.items():
-                    # Checked before every pair: the seeds count, and a new
-                    # mask always leaves one more join to run.
-                    if len(found) > cap:
-                        raise CapacityError(f"{what} exceeds cap {cap}", cap)
-                    if a & b in (a, b):             # one contains the other
-                        continue
-                    j = self.join_masks(a, b_gens)
-                    if j not in found:
-                        found.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return sorted(found, key=lambda m: (m.bit_count(), m))
+        seeds = set(seeds)
+        lattice = list(seeds)
+        by_size: dict[int, list[int]] = {}
+        for m in lattice:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        gens: dict[int, np.ndarray] = {}
+        for a in lattice:                           # grows as joins are found
+            for b in seeds:
+                # Checked before every pair: the seeds count, and a new
+                # mask always leaves one more join to run.
+                if len(lattice) > cap:
+                    raise CapacityError(f"{what} exceeds cap {cap}", cap)
+                meet, ab = a & b, a | b
+                if meet in (a, b):                  # one contains the other
+                    continue
+                size = a.bit_count() * b.bit_count() // meet.bit_count()
+                if any(c & ab == ab for c in by_size.get(size, ())):
+                    continue
+                if b not in gens:
+                    gens[b] = self.subgroup_generators(b)
+                lattice.append(self.join_masks(a, gens[b]))
+                by_size.setdefault(size, []).append(lattice[-1])
+        return sorted(lattice, key=lambda m: (m.bit_count(), m))
 
     def cosets(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
         """Cosets of a subgroup: (representatives, projection).

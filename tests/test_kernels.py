@@ -11,8 +11,11 @@ small, and on the four block views of T's one-sided ideals: cyclic masks against
 the plain join closure, closure checks against the full scan (verdict and
 message), and the prime submodule scan by class of rR against the
 fingerprint scan. The order-1296 contexts share their shape, so one of them
-stands for the rest; ex2.4 is compared where the full-table routes fit in
-the suite's time.
+stands for the rest; the one-sided lattices of two more, where joins create
+masks that no principal ideal is, are compared with the plain join closure.
+ex2.4 is compared where the full-table routes fit in the suite's time. On
+all 18 battery contexts, the join closure must span only masks it has not
+found yet.
 
 The slot products behind the two-sided laws, the closure sets and the block
 views are compared on all 18 battery contexts (and full:60 for the first
@@ -36,14 +39,15 @@ from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
                    span_principal_masks)
 
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
-                       builtin_context, check_ideal, closure_sets, cyclic_submodule, enumerate_ideals,
-                       enumerate_submodules, is_prime_ideal, is_prime_submodule,
-                       quadruple_conditions, ring_bimodule, verify_submodule)
+                       builtin_context, builtin_document, check_ideal, closure_sets,
+                       cyclic_submodule, enumerate_ideals, enumerate_submodules, is_prime_ideal,
+                       is_prime_submodule, load_mctx, quadruple_conditions, ring_bimodule,
+                       verify_submodule)
 from moritactx.bitsets import bool_array, is_subset
 from moritactx.context import _pair_views
 from moritactx.ideals import _principal_masks
 from moritactx.modules import enumerate_view_submodules, verify_view_submodule
-from moritactx.spans import cyclic_masks
+from moritactx.spans import AddGroup, cyclic_masks
 
 SIDES = ("two", "left", "right")
 CONTEXTS = ("full:2", "full:3", "full:4", "full:5", "ks:4:2", "ks:6:1", "tri:4,2",
@@ -108,6 +112,48 @@ def test_prime_scan_matches_the_fingerprint_scan(name):
     ring = _ring(name)
     for side in SIDES:
         _assert_scans_agree(ring, side)
+
+
+@pytest.mark.parametrize("name", ("ks:6:0", "ks:6:2"))
+def test_one_sided_lattices_match_the_plain_join_closure(name):
+    # Unlike ks:6:1's, these lattices hold joins that are not principal. Only
+    # the lattices: the full-scan comparisons on CONTEXTS would cost far more.
+    ring = _ring(name)
+    for side in ("left", "right"):
+        spans = _principal_masks(ring, side)
+        assert _lattice(ring, side) == plain_join_closure(ring.addgroup, spans), (name, side)
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_join_closure_spans_only_new_masks(name, monkeypatch):
+    # Every span the closure runs must yield a mask it has not found yet, so
+    # it spans once per lattice member that is not a seed.
+    join_closure, join_masks = AddGroup.join_closure, AddGroup.join_masks
+    spans: list[list[int]] = []
+
+    def counted_closure(group, seeds, cap, what):
+        seeds = set(seeds)
+        spans.append([])
+        lattice = join_closure(group, seeds, cap, what)
+        new = spans[-1]
+        assert len(set(new)) == len(new), what              # no mask is spanned twice
+        assert not seeds & set(new), what                   # nor is a seed
+        assert len(new) == len(lattice) - len(seeds), what
+        return lattice
+
+    def counted_join(group, a, b_gens):
+        spans[-1].append(join_masks(group, a, b_gens))
+        return spans[-1][-1]
+
+    monkeypatch.setattr(AddGroup, "join_closure", counted_closure)
+    monkeypatch.setattr(AddGroup, "join_masks", counted_join)
+    ctx = load_mctx(builtin_document(name)).context       # uncached: every lattice is closed here
+    ring = build_context_ring(ctx)
+    for side in SIDES:
+        enumerate_ideals(ring, side)
+    enumerate_submodules(ctx.mod_v, "bi")
+    enumerate_submodules(ctx.mod_w, "bi")
+    assert len(spans) == 5, name
 
 
 def test_kernels_match_the_full_table_routes_on_ex2_4():

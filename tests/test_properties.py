@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from moritactx import (
+    CapacityError,
     build_ks_context,
     check_ideal,
     enumerate_context_ideals,
@@ -17,7 +20,8 @@ from moritactx import (
 from moritactx.bitsets import indices_of, mask_from_indices
 from moritactx.spans import AddGroup
 
-from naive import naive_additive_span, naive_is_ideal, naive_is_subgroup, members_of
+from naive import (naive_additive_span, naive_is_ideal, naive_is_subgroup, members_of,
+                   plain_join_closure)
 
 rings = st.integers(min_value=2, max_value=10).map(make_zn)
 
@@ -54,6 +58,28 @@ def test_span_is_a_subgroup_and_idempotent(ring, seeds):
         coset = ring.add[x, members]
         assert set(proj[coset].tolist()) == {proj[x]}
         assert reps[proj[x]] == coset.min()
+
+
+def _product_group(moduli: list[int]) -> AddGroup:
+    """Z_a × Z_b × Z_c as an addition table, elements numbered in mixed radix."""
+    coords = np.stack(np.unravel_index(np.arange(int(np.prod(moduli))), moduli))
+    sums = (coords[:, :, None] + coords[:, None, :]) % np.array(moduli)[:, None, None]
+    return AddGroup(np.ravel_multi_index(tuple(sums), moduli), 0)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+       st.lists(st.lists(st.integers(min_value=0, max_value=63), max_size=3),
+                min_size=1, max_size=5))
+def test_join_closure_matches_plain_closure_on_product_groups(moduli, seed_sets):
+    # Non-cyclic groups such as Z2 × Z4 × Z4, whose subgroup lattices are not
+    # divisor chains; the seeds are spans of random element sets.
+    group = _product_group(moduli)
+    seeds = [group.span_mask([x % group.order for x in elements]) for elements in seed_sets]
+    lattice = group.join_closure(seeds, 1 << 12, "lattice")
+    assert lattice == plain_join_closure(group, seeds)
+    assert group.join_closure(seeds, len(lattice), "lattice") == lattice
+    with pytest.raises(CapacityError, match=f"^lattice exceeds cap {len(lattice) - 1}$"):
+        group.join_closure(seeds, len(lattice) - 1, "lattice")
 
 
 @given(rings, st.integers(min_value=0, max_value=(1 << 10) - 1))

@@ -109,11 +109,19 @@ def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str,
     return ok, lines
 
 
+def _prime_submodules(pairs, failure) -> tuple[int, int, list[str]]:
+    """Prime-submodule test over (view, mask) pairs, skipping whole-carrier
+    masks (primeness is only defined below the whole module): the counts
+    checked and skipped, and ``failure(view, mask)`` for each non-prime one."""
+    proper = [(view, mask) for view, mask in pairs if mask != full_mask(view.order)]
+    failed = [failure(view, mask) for view, mask in proper if not is_prime_submodule(view, mask)]
+    return len(proper), len(pairs) - len(proper), failed
+
+
 def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
                               lattice_cap: int) -> tuple[bool, list[str]]:
     """Blocks of an elementwise-prime one-sided ideal are prime submodules
-    of their block views; whole-carrier blocks are skipped (primeness of a
-    submodule is only defined below the whole module)."""
+    of their block views; whole-carrier blocks are skipped."""
     ctx = res.context
     ring = build_context_ring(ctx, order_cap)
     ok = True
@@ -121,19 +129,14 @@ def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
     for side in ("right", "left"):
         primes = [ideal for ideal in enumerate_ideals(ring, side, lattice_cap)
                   if ideal.size < ring.order and is_prime_ideal(ideal)]
-        checked = skipped = 0
-        for ideal in primes:
-            dec = side_decomposition(ctx, ideal.members, side)
-            for view, mask in ((dec.part1_view, dec.part1_mask),
-                               (dec.part2_view, dec.part2_mask)):
-                if mask == full_mask(view.order):
-                    skipped += 1
-                    continue
-                checked += 1
-                if not is_prime_submodule(view, mask):
-                    ok = False
-                    lines.append(f"  block {view.format_subset(mask)} of {view.name} "
-                                 f"is not prime under a prime {side} ideal")
+        decs = [side_decomposition(ctx, ideal.members, side) for ideal in primes]
+        checked, skipped, failed = _prime_submodules(
+            [pair for dec in decs for pair in ((dec.part1_view, dec.part1_mask),
+                                               (dec.part2_view, dec.part2_mask))],
+            lambda view, mask: f"  block {view.format_subset(mask)} of {view.name} "
+                               f"is not prime under a prime {side} ideal")
+        ok = ok and not failed
+        lines.extend(failed)
         lines.append(f"{side}: prime ideals {len(primes)}, blocks checked {checked}, "
                      f"whole-carrier blocks skipped {skipped}")
     return ok, lines
@@ -173,11 +176,10 @@ def _check_prime_closure_submodules(res: ResolvedContext, order_cap: int,
     to the whole carrier are skipped."""
     ctx = res.context
     V, W = ctx.mod_v, ctx.mod_w
-    ok = True
-    lines = []
     pairs = sorted({(q.r_part.members, q.s_part.members)
                     for q in _proper_quadruples(ctx, lattice_cap)})
-    checked = skipped = eligible = 0
+    stations = []
+    eligible = 0
     for i_mask, j_mask in pairs:
         if i_mask == full_mask(ctx.ring_r.order) or j_mask == full_mask(ctx.ring_s.order):
             continue
@@ -186,20 +188,13 @@ def _check_prime_closure_submodules(res: ResolvedContext, order_cap: int,
             continue
         eligible += 1
         sets = closure_sets(ctx, i_mask, j_mask)
-        stations = ((V.left_view(), sets.v_into_r), (V.right_view(), sets.v_into_s),
-                    (W.right_view(), sets.w_into_r), (W.left_view(), sets.w_into_s))
-        for view, mask in stations:
-            if mask == full_mask(view.order):
-                skipped += 1
-                continue
-            checked += 1
-            if not is_prime_submodule(view, mask):
-                ok = False
-                lines.append(f"  closure set {view.format_subset(mask)} is not prime "
-                             f"on its {view.side} view")
-    lines.insert(0, f"corner pairs with both ideals prime: {eligible}, closure sets "
-                    f"checked {checked}, whole-carrier sets skipped {skipped}")
-    return ok, lines
+        stations += [(V.left_view(), sets.v_into_r), (V.right_view(), sets.v_into_s),
+                     (W.right_view(), sets.w_into_r), (W.left_view(), sets.w_into_s)]
+    checked, skipped, failed = _prime_submodules(
+        stations, lambda view, mask: f"  closure set {view.format_subset(mask)} is not prime "
+                                     f"on its {view.side} view")
+    return not failed, [f"corner pairs with both ideals prime: {eligible}, closure sets "
+                        f"checked {checked}, whole-carrier sets skipped {skipped}", *failed]
 
 
 def _check_prime_quadruple_description(res: ResolvedContext, order_cap: int,

@@ -354,12 +354,12 @@ def _slot_products(ctx: MoritaContext) -> tuple[_SlotProduct, ...]:
     return (
         _SlotProduct("v_part*W<=r_part", _V, _R, P, _W, False),
         _SlotProduct("w_part*V<=s_part", _W, _S, Q, _V, False),
-        _SlotProduct("r_part*V<=v_part", _R, _V, V.left_act, _V, False),
-        _SlotProduct("s_part*W<=w_part", _S, _W, W.left_act, _W, False),
+        _SlotProduct("r_part*V<=v_part", _R, _V, V.action("left")[1], _V, False),
+        _SlotProduct("s_part*W<=w_part", _S, _W, W.action("left")[1], _W, False),
         _SlotProduct("V*w_part<=r_part", _W, _R, P.T, _V, True),
         _SlotProduct("W*v_part<=s_part", _V, _S, Q.T, _W, True),
-        _SlotProduct("V*s_part<=v_part", _S, _V, V.right_act.T, _V, True),
-        _SlotProduct("W*r_part<=w_part", _R, _W, W.right_act.T, _W, True),
+        _SlotProduct("V*s_part<=v_part", _S, _V, V.action("right")[1], _V, True),
+        _SlotProduct("W*r_part<=w_part", _R, _W, W.action("right")[1], _W, True),
     )
 
 
@@ -553,14 +553,10 @@ class OneSidedDecomposition:
                 and self.reconstructs)
 
 
-def _side_blocks(ctx: MoritaContext, side: str) -> tuple:
-    """The two coordinate blocks of a ``side``-sided ideal: each block's slot
-    pair, its acting ring, and that ring's action on each slot as act[t, x]."""
-    R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    blocks = {"right": (((_R, _W), R, (R.mul.T, W.right_act.T)),
-                        ((_V, _S), S, (V.right_act.T, S.mul.T))),
-              "left": (((_R, _V), R, (R.mul, V.left_act)),
-                       ((_W, _S), S, (W.left_act, S.mul)))}
+def _side_blocks(side: str) -> tuple:
+    """The slot pairs of a ``side``-sided ideal's two coordinate blocks; the
+    corner ring acting on a block acts on each of its slots from ``side``."""
+    blocks = {"right": ((_R, _W), (_V, _S)), "left": ((_R, _V), (_W, _S))}
     if side not in blocks:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return blocks[side]
@@ -574,8 +570,9 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
         return ctx._cache[key]
     carriers = _carriers(ctx)
     views = []
-    for (k1, k2), ring, (act_a, act_b) in _side_blocks(ctx, side):
+    for k1, k2 in _side_blocks(side):
         A, B = carriers[k1], carriers[k2]
+        (ring, act_a), (_, act_b) = A.action(side), B.action(side)
         a, b = np.divmod(np.arange(A.order * B.order), B.order)
         views.append(ModuleView(
             ring, side, A.add[a[:, None], a] * B.order + B.add[b[:, None], b],
@@ -595,7 +592,7 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     members through the slot products with the carrier on the absorbing side.
     """
     ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
-    blocks = [slots for slots, _, _ in _side_blocks(ctx, side)]
+    blocks = _side_blocks(side)
     views = _pair_views(ctx, side)
     dims, comps = ctx.dims, ctx.component_arrays()
     in_u = bool_array(ideal.members, ctx.order)
@@ -611,7 +608,7 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
         return bool(inside[1 - src][image[k1] * dims[k2] + image[k2]].all())
 
     part_masks = [mask_from_bool(x) for x in inside]
-    closed = [bool(check_closed(v.addgroup, m, v.actions)) for v, m in zip(views, part_masks)]
+    closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]
     embeds = [bool(in_u[_at_slots(ctx, solo)].all()) for solo in solos]
     return OneSidedDecomposition(
         context=ctx, side=side, part1_view=views[0], part2_view=views[1],

@@ -1,13 +1,16 @@
 """Ideals of finite rings: lattices, primeness, radicals.
 
-Ideals are the ring's submodules over itself, so closure checks and
-principal ideals come from the module kernels in ``spans``. Two
-observations keep every kernel off the n² entries of the table. Products
-are biadditive, so a condition quantified over all ring elements between
-two fixed ones ("a, anything, b") only needs the additive generators. And
-in a unital ring the right ideal generated by a is its orbit aT = {a*t},
-the left one Ta; whether a*T*b lands inside depends on a only through aT,
-so the prime scan works one class of aT at a time.
+Ideals are the ring's submodules over itself (``mul`` acting on the left,
+its transpose on the right, as ``FiniteRing.action`` presents them), so closure
+checks, principal ideals, lattices and the prime scan are the module
+kernels in ``spans``. Two observations keep every kernel off the n²
+entries of the table. Products are biadditive, so a condition quantified
+over all ring elements between two fixed ones ("a, anything, b") only
+needs the additive generators. And in a unital ring the right ideal
+generated by a is its orbit aT = {a*t}, the left one Ta; a ∉ P exactly
+when aT ⊄ P for a right or two-sided ideal P, so a prime ideal is a prime
+submodule of T over itself, and the prime scan works one class of aT at a
+time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .bitsets import bool_array, full_mask
 from .errors import NotAnIdealError, NotProperError
-from .spans import Subset, check_closed, cyclic_masks
+from .spans import Subset, check_closed, cyclic_masks, prime_pair
 from .validation import Verdict
 
 __all__ = [
@@ -38,8 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_CAP = 20_000
-
-SIDES = ("left", "right", "two")
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,11 @@ class Ideal(Subset):
 def check_ideal(ring, mask: int, sidedness: str) -> Verdict:
     """Closure check with a witness; no exception on failure.
 
-    The ring as a module over itself: ``check_closed`` with ``mul`` acting
-    on the left and ``mul.T`` on the right, on each absorbing side. Witness
-    forms: ("zero",), ("add", a, b), ("left", r, a), ("right", a, r).
+    The ring as a module over itself: ``check_closed`` on each absorbing
+    side. Witness forms: ("zero",), ("add", a, b), ("left", r, a),
+    ("right", a, r).
     """
-    if sidedness not in SIDES:
-        raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
-    gens = ring.addgroup.generators
-    actions = [(side, act, gens) for side, act in (("left", ring.mul), ("right", ring.mul.T))
-               if sidedness in (side, "two")]
-    return check_closed(ring.addgroup, mask, actions)
+    return check_closed(ring, mask, sidedness)
 
 
 def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
@@ -86,28 +82,10 @@ def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
 # -- principal ideals and the lattice ------------------------------------------
 
 
-def _principal_masks(ring, sidedness: str) -> list[int]:
-    """Masks of the ideals generated by each single element (cached): the
-    orbits aT and Ta, and TaT, the sum of the (g*a)T (``cyclic_masks``)."""
-    key = ("principal", sidedness)
-    if key not in ring._cache:
-        gens = ring.addgroup.generators
-        between = (ring.mul[gens], ring.mul.T[gens]) if sidedness == "two" else None
-        ring._cache[key] = cyclic_masks(ring.addgroup, _orbits(ring, sidedness), between)
-    return ring._cache[key]
-
-
-def _orbits(ring, side: str) -> tuple[np.ndarray, list[int]]:
-    """Classes of the orbits Ta (side "left") or aT (any other side)."""
-    return (ring.orbits("left", ring.mul) if side == "left"
-            else ring.orbits("right", ring.mul.T))
-
-
 def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
-    """Smallest ideal of the named sidedness containing the element index a."""
-    if sidedness not in SIDES:
-        raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
-    return Ideal(ring, _principal_masks(ring, sidedness)[int(a)], sidedness)
+    """Smallest ideal of the named sidedness containing the element index a:
+    the orbit aT or Ta, or TaT, the sum of the (g*a)T (``cyclic_masks``)."""
+    return Ideal(ring, cyclic_masks(ring, sidedness)[int(a)], sidedness)
 
 
 def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CAP) -> list[Ideal]:
@@ -117,55 +95,26 @@ def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CA
     ideal is a join of principal ones. CapacityError when the lattice would
     hold more than ``cap`` ideals; the principal ones count too.
     """
-    if sidedness not in SIDES:
-        raise ValueError(f"sidedness must be one of {SIDES}, got {sidedness!r}")
-    key = ("ideals", sidedness, cap)
-    if key in ring._cache:
-        return ring._cache[key]
-    masks = ring.addgroup.join_closure(_principal_masks(ring, sidedness), cap,
-                                       f"{sidedness}-sided ideal lattice of {ring.name}")
-    out = [Ideal(ring, m, sidedness) for m in masks]
-    ring._cache[key] = out
-    return out
+    masks = ring.lattice(sidedness, cap, f"{sidedness}-sided ideal lattice of {ring.name}")
+    return [Ideal(ring, m, sidedness) for m in masks]
 
 
 # -- primeness -------------------------------------------------------------------
 
 
-def _prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
-    """First (a, b) with a*T*b inside the target but a, b outside.
-
-    a*T*b = (aT)*b, so a's outcome depends only on its class aT: the least
-    outside a of each class is tested, in ascending order, which keeps the
-    witness lex-first. The condition on b reads the products a*g over the
-    additive generators g.
-    """
-    mul, gens = ring.mul, ring.addgroup.generators
-    classes, _ = _orbits(ring, "right")
-    outside = np.flatnonzero(~inside)
-    _, first = np.unique(classes[outside], return_index=True)
-    for a in np.sort(outside[first]):
-        u = np.unique(mul[a, gens])
-        bad = np.flatnonzero(inside[mul[u, :]].all(axis=0) & ~inside)  # (a*mid)*b inside
-        if bad.size:
-            return int(a), int(bad[0])
-    return None
-
-
 def is_prime_ideal(ideal: Ideal) -> Verdict:
     """Decide primeness of a proper two-sided ideal; witness is lex-first (a, b).
 
-    Prime: a*x*b inside for all x forces a or b inside. Improper input
-    raises NotProperError rather than answering.
+    Prime: a*x*b inside for all x forces a or b inside, which is ``prime_pair``
+    on T over itself with a outside. Improper input raises NotProperError
+    rather than answering.
     """
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProperError("primeness is only defined for proper ideals")
     inside = bool_array(ideal.members, ring.order)
-    hit = _prime_scan(ring, inside)
-    if hit is not None:
-        return Verdict(False, hit)
-    return Verdict(True)
+    hit = prime_pair(ring, "left", inside, ~inside)
+    return Verdict(hit is None, hit)
 
 
 def is_semiprime_ideal(ideal: Ideal) -> Verdict:

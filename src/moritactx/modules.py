@@ -5,8 +5,11 @@ action of another, stored as dense lookup tables. A ``ModuleView`` is a
 module over a single ring — either one side of a bimodule or a standalone
 carrier (used for column spaces of context rings) — and is where the
 one-sided notions live: cyclic submodules, submodule lattices, primeness,
-annihilators, quotients. Closure checks and cyclic submodules come from the
-kernels in ``spans`` that ideals use, which assume additive actions.
+annihilators, quotients. Each carrier presents its actions through
+``action(side)``, the right one transposed so ``act[r]`` is r acting on
+every element; closure checks, cyclic submodules, lattices and the prime
+submodule scan are the kernels in ``spans`` that ideals use, which assume
+additive actions.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .errors import (
     ValidationFailedError,
     WellDefinednessError,
 )
-from .ideals import DEFAULT_LATTICE_CAP, Ideal, _orbits, check_ideal
-from .spans import Carrier, Subset, check_closed, cyclic_masks
+from .ideals import DEFAULT_LATTICE_CAP, Ideal, check_ideal
+from .spans import Carrier, Subset, check_closed, cyclic_masks, prime_pair
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
                          as_square_table, as_table, distributive_witness)
 
@@ -61,6 +64,8 @@ class Bimodule(Carrier):
 
     __slots__ = ("order", "add", "zero", "left_ring", "left_act", "right_ring", "right_act",
                  "name", "ambient_ring", "ambient_index", "_cache")
+    SIDEDNESS = {"left": ("left",), "right": ("right",), "bi": ("left", "right")}
+    SIDEDNESS_TEXT = "'left', 'right' or 'bi'"
 
     def __init__(self, add, zero: int, left_ring, left_act, right_ring, right_act,
                  labels=None, name: str | None = None, label_fn=None,
@@ -88,8 +93,16 @@ class Bimodule(Carrier):
                           name=self.name, module=self)
 
     def right_view(self) -> ModuleView:
-        return ModuleView(self.right_ring, "right", self.add, self.right_act.T, self.zero,
+        return ModuleView(self.right_ring, "right", self.add, self.action("right")[1], self.zero,
                           name=self.name, module=self)
+
+    def action(self, side: str) -> tuple:
+        """(acting ring, act) with act[r] r acting on every element: the left
+        table as stored, the right one transposed."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return ((self.left_ring, self.left_act) if side == "left"
+                else (self.right_ring, self.right_act.T))
 
     def __repr__(self) -> str:
         return f"<Bimodule {self.name} order={self.order} over ({self.left_ring.name}, {self.right_ring.name})>"
@@ -105,6 +118,8 @@ class ModuleView(Carrier):
     """
 
     __slots__ = ("ring", "side", "add", "act", "zero", "order", "name", "module", "_cache")
+    SIDEDNESS = {"left": ("left",), "right": ("right",)}    # only its own side has an action
+    SIDEDNESS_TEXT = "'left' or 'right'"
 
     def __init__(self, ring, side: str, add, act, zero: int,
                  labels=None, name: str | None = None, label_fn=None, module: Bimodule | None = None):
@@ -127,10 +142,11 @@ class ModuleView(Carrier):
             self._present(None, module.label, module.addgroup)
             self._cache = module._cache
 
-    @property
-    def actions(self) -> list:
-        """The view's action, as ``check_closed`` takes it."""
-        return [(self.side, self.act, self.ring.addgroup.generators)]
+    def action(self, side: str) -> tuple:
+        """(ring, act) on the view's own side; ValueError for the other."""
+        if side != self.side:
+            raise ValueError(f"{self!r} has no {side} action")
+        return self.ring, self.act
 
     def __repr__(self) -> str:
         return f"<ModuleView {self.side} {self.name} over {self.ring.name}>"
@@ -233,8 +249,7 @@ def zero_bimodule(left_ring, right_ring, name: str | None = None) -> Bimodule:
 # -- validation -----------------------------------------------------------------
 
 
-def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray,
-                  tag: str, right_side: bool) -> None:
+def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray, tag: str) -> None:
     """Append one violation per failed unital-action law.
 
     ``act`` is normalized (row per ring element). For a right action the
@@ -256,7 +271,7 @@ def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray,
         violations.append(Violation(f"{tag}-additive-in-module", w))
     for r1 in range(ring.order):
         composed = act[ring.mul[r1]]                  # (r1*r2) acting, rows over r2
-        staged = act[:, act[r1]] if right_side else act[r1][act]
+        staged = act[:, act[r1]] if tag == "right" else act[r1][act]
         if (composed != staged).any():
             r2, x = map(int, np.argwhere(composed != staged)[0])
             violations.append(Violation(f"{tag}-associative", (r1, r2, x)))
@@ -273,8 +288,8 @@ def validate_bimodule(mod: Bimodule) -> ValidationReport:
         violations.append(Violation("additive-identity", (zero,)))
     violations.extend(abelian_group_violations(add))
 
-    _check_action(violations, add, mod.left_ring, mod.left_act, "left", right_side=False)
-    _check_action(violations, add, mod.right_ring, mod.right_act.T, "right", right_side=True)
+    for side in ("left", "right"):
+        _check_action(violations, add, *mod.action(side), side)
 
     # The two actions must commute: (l.x).r == l.(x.r).
     for l in range(mod.left_ring.order):
@@ -300,18 +315,13 @@ def _raise_unless_closed(verdict: Verdict) -> None:
 
 def verify_submodule(module: Bimodule, mask: int, sidedness: str) -> Submodule:
     """Check closure for the named sidedness (``check_closed``) and wrap the mask."""
-    if sidedness not in ("left", "right", "bi"):
-        raise ValueError(f"sidedness must be 'left', 'right' or 'bi', got {sidedness!r}")
-    actions = [(side, act, ring.addgroup.generators) for side, act, ring in
-               (("left", module.left_act, module.left_ring),
-                ("right", module.right_act.T, module.right_ring)) if sidedness in (side, "bi")]
-    _raise_unless_closed(check_closed(module.addgroup, mask, actions))
+    _raise_unless_closed(check_closed(module, mask, sidedness))
     return Submodule(module, mask, sidedness)
 
 
 def verify_view_submodule(view: ModuleView, mask: int) -> int:
     """Check closure of a mask in a one-sided view (``check_closed``); return the mask."""
-    _raise_unless_closed(check_closed(view.addgroup, mask, view.actions))
+    _raise_unless_closed(check_closed(view, mask, view.side))
     return mask
 
 
@@ -321,7 +331,7 @@ def verify_view_submodule(view: ModuleView, mask: int) -> int:
 def cyclic_submodule(view: ModuleView, x: int) -> int:
     """Mask of the smallest one-sided submodule containing x: its orbit
     {r.x : r over the ring}, already closed under + and the action."""
-    return cyclic_masks(view.addgroup, view.orbits(view.side, view.act))[x]
+    return cyclic_masks(view, view.side)[x]
 
 
 def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
@@ -330,12 +340,7 @@ def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) 
     The distinct cyclic submodules are closed under pairwise join to a
     fixpoint; every submodule is a join of cyclic ones.
     """
-    key = ("submods", view.side, cap)
-    if key not in view._cache:
-        cyclic = cyclic_masks(view.addgroup, view.orbits(view.side, view.act))
-        view._cache[key] = view.addgroup.join_closure(
-            cyclic, cap, f"submodule ({view.side}) of {view.name} lattice")
-    return view._cache[key]
+    return view.lattice(view.side, cap, f"submodule ({view.side}) of {view.name} lattice")
 
 
 def enumerate_submodules(module: Bimodule, sidedness: str = "bi",
@@ -345,22 +350,8 @@ def enumerate_submodules(module: Bimodule, sidedness: str = "bi",
     Bisubmodules are the joins of the cyclic ones L.x.R, each the sum of
     the orbits (g.x)R over the left ring's additive generators g.
     """
-    if sidedness == "bi":
-        key = ("bisubmods", cap)
-        if key not in module._cache:
-            right = module.right_act.T
-            between = (module.left_act[module.left_ring.addgroup.generators],
-                       right[module.right_ring.addgroup.generators])
-            cyclic = cyclic_masks(module.addgroup, module.orbits("right", right), between)
-            module._cache[key] = module.addgroup.join_closure(
-                cyclic, cap, f"bisubmodule of {module.name} lattice")
-        masks = module._cache[key]
-    elif sidedness == "left":
-        masks = enumerate_view_submodules(module.left_view(), cap)
-    elif sidedness == "right":
-        masks = enumerate_view_submodules(module.right_view(), cap)
-    else:
-        raise ValueError(f"sidedness must be 'left', 'right' or 'bi', got {sidedness!r}")
+    what = "bisubmodule" if sidedness == "bi" else f"submodule ({sidedness})"
+    masks = module.lattice(sidedness, cap, f"{what} of {module.name} lattice")
     return [Submodule(module, m, sidedness) for m in masks]
 
 
@@ -372,30 +363,14 @@ def is_prime_submodule(view: ModuleView, members: int | Submodule) -> Verdict:
 
     Left reading: r.(ring.x) inside N forces r.(whole module) inside N or x
     inside N; the right reading mirrors it with scalars on the other side.
-    Both conditions depend on r only through rR (Rr for a right view), so
-    the least r of each class is tested, in ascending order, which keeps
-    the witness the first failing (ring element, module element) pair. The
-    products in the middle only need the ring's additive generators, since
-    a full ring row is sums of those. Improper input raises NotProperError.
+    ``prime_pair`` decides it; the witness is the first failing (ring
+    element, module element) pair. Improper input raises NotProperError.
     """
     mask = as_mask(members)
-    m = view.order
-    if mask == full_mask(m):
+    if mask == full_mask(view.order):
         raise NotProperError("primeness is only defined for proper submodules")
-    inside = bool_array(mask, m)
-    ring = view.ring
-    gens = ring.addgroup.generators
-    on_left = view.side == "left"
-    classes, _ = _orbits(ring, "right" if on_left else "left")
-    _, least = np.unique(classes, return_index=True)     # ascending: classes number by first r
-    for r in least:
-        rows = inside[view.act[np.unique(ring.mul[r, gens] if on_left else ring.mul[gens, r])]]
-        if rows.all():                               # r sends the whole module into N
-            continue
-        bad = rows.all(axis=0) & ~inside             # per x: r.(ring.x) inside N
-        if bad.any():
-            return Verdict(False, (int(r), int(np.flatnonzero(bad)[0])))
-    return Verdict(True)
+    hit = prime_pair(view, view.side, bool_array(mask, view.order))
+    return Verdict(hit is None, hit)
 
 
 def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
@@ -456,8 +431,8 @@ def quotient_module(module: Bimodule, mask: int,
     reps, proj = module.addgroup.cosets(mask)
     q_add = proj[module.add[np.ix_(reps, reps)]]
 
-    def induced(act_rows: np.ndarray, ring, ring_pair) -> tuple[np.ndarray, object]:
-        # act_rows is normalized (|ring|, m).
+    def induced(side: str, ring_pair) -> tuple[np.ndarray, object]:
+        ring, act_rows = module.action(side)                # normalized (|ring|, m)
         if ring_pair is None:
             rows = proj[act_rows[:, reps]]
             return rows.astype(np.int32), ring
@@ -476,8 +451,8 @@ def quotient_module(module: Bimodule, mask: int,
             rows[q] = first
         return rows, new_ring
 
-    lact, lring = induced(module.left_act, module.left_ring, left)
-    ract_rows, rring = induced(module.right_act.T, module.right_ring, right)
+    lact, lring = induced("left", left)
+    ract_rows, rring = induced("right", right)
     labels = [module.label(int(r)) for r in reps]
     quotient = Bimodule(q_add, int(proj[module.zero]), lring, lact, rring, ract_rows.T,
                         labels=labels, name=f"{module.name}/sub{mask.bit_count()}")

@@ -38,6 +38,8 @@ class FiniteRing(Carrier):
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "name", "_cache")
+    SIDEDNESS = {"left": ("left",), "right": ("right",), "two": ("left", "right")}
+    SIDEDNESS_TEXT = f"one of {tuple(SIDEDNESS)}"
 
     def __init__(self, add, mul, zero: int, one: int, labels=None, name: str | None = None, label_fn=None):
         add = as_square_table(add, "add")
@@ -68,6 +70,13 @@ class FiniteRing(Carrier):
         for lo in range(0, k, step):
             if not ((self.add[lo:lo + step] == self.zero).sum(axis=1) == 1).all():
                 raise MalformedTableError("some element lacks a unique additive inverse")
+
+    def action(self, side: str) -> tuple:
+        """The ring over itself, as (ring, act) with act[r] r acting on every
+        element: ``mul`` on the left, ``mul.T`` on the right."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self, self.mul if side == "left" else self.mul.T
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"

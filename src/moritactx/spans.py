@@ -4,12 +4,13 @@ The whole package leans on one observation: a finite abelian group of order
 k is generated by at most log2(k) elements, and every product condition of
 the form "x * S * y lands inside an additively closed set" only needs to be
 checked on additive generators of S, because the products are biadditive.
-A ring's ideals are its submodules over itself, so the closure, orbit and
-cyclic kernels here serve rings and modules alike: they take action tables,
-``act[r]`` being r acting on every element, and assume unital additive
-actions, as every view the package builds has. The lattice join closure
-and the coset split used by every quotient live here too, as does
-``Carrier``, the labelling shared by rings and modules.
+A ring's ideals are its submodules over itself, so the kernels here (one
+closure check, one cyclic-submodule kernel, one prime scan) take any
+carrier and a side. Each carrier presents a side's action as
+``action(side)``: the acting ring and ``act``, ``act[r]`` being r acting on
+every element, so only there is a right action transposed. Actions are
+assumed unital and additive, as in every view the package builds. The
+lattice join closure and the coset split of quotients live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .bitsets import bool_array, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError
 from .validation import Verdict
 
-__all__ = ["AddGroup", "Carrier", "Subset", "check_closed", "orbit_classes", "cyclic_masks"]
+__all__ = ["AddGroup", "Carrier", "Subset", "check_closed", "orbit_classes", "cyclic_masks",
+           "prime_pair"]
 
 
 class AddGroup:
@@ -107,14 +109,15 @@ class AddGroup:
         seeds count against ``cap`` too: CapacityError, naming the lattice
         as ``what``, as soon as it would hold more than ``cap`` masks.
         """
-        seeds = set(seeds)
-        lattice = list(seeds)
+        sizes = {b: b.bit_count() for b in seeds}
+        lattice = list(sizes)
         by_size: dict[int, list[int]] = {}
         for m in lattice:
-            by_size.setdefault(m.bit_count(), []).append(m)
+            by_size.setdefault(sizes[m], []).append(m)
         gens: dict[int, np.ndarray] = {}
         for a in lattice:                           # grows as joins are found
-            for b in seeds:
+            size_a = a.bit_count()
+            for b, size_b in sizes.items():
                 # Checked before every pair: the seeds count, and a new
                 # mask always leaves one more join to run.
                 if len(lattice) > cap:
@@ -122,7 +125,7 @@ class AddGroup:
                 meet, ab = a & b, a | b
                 if meet in (a, b):                  # one contains the other
                     continue
-                size = a.bit_count() * b.bit_count() // meet.bit_count()
+                size = size_a * size_b // meet.bit_count()
                 if any(c & ab == ab for c in by_size.get(size, ())):
                     continue
                 if b not in gens:
@@ -149,15 +152,17 @@ class AddGroup:
         return self.generate(bool_array(mask, self.order))[0]
 
 
-def check_closed(group: AddGroup, mask: int, actions) -> Verdict:
-    """Is the mask a submodule: zero, closed under + and under each action?
+def check_closed(carrier, mask: int, sidedness: str) -> Verdict:
+    """Is the mask a submodule: zero, closed under + and under each action
+    ``sidedness`` names?
 
-    ``actions`` lists (side, act, gens), ``gens`` the acting ring's additive
-    generators. For additive actions it is decided at generator width: the
-    mask is the span of its generators, and each act[g] sends those inside.
-    A mask that fails is scanned in full for the lex-first witness:
-    ("zero",), ("add", a, b), ("left", r, x) or ("right", x, r).
+    For additive actions it is decided at generator width: the mask is the
+    span of its generators, and each act[g], g over the acting ring's
+    additive generators, sends those inside. A mask that fails is scanned
+    in full for the lex-first witness: ("zero",), ("add", a, b),
+    ("left", r, x) or ("right", x, r).
     """
+    group, actions = carrier.addgroup, carrier.actions(sidedness)
     inside = bool_array(mask, group.order)
     if not inside[group.zero]:
         return Verdict(False, ("zero",))
@@ -205,30 +210,65 @@ def orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return classes, [int.from_bytes(row, "little") for row in keys]
 
 
-def cyclic_masks(group: AddGroup, orbits, between=None) -> list[int]:
-    """Mask of the submodule each element x generates.
+def cyclic_masks(carrier, sidedness: str) -> list[int]:
+    """Mask of the submodule each element x generates (cached).
 
-    One-sided, it is x's orbit, with ``orbits`` from ``orbit_classes``; no
-    span. Two-sided, ``between`` holds the first and last action's rows at
-    their rings' additive generators g and h, and ``orbits`` are the last
-    action's: the submodule is the sum of the orbits of the g.x, spanned
-    once per sorted set of their classes, from the g.x.h of its least x.
+    One-sided, it is x's orbit; no span. Two-sided, it is the sum of the
+    right orbits of the g.x, g over the left ring's additive generators:
+    spanned once per sorted set of their classes, from the g.x.h of its
+    least x, h over the right ring's additive generators.
     """
-    classes, masks = orbits
-    if between is not None:
-        first, last = between
-        classes, _ = _classes(np.sort(classes[first].T, axis=1))     # of the g.x
-        _, least = np.unique(classes, return_index=True)
-        masks = [group.span_mask(last[:, first[:, x]]) for x in least]
-    return [masks[c] for c in classes]
+    key = ("cyclic", sidedness)
+    if key not in carrier._cache:
+        actions = carrier.actions(sidedness)
+        classes, masks = carrier.orbits(actions[-1][0])
+        if len(actions) == 2:
+            (_, first, g), (_, last, h) = actions
+            first, last = first[g], last[h]
+            classes, _ = _classes(np.sort(classes[first].T, axis=1))     # of the g.x
+            _, least = np.unique(classes, return_index=True)
+            masks = [carrier.addgroup.span_mask(last[:, first[:, x]]) for x in least]
+        carrier._cache[key] = [masks[c] for c in classes]
+    return carrier._cache[key]
+
+
+def prime_pair(carrier, side: str, inside: np.ndarray,
+               eligible: np.ndarray | None = None) -> tuple[int, int] | None:
+    """First (r, x) refuting primeness of the submodule ``inside`` under the
+    ``side`` action: r.(R.x) lies inside, x does not, and r does not send
+    the whole carrier inside. None when the submodule is prime.
+
+    r.(R.x) = (rR).x on the left, (Rr).x on the right, so the least r of
+    each class there is tested, in ascending order: the witness stays
+    lex-first. The middle products only need the ring's additive
+    generators. With ``eligible``, r runs over the eligible elements and
+    none is skipped: an ideal of T over itself, read elementwise (a*T*b
+    inside forces a or b inside), passes ``~inside``.
+    """
+    ring, act = carrier.action(side)
+    other = "right" if side == "left" else "left"
+    _, mid = ring.action(other)
+    gens = ring.addgroup.generators
+    classes, _ = ring.orbits(other)
+    pool = np.arange(ring.order) if eligible is None else np.flatnonzero(eligible)
+    _, first = np.unique(classes[pool], return_index=True)
+    for r in np.sort(pool[first]):
+        rows = inside[act[np.unique(mid[gens, r])]]
+        if eligible is None and rows.all():         # r sends the whole carrier inside
+            continue
+        bad = rows.all(axis=0) & ~inside            # per x: r.(R.x) inside
+        if bad.any():
+            return int(r), int(np.flatnonzero(bad)[0])
+    return None
 
 
 class Carrier:
-    """Labels, subset formatting and the additive group of an indexed carrier.
+    """Labels, subset formatting, additive group and actions of a carrier.
 
     Rings and modules share this presentation. Subclasses set ``order``,
-    ``add``, ``zero`` and ``_cache`` and call ``_present``: an explicit
-    label tuple wins over ``label_fn``, which wins over the bare index.
+    ``add``, ``zero`` and ``_cache``, call ``_present`` (an explicit label
+    tuple wins over ``label_fn``, which wins over the bare index), define
+    ``action(side)`` and map each sidedness to its sides in ``SIDEDNESS``.
     """
 
     __slots__ = ("_labels", "_label_fn", "_addgroup")
@@ -257,11 +297,31 @@ class Carrier:
             self._addgroup = AddGroup(self.add, self.zero)
         return self._addgroup
 
-    def orbits(self, side: str, act: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """``orbit_classes`` of this carrier's ``side`` action ``act``, cached."""
+    def actions(self, sidedness: str) -> list:
+        """(side, act, acting ring's additive generators) for each side
+        ``sidedness`` names; ValueError for a sidedness this carrier lacks."""
+        if sidedness not in self.SIDEDNESS:
+            raise ValueError(f"sidedness must be {self.SIDEDNESS_TEXT}, got {sidedness!r}")
+        out = []
+        for side in self.SIDEDNESS[sidedness]:
+            ring, act = self.action(side)
+            out.append((side, act, ring.addgroup.generators))
+        return out
+
+    def orbits(self, side: str) -> tuple[np.ndarray, list[int]]:
+        """``orbit_classes`` of this carrier's ``side`` action, cached."""
         key = ("orbits", side)
         if key not in self._cache:
-            self._cache[key] = orbit_classes(act)
+            self._cache[key] = orbit_classes(self.action(side)[1])
+        return self._cache[key]
+
+    def lattice(self, sidedness: str, cap: int, what: str) -> list[int]:
+        """Every submodule mask of the sidedness, sorted by (size, mask): the
+        join closure of the cyclic ones, cached. ``what`` names the lattice
+        in a CapacityError."""
+        key = ("lattice", sidedness, cap)
+        if key not in self._cache:
+            self._cache[key] = self.addgroup.join_closure(cyclic_masks(self, sidedness), cap, what)
         return self._cache[key]
 
     def format_subset(self, mask: int) -> str:

@@ -45,7 +45,6 @@ from moritactx import (NotASubmoduleError, battery_names, build_context_ring, bu
                        verify_submodule)
 from moritactx.bitsets import bool_array, is_subset
 from moritactx.context import _pair_views
-from moritactx.ideals import _principal_masks
 from moritactx.modules import enumerate_view_submodules, verify_view_submodule
 from moritactx.spans import AddGroup, cyclic_masks
 
@@ -94,7 +93,7 @@ def test_principal_masks_and_lattices_match_the_span_routes(name):
     ring = _ring(name)
     for side in SIDES:
         spans = span_principal_masks(ring, side)
-        assert _principal_masks(ring, side) == spans, (name, side)
+        assert cyclic_masks(ring, side) == spans, (name, side)
         assert _lattice(ring, side) == plain_join_closure(ring.addgroup, spans), (name, side)
 
 
@@ -120,7 +119,7 @@ def test_one_sided_lattices_match_the_plain_join_closure(name):
     # the lattices: the full-scan comparisons on CONTEXTS would cost far more.
     ring = _ring(name)
     for side in ("left", "right"):
-        spans = _principal_masks(ring, side)
+        spans = cyclic_masks(ring, side)
         assert _lattice(ring, side) == plain_join_closure(ring.addgroup, spans), (name, side)
 
 
@@ -162,9 +161,9 @@ def test_kernels_match_the_full_table_routes_on_ex2_4():
     # full scans would dominate the suite's time.
     ring = _ring("paper:ex2.4")
     for side in ("right", "two"):
-        assert _principal_masks(ring, side) == span_principal_masks(ring, side), side
+        assert cyclic_masks(ring, side) == span_principal_masks(ring, side), side
     lattice = _lattice(ring, "two")
-    assert lattice == plain_join_closure(ring.addgroup, _principal_masks(ring, "two"))
+    assert lattice == plain_join_closure(ring.addgroup, cyclic_masks(ring, "two"))
     _assert_checks_agree(ring, lattice, ("two",))
     _assert_checks_agree(ring, _non_ideals(ring, lattice), ("two",))
     _assert_scans_agree(ring, "two")
@@ -204,10 +203,7 @@ def _actions(module, side: str):
 
 
 def _bicyclic_masks(module) -> list[int]:
-    right = module.right_act.T
-    between = (module.left_act[module.left_ring.addgroup.generators],
-               right[module.right_ring.addgroup.generators])
-    return cyclic_masks(module.addgroup, module.orbits("right", right), between)
+    return cyclic_masks(module, "bi")
 
 
 @pytest.mark.parametrize("name", MODULE_CONTEXTS)

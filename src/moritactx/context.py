@@ -50,7 +50,8 @@ from .modules import (
 )
 from .rings import FiniteRing, RingMap, quotient_ring, verify_ring_map
 from .spans import check_closed
-from .validation import ValidationReport, Verdict, Violation, as_table
+from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_second,
+                         as_table, associative, violations_of)
 
 __all__ = [
     "MoritaContext",
@@ -161,44 +162,26 @@ class MoritaContext:
 def validate_context(ctx: MoritaContext) -> ValidationReport:
     """Exhaustively check the pairing laws (and re-check both bimodules).
 
-    Twelve laws: biadditivity in each argument of each pairing, linearity
-    over the four ring actions, the two balance laws across the middle
-    ring, and the two mixed associativity laws. Together with the bimodule
-    axioms these make the 2×2-array multiplication associative, so no
-    cubic check on the built ring is needed.
+    Twelve laws read off the 2×2 rule (``_rule``): biadditivity of each
+    pairing, and associativity on the eight slot triples with a pairing in
+    them (linearity over the four ring actions, two balance laws, two mixed
+    associativity laws). With the bimodule axioms these make the rule
+    associative, so no cubic check on the built ring is needed.
     """
     violations: list[Violation] = []
     for tag, mod in (("v", ctx.mod_v), ("w", ctx.mod_w)):
         sub = validate_bimodule(mod)
         violations.extend(Violation(f"{tag}:{v.law}", v.witness) for v in sub.violations)
+    rule, adds = _rule(ctx), [c.add for c in _carriers(ctx)]
 
-    P, Q = ctx.prod_vw, ctx.prod_wv
-    R, S = ctx.ring_r, ctx.ring_s
-    V, W = ctx.mod_v, ctx.mod_w
-    kr, mv, mw, ks = ctx.dims
+    def witness(x: int, y: int, z: int) -> tuple | None:
+        if x == y:
+            return additive_first(rule[y, z], adds[x], adds[_lands(y, z)])
+        if y == z:
+            return additive_second(rule[x, y], adds[y], adds[_lands(x, y)])
+        return associative(rule[x, y], rule[y, z], rule[_lands(x, y), z], rule[x, _lands(y, z)])
 
-    def check(law: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        diff = lhs != rhs
-        if diff.any():
-            violations.append(Violation(law, tuple(int(x) for x in np.argwhere(diff)[0])))
-
-    # (v1+v2)w = v1w + v2w and the three siblings
-    check("vw-additive-first", P[V.add], R.add[P[:, None, :], P[None, :, :]])
-    check("vw-additive-second", P[:, W.add], R.add[P[:, :, None], P[:, None, :]])
-    check("wv-additive-first", Q[W.add], S.add[Q[:, None, :], Q[None, :, :]])
-    check("wv-additive-second", Q[:, V.add], S.add[Q[:, :, None], Q[:, None, :]])
-    # (rv)w = r(vw), v(wr) = (vw)r, and the mirror pair for the second ring
-    check("vw-left-linear", P[V.left_act], R.mul[:, P.ravel()].reshape(kr, mv, mw))
-    check("vw-right-linear", P[:, W.right_act], R.mul[P.ravel(), :].reshape(mv, mw, kr))
-    check("wv-left-linear", Q[W.left_act], S.mul[:, Q.ravel()].reshape(ks, mw, mv))
-    check("wv-right-linear", Q[:, V.right_act], S.mul[Q.ravel(), :].reshape(mw, mv, ks))
-    # (vs)w = v(sw) and (wr)v = w(rv)
-    check("vw-balanced", P[V.right_act], P[:, W.left_act])
-    check("wv-balanced", Q[W.right_act], Q[:, V.left_act])
-    # (vw)v' = v(wv') and (wv)w' = w(vw')
-    check("vwv-associative", V.left_act[P], V.right_act[:, Q])
-    check("wvw-associative", W.left_act[Q], W.right_act[:, P])
-
+    violations += violations_of((law, witness(x, y, z)) for law, x, y, z in _PAIRING_LAWS)
     return ValidationReport(f"context {ctx.name}", tuple(violations))
 
 
@@ -346,20 +329,53 @@ class _SlotProduct(NamedTuple):
     carrier_first: bool
 
 
+def _rule(ctx: MoritaContext) -> dict:
+    """The 2×2 rule's eight nonzero slot products: ``rule[x, y][a, b]`` is
+    a·b for a in slot x and b in slot y, landing in slot ``_lands(x, y)``."""
+    V, W = ctx.mod_v, ctx.mod_w
+    return {(_R, _R): ctx.ring_r.mul, (_R, _V): V.left_act, (_V, _W): ctx.prod_vw,
+            (_V, _S): V.right_act, (_W, _R): W.right_act, (_W, _V): ctx.prod_wv,
+            (_S, _W): W.left_act, (_S, _S): ctx.ring_s.mul}
+
+
+def _lands(x: int, y: int) -> int:
+    """Slot (i, j) is number 2i + j, and (i, j)·(j, k) lands in (i, k)."""
+    return (x & 2) | (y & 1)
+
+
+# The pairing laws as (law, x, y, z), x, y, z the slots of the witness:
+# (x, x, z) is x·z additive in x, (x, z, z) additive in z, and any other
+# triple the associativity of the rule on x·y·z.
+_PAIRING_LAWS = (
+    ("vw-additive-first", _V, _V, _W),          # (v1+v2)w = v1w + v2w
+    ("vw-additive-second", _V, _W, _W),
+    ("wv-additive-first", _W, _W, _V),
+    ("wv-additive-second", _W, _V, _V),
+    ("vw-left-linear", _R, _V, _W),             # (rv)w = r(vw)
+    ("vw-right-linear", _V, _W, _R),
+    ("wv-left-linear", _S, _W, _V),
+    ("wv-right-linear", _W, _V, _S),
+    ("vw-balanced", _V, _S, _W),                # (vs)w = v(sw)
+    ("wv-balanced", _W, _R, _V),
+    ("vwv-associative", _V, _W, _V),            # (vw)v' = v(wv')
+    ("wvw-associative", _W, _V, _W),
+)
+
+
 def _slot_products(ctx: MoritaContext) -> tuple[_SlotProduct, ...]:
     """The eight cross-slot products of the 2×2 rule. A slotted ideal is
     closed under each (its law), and a one-sided ideal's blocks carry each
     other through the four with the carrier on its absorbing side."""
-    V, W, P, Q = ctx.mod_v, ctx.mod_w, ctx.prod_vw, ctx.prod_wv
+    rule = _rule(ctx)
     return (
-        _SlotProduct("v_part*W<=r_part", _V, _R, P, _W, False),
-        _SlotProduct("w_part*V<=s_part", _W, _S, Q, _V, False),
-        _SlotProduct("r_part*V<=v_part", _R, _V, V.action("left")[1], _V, False),
-        _SlotProduct("s_part*W<=w_part", _S, _W, W.action("left")[1], _W, False),
-        _SlotProduct("V*w_part<=r_part", _W, _R, P.T, _V, True),
-        _SlotProduct("W*v_part<=s_part", _V, _S, Q.T, _W, True),
-        _SlotProduct("V*s_part<=v_part", _S, _V, V.action("right")[1], _V, True),
-        _SlotProduct("W*r_part<=w_part", _R, _W, W.action("right")[1], _W, True),
+        _SlotProduct("v_part*W<=r_part", _V, _R, rule[_V, _W], _W, False),
+        _SlotProduct("w_part*V<=s_part", _W, _S, rule[_W, _V], _V, False),
+        _SlotProduct("r_part*V<=v_part", _R, _V, rule[_R, _V], _V, False),
+        _SlotProduct("s_part*W<=w_part", _S, _W, rule[_S, _W], _W, False),
+        _SlotProduct("V*w_part<=r_part", _W, _R, rule[_V, _W].T, _V, True),
+        _SlotProduct("W*v_part<=s_part", _V, _S, rule[_W, _V].T, _W, True),
+        _SlotProduct("V*s_part<=v_part", _S, _V, rule[_V, _S].T, _V, True),
+        _SlotProduct("W*r_part<=w_part", _R, _W, rule[_W, _R].T, _W, True),
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bitsets import full_mask
 from .context import MoritaContext, build_ks_context, quadruple_mask, validate_context
-from .errors import MctxError, NotASubmoduleError, ValidationFailedError
+from .errors import MctxError, NotASubmoduleError
 from .modules import (
     Bimodule,
     residue_bimodule,
@@ -43,6 +43,7 @@ from .modules import (
     zero_bimodule,
 )
 from .rings import make_zn, ring_from_tables
+from .validation import require_ok
 
 __all__ = [
     "CarrierSpec",
@@ -442,11 +443,7 @@ def _module_from_spec(key: str, spec: CarrierSpec, left_ring, right_ring) -> Bim
                    left_ring, _rows_array(tables["leftact"], f"{key} leftact"),
                    right_ring, _rows_array(tables["rightact"], f"{key} rightact"),
                    name=key)
-    report = validate_bimodule(mod)
-    if not report.ok:
-        raise ValidationFailedError(
-            f"carrier {key} does not satisfy the bimodule laws: "
-            + "; ".join(str(v) for v in report.violations), report)
+    require_ok(validate_bimodule(mod), f"carrier {key} does not satisfy the bimodule laws: ")
     return mod
 
 
@@ -551,11 +548,7 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
         pair_wv = pairing("WV", doc.prod_wv, mod_w, mod_v, ring_s)
 
         ctx = MoritaContext(base, ring_s, mod_v, mod_w, pair_vw, pair_wv, name=doc.name)
-        report = validate_context(ctx)
-        if not report.ok:
-            raise ValidationFailedError(
-                "resolved context does not satisfy the pairing laws: "
-                + "; ".join(str(v) for v in report.violations), report)
+        require_ok(validate_context(ctx), "resolved context does not satisfy the pairing laws: ")
 
     named: dict[str, NamedIdeal] = {}
     for spec in doc.ideals:

@@ -23,13 +23,13 @@ from .errors import (
     MalformedTableError,
     NotASubmoduleError,
     NotProperError,
-    ValidationFailedError,
     WellDefinednessError,
 )
 from .ideals import DEFAULT_LATTICE_CAP, Ideal, check_ideal
 from .spans import Carrier, Subset, check_closed, cyclic_masks, prime_pair
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
-                         as_square_table, as_table, distributive_witness)
+                         additive_first, additive_second, as_square_table, as_table, associative,
+                         law_witness, require_ok, violations_of)
 
 __all__ = [
     "Bimodule",
@@ -72,6 +72,8 @@ class Bimodule(Carrier):
                  ambient_ring=None, ambient_index=None):
         add = as_square_table(add, "module add")
         m = add.shape[0]
+        if not 0 <= zero < m:
+            raise MalformedTableError(f"zero index out of range for order {m}")
         self.order = m
         self.add = add
         self.zero = int(zero)
@@ -231,13 +233,7 @@ def residue_bimodule(g: int, left_ring, right_ring, name: str | None = None) -> 
     ract = (idx[:, None] * rvals[None, :]) % g
     mod = Bimodule(add, 0, left_ring, lact, right_ring, ract,
                    labels=[str(i) for i in range(g)], name=name or f"Z{g}-residue")
-    report = validate_bimodule(mod)
-    if not report.ok:
-        raise ValidationFailedError(
-            f"reduction mod {g} is not compatible with the acting rings: "
-            + "; ".join(str(v) for v in report.violations),
-            report,
-        )
+    require_ok(validate_bimodule(mod), f"reduction mod {g} is not compatible with the acting rings: ")
     return mod
 
 
@@ -249,58 +245,37 @@ def zero_bimodule(left_ring, right_ring, name: str | None = None) -> Bimodule:
 # -- validation -----------------------------------------------------------------
 
 
-def _check_action(violations: list, add: np.ndarray, ring, act: np.ndarray, tag: str) -> None:
-    """Append one violation per failed unital-action law.
-
-    ``act`` is normalized (row per ring element). For a right action the
-    composition order flips: x.(r1*r2) stages r1 first, then r2.
-    """
-    m = add.shape[0]
-    idx = np.arange(m, dtype=np.int32)
-    if (act[ring.one] != idx).any():
-        violations.append(Violation(f"{tag}-unital", (int(np.flatnonzero(act[ring.one] != idx)[0]),)))
-    for r1 in range(ring.order):
-        lhs = act[ring.add[r1]]                       # (r1+r2) . x, rows over r2
-        rhs = add[act[r1][None, :], act]              # r1.x + r2.x
-        if (lhs != rhs).any():
-            r2, x = map(int, np.argwhere(lhs != rhs)[0])
-            violations.append(Violation(f"{tag}-additive-in-ring", (r1, r2, x)))
-            break
-    w = distributive_witness(add, act)               # r . (x+y) = r.x + r.y
-    if w:
-        violations.append(Violation(f"{tag}-additive-in-module", w))
-    for r1 in range(ring.order):
-        composed = act[ring.mul[r1]]                  # (r1*r2) acting, rows over r2
-        staged = act[:, act[r1]] if tag == "right" else act[r1][act]
-        if (composed != staged).any():
-            r2, x = map(int, np.argwhere(composed != staged)[0])
-            violations.append(Violation(f"{tag}-associative", (r1, r2, x)))
-            break
-
-
 def validate_bimodule(mod: Bimodule) -> ValidationReport:
-    """Exhaustively check the bimodule axioms; one witness per failed law."""
-    violations: list[Violation] = []
-    add, zero = mod.add, mod.zero
-    idx = np.arange(mod.order, dtype=np.int32)
+    """Exhaustively check the bimodule axioms; one witness per failed law.
 
-    if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
-        violations.append(Violation("additive-identity", (zero,)))
-    violations.extend(abelian_group_violations(add))
-
-    for side in ("left", "right"):
-        _check_action(violations, add, *mod.action(side), side)
-
-    # The two actions must commute: (l.x).r == l.(x.r).
-    for l in range(mod.left_ring.order):
-        lhs = mod.right_act[mod.left_act[l]]          # (m, kR)
-        rhs = mod.left_act[l][mod.right_act]
-        if (lhs != rhs).any():
-            x, r = map(int, np.argwhere(lhs != rhs)[0])
-            violations.append(Violation("actions-commute", (l, x, r)))
-            break
-
-    return ValidationReport(f"bimodule {mod.name}", tuple(violations))
+    Each side's laws read ``action(side)``. The tables are read-only, so
+    the violations are found once per module and kept in its cache; the
+    subject line names the module as it is called now.
+    """
+    if "violations" not in mod._cache:
+        add, zero = mod.add, mod.zero
+        idx = np.arange(mod.order, dtype=np.int32)
+        violations: list[Violation] = []
+        if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
+            violations.append(Violation("additive-identity", (zero,)))
+        violations.extend(abelian_group_violations(add))
+        for side in ("left", "right"):
+            ring, act = mod.action(side)
+            unital = np.flatnonzero(act[ring.one] != idx)
+            if unital.size:
+                violations.append(Violation(f"{side}-unital", (int(unital[0]),)))
+            # (r1*r2) acts as r2 then r1 on the left, r1 then r2 on the right
+            staged = (associative(ring.mul, act, act, act) if side == "left" else
+                      law_witness(ring.order, lambda r1: act[ring.mul[r1]],
+                                  lambda r1: act[:, act[r1]]))
+            violations += violations_of([
+                (f"{side}-additive-in-ring", additive_first(act, ring.add, add)),
+                (f"{side}-additive-in-module", additive_second(act, add, add)),
+                (f"{side}-associative", staged)])
+        violations += violations_of([("actions-commute", associative(      # (l.x).r = l.(x.r)
+            mod.left_act, mod.right_act, mod.right_act, mod.left_act))])
+        mod._cache["violations"] = tuple(violations)
+    return ValidationReport(f"bimodule {mod.name}", mod._cache["violations"])
 
 
 def _raise_unless_closed(verdict: Verdict) -> None:

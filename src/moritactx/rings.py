@@ -17,7 +17,8 @@ from .errors import InvalidOrderError, MalformedTableError
 from .ideals import verify_ideal
 from .spans import Carrier
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
-                         as_square_table, as_table, assoc_witness, distributive_witness)
+                         additive_second, as_square_table, as_table, associative, require_ok,
+                         violations_of)
 
 __all__ = [
     "FiniteRing",
@@ -116,37 +117,39 @@ def make_zn(n: int) -> FiniteRing:
     return FiniteRing(add, mul, zero=0, one=1, labels=[str(i) for i in range(n)], name=f"Z{n}")
 
 
+def _identity(table: np.ndarray) -> int | None:
+    """The least e whose row and column in ``table`` both fix every element."""
+    idx = np.arange(table.shape[0])
+    hits = np.flatnonzero((table == idx).all(axis=1) & (table == idx[:, None]).all(axis=0))
+    return int(hits[0]) if hits.size else None
+
+
 def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> ValidationReport:
     """Exhaustively check the unital-ring axioms on raw tables.
 
     ``zero``/``one`` are inferred by scanning when not supplied. Shape or
-    range problems raise MalformedTableError; axiom failures come back as
-    violations with one witness each.
+    range problems, supplied indices among them, raise MalformedTableError;
+    axiom failures come back as violations with one witness each.
     """
     add = as_square_table(add, "add")
     k = add.shape[0]
     mul = as_table(mul, k, k, "mul")
+    if not all(i is None or 0 <= i < k for i in (zero, one)):
+        raise MalformedTableError(f"zero/one indices out of range for order {k}")
     idx = np.arange(k, dtype=np.int32)
+    zero = _identity(add) if zero is None else zero
+    if zero is None:
+        return ValidationReport("ring", (Violation("additive-identity", ("no candidate",)),))
+
     violations: list[Violation] = []
-
-    if zero is None:
-        hits = [z for z in range(k) if (add[z] == idx).all() and (add[:, z] == idx).all()]
-        zero = hits[0] if hits else None
-    if zero is None:
-        violations.append(Violation("additive-identity", ("no candidate",)))
-        return ValidationReport("ring", tuple(violations))
-
-    if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
-        bad = int(np.flatnonzero(add[zero] != idx)[0])
-        violations.append(Violation("additive-identity", (zero, bad)))
+    bad = np.flatnonzero(np.concatenate([add[zero] != idx, add[:, zero] != idx]))
+    if bad.size:                                 # first bad entry of row zero, else of its column
+        violations.append(Violation("additive-identity", (zero, int(bad[0]) % k)))
     violations.extend(abelian_group_violations(add))
-    w = assoc_witness(mul)
-    if w:
-        violations.append(Violation("multiplicative-associativity", w))
+    violations += violations_of([("multiplicative-associativity",
+                                  associative(mul, mul, mul, mul))])
 
-    if one is None:
-        hits = [e for e in range(k) if (mul[e] == idx).all() and (mul[:, e] == idx).all()]
-        one = hits[0] if hits else None
+    one = _identity(mul) if one is None else one
     if one is None:
         violations.append(Violation("multiplicative-identity", ("no candidate",)))
     else:
@@ -155,34 +158,19 @@ def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> 
         if one == zero:
             violations.append(Violation("identity-distinct", (zero,)))
 
-    w = distributive_witness(add, mul)           # a*(b+c) = a*b + a*c
-    if w:
-        violations.append(Violation("left-distributivity", w))
-    w = distributive_witness(add, mul.T)         # (b+c)*a = b*a + c*a
-    if w:
-        a, b, c = w
-        violations.append(Violation("right-distributivity", (b, c, a)))
-
+    right = additive_second(mul.T, add, add)     # a, b, c with (b+c)*a != b*a + c*a
+    violations += violations_of([("left-distributivity", additive_second(mul, add, add)),
+                                 ("right-distributivity", right and (*right[1:], right[0]))])
     return ValidationReport("ring", tuple(violations))
 
 
 def ring_from_tables(add, mul, zero: int | None = None, one: int | None = None,
                      labels=None, name: str | None = None) -> FiniteRing:
     """Validating constructor for user-supplied tables."""
-    from .errors import ValidationFailedError
-
-    report = validate_ring(add, mul, zero, one)
-    if not report.ok:
-        raise ValidationFailedError("ring axioms failed: " + "; ".join(str(v) for v in report.violations), report)
-    add = as_table(add, None, None, "add")
-    k = add.shape[0]
-    idx = np.arange(k, dtype=np.int32)
-    mul = as_table(mul, k, k, "mul")
-    if zero is None:
-        zero = next(z for z in range(k) if (add[z] == idx).all())
-    if one is None:
-        one = next(e for e in range(k) if (mul[e] == idx).all() and (mul[:, e] == idx).all())
-    return FiniteRing(add, mul, zero, one, labels=labels, name=name)
+    require_ok(validate_ring(add, mul, zero, one), "ring axioms failed: ")
+    add, mul = as_square_table(add, "add"), as_square_table(mul, "mul")
+    return FiniteRing(add, mul, _identity(add) if zero is None else zero,
+                      _identity(mul) if one is None else one, labels=labels, name=name)
 
 
 def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:

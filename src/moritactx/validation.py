@@ -1,4 +1,6 @@
-"""Shared result types, raw-table normalization and the group-axiom block."""
+"""Shared result types, raw-table normalization and the law kernel: one
+witness search (``law_witness``) in the three shapes every ring, bimodule
+and pairing law takes."""
 
 from __future__ import annotations
 
@@ -6,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedTableError
+from .errors import MalformedTableError, ValidationFailedError
 
 __all__ = [
     "Violation",
@@ -14,8 +16,12 @@ __all__ = [
     "Verdict",
     "as_table",
     "as_square_table",
-    "assoc_witness",
-    "distributive_witness",
+    "law_witness",
+    "associative",
+    "additive_first",
+    "additive_second",
+    "violations_of",
+    "require_ok",
     "abelian_group_violations",
 ]
 
@@ -114,26 +120,45 @@ def as_square_table(data, what: str) -> np.ndarray:
     return arr
 
 
-def assoc_witness(table: np.ndarray) -> tuple | None:
-    """First (a, b, c) with (a.b).c != a.(b.c) in a square operation table."""
-    for a in range(table.shape[0]):
-        left = table[table[a], :]
-        right = table[a][table]
-        if (left != right).any():
-            b, c = map(int, np.argwhere(left != right)[0])
-            return (a, b, c)
+def law_witness(n: int, lhs, rhs) -> tuple | None:
+    """Lex-first (i, j, k) with ``lhs(i)[j, k] != rhs(i)[j, k]``, i below n,
+    computing both sides one 2-d slab i at a time, never a whole cube."""
+    for i in range(n):
+        diff = lhs(i) != rhs(i)
+        if diff.any():
+            j, k = map(int, np.argwhere(diff)[0])
+            return (i, j, k)
     return None
 
 
-def distributive_witness(add: np.ndarray, act: np.ndarray) -> tuple | None:
-    """First (a, x, y) with a.(x+y) != a.x + a.y, where row ``act[a]`` is a acting."""
-    for a in range(act.shape[0]):
-        left = act[a][add]
-        right = add[np.ix_(act[a], act[a])]
-        if (left != right).any():
-            x, y = map(int, np.argwhere(left != right)[0])
-            return (a, x, y)
-    return None
+def associative(ab: np.ndarray, bc: np.ndarray, ab_c: np.ndarray,
+                a_bc: np.ndarray) -> tuple | None:
+    """First (a, b, c) with (a·b)·c != a·(b·c): ``ab[a, b]`` is a·b, ``bc[b, c]``
+    is b·c, and ``ab_c``, ``a_bc`` multiply those products by c and by a."""
+    return law_witness(ab.shape[0], lambda a: ab_c[ab[a]], lambda a: a_bc[a][bc])
+
+
+def additive_first(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray) -> tuple | None:
+    """First (x, y, z) with (x+y)·z != x·z + y·z, where ``op[x, z]`` is x·z."""
+    return law_witness(add_in.shape[0], lambda x: op[add_in[x]],
+                       lambda x: add_out[op[x][None, :], op])
+
+
+def additive_second(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray) -> tuple | None:
+    """First (x, y, z) with x·(y+z) != x·y + x·z, where ``op[x, y]`` is x·y."""
+    return law_witness(op.shape[0], lambda x: op[x][add_in],
+                       lambda x: add_out[op[x][:, None], op[x][None, :]])
+
+
+def violations_of(witnesses) -> list[Violation]:
+    """A Violation for each (law, witness) pair that found a witness."""
+    return [Violation(law, w) for law, w in witnesses if w is not None]
+
+
+def require_ok(report: ValidationReport, message: str) -> None:
+    """Raise ValidationFailedError, ``message`` then the violations, unless ``report`` is ok."""
+    if not report.ok:
+        raise ValidationFailedError(message + "; ".join(str(v) for v in report.violations), report)
 
 
 def abelian_group_violations(add: np.ndarray) -> list[Violation]:
@@ -144,13 +169,11 @@ def abelian_group_violations(add: np.ndarray) -> list[Violation]:
     """
     idx = np.arange(add.shape[0], dtype=np.int32)
     violations: list[Violation] = []
-    if (np.sort(add, axis=1) != idx[None, :]).any():
-        row = int(np.flatnonzero((np.sort(add, axis=1) != idx[None, :]).any(axis=1))[0])
-        violations.append(Violation("additive-inverse", (row,)))
+    rows = np.flatnonzero((np.sort(add, axis=1) != idx).any(axis=1))     # not a permutation
+    if rows.size:
+        violations.append(Violation("additive-inverse", (int(rows[0]),)))
     if (add != add.T).any():
         a, b = map(int, np.argwhere(add != add.T)[0])
         violations.append(Violation("additive-commutativity", (a, b)))
-    w = assoc_witness(add)
-    if w:
-        violations.append(Violation("additive-associativity", w))
-    return violations
+    return violations + violations_of([("additive-associativity",
+                                        associative(add, add, add, add))])

@@ -27,6 +27,7 @@ def invocations() -> list[list[str]]:
              ["decompose", "paper:ex2.8", "--ideal", "H"],
              ["decompose", "paper:ex2.12", "--ideal", "H"]]
     runs += [["example", name] for name in ("ex2.4", "ex2.8", "ex2.12")]
+    runs += [["validate", name] for name in names]
     return runs
 
 

@@ -135,6 +135,22 @@ def test_context_ring_build_peaks_near_its_tables():
         del ctx, ring
 
 
+def test_context_validation_peaks_at_slab_width():
+    # Every law is scanned one 2-d slab at a time, so validating full:120
+    # (both Z120 carriers' bimodule laws and the twelve pairing laws) never
+    # holds a 120³ cube; whole cubes peaked at 14.8 MiB.
+    from moritactx import MoritaContext, ring_bimodule
+    z120 = make_zn(120)
+    ctx = MoritaContext(z120, z120, ring_bimodule(z120), ring_bimodule(z120), z120.mul, z120.mul)
+    tracemalloc.start()
+    try:
+        report = validate_context(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and peak < 2**20
+
+
 def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):
     # A default order cap below full:4's order 256 stands in for a context
     # above the real default, without building a ring that large.

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from moritactx import (
+    Bimodule,
     CapacityError,
     MalformedTableError,
     NotASubmoduleError,
@@ -22,7 +24,9 @@ from moritactx import (
     verify_submodule,
     zero_bimodule,
 )
-from moritactx.catalog import builtin_context
+import moritactx.modules
+from moritactx.catalog import builtin_context, builtin_document
+from moritactx.mctx import load_mctx
 from moritactx.modules import enumerate_view_submodules, verify_view_submodule
 
 from naive import naive_is_prime_submodule, naive_view_submodules
@@ -66,6 +70,27 @@ def test_residue_bimodule_reduces_labels(z6):
 def test_residue_bimodule_bad_divisor(z6):
     with pytest.raises(MalformedTableError):
         residue_bimodule(0, z6, z6)
+
+
+@pytest.mark.parametrize("zero", [-3, 3])
+def test_bimodule_rejects_a_zero_index_out_of_range(z2, zero):
+    z3 = np.arange(9).reshape(3, 3) % 3
+    with pytest.raises(MalformedTableError, match="zero index out of range for order 3"):
+        Bimodule(z3, zero, z2, np.zeros((2, 3), int), z2, np.zeros((3, 2), int))
+
+
+def test_bimodule_laws_run_once_per_carrier(monkeypatch):
+    # The residue carrier of tri:12,8 is validated when it is made; the
+    # context's validation reuses that verdict instead of scanning again.
+    orders = []
+    real = moritactx.modules.abelian_group_violations
+    monkeypatch.setattr(moritactx.modules, "abelian_group_violations",
+                        lambda add: orders.append(add.shape[0]) or real(add))
+    ctx = load_mctx(builtin_document("tri:12,8")).context
+    assert orders == [4, 1]                      # V = Z4 residue, W = zero
+    ctx.mod_v.name = "renamed"
+    report = validate_bimodule(ctx.mod_v)
+    assert orders == [4, 1] and str(report) == "bimodule renamed: ok"
 
 
 def test_zero_bimodule_is_a_point(z4, z6):

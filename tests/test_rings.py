@@ -8,6 +8,7 @@ from moritactx import (
     MalformedTableError,
     RingMap,
     ValidationFailedError,
+    Violation,
     make_zn,
     principal_ideal,
     quotient_ring,
@@ -37,6 +38,25 @@ def test_zn_rejects_tiny_orders():
 def test_validate_ring_accepts_zn(z8):
     report = validate_ring(z8.add, z8.mul)
     assert report.ok, report.lines()
+
+
+def test_validate_ring_names_a_broken_column_of_a_given_zero():
+    # Row 0 of this Z3 addition is still the identity row; column 0 is not.
+    z3 = make_zn(3)
+    add = np.array(z3.add)
+    add[2, 0] = 1
+    report = validate_ring(add, z3.mul, zero=0, one=1)
+    assert report.violations[0] == Violation("additive-identity", (0, 2))
+    add[0, 1] = 2                                # with the row broken too, the row is named
+    report = validate_ring(add, z3.mul, zero=0, one=1)
+    assert report.violations[0] == Violation("additive-identity", (0, 1))
+
+
+@pytest.mark.parametrize("given", [{"zero": -3}, {"zero": 3}, {"one": -1}, {"one": 3}])
+def test_validate_ring_rejects_identity_indices_out_of_range(given):
+    z3 = make_zn(3)
+    with pytest.raises(MalformedTableError, match="zero/one indices out of range for order 3"):
+        validate_ring(z3.add, z3.mul, **given)
 
 
 def test_validate_ring_flags_broken_distributivity():

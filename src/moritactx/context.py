@@ -48,10 +48,10 @@ from .modules import (
     ring_bimodule,
     validate_bimodule,
 )
-from .rings import FiniteRing, RingMap, quotient_ring, verify_ring_map
+from .rings import FiniteRing, RingMap, checked_generators, quotient_ring, verify_ring_map
 from .spans import check_closed
-from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_second,
-                         as_table, associative, violations_of)
+from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_on,
+                         additive_second, as_table, associative, associative_on, violations_of)
 
 __all__ = [
     "MoritaContext",
@@ -160,7 +160,9 @@ class MoritaContext:
 
 
 def validate_context(ctx: MoritaContext) -> ValidationReport:
-    """Exhaustively check the pairing laws (and re-check both bimodules).
+    """Check the pairing laws (and re-check both bimodules) at generator
+    width; when that fails, scan every law in full for one lex-first
+    witness each.
 
     Twelve laws read off the 2×2 rule (``_rule``): biadditivity of each
     pairing, and associativity on the eight slot triples with a pairing in
@@ -168,21 +170,57 @@ def validate_context(ctx: MoritaContext) -> ValidationReport:
     associativity laws). With the bimodule axioms these make the rule
     associative, so no cubic check on the built ring is needed.
     """
+    reports = [validate_bimodule(ctx.mod_v), validate_bimodule(ctx.mod_w)]
+    if all(sub.ok for sub in reports) and _pairings_hold(ctx):
+        return ValidationReport(f"context {ctx.name}", ())
     violations: list[Violation] = []
-    for tag, mod in (("v", ctx.mod_v), ("w", ctx.mod_w)):
-        sub = validate_bimodule(mod)
+    for tag, sub in zip("vw", reports):
         violations.extend(Violation(f"{tag}:{v.law}", v.witness) for v in sub.violations)
-    rule, adds = _rule(ctx), [c.add for c in _carriers(ctx)]
-
-    def witness(x: int, y: int, z: int) -> tuple | None:
-        if x == y:
-            return additive_first(rule[y, z], adds[x], adds[_lands(y, z)])
-        if y == z:
-            return additive_second(rule[x, y], adds[y], adds[_lands(x, y)])
-        return associative(rule[x, y], rule[y, z], rule[_lands(x, y), z], rule[x, _lands(y, z)])
-
-    violations += violations_of((law, witness(x, y, z)) for law, x, y, z in _PAIRING_LAWS)
+    adds = [c.add for c in _carriers(ctx)]
+    violations += violations_of(_pairing_checks(
+        ctx, lambda op, y, out: additive_first(op, adds[y], adds[out]),
+        lambda op, y, out: additive_second(op, adds[y], adds[out]),
+        lambda x, y, z, *tables: associative(*tables)))
     return ValidationReport(f"context {ctx.name}", tuple(violations))
+
+
+def _pairings_hold(ctx: MoritaContext) -> bool:
+    """The twelve pairing laws at generator width, for a context whose
+    bimodules hold. The corner rings, perhaps unvalidated, must be abelian
+    under + with · distributing over it (``checked_generators``). Each
+    biadditivity row is then checked with one summand over generators and
+    zero; once all four hold, every slot triple's two sides are additive
+    in each slot, so triples of generators decide associativity."""
+    carriers = _carriers(ctx)
+    gens = [checked_generators(c) if k in (_R, _S) else c.addgroup.generators
+            for k, c in enumerate(carriers)]
+    if gens[_R] is None or gens[_S] is None:
+        return False
+    adds = [c.add for c in carriers]
+    steps = [np.append(g, c.zero) for g, c in zip(gens, carriers)]
+    checks = _pairing_checks(
+        ctx, lambda op, y, out: additive_on(op, adds[y], adds[out], steps[y]),
+        lambda op, y, out: additive_on(op.T, adds[y], adds[out], steps[y]),
+        lambda x, y, z, *tables: associative_on(gens[x], gens[y], gens[z], *tables))
+    # lazily, in table order: the biadditivity rows come first, as the triples rest on them
+    return all(ok for _, ok in checks)
+
+
+def _pairing_checks(ctx: MoritaContext, first, second, triple):
+    """(law, result) for each pairing law, lazily and in table order. A row
+    (x, x, z) runs ``first(op, x, out)`` on op = the table of x·z, which
+    lands in slot ``out``: is it additive in x? A row (x, z, z) runs
+    ``second(op, z, out)``: is x·z additive in z? Any other triple runs
+    ``triple(x, y, z, ab, bc, ab_c, a_bc)`` on ``associative``'s tables."""
+    rule = _rule(ctx)
+    for law, x, y, z in _PAIRING_LAWS:
+        if x == y:
+            yield law, first(rule[y, z], y, _lands(y, z))
+        elif y == z:
+            yield law, second(rule[x, y], y, _lands(x, y))
+        else:
+            yield law, triple(x, y, z, rule[x, y], rule[y, z], rule[_lands(x, y), z],
+                              rule[x, _lands(y, z)])
 
 
 # -- the context ring -----------------------------------------------------------

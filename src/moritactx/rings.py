@@ -18,7 +18,7 @@ from .ideals import verify_ideal
 from .spans import Carrier
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
                          additive_second, as_square_table, as_table, associative, require_ok,
-                         violations_of)
+                         ring_generators, violations_of)
 
 __all__ = [
     "FiniteRing",
@@ -124,12 +124,24 @@ def _identity(table: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def checked_generators(ring: FiniteRing) -> np.ndarray | None:
+    """``ring_generators`` of a ring's tables: its additive generators when +
+    is an abelian group and · distributes over it, else None, as a ring
+    built without ``validate_ring`` may be. Found once per ring, whose
+    tables are read-only."""
+    if "ring_generators" not in ring._cache:
+        ring._cache["ring_generators"] = ring_generators(ring.addgroup, ring.mul)
+    return ring._cache["ring_generators"]
+
+
 def validate_ring(add, mul, zero: int | None = None, one: int | None = None) -> ValidationReport:
-    """Exhaustively check the unital-ring axioms on raw tables.
+    """Scan the unital-ring axioms on raw tables in full.
 
     ``zero``/``one`` are inferred by scanning when not supplied. Shape or
     range problems, supplied indices among them, raise MalformedTableError;
-    axiom failures come back as violations with one witness each.
+    axiom failures come back as violations with one lex-first witness each.
+    Unlike the bimodule and context validators, this one runs no
+    generator-width pass first.
     """
     add = as_square_table(add, "add")
     k = add.shape[0]

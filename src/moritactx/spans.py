@@ -325,8 +325,8 @@ class Carrier:
         return self._cache[key]
 
     def format_subset(self, mask: int) -> str:
-        members = indices_of(mask, self.order)
-        return "{" + ", ".join(self.label(int(i)) for i in members) + "}"
+        labels = self.labels
+        return "{" + ", ".join(labels[i] for i in indices_of(mask, self.order).tolist()) + "}"
 
 
 class Subset:

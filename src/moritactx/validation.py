@@ -1,6 +1,15 @@
-"""Shared result types, raw-table normalization and the law kernel: one
-witness search (``law_witness``) in the three shapes every ring, bimodule
-and pairing law takes."""
+"""Shared result types, raw-table normalization and the law kernels.
+
+The bimodule and context validators decide at generator width first. The
+group laws of + are O(n²), with associativity by Light's test on the
+additive generators (Clifford & Preston, *The Algebraic Theory of
+Semigroups* I, §1.2); an additive law is checked with one summand over
+the generators and zero; and every other law is multi-additive once those
+hold, so it is checked on tuples of generators alone. Only when one of
+these checks fails does the validator run the full scans, which name each
+failed law's lex-first witness; ``validate_ring`` always runs them. Every
+check goes through one search (``law_witness``), and the full scans use
+it in the three shapes every ring, bimodule and pairing law takes."""
 
 from __future__ import annotations
 
@@ -23,6 +32,10 @@ __all__ = [
     "violations_of",
     "require_ok",
     "abelian_group_violations",
+    "group_generators",
+    "ring_generators",
+    "additive_on",
+    "associative_on",
 ]
 
 
@@ -161,12 +174,9 @@ def require_ok(report: ValidationReport, message: str) -> None:
         raise ValidationFailedError(message + "; ".join(str(v) for v in report.violations), report)
 
 
-def abelian_group_violations(add: np.ndarray) -> list[Violation]:
-    """Inverse, commutativity and associativity of an addition table.
-
-    The identity law is left to the caller, whose witness shape differs
-    between rings and modules.
-    """
+def _inverse_commutativity_violations(add: np.ndarray) -> list[Violation]:
+    """The O(n²) group laws of an addition table: every row a permutation
+    (inverses), and the table symmetric (commutativity)."""
     idx = np.arange(add.shape[0], dtype=np.int32)
     violations: list[Violation] = []
     rows = np.flatnonzero((np.sort(add, axis=1) != idx).any(axis=1))     # not a permutation
@@ -175,5 +185,70 @@ def abelian_group_violations(add: np.ndarray) -> list[Violation]:
     if (add != add.T).any():
         a, b = map(int, np.argwhere(add != add.T)[0])
         violations.append(Violation("additive-commutativity", (a, b)))
-    return violations + violations_of([("additive-associativity",
-                                        associative(add, add, add, add))])
+    return violations
+
+
+def abelian_group_violations(add: np.ndarray) -> list[Violation]:
+    """Inverse, commutativity and associativity of an addition table.
+
+    The identity law is left to the caller, whose witness shape differs
+    between rings and modules.
+    """
+    return _inverse_commutativity_violations(add) + violations_of(
+        [("additive-associativity", associative(add, add, add, add))])
+
+
+# -- generator width ---------------------------------------------------------------
+
+
+def group_generators(group) -> np.ndarray | None:
+    """The additive generators of an ``AddGroup`` whose table is an abelian
+    group with identity ``group.zero``, else None.
+
+    Identity, inverses and commutativity are read off the whole table. Only
+    then are the generators computed: the greedy loop need not end on a
+    table whose zero is not an identity. Associativity is Light's test,
+    (x+g)+y = x+(g+y) for every x, y and generator g, in n²·k entries,
+    one k×n slab per x.
+    """
+    add, zero, n = group.add, group.zero, group.order
+    idx = np.arange(n, dtype=np.int32)
+    if (not ((add[zero] == idx).all() and (add[:, zero] == idx).all())
+            or _inverse_commutativity_violations(add)):
+        return None
+    gens = group.generators
+    if law_witness(n, lambda x: add[add[x, gens]], lambda x: add[x][add[gens]]) is not None:
+        return None
+    return gens
+
+
+def ring_generators(group, mul: np.ndarray) -> np.ndarray | None:
+    """``group_generators``, provided ``mul`` also distributes over + on both
+    sides; else None. With these laws a product is additive in each factor,
+    so a multi-additive law over the ring can be checked on its generators."""
+    gens = group_generators(group)
+    if gens is None:
+        return None
+    steps, add = np.append(gens, group.zero), group.add
+    if additive_on(mul, add, add, steps) and additive_on(mul.T, add, add, steps):
+        return gens
+    return None
+
+
+def additive_on(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray,
+                steps: np.ndarray) -> bool:
+    """Is x·z = ``op[x, z]`` additive in x? Both additions must be groups, and
+    ``steps`` the generators of ``add_in`` and its zero: x·z is additive iff
+    (x+g)·z = x·z + g·z for every x, z and g in ``steps``. The zero is there
+    for a trivial carrier, which has no generators but must send 0 to 0.
+    One slab of |steps| rows per x. For the second argument, pass ``op.T``."""
+    return law_witness(op.shape[0], lambda x: op[add_in[x, steps]],
+                       lambda x: add_out[op[x][None, :], op[steps]]) is None
+
+
+def associative_on(ga: np.ndarray, gb: np.ndarray, gc: np.ndarray, ab: np.ndarray,
+                   bc: np.ndarray, ab_c: np.ndarray, a_bc: np.ndarray) -> bool:
+    """Does (a·b)·c = a·(b·c) hold for a, b, c in ``ga``, ``gb``, ``gc``?
+    The tables are ``associative``'s. When both sides are additive in each
+    argument, the law holds everywhere iff it holds on generators."""
+    return associative(ab[np.ix_(ga, gb)], bc[np.ix_(gb, gc)], ab_c[:, gc], a_bc[ga]) is None

@@ -5,9 +5,9 @@ elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
 disagree with. The sections at the end do use the package's spans and
 lattices: the full-table kernels the library replaced with generator-width
-ones, for rings and for modules, the full-row slot laws, and the
-lattice-pairwise primeness and nilpotency routes with the nilpotent radical
-built on them.
+ones, for rings and for modules, the full-row slot laws, the full-scan
+validators, and the lattice-pairwise primeness and nilpotency routes with
+the nilpotent radical built on them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ import numpy as np
 from moritactx import (Ideal, NotASubmoduleError, NotProperError, Verdict, confirm_prime_witness,
                        enumerate_ideals)
 from moritactx.bitsets import bool_array, indices_of, is_subset
+from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
 from moritactx.ideals import DEFAULT_LATTICE_CAP
+from moritactx.validation import (ValidationReport, Violation, abelian_group_violations,
+                                  additive_first, additive_second, associative, law_witness,
+                                  violations_of)
 
 
 def members_of(mask: int, order: int) -> list[int]:
@@ -399,6 +403,61 @@ def full_row_quadruple_conditions(ctx, i_mask: int, v1_mask: int, w1_mask: int,
         entry("V*s_part<=v_part", in_v1[V.right_act[:, j_members]], None, j_members),
         entry("W*r_part<=w_part", in_w1[W.right_act[:, i_members]], None, i_members),
     ]
+
+
+# -- full-scan validators --------------------------------------------------------------
+#
+# The route the bimodule and context validators took before they decided at
+# generator width: every law is scanned over all of its triples
+# (``law_witness``, one slab at a time), whatever the others found. The library
+# still runs these scans, but only to name the witnesses of a check that
+# failed. ``validate_ring`` has no generator-width pass, so it needs no copy.
+
+
+def full_scan_bimodule_violations(mod) -> list[Violation]:
+    """The bimodule axioms, each scanned in full; nothing is cached."""
+    add, zero = mod.add, mod.zero
+    idx = np.arange(mod.order, dtype=np.int32)
+    violations: list[Violation] = []
+    if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
+        violations.append(Violation("additive-identity", (zero,)))
+    violations.extend(abelian_group_violations(add))
+    for side in ("left", "right"):
+        ring, act = mod.action(side)
+        unital = np.flatnonzero(act[ring.one] != idx)
+        if unital.size:
+            violations.append(Violation(f"{side}-unital", (int(unital[0]),)))
+        staged = (associative(ring.mul, act, act, act) if side == "left" else
+                  law_witness(ring.order, lambda r1: act[ring.mul[r1]],
+                              lambda r1: act[:, act[r1]]))
+        violations += violations_of([
+            (f"{side}-additive-in-ring", additive_first(act, ring.add, add)),
+            (f"{side}-additive-in-module", additive_second(act, add, add)),
+            (f"{side}-associative", staged)])
+    return violations + violations_of([("actions-commute", associative(
+        mod.left_act, mod.right_act, mod.right_act, mod.left_act))])
+
+
+def full_scan_validate_bimodule(mod) -> ValidationReport:
+    return ValidationReport(f"bimodule {mod.name}", tuple(full_scan_bimodule_violations(mod)))
+
+
+def full_scan_validate_context(ctx) -> ValidationReport:
+    """Both bimodules' axioms and the twelve pairing laws, each scanned in full."""
+    violations = [Violation(f"{tag}:{v.law}", v.witness)
+                  for tag, mod in (("v", ctx.mod_v), ("w", ctx.mod_w))
+                  for v in full_scan_bimodule_violations(mod)]
+    rule, adds = _rule(ctx), [c.add for c in _carriers(ctx)]
+
+    def witness(x: int, y: int, z: int) -> tuple | None:
+        if x == y:
+            return additive_first(rule[y, z], adds[x], adds[_lands(y, z)])
+        if y == z:
+            return additive_second(rule[x, y], adds[y], adds[_lands(x, y)])
+        return associative(rule[x, y], rule[y, z], rule[_lands(x, y), z], rule[x, _lands(y, z)])
+
+    violations += violations_of((law, witness(x, y, z)) for law, x, y, z in _PAIRING_LAWS)
+    return ValidationReport(f"context {ctx.name}", tuple(violations))
 
 
 # -- lattice-pairwise routes ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The CLI's stdout on the battery contexts, against a recorded transcript.
+"""The CLI's stdout on the battery contexts (and ``validate`` on the
+benchmark's large ones), against a recorded transcript.
 
 Each invocation runs in process and contributes a header line with its
 arguments and exit code, then its stdout. Running this module as a script
@@ -17,6 +18,9 @@ from moritactx import battery_names
 from moritactx.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.txt"
+# The benchmark's contexts above the order cap, its scalars picked once.
+SLOT_LARGE = ["zero:100,101", "full:60", "full:120", "ks:120:7", "full:180", "ks:180:5",
+              "tri:240,180", "tri:360,240"]
 
 
 def invocations() -> list[list[str]]:
@@ -28,6 +32,7 @@ def invocations() -> list[list[str]]:
              ["decompose", "paper:ex2.12", "--ideal", "H"]]
     runs += [["example", name] for name in ("ex2.4", "ex2.8", "ex2.12")]
     runs += [["validate", name] for name in names]
+    runs += [["validate", name] for name in SLOT_LARGE]
     return runs
 
 

@@ -135,20 +135,43 @@ def test_context_ring_build_peaks_near_its_tables():
         del ctx, ring
 
 
-def test_context_validation_peaks_at_slab_width():
-    # Every law is scanned one 2-d slab at a time, so validating full:120
-    # (both Z120 carriers' bimodule laws and the twelve pairing laws) never
-    # holds a 120³ cube; whole cubes peaked at 14.8 MiB.
-    from moritactx import MoritaContext, ring_bimodule
+def _z120_context(corrupt: str | None = None):
+    """Z120 over itself in every slot; ``corrupt`` changes one entry of the
+    V×W pairing or of V's left action."""
+    from moritactx import Bimodule, MoritaContext, ring_bimodule
     z120 = make_zn(120)
-    ctx = MoritaContext(z120, z120, ring_bimodule(z120), ring_bimodule(z120), z120.mul, z120.mul)
+    pairing, act = np.array(z120.mul), np.array(z120.mul)
+    if corrupt:
+        {"pairing": pairing, "action": act}[corrupt][7, 11] = 5
+    mod_v = Bimodule(z120.add, z120.zero, z120, act, z120, z120.mul, name="V")
+    return MoritaContext(z120, z120, mod_v, ring_bimodule(z120), pairing, z120.mul)
+
+
+def _validation_peak(ctx) -> tuple:
     tracemalloc.start()
     try:
         report = validate_context(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_context_validation_peaks_at_slab_width():
+    # Every check holds one 2-d slab at a time, so validating full:120
+    # (both Z120 carriers' bimodule laws and the twelve pairing laws) never
+    # holds a 120³ cube; whole cubes peaked at 14.8 MiB.
+    report, peak = _validation_peak(_z120_context())
     assert report.ok and peak < 2**20
+
+
+@pytest.mark.parametrize("corrupt", ["pairing", "action"])
+def test_failed_context_validation_peaks_at_slab_width(corrupt):
+    # A healthy context passes at generator width; one corrupted pairing or
+    # action entry sends the context or bimodule laws through the full
+    # scans, which must hold no cube either.
+    report, peak = _validation_peak(_z120_context(corrupt))
+    assert not report.ok and peak < 2**20
 
 
 def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):

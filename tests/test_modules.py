@@ -7,6 +7,7 @@ from moritactx import (
     Bimodule,
     CapacityError,
     MalformedTableError,
+    ModuleView,
     NotASubmoduleError,
     annihilator,
     build_context_ring,
@@ -15,6 +16,7 @@ from moritactx import (
     enumerate_submodules,
     is_prime_submodule,
     confirm_prime_submodule_witness,
+    make_zn,
     quotient_module,
     quotient_view,
     residue_bimodule,
@@ -79,13 +81,32 @@ def test_bimodule_rejects_a_zero_index_out_of_range(z2, zero):
         Bimodule(z3, zero, z2, np.zeros((2, 3), int), z2, np.zeros((3, 2), int))
 
 
+def test_right_action_entries_are_checked_against_the_module_order(z2, z4):
+    # right_act is (module, ring) shaped but holds module elements
+    z3 = np.arange(9).reshape(3, 3) % 3
+    mod = Bimodule(z3, 0, z2, np.zeros((2, 3), int), z2, [[0, 0], [1, 0], [2, 0]])
+    assert mod.right_act[2, 0] == 2
+    z2_add = np.arange(4).reshape(2, 2) % 2
+    with pytest.raises(MalformedTableError, match="right action: entry 3 at"):
+        Bimodule(z2_add, 0, z2, np.zeros((2, 2), int), z4, np.full((2, 4), 3))
+
+
+@pytest.mark.parametrize("zero", [-3, 3])
+def test_module_view_rejects_a_zero_index_out_of_range(zero):
+    z3 = make_zn(3)
+    with pytest.raises(MalformedTableError, match="zero index out of range for order 3"):
+        ModuleView(z3, "left", z3.add, z3.mul, zero)
+
+
 def test_bimodule_laws_run_once_per_carrier(monkeypatch):
     # The residue carrier of tri:12,8 is validated when it is made; the
-    # context's validation reuses that verdict instead of scanning again.
+    # context's validation reuses that verdict instead of checking again.
+    # Each carrier's own group laws open its check (the acting rings' are
+    # checked inside ``ring_generators``, not through this name).
     orders = []
-    real = moritactx.modules.abelian_group_violations
-    monkeypatch.setattr(moritactx.modules, "abelian_group_violations",
-                        lambda add: orders.append(add.shape[0]) or real(add))
+    real = moritactx.modules.group_generators
+    monkeypatch.setattr(moritactx.modules, "group_generators",
+                        lambda group: orders.append(group.order) or real(group))
     ctx = load_mctx(builtin_document("tri:12,8")).context
     assert orders == [4, 1]                      # V = Z4 residue, W = zero
     ctx.mod_v.name = "renamed"

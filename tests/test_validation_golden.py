@@ -12,9 +12,11 @@ to a value drawn from a generator seeded by the context and table names:
   ``validate_context``.
 
 Each case prints a header naming the table, the entry and its new value,
-then the report's lines (or the exception it raised). Running this module
-as a script prints the corpus; ``tests/golden/validation_reports.txt`` is
-that output:
+then the report's lines (or the exception it raised). ``context_cases``
+takes the three validators, so the same corpus can be run through the
+full-scan oracle (``tests/test_validation_oracle.py``). Running this
+module as a script prints the corpus; ``tests/golden/validation_reports.txt``
+is that output:
 
     PYTHONPATH=src python tests/test_validation_golden.py > tests/golden/validation_reports.txt
 """
@@ -32,6 +34,7 @@ from moritactx import (Bimodule, MoritaContext, battery_names, builtin_document,
 GOLDEN = Path(__file__).parent / "golden" / "validation_reports.txt"
 NAMES = battery_names() + ["full:12", "tri:12,8"]
 MODULE_TABLES = ("add", "left_act", "right_act")
+LIBRARY = (validate_ring, validate_bimodule, validate_context)
 
 
 def corrupt(table: np.ndarray, limit: int, seed: str) -> tuple[np.ndarray | None, str]:
@@ -57,7 +60,7 @@ def run(header: str, note: str, check) -> list[str]:
     return [f"{header} @ {note}"] + [f"  {line}" for line in lines]
 
 
-def ring_cases(name: str, tag: str, ring) -> list[str]:
+def ring_cases(name: str, tag: str, ring, validate_ring=validate_ring) -> list[str]:
     out = []
     for which in ("add", "mul"):
         table, note = corrupt(getattr(ring, which), ring.order, f"{name}/{tag}.{which}")
@@ -81,11 +84,12 @@ def corrupted_modules(name: str, tag: str, mod: Bimodule) -> list[tuple[str, str
     return found
 
 
-def context_cases(name: str) -> list[str]:
+def context_cases(name: str, validators=LIBRARY) -> list[str]:
+    validate_ring, validate_bimodule, validate_context = validators
     ctx = load_mctx(builtin_document(name)).context
     out = [f"## {name}"]
-    out += ring_cases(name, "R", ctx.ring_r)
-    out += ring_cases(name, "S", ctx.ring_s)
+    out += ring_cases(name, "R", ctx.ring_r, validate_ring)
+    out += ring_cases(name, "S", ctx.ring_s, validate_ring)
     modules = {tag: corrupted_modules(name, tag, mod)
                for tag, mod in (("V", ctx.mod_v), ("W", ctx.mod_w))}
     for tag, cases in modules.items():

@@ -644,9 +644,17 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     one-sided ideals they all come out true, which is exactly what the
     structure checks assert downstream. The pairing flags send a block's
     members through the slot products with the carrier on the absorbing side.
+
+    Cached per (side, mask): checks 2.1-2.3 audit the same one-sided ideals.
+    ``side`` is checked before T is built or scanned, and a mask that fails
+    verification raises NotAnIdealError and is never cached.
     """
-    ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
     blocks = _side_blocks(side)
+    mask = as_mask(u)
+    key = ("side-decomposition", side, mask)
+    if key in ctx._cache:
+        return ctx._cache[key]
+    ideal = verify_ideal(_context_ring(ctx), mask, side)
     views = _pair_views(ctx, side)
     dims, comps = ctx.dims, ctx.component_arrays()
     in_u = bool_array(ideal.members, ctx.order)
@@ -664,7 +672,7 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     part_masks = [mask_from_bool(x) for x in inside]
     closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]
     embeds = [bool(in_u[_at_slots(ctx, solo)].all()) for solo in solos]
-    return OneSidedDecomposition(
+    ctx._cache[key] = OneSidedDecomposition(
         context=ctx, side=side, part1_view=views[0], part2_view=views[1],
         part1_mask=part_masks[0], part2_mask=part_masks[1],
         part1_closed=closed[0], part2_closed=closed[1],
@@ -672,6 +680,7 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
         pairing_1_to_2=carried(0), pairing_2_to_1=carried(1),
         reconstructs=bool(((inside[0][coords[0]] & inside[1][coords[1]]) == in_u).all()),
     )
+    return ctx._cache[key]
 
 
 def is_prime_onesided_ideal(ctx: MoritaContext, u, side: str) -> Verdict:

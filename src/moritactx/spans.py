@@ -9,8 +9,11 @@ closure check, one cyclic-submodule kernel, one prime scan) take any
 carrier and a side. Each carrier presents a side's action as
 ``action(side)``: the acting ring and ``act``, ``act[r]`` being r acting on
 every element, so only there is a right action transposed. Actions are
-assumed unital and additive, as in every view the package builds. The
-lattice join closure and the coset split of quotients live here too.
+assumed unital, additive and associative, as in every view the package
+builds; the orbit kernel leans on all three, since it tells orbits apart
+by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
+that needs none of them). The lattice join closure and the coset split of
+quotients live here too.
 """
 
 from __future__ import annotations
@@ -194,20 +197,33 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
     return classes, list(seen)
 
 
-def orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def orbit_classes(act: np.ndarray, zero: int) -> tuple[np.ndarray, list[int]]:
     """Class of each element's orbit (column x of ``act``), numbered by first
-    appearance, and each class's mask. The orbits are packed into bit-rows a
-    chunk at a time, so no elements × elements bool array is ever held."""
-    table = act.T
-    m = table.shape[0]
-    rows = np.empty((m, (m + 7) // 8), dtype=np.uint8)
-    step = max(1, 2**22 // m)                       # one-hot chunks of at most 4 MiB
-    for lo in range(0, m, step):
-        hot = np.zeros((min(step, m - lo), m), dtype=bool)
-        np.put_along_axis(hot, table[lo:lo + step], True, axis=1)
-        rows[lo:lo + step] = np.packbits(hot, axis=1, bitorder="little")
-    classes, keys = _classes(rows)
-    return classes, [int.from_bytes(row, "little") for row in keys]
+    appearance, and each class's mask.
+
+    The action must be unital, additive and associative. Then r -> r.x is
+    additive, so |O(x)| = |R| / #{r : r.x = zero}, and y in O(x) gives
+    O(y) <= O(x): O(y) = O(x) exactly when y is in O(x) and the two zero
+    counts agree. Each column's zeros are counted a chunk of rows at a
+    time (at most 4 MiB), then x runs in ascending order and each x with no
+    class yet reads its one column: its unclassed members with x's zero
+    count form x's class. The one-hot oracle in ``tests/naive.py`` keys on
+    whole orbits and needs none of these laws.
+    """
+    n, m = act.shape
+    zeros = np.zeros(m, dtype=np.int64)
+    step = max(1, 2**22 // m)
+    for lo in range(0, n, step):
+        zeros += np.count_nonzero(act[lo:lo + step] == zero, axis=0)
+    classes = np.full(m, -1, dtype=np.int64)
+    masks: list[int] = []
+    for x in range(m):
+        if classes[x] < 0:
+            orbit = np.zeros(m, dtype=bool)
+            orbit[act[:, x]] = True
+            classes[orbit & (classes < 0) & (zeros == zeros[x])] = len(masks)
+            masks.append(mask_from_bool(orbit))
+    return classes, masks
 
 
 def cyclic_masks(carrier, sidedness: str) -> list[int]:
@@ -312,7 +328,7 @@ class Carrier:
         """``orbit_classes`` of this carrier's ``side`` action, cached."""
         key = ("orbits", side)
         if key not in self._cache:
-            self._cache[key] = orbit_classes(self.action(side)[1])
+            self._cache[key] = orbit_classes(self.action(side)[1], self.zero)
         return self._cache[key]
 
     def lattice(self, sidedness: str, cap: int, what: str) -> list[int]:

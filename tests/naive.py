@@ -21,6 +21,7 @@ from moritactx import (Ideal, NotASubmoduleError, NotProperError, Verdict, confi
 from moritactx.bitsets import bool_array, indices_of, is_subset
 from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
 from moritactx.ideals import DEFAULT_LATTICE_CAP
+from moritactx.spans import _classes
 from moritactx.validation import (ValidationReport, Violation, abelian_group_violations,
                                   additive_first, additive_second, associative, law_witness,
                                   violations_of)
@@ -312,6 +313,22 @@ def plain_join_closure(group, seeds) -> list[int]:
                     nxt.append(j)
         frontier = nxt
     return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def onehot_orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Orbit classes keyed on each orbit's full one-hot row: class of each
+    element (column x of ``act``), numbered by first appearance, and each
+    class's mask. Needs no law of the action."""
+    table = act.T
+    m = table.shape[0]
+    rows = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    step = max(1, 2**22 // m)                       # one-hot chunks of at most 4 MiB
+    for lo in range(0, m, step):
+        hot = np.zeros((min(step, m - lo), m), dtype=bool)
+        np.put_along_axis(hot, table[lo:lo + step], True, axis=1)
+        rows[lo:lo + step] = np.packbits(hot, axis=1, bitorder="little")
+    classes, keys = _classes(rows)
+    return classes, [int.from_bytes(row, "little") for row in keys]
 
 
 # -- full-table module kernels ------------------------------------------------------

@@ -116,6 +116,14 @@ def test_decompose_non_ideal_is_invalid_input(capsys):
     assert "error" in err
 
 
+def test_decompose_one_sided_non_ideal_is_invalid_input(capsys):
+    code, out, err = run(capsys, "decompose", "paper:ex2.4", "--ideal", "R=0,4 V=0 W=0 S=0",
+                         "--side", "right")
+    assert (code, out) == (2, "")
+    assert err == ("error: subset {(0, 0, 0, 0), (4, 0, 0, 0)} of T(paper:ex2.4) is not a "
+                   "right-sided ideal; first failure ('right', 2048, 64)\n")
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "full:6", "--theorem", "2.9")
     assert code == 0

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +36,10 @@ from moritactx import (
     validate_ring,
     verify_quotient_iso,
 )
-from moritactx.catalog import builtin_context, builtin_document
-from moritactx.mctx import load_mctx
+from moritactx import ideals
+from moritactx.catalog import battery_names, builtin_context, builtin_document
+from moritactx.checks import run_check
+from moritactx.mctx import inline_ideal_mask, load_mctx
 
 from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
                    naive_quadruple_ideals)
@@ -315,6 +319,60 @@ def test_block_shapes_of_the_z8_right_ideal():
     got = {divmod(i, 8) for i in members_of(dec.part1_mask, 16 * 4)}
     assert got == {(r, w) for r in (0, 4) for w in range(8)}
     assert not is_prime_onesided_ideal(res.context, res.ideals["U"].mask, "right").holds
+
+
+BLOCK_TOKENS = ("2.1", "2.2", "2.3")
+
+
+def _facts(dec) -> dict:
+    """Every field of a decomposition but its context, views by name."""
+    return {field.name: getattr(dec, field.name).name if field.name.endswith("_view")
+            else getattr(dec, field.name)
+            for field in dataclasses.fields(dec) if field.name != "context"}
+
+
+@pytest.mark.parametrize("name", ["paper:ex2.4", "ks:6:0"])
+def test_block_checks_verify_each_one_sided_ideal_once(name, monkeypatch):
+    res = load_mctx(builtin_document(name))
+    ring = build_context_ring(res.context)
+    calls = Counter()
+    check = ideals.check_ideal
+
+    def counting(target, mask, sidedness):
+        if target is ring:
+            calls[sidedness, mask] += 1
+        return check(target, mask, sidedness)
+
+    monkeypatch.setattr(ideals, "check_ideal", counting)
+    for token in BLOCK_TOKENS:
+        assert run_check(token, res).passed, token
+    assert set(calls.values()) == {1}
+    onesided = {(side, ideal.members) for side in ("left", "right")
+                for ideal in enumerate_ideals(ring, side)}
+    assert {key for key in calls if key[0] != "two"} == onesided
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_cached_side_decompositions_match_fresh_ones(name):
+    res = builtin_context(name)
+    for token in BLOCK_TOKENS:
+        run_check(token, res)
+    cached = {key: dec for key, dec in res.context._cache.items()
+              if isinstance(key, tuple) and key[0] == "side-decomposition"}
+    ring = build_context_ring(res.context)
+    assert len(cached) == sum(len(enumerate_ideals(ring, side)) for side in ("left", "right"))
+    fresh = load_mctx(builtin_document(name)).context
+    for (_, side, mask), dec in cached.items():
+        assert _facts(dec) == _facts(side_decomposition(fresh, mask, side)), (side, mask)
+
+
+def test_a_non_ideal_is_refused_on_every_call():
+    ctx = load_mctx(builtin_document("paper:ex2.4")).context
+    mask = inline_ideal_mask(ctx, "R=0,4 V=0 W=0 S=0")
+    for _ in range(2):
+        with pytest.raises(NotAnIdealError):
+            side_decomposition(ctx, mask, "right")
+    assert ("side-decomposition", "right", mask) not in ctx._cache
 
 
 # -- closure sets ---------------------------------------------------------------------

@@ -80,13 +80,10 @@ from .modules import (
     Bimodule,
     ModuleView,
     Submodule,
-    annihilator,
     confirm_prime_submodule_witness,
-    cyclic_submodule,
     enumerate_submodules,
     is_prime_submodule,
     quotient_module,
-    quotient_view,
     residue_bimodule,
     ring_bimodule,
     subset_bimodule,
@@ -115,8 +112,8 @@ __all__ = [
     # modules
     "Bimodule", "ModuleView", "Submodule", "ring_bimodule", "subset_bimodule",
     "residue_bimodule", "zero_bimodule", "validate_bimodule", "verify_submodule",
-    "cyclic_submodule", "enumerate_submodules", "is_prime_submodule",
-    "confirm_prime_submodule_witness", "annihilator", "quotient_view", "quotient_module",
+    "enumerate_submodules", "is_prime_submodule", "confirm_prime_submodule_witness",
+    "quotient_module",
     # ideals
     "Ideal", "check_ideal", "verify_ideal", "principal_ideal", "enumerate_ideals",
     "is_prime_ideal", "is_semiprime_ideal", "confirm_prime_witness", "prime_spectrum",

@@ -7,12 +7,9 @@ are derived at the boundary for vectorized table lookups.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 __all__ = [
-    "mask_from_indices",
     "mask_from_bool",
     "bool_array",
     "indices_of",
@@ -20,13 +17,6 @@ __all__ = [
     "full_mask",
     "as_mask",
 ]
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
 
 
 def mask_from_bool(arr: np.ndarray) -> int:

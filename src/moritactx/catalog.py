@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .context import is_surjective_context
 from .errors import UnknownBuiltinError
 from .mctx import ResolvedContext, load_mctx
 
@@ -28,7 +27,6 @@ __all__ = [
     "builtin_document",
     "builtin_context",
     "battery_names",
-    "surjective_battery_names",
 ]
 
 BUILTIN_PATTERNS = (
@@ -134,9 +132,3 @@ def battery_names() -> list[str]:
     names.extend(["tri:4,2", "zero:2,2", "zero:2,4"])
     names.extend(["paper:ex2.4", "paper:ex2.8", "paper:ex2.12"])
     return names
-
-
-def surjective_battery_names() -> list[str]:
-    """Battery members whose pairings span both corner rings."""
-    return [name for name in battery_names()
-            if is_surjective_context(builtin_context(name).context)]

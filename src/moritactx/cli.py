@@ -32,7 +32,7 @@ from .context import (
     side_decomposition,
     validate_context,
 )
-from .errors import AlgebraError, CapacityError, MctxError, ValidationFailedError
+from .errors import AlgebraError, CapacityError, ValidationFailedError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
     Ideal,
@@ -463,13 +463,7 @@ def run_command(argv: list[str]) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc} (raise --cap to proceed)\n")
         return 3
-    except (MctxError, ValidationFailedError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except AlgebraError as exc:
+    except (AlgebraError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     out.flush()

@@ -55,9 +55,6 @@ class Ideal(Subset):
     def carrier(self):
         return self.ring
 
-    def contains(self, index: int) -> bool:
-        return bool((self.members >> index) & 1)
-
 
 def check_ideal(ring, mask: int, sidedness: str) -> Verdict:
     """Closure check with a witness; no exception on failure.

@@ -3,13 +3,13 @@
 A bimodule is an additive group with a left action of one ring and a right
 action of another, stored as dense lookup tables. A ``ModuleView`` is a
 module over a single ring — either one side of a bimodule or a standalone
-carrier (used for column spaces of context rings) — and is where the
-one-sided notions live: cyclic submodules, submodule lattices, primeness,
-annihilators, quotients. Each carrier presents its actions through
+carrier (used for column spaces of context rings) — on which submodule
+primeness is decided. Each carrier presents its actions through
 ``action(side)``, the right one transposed so ``act[r]`` is r acting on
 every element; closure checks, cyclic submodules, lattices and the prime
 submodule scan are the kernels in ``spans`` that ideals use, which assume
-additive actions.
+additive actions. Views go through the same entry points as bimodules,
+with ``view.side`` as the sidedness.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import as_mask, bool_array, full_mask, indices_of, mask_from_bool
+from .bitsets import as_mask, bool_array, full_mask, indices_of
 from .errors import (
     MalformedTableError,
     NotASubmoduleError,
     NotProperError,
     WellDefinednessError,
 )
-from .ideals import DEFAULT_LATTICE_CAP, Ideal, check_ideal
+from .ideals import DEFAULT_LATTICE_CAP, check_ideal
 from .rings import checked_generators
-from .spans import Carrier, Subset, check_closed, cyclic_masks, prime_pair
+from .spans import Carrier, Subset, check_closed, prime_pair
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
                          additive_first, additive_second, additive_on, as_square_table, as_table,
                          associative, associative_on, group_generators, law_witness, require_ok,
@@ -43,14 +43,9 @@ __all__ = [
     "zero_bimodule",
     "validate_bimodule",
     "verify_submodule",
-    "verify_view_submodule",
-    "cyclic_submodule",
     "enumerate_submodules",
-    "enumerate_view_submodules",
     "is_prime_submodule",
     "confirm_prime_submodule_witness",
-    "annihilator",
-    "quotient_view",
     "quotient_module",
 ]
 
@@ -126,7 +121,7 @@ class ModuleView(Carrier):
     SIDEDNESS_TEXT = "'left' or 'right'"
 
     def __init__(self, ring, side: str, add, act, zero: int,
-                 labels=None, name: str | None = None, label_fn=None, module: Bimodule | None = None):
+                 labels=None, name: str | None = None, module: Bimodule | None = None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         add = as_square_table(add, "module add")
@@ -142,7 +137,7 @@ class ModuleView(Carrier):
         self.name = name or f"{side}mod{m}"
         self.module = module
         if module is None:
-            self._present(labels, label_fn)
+            self._present(labels, None)
             self._cache = {}
         else:
             self._present(None, module.label, module.addgroup)
@@ -160,14 +155,15 @@ class ModuleView(Carrier):
 
 @dataclass(frozen=True)
 class Submodule(Subset):
-    """A subset of a bimodule closed under + and the actions named by ``sidedness``."""
+    """A subset of a module carrier (a bimodule or a one-sided view) closed
+    under + and the actions named by ``sidedness``."""
 
-    module: Bimodule
+    module: Bimodule | ModuleView
     members: int
     sidedness: str
 
     @property
-    def carrier(self) -> Bimodule:
+    def carrier(self) -> Bimodule | ModuleView:
         return self.module
 
 
@@ -321,39 +317,19 @@ def _raise_unless_closed(verdict: Verdict) -> None:
                                  else f"subset is not stable under the {kind} ring action")
 
 
-def verify_submodule(module: Bimodule, mask: int, sidedness: str) -> Submodule:
+def verify_submodule(module: Bimodule | ModuleView, mask: int, sidedness: str) -> Submodule:
     """Check closure for the named sidedness (``check_closed``) and wrap the mask."""
     _raise_unless_closed(check_closed(module, mask, sidedness))
     return Submodule(module, mask, sidedness)
 
 
-def verify_view_submodule(view: ModuleView, mask: int) -> int:
-    """Check closure of a mask in a one-sided view (``check_closed``); return the mask."""
-    _raise_unless_closed(check_closed(view, mask, view.side))
-    return mask
+# -- lattices ------------------------------------------------------------------------
 
 
-# -- cyclic submodules and lattices --------------------------------------------------
-
-
-def cyclic_submodule(view: ModuleView, x: int) -> int:
-    """Mask of the smallest one-sided submodule containing x: its orbit
-    {r.x : r over the ring}, already closed under + and the action."""
-    return cyclic_masks(view, view.side)[x]
-
-
-def enumerate_view_submodules(view: ModuleView, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """All one-sided submodule masks of a view, sorted by (size, mask).
-
-    The distinct cyclic submodules are closed under pairwise join to a
-    fixpoint; every submodule is a join of cyclic ones.
-    """
-    return view.lattice(view.side, cap, f"submodule ({view.side}) of {view.name} lattice")
-
-
-def enumerate_submodules(module: Bimodule, sidedness: str = "bi",
+def enumerate_submodules(module: Bimodule | ModuleView, sidedness: str = "bi",
                          cap: int = DEFAULT_LATTICE_CAP) -> list[Submodule]:
-    """All submodules of the named sidedness, sorted by (size, mask).
+    """All submodules of the named sidedness, sorted by (size, mask): the
+    join closure of the cyclic ones (a view has only its own side).
 
     Bisubmodules are the joins of the cyclic ones L.x.R, each the sum of
     the orbits (g.x)R over the left ring's additive generators g.
@@ -399,30 +375,7 @@ def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
     return bool(inside[view.act[np.unique(scalars)][:, x]].all())
 
 
-def annihilator(view: ModuleView):
-    """The ring elements acting as zero on the module: the kernel of the
-    action map, hence a two-sided ideal, returned without a closure check."""
-    return Ideal(view.ring, mask_from_bool((view.act == view.zero).all(axis=1)), "two")
-
-
 # -- quotients ----------------------------------------------------------------------
-
-
-def quotient_view(view: ModuleView, mask: int) -> tuple[ModuleView, np.ndarray]:
-    """Quotient a one-sided view by a submodule of the same side.
-
-    Always well defined (the action is additive and preserves the
-    submodule). Returns the quotient view over the same ring and the
-    projection array old index -> new index.
-    """
-    verify_view_submodule(view, mask)
-    reps, proj = view.addgroup.cosets(mask)
-    q_add = proj[view.add[np.ix_(reps, reps)]]
-    q_act = proj[view.act[:, reps]]
-    labels = [view.label(int(r)) for r in reps]
-    out = ModuleView(view.ring, view.side, q_add, q_act, int(proj[view.zero]),
-                     labels=labels, name=f"{view.name}/sub{mask.bit_count()}")
-    return out, proj
 
 
 def quotient_module(module: Bimodule, mask: int,

@@ -352,14 +352,8 @@ class Subset:
     def size(self) -> int:
         return self.members.bit_count()
 
-    def member_indices(self) -> np.ndarray:
-        return indices_of(self.members, self.carrier.order)
-
     def is_proper(self) -> bool:
         return self.members != full_mask(self.carrier.order)
-
-    def is_zero(self) -> bool:
-        return self.size == 1
 
     def __str__(self) -> str:
         return self.carrier.format_subset(self.members)

@@ -5,9 +5,9 @@ elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
 disagree with. The sections at the end do use the package's spans and
 lattices: the full-table kernels the library replaced with generator-width
-ones, for rings and for modules, the full-row slot laws, the full-scan
-validators, and the lattice-pairwise primeness and nilpotency routes with
-the nilpotent radical built on them.
+ones, for rings and for modules, quotient views and annihilators, the
+full-row slot laws, the full-scan validators, and the lattice-pairwise
+primeness and nilpotency routes with the nilpotent radical built on them.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from moritactx import (Ideal, NotASubmoduleError, NotProperError, Verdict, confirm_prime_witness,
-                       enumerate_ideals)
-from moritactx.bitsets import bool_array, indices_of, is_subset
+from moritactx import (Ideal, ModuleView, NotASubmoduleError, NotProperError, Verdict,
+                       confirm_prime_witness, enumerate_ideals, verify_submodule)
+from moritactx.bitsets import bool_array, indices_of, is_subset, mask_from_bool
 from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.spans import _classes
@@ -382,6 +382,32 @@ def fingerprint_is_prime_submodule(view, mask: int) -> Verdict:
         if bad.any():
             return Verdict(False, (r, int(np.flatnonzero(bad)[0])))
     return Verdict(True)
+
+
+# -- quotient views and annihilators --------------------------------------------------
+#
+# Module operations the library has no use for, kept for the prime submodule
+# test: the annihilator of M/N is the colon (N : M), a prime ideal whenever N
+# is a prime submodule of M.
+
+
+def annihilator(view) -> Ideal:
+    """The ring elements acting as zero on a one-sided view: the kernel of
+    the action map, hence a two-sided ideal, returned without a closure check."""
+    return Ideal(view.ring, mask_from_bool((view.act == view.zero).all(axis=1)), "two")
+
+
+def quotient_view(view, mask: int) -> tuple[ModuleView, np.ndarray]:
+    """A one-sided view modulo a submodule of its side, over the same ring,
+    with the projection array old index -> new index. Always well defined:
+    the action is additive and preserves the submodule."""
+    verify_submodule(view, mask, view.side)
+    reps, proj = view.addgroup.cosets(mask)
+    quotient = ModuleView(view.ring, view.side, proj[view.add[np.ix_(reps, reps)]],
+                          proj[view.act[:, reps]], int(proj[view.zero]),
+                          labels=[view.label(int(r)) for r in reps],
+                          name=f"{view.name}/sub{mask.bit_count()}")
+    return quotient, proj
 
 
 # -- full-row slot laws ----------------------------------------------------------------

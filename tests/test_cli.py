@@ -36,6 +36,16 @@ def test_parse_error_is_invalid_input(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_is_invalid_input(tmp_path, capsys):
+    doc = tmp_path / "binary.mctx"
+    doc.write_bytes(b"\xff\xfebase zn 6\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_subset_carrier_without_zero_is_invalid_input(tmp_path, capsys):
     doc = tmp_path / "nozero.mctx"
     doc.write_text("base zn 6\nV subset 2,4\n")

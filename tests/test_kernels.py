@@ -40,12 +40,11 @@ from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
 
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
                        builtin_context, builtin_document, check_ideal, closure_sets,
-                       cyclic_submodule, enumerate_ideals, enumerate_submodules, is_prime_ideal,
+                       enumerate_ideals, enumerate_submodules, is_prime_ideal,
                        is_prime_submodule, load_mctx, quadruple_conditions, ring_bimodule,
                        verify_submodule)
 from moritactx.bitsets import bool_array, is_subset
 from moritactx.context import _pair_views
-from moritactx.modules import enumerate_view_submodules, verify_view_submodule
 from moritactx.spans import AddGroup, cyclic_masks
 
 SIDES = ("two", "left", "right")
@@ -211,8 +210,9 @@ def test_cyclic_masks_and_lattices_match_the_span_routes(name):
     ctx = builtin_context(name).context
     for view in _views(ctx):
         spans = span_cyclic_masks(view)
-        assert [cyclic_submodule(view, x) for x in range(view.order)] == spans, view
-        assert enumerate_view_submodules(view) == plain_join_closure(view.addgroup, spans), view
+        assert cyclic_masks(view, view.side) == spans, view
+        lattice = [sub.members for sub in enumerate_submodules(view, view.side)]
+        assert lattice == plain_join_closure(view.addgroup, spans), view
     for module in _modules(ctx):
         spans = span_bicyclic_masks(module)
         assert _bicyclic_masks(module) == spans, module
@@ -224,9 +224,9 @@ def test_cyclic_masks_and_lattices_match_the_span_routes(name):
 def test_closure_checks_match_the_full_scan(name):
     ctx = builtin_context(name).context
     for view in _views(ctx):
-        lattice = enumerate_view_submodules(view)
+        lattice = [sub.members for sub in enumerate_submodules(view, view.side)]
         for mask in [*lattice, *_non_ideals(view, lattice)]:
-            assert (_failure(verify_view_submodule, view, mask)
+            assert (_failure(verify_submodule, view, mask, view.side)
                     == _failure(full_scan_verify_closed, view, mask, [(view.side, view.act)])), \
                 (view, view.format_subset(mask))
     for module in _modules(ctx):
@@ -244,9 +244,9 @@ def test_closure_checks_match_the_full_scan(name):
 def test_prime_submodule_scan_matches_the_fingerprint_scan(name):
     ctx = builtin_context(name).context
     for view in _views(ctx):
-        for mask in enumerate_view_submodules(view)[:-1]:          # the proper ones
-            assert is_prime_submodule(view, mask) == fingerprint_is_prime_submodule(view, mask), \
-                (view, view.format_subset(mask))
+        for sub in enumerate_submodules(view, view.side)[:-1]:      # the proper ones
+            assert (is_prime_submodule(view, sub)
+                    == fingerprint_is_prime_submodule(view, sub.members)), (view, str(sub))
 
 
 # -- slot products -----------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from moritactx import (
-    annihilator,
     build_context_ring,
     check_ideal,
     check_prime_quadruple,
@@ -13,22 +12,22 @@ from moritactx import (
     context_prime_radical,
     enumerate_context_ideals,
     enumerate_ideals,
-    is_prime_ideal,
+    enumerate_submodules,
     is_prime_submodule,
     is_semiprime_ring,
+    is_surjective_context,
     make_zn,
     prime_radical,
     quotient_context,
     quotient_ring,
-    quotient_view,
     ring_bimodule,
     validate_context,
     run_check,
 )
-from moritactx.bitsets import is_subset
-from moritactx.catalog import battery_names, builtin_context, surjective_battery_names
-from moritactx.modules import enumerate_view_submodules
-from naive import is_nilpotent_ideal
+from moritactx.bitsets import bool_array, is_subset
+from moritactx.catalog import battery_names, builtin_context
+from moritactx.context import _pair_views
+from naive import annihilator, is_nilpotent_ideal, members_of, naive_is_prime, quotient_view
 
 SMALL = ("full:2", "full:3", "full:4", "tri:4,2", "zero:2,2", "zero:2,4",
          "paper:ex2.8", "paper:ex2.12")
@@ -42,7 +41,8 @@ def test_every_builtin_resolves_and_validates(name):
 
 
 def test_surjective_members_are_exactly_the_spanning_ones():
-    assert surjective_battery_names() == [
+    assert [name for name in battery_names()
+            if is_surjective_context(builtin_context(name).context)] == [
         "full:2", "full:3", "full:4", "full:5", "full:6",
         "ks:6:1", "ks:6:5", "paper:ex2.4",
     ]
@@ -93,23 +93,40 @@ def test_quotient_context_has_zero_radical(name):
     assert context_prime_radical(quotient).size == 1
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def _side_views(source, side: str) -> list:
+    """Z_n over itself on one side, or a battery context's views on one
+    side: V, W and the two coordinate blocks."""
+    if isinstance(source, int):
+        modules, blocks = [ring_bimodule(make_zn(source))], ()
+    else:
+        ctx = builtin_context(source).context
+        modules, blocks = [ctx.mod_v, ctx.mod_w], _pair_views(ctx, side)
+    return [getattr(mod, f"{side}_view")() for mod in modules] + list(blocks)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, *battery_names()])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_prime_submodule_gives_prime_annihilator(n, side):
-    ring = make_zn(n)
-    mod = ring_bimodule(ring)
-    view = mod.left_view() if side == "left" else mod.right_view()
-    full = (1 << view.order) - 1
+    # (N : M) = ann(M/N) is prime for a prime submodule N of M (Dauns 1978),
+    # decided by definition chase, not by the prime_pair scan under test.
+    decided: dict[tuple, bool] = {}
     hits = 0
-    for mask in enumerate_view_submodules(view):
-        if mask == full or not is_prime_submodule(view, mask).holds:
-            continue
-        quot, _ = quotient_view(view, mask)
-        ann = annihilator(quot)
-        assert check_ideal(ann.ring, ann.members, "two").holds
-        assert ann.is_proper()
-        assert is_prime_ideal(ann).holds
-        hits += 1
+    for view in _side_views(n, side):
+        for sub in enumerate_submodules(view, side)[:-1]:          # the proper ones
+            if not is_prime_submodule(view, sub):
+                continue
+            quot, _ = quotient_view(view, sub.members)
+            ann = annihilator(quot)
+            inside = bool_array(sub.members, view.order)
+            assert ann.members == sum(1 << r for r in range(view.ring.order)
+                                      if inside[view.act[r]].all()), (view, str(sub))
+            assert check_ideal(ann.ring, ann.members, "two").holds
+            assert ann.is_proper()
+            key = (id(ann.ring), ann.members)
+            if key not in decided:
+                decided[key] = naive_is_prime(ann.ring, members_of(ann.members, ann.ring.order))
+            assert decided[key], (view, str(sub), str(ann))
+            hits += 1
     assert hits > 0  # the sweep must actually exercise something
 
 

@@ -9,16 +9,15 @@ from moritactx import (
     MalformedTableError,
     ModuleView,
     NotASubmoduleError,
-    annihilator,
+    WellDefinednessError,
     build_context_ring,
     check_ideal,
-    cyclic_submodule,
     enumerate_submodules,
     is_prime_submodule,
     confirm_prime_submodule_witness,
     make_zn,
     quotient_module,
-    quotient_view,
+    quotient_ring,
     residue_bimodule,
     ring_bimodule,
     subset_bimodule,
@@ -29,9 +28,9 @@ from moritactx import (
 import moritactx.modules
 from moritactx.catalog import builtin_context, builtin_document
 from moritactx.mctx import load_mctx
-from moritactx.modules import enumerate_view_submodules, verify_view_submodule
+from moritactx.spans import cyclic_masks
 
-from naive import naive_is_prime_submodule, naive_view_submodules
+from naive import annihilator, naive_is_prime_submodule, naive_view_submodules, quotient_view
 
 
 def test_ring_bimodule_satisfies_the_laws(z6):
@@ -133,8 +132,8 @@ def test_views_expose_sides(z4):
 
 def test_view_submodule_enumeration_matches_naive(z12):
     view = ring_bimodule(z12).left_view()
-    got = {frozenset(i for i in range(12) if m >> i & 1)
-           for m in enumerate_view_submodules(view)}
+    got = {frozenset(i for i in range(12) if sub.members >> i & 1)
+           for sub in enumerate_submodules(view, view.side)}
     assert got == naive_view_submodules(view)
 
 
@@ -156,12 +155,12 @@ def test_verify_submodule_roundtrip(z6):
 
 def test_cyclic_submodule_of_two_in_z8(z8):
     view = ring_bimodule(z8).left_view()
-    assert cyclic_submodule(view, 2) == 0b01010101  # {0,2,4,6}
+    assert cyclic_masks(view, view.side)[2] == 0b01010101  # {0,2,4,6}
 
 
 def test_prime_submodule_agrees_with_naive_on_z8(z8):
     view = ring_bimodule(z8).left_view()
-    for mask in enumerate_view_submodules(view):
+    for mask in (sub.members for sub in enumerate_submodules(view, view.side)):
         if mask == (1 << 8) - 1:
             continue
         members = [i for i in range(8) if mask >> i & 1]
@@ -170,7 +169,7 @@ def test_prime_submodule_agrees_with_naive_on_z8(z8):
 
 def test_prime_submodule_agrees_with_naive_on_right_views(z12):
     view = ring_bimodule(z12).right_view()
-    for mask in enumerate_view_submodules(view):
+    for mask in (sub.members for sub in enumerate_submodules(view, view.side)):
         if mask == (1 << 12) - 1:
             continue
         members = [i for i in range(12) if mask >> i & 1]
@@ -179,7 +178,7 @@ def test_prime_submodule_agrees_with_naive_on_right_views(z12):
 
 def test_prime_submodule_witness_confirms(z8):
     view = ring_bimodule(z8).left_view()
-    verdict = is_prime_submodule(view, verify_view_submodule(view, 0b00010001))  # {0,4}
+    verdict = is_prime_submodule(view, verify_submodule(view, 0b00010001, view.side))  # {0,4}
     assert not verdict.holds
     r, x = verdict.witness
     assert confirm_prime_submodule_witness(view, 0b00010001, r, x)
@@ -207,11 +206,20 @@ def test_quotient_module_keeps_both_actions(z6):
     assert validate_bimodule(quot).ok
 
 
+def test_quotient_module_refuses_an_action_not_constant_on_ring_classes(z6):
+    # Z6 over itself modulo {0} with the acting ring taken mod 3: 0 and 3 are
+    # one class of Z6/3Z6 but send 1 to different elements.
+    with pytest.raises(WellDefinednessError) as info:
+        quotient_module(ring_bimodule(z6), 0b1, left=quotient_ring(z6, 0b001001))
+    assert str(info.value) == ("induced action is not well defined: ring elements 0 and 3 "
+                               "map to the same class but act differently on coset 1")
+
+
 def test_lattice_cap_counts_the_cyclic_submodules():
     # Z6 over itself has 4 submodules on each side, all cyclic.
     mod = builtin_context("full:6").context.mod_v
     with pytest.raises(CapacityError, match="bisubmodule of Z6 lattice exceeds cap 3"):
         enumerate_submodules(mod, "bi", cap=3)
     with pytest.raises(CapacityError, match=r"submodule \(left\) of Z6 lattice exceeds cap 3"):
-        enumerate_view_submodules(mod.left_view(), cap=3)
-    assert len(enumerate_view_submodules(mod.left_view(), cap=4)) == 4
+        enumerate_submodules(mod.left_view(), "left", cap=3)
+    assert len(enumerate_submodules(mod.left_view(), "left", cap=4)) == 4

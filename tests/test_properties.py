@@ -17,7 +17,7 @@ from moritactx import (
     quadruple_mask,
     serialize_document,
 )
-from moritactx.bitsets import indices_of, mask_from_indices
+from moritactx.bitsets import indices_of
 from moritactx.spans import AddGroup
 
 from naive import (naive_additive_span, naive_is_ideal, naive_is_subgroup, members_of,
@@ -30,7 +30,7 @@ rings = st.integers(min_value=2, max_value=10).map(make_zn)
        st.sets(st.integers(min_value=0, max_value=19)))
 def test_bitset_round_trip(order, indices):
     indices = {i for i in indices if i < order}
-    mask = mask_from_indices(indices)
+    mask = sum(1 << i for i in indices)
     assert set(indices_of(mask, order).tolist()) == indices
 
 
@@ -94,7 +94,7 @@ def test_check_ideal_agrees_with_naive(ring, raw_mask):
 def test_principal_ideal_contains_its_generator(ring, a):
     a = a % ring.order
     ideal = principal_ideal(ring, a)
-    assert ideal.contains(a)
+    assert ideal.members >> a & 1
     assert ideal.members in {c.members for c in enumerate_ideals(ring)}
 
 

@@ -93,7 +93,6 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    RingMap,
     make_zn,
     quotient_ring,
     ring_from_tables,
@@ -107,7 +106,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # rings
-    "FiniteRing", "RingMap", "make_zn", "ring_from_tables",
+    "FiniteRing", "make_zn", "ring_from_tables",
     "validate_ring", "quotient_ring", "verify_ring_map",
     # modules
     "Bimodule", "ModuleView", "Submodule", "ring_bimodule", "subset_bimodule",

@@ -84,6 +84,17 @@ def _load(src: str) -> ResolvedContext:
     return builtin_context(src)
 
 
+def _cap(text: str) -> int:
+    """``--cap`` value: an int of at least 1, refused at parse time (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _caps(args) -> tuple[int, int]:
     if args.cap is not None:
         return args.cap, args.cap
@@ -393,7 +404,7 @@ def _cmd_example(args, out: _Printer) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", type=_cap, default=None,
                         help="override the ring-order and lattice caps")
     common.add_argument("--summary", action="store_true",
                         help="print one key=value line per fact instead of prose")

@@ -48,7 +48,7 @@ from .modules import (
     ring_bimodule,
     validate_bimodule,
 )
-from .rings import FiniteRing, RingMap, checked_generators, quotient_ring, verify_ring_map
+from .rings import FiniteRing, checked_generators, quotient_ring, verify_ring_map
 from .spans import check_closed
 from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_on,
                          additive_second, as_table, associative, associative_on, violations_of)
@@ -859,12 +859,13 @@ def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) ->
 
 @dataclass(frozen=True)
 class QuotientContextResult:
-    """A context quotiented by its prime radical, with all the projections."""
+    """A context quotiented by its prime radical, with each slot's projection
+    as an int array."""
 
     context: MoritaContext
     radical: RadicalQuadruple
-    proj_r: RingMap
-    proj_s: RingMap
+    proj_r: np.ndarray
+    proj_s: np.ndarray
     proj_v: np.ndarray
     proj_w: np.ndarray
 
@@ -883,8 +884,8 @@ def quotient_context(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Quot
 
     Corner rings are quotiented by their radicals, carriers by the radical's
     module slots (over the quotient rings), and the pairings are pushed to
-    cosets. The result is not re-validated: that it is again a context is
-    what check 2.10 and the tests assert.
+    cosets. The result is not validated here; ``verify_quotient_iso``
+    (check 2.10) runs ``validate_context`` on it.
     """
     key = ("quotient", cap)
     if key in ctx._cache:
@@ -896,8 +897,8 @@ def quotient_context(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Quot
                                      left=(ring_rq, proj_r), right=(ring_sq, proj_s))
     mod_wq, proj_w = quotient_module(ctx.mod_w, radical.w_part.members,
                                      left=(ring_sq, proj_s), right=(ring_rq, proj_r))
-    pair_vw = _induced_pairing(ctx.prod_vw, proj_v, proj_w, proj_r.image_array())
-    pair_wv = _induced_pairing(ctx.prod_wv, proj_w, proj_v, proj_s.image_array())
+    pair_vw = _induced_pairing(ctx.prod_vw, proj_v, proj_w, proj_r)
+    pair_wv = _induced_pairing(ctx.prod_wv, proj_w, proj_v, proj_s)
     quotient = MoritaContext(ring_rq, ring_sq, mod_vq, mod_wq, pair_vw, pair_wv,
                              name=f"{ctx.name}/rad")
     result = QuotientContextResult(quotient, radical, proj_r, proj_s, proj_v, proj_w)
@@ -906,24 +907,29 @@ def quotient_context(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Quot
 
 
 def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
-    """Check that modding the ring by its radical matches the quotient context.
+    """Check that the ring modulo its radical is the ring of the quotient context.
 
-    Builds both rings, forms the slotwise coset map between them, and
-    verifies it is a ring isomorphism; the verdict's witness localizes any
-    failure to an operation and a pair of cosets.
+    By the first isomorphism theorem T/ker π ≅ im π, so T is never
+    quotiented: the quotient context must validate (its T′ is then a ring),
+    and the slotwise projection π: T → T′ must have the radical as its
+    kernel, be onto, and be a ring map. The witness is ("context",) when
+    the quotient context breaks a law, ("kernel",) or ("onto",) for the
+    wrong kernel or image, else ``verify_ring_map``'s, with a, b elements
+    of T.
     """
     ring = _context_ring(ctx)
     qres = quotient_context(ctx, cap)
-    ring_q, proj_t = quotient_ring(ring, qres.radical.member_mask())
+    if not validate_context(qres.context).ok:
+        return Verdict(False, ("context",))
     target = build_context_ring(qres.context, cap=ring.order)   # never larger than ring
-    if ring_q.order != target.order:
-        return Verdict(False, ("bijective",))
-    _, first = np.unique(proj_t.image_array(), return_index=True)
     r_of, v_of, w_of, s_of = ctx.component_arrays()
-    image = qres.context.encode(qres.proj_r.image_array()[r_of[first]], qres.proj_v[v_of[first]],
-                                qres.proj_w[w_of[first]], qres.proj_s.image_array()[s_of[first]])
-    f = RingMap(ring_q, target, tuple(int(x) for x in image))
-    return verify_ring_map(f, require_bijective=True)
+    proj = qres.context.encode(qres.proj_r[r_of], qres.proj_v[v_of],
+                               qres.proj_w[w_of], qres.proj_s[s_of])
+    if mask_from_bool(proj == target.zero) != qres.radical.member_mask():
+        return Verdict(False, ("kernel",))
+    if np.unique(proj).size != target.order:
+        return Verdict(False, ("onto",))
+    return verify_ring_map(ring, target, proj)
 
 
 # -- whole-ring prime and semiprime reports ------------------------------------------

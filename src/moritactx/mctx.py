@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitsets import full_mask
+from .bitsets import full_mask, indices_of
 from .context import MoritaContext, build_ks_context, quadruple_mask, validate_context
 from .errors import MctxError, NotASubmoduleError
 from .modules import (
@@ -509,6 +509,8 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
             ring_s = base
         shared = ring_s is base
 
+        embedded: dict[str, np.ndarray] = {}    # base-ring index of each all/subset carrier
+
         def carrier(key: str, spec: CarrierSpec, left, right):
             if spec.kind == "table":
                 return _module_from_spec(key, spec, left, right)
@@ -520,6 +522,7 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
                 raise MctxError(f"carrier {key} {spec.kind} lives inside the base ring, "
                                 f"which needs both corner rings equal to it")
             if spec.kind == "all":
+                embedded[key] = np.arange(base.order)
                 return ring_bimodule(base)
             mask = 0
             for val in spec.values:
@@ -527,9 +530,11 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
                     raise MctxError(f"carrier {key} label {val} out of range for {base.name}")
                 mask |= 1 << val
             try:
-                return subset_bimodule(base, mask, name=_subset_name(base.order, spec.values))
+                mod = subset_bimodule(base, mask, name=_subset_name(base.order, spec.values))
             except NotASubmoduleError as exc:
                 raise MctxError(f"carrier {key}: {exc}") from exc
+            embedded[key] = indices_of(mask, base.order)
+            return mod
 
         mod_v = carrier("V", doc.v_spec, base, ring_s)
         mod_w = carrier("W", doc.w_spec, ring_s, base)
@@ -539,10 +544,10 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
                 return np.full((amod.order, bmod.order), target.zero, dtype=np.int32)
             if spec.rule == "table":
                 return _rows_array(spec.rows, f"product {tag}")
-            if amod.ambient_ring is not base or bmod.ambient_ring is not base or not shared:
+            if tag[0] not in embedded or tag[1] not in embedded:
                 raise MctxError(f"product {tag} inherited needs both module carriers "
                                 f"inside the base ring and both corners equal to it")
-            return base.mul[np.ix_(amod.ambient_index, bmod.ambient_index)]
+            return base.mul[np.ix_(embedded[tag[0]], embedded[tag[1]])]
 
         pair_vw = pairing("VW", doc.prod_vw, mod_v, mod_w, base)
         pair_wv = pairing("WV", doc.prod_wv, mod_w, mod_v, ring_s)

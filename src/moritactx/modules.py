@@ -55,18 +55,15 @@ class Bimodule(Carrier):
 
     ``left_act`` has shape (|L|, m): row r is the action of ring element r.
     ``right_act`` has shape (m, |R|): column r is the right action of r.
-    ``ambient_ring``/``ambient_index`` are set when the carrier embeds in a
-    ring, so pairings can be inherited from ring multiplication.
     """
 
     __slots__ = ("order", "add", "zero", "left_ring", "left_act", "right_ring", "right_act",
-                 "name", "ambient_ring", "ambient_index", "_cache")
+                 "name", "_cache")
     SIDEDNESS = {"left": ("left",), "right": ("right",), "bi": ("left", "right")}
     SIDEDNESS_TEXT = "'left', 'right' or 'bi'"
 
     def __init__(self, add, zero: int, left_ring, left_act, right_ring, right_act,
-                 labels=None, name: str | None = None, label_fn=None,
-                 ambient_ring=None, ambient_index=None):
+                 labels=None, name: str | None = None, label_fn=None):
         add = as_square_table(add, "module add")
         m = add.shape[0]
         if not 0 <= zero < m:
@@ -80,11 +77,6 @@ class Bimodule(Carrier):
         self.right_act = as_table(right_act, m, right_ring.order, "right action", limit=m)
         self.name = name or f"bimod{m}"
         self._present(labels, label_fn)
-        self.ambient_ring = ambient_ring
-        if ambient_index is not None:
-            ambient_index = np.asarray(ambient_index, dtype=np.int32)
-            ambient_index.setflags(write=False)
-        self.ambient_index = ambient_index
         self._cache: dict = {}
 
     def left_view(self) -> ModuleView:
@@ -171,11 +163,10 @@ class Submodule(Subset):
 
 
 def ring_bimodule(ring) -> Bimodule:
-    """The ring as a bimodule over itself; pairings are inherited."""
+    """The ring as a bimodule over itself."""
     return Bimodule(
         ring.add, ring.zero, ring, ring.mul, ring, ring.mul,
         name=ring.name, label_fn=ring.label,
-        ambient_ring=ring, ambient_index=np.arange(ring.order, dtype=np.int32),
     )
 
 
@@ -198,7 +189,6 @@ def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodul
     return Bimodule(
         add, int(rank[ring.zero]), ring, lact, ring, ract,
         labels=labels, name=name or f"{ring.name}-part{members.size}",
-        ambient_ring=ring, ambient_index=members,
     )
 
 
@@ -383,10 +373,12 @@ def quotient_module(module: Bimodule, mask: int,
                       right: tuple | None = None) -> tuple[Bimodule, np.ndarray]:
     """Quotient a bimodule by a bisubmodule, optionally over quotient rings.
 
-    ``left``/``right`` are (quotient_ring, projection RingMap) pairs for
-    acting rings that are themselves being quotiented. The induced action
-    must send every ring class to one module map; this is checked
-    exhaustively and WellDefinednessError carries a witness otherwise.
+    ``left``/``right`` are (quotient ring, projection array) pairs, as
+    ``quotient_ring`` returns them, for acting rings that are themselves
+    being quotiented. The induced action must send every ring class to one
+    module map: each ring element's action on the cosets is compared with
+    that of its class's least member, and WellDefinednessError names the
+    first element, class by class, that differs.
     """
     verify_submodule(module, mask, "bi")
     reps, proj = module.addgroup.cosets(mask)
@@ -394,23 +386,19 @@ def quotient_module(module: Bimodule, mask: int,
 
     def induced(side: str, ring_pair) -> tuple[np.ndarray, object]:
         ring, act_rows = module.action(side)                # normalized (|ring|, m)
+        rows = proj[act_rows[:, reps]].astype(np.int32)
         if ring_pair is None:
-            rows = proj[act_rows[:, reps]]
-            return rows.astype(np.int32), ring
+            return rows, ring
         new_ring, ring_proj = ring_pair
-        arr = ring_proj.image_array()
-        rows = np.empty((new_ring.order, reps.size), dtype=np.int32)
-        for q in range(new_ring.order):
-            cls = np.flatnonzero(arr == q)
-            variants = proj[act_rows[np.ix_(cls, reps)]]
-            first = variants[0]
-            if (variants != first[None, :]).any():
-                where = np.argwhere(variants != first[None, :])[0]
-                raise WellDefinednessError(
-                    f"induced action is not well defined: ring elements {int(cls[0])} and "
-                    f"{int(cls[where[0]])} map to the same class but act differently on coset {int(where[1])}")
-            rows[q] = first
-        return rows, new_ring
+        _, least = np.unique(ring_proj, return_index=True)   # each class's least member
+        differs = rows != rows[least[ring_proj]]
+        bad = np.flatnonzero(differs.any(axis=1))
+        if bad.size:
+            r = int(bad[np.argmin(ring_proj[bad])])            # first class, then least element
+            raise WellDefinednessError(
+                f"induced action is not well defined: ring elements {int(least[ring_proj[r]])} and "
+                f"{r} map to the same class but act differently on coset {int(differs[r].argmax())}")
+        return rows[least], new_ring
 
     lact, lring = induced("left", left)
     ract_rows, rring = induced("right", right)

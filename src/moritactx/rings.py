@@ -8,8 +8,6 @@ sanity checks; user-supplied tables must go through ``validate_ring``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitsets import as_mask
@@ -17,12 +15,11 @@ from .errors import InvalidOrderError, MalformedTableError
 from .ideals import verify_ideal
 from .spans import Carrier
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
-                         additive_second, as_square_table, as_table, associative, require_ok,
-                         ring_generators, violations_of)
+                         additive_second, as_square_table, as_table, associative, law_witness,
+                         require_ok, ring_generators, violations_of)
 
 __all__ = [
     "FiniteRing",
-    "RingMap",
     "make_zn",
     "ring_from_tables",
     "validate_ring",
@@ -81,30 +78,6 @@ class FiniteRing(Carrier):
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"
-
-
-@dataclass(frozen=True)
-class RingMap:
-    """A function between ring carriers, given by its image tuple."""
-
-    source: FiniteRing
-    target: FiniteRing
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.image) != self.source.order:
-            raise MalformedTableError(
-                f"map image has {len(self.image)} entries for a source of order {self.source.order}"
-            )
-        for x in self.image:
-            if not 0 <= x < self.target.order:
-                raise MalformedTableError(f"map image value {x} out of range")
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
-    def image_array(self) -> np.ndarray:
-        return np.asarray(self.image, dtype=np.int64)
 
 
 def make_zn(n: int) -> FiniteRing:
@@ -185,8 +158,8 @@ def ring_from_tables(add, mul, zero: int | None = None, one: int | None = None,
                       _identity(mul) if one is None else one, labels=labels, name=name)
 
 
-def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:
-    """Quotient by a two-sided ideal, with the projection map.
+def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, np.ndarray]:
+    """Quotient by a two-sided ideal, with the projection as an int array.
 
     Cosets are ordered by their least member index; the projection sends
     each element to the rank of its coset representative.
@@ -200,31 +173,39 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, RingMap]:
     qname = f"{ring.name}/<{mask.bit_count()}>"
     quotient = FiniteRing(q_add, q_mul, zero=int(proj[ring.zero]), one=int(proj[ring.one]),
                           labels=labels, name=qname)
-    return quotient, RingMap(ring, quotient, tuple(int(x) for x in proj))
+    return quotient, proj
 
 
-def verify_ring_map(f: RingMap, require_bijective: bool = False) -> Verdict:
-    """Exhaustively check that a map preserves +, * and the identity.
+def verify_ring_map(source: FiniteRing, target: FiniteRing, image) -> Verdict:
+    """Check that x -> ``image[x]`` preserves the identity, + and ·.
 
-    The witness is ("add"|"mul", a, b) for a failed pair, ("one",) for a
-    broken identity, or ("bijective",) when injectivity was demanded and the
-    image is not a permutation.
+    Both tables must be rings, as every ``FiniteRing`` is assumed to be;
+    then the map is decided at generator width, as ``check_closed`` decides
+    a mask. It is additive iff f(x+g) = f(x)+f(g) for every x and every
+    additive generator g of the source (every element is a sum of
+    generators), and an additive map is multiplicative iff f(g·h) =
+    f(g)·f(h) on generator pairs, both sides being biadditive. Only a map
+    that fails is scanned in full, one row at a time, for the lex-first
+    witness: ("one",) for a moved identity, else ("add"|"mul", a, b). An
+    image of the wrong length or out of range raises MalformedTableError.
     """
-    src, tgt = f.source, f.target
-    img = f.image_array()
-    if int(img[src.one]) != tgt.one:
+    img = np.asarray(image, dtype=np.int64)
+    if img.shape != (source.order,):
+        raise MalformedTableError(
+            f"map image has {img.size} entries for a source of order {source.order}")
+    bad = np.flatnonzero((img < 0) | (img >= target.order))
+    if bad.size:
+        raise MalformedTableError(f"map image value {img[bad[0]]} out of range")
+    if img[source.one] != target.one:
         return Verdict(False, ("one",))
-    lhs = img[src.add]
-    rhs = tgt.add[np.ix_(img, img)]
-    if (lhs != rhs).any():
-        a, b = map(int, np.argwhere(lhs != rhs)[0])
-        return Verdict(False, ("add", a, b))
-    lhs = img[src.mul]
-    rhs = tgt.mul[np.ix_(img, img)]
-    if (lhs != rhs).any():
-        a, b = map(int, np.argwhere(lhs != rhs)[0])
-        return Verdict(False, ("mul", a, b))
-    if require_bijective:
-        if src.order != tgt.order or np.unique(img).size != tgt.order:
-            return Verdict(False, ("bijective",))
+    gens = source.addgroup.generators
+    at = img[gens]
+    if ((img[source.add[:, gens]] == target.add[np.ix_(img, at)]).all()
+            and (img[source.mul[np.ix_(gens, gens)]] == target.mul[np.ix_(at, at)]).all()):
+        return Verdict(True)
+    for op, src, tgt in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
+        found = law_witness(source.order, lambda a: img[src[a:a + 1]],
+                            lambda a: tgt[img[a:a + 1, None], img])
+        if found is not None:
+            return Verdict(False, (op, found[0], found[2]))
     return Verdict(True)

@@ -6,8 +6,9 @@ on purpose — these exist so the fast paths have something independent to
 disagree with. The sections at the end do use the package's spans and
 lattices: the full-table kernels the library replaced with generator-width
 ones, for rings and for modules, quotient views and annihilators, the
-full-row slot laws, the full-scan validators, and the lattice-pairwise
-primeness and nilpotency routes with the nilpotent radical built on them.
+full-row slot laws, the full-scan validators, the full-scan ring map and
+the built-quotient route of check 2.10, and the lattice-pairwise primeness
+and nilpotency routes with the nilpotent radical built on them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import combinations, product
 import numpy as np
 
 from moritactx import (Ideal, ModuleView, NotASubmoduleError, NotProperError, Verdict,
-                       confirm_prime_witness, enumerate_ideals, verify_submodule)
+                       build_context_ring, confirm_prime_witness, enumerate_ideals,
+                       quotient_context, quotient_ring, verify_submodule)
 from moritactx.bitsets import bool_array, indices_of, is_subset, mask_from_bool
 from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
 from moritactx.ideals import DEFAULT_LATTICE_CAP
@@ -501,6 +503,43 @@ def full_scan_validate_context(ctx) -> ValidationReport:
 
     violations += violations_of((law, witness(x, y, z)) for law, x, y, z in _PAIRING_LAWS)
     return ValidationReport(f"context {ctx.name}", tuple(violations))
+
+
+# -- full-scan ring maps and the built-quotient route of check 2.10 -------------------
+
+
+def full_scan_verify_ring_map(source, target, image) -> Verdict:
+    """Identity, then + and · over all n² pairs of the source: the ring-map
+    check before it went to generator width. Same witnesses."""
+    img = np.asarray(image, dtype=np.int64)
+    if int(img[source.one]) != target.one:
+        return Verdict(False, ("one",))
+    for op, src, tgt in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
+        diff = img[src] != tgt[np.ix_(img, img)]
+        if diff.any():
+            a, b = map(int, np.argwhere(diff)[0])
+            return Verdict(False, (op, a, b))
+    return Verdict(True)
+
+
+def quotient_iso_by_quotient_ring(ctx, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
+    """Check 2.10 by building T/rad: quotient T by the slotwise radical, map
+    each coset's least member slotwise into T(ctx/rad), and demand a
+    bijective ring map, scanned in full. ("bijective",) when it is not."""
+    ring = build_context_ring(ctx)
+    qres = quotient_context(ctx, cap)
+    ring_q, proj_t = quotient_ring(ring, qres.radical.member_mask())
+    target = build_context_ring(qres.context, cap=ring.order)
+    if ring_q.order != target.order:
+        return Verdict(False, ("bijective",))
+    _, first = np.unique(proj_t, return_index=True)
+    r_of, v_of, w_of, s_of = ctx.component_arrays()
+    image = qres.context.encode(qres.proj_r[r_of[first]], qres.proj_v[v_of[first]],
+                                qres.proj_w[w_of[first]], qres.proj_s[s_of[first]])
+    verdict = full_scan_verify_ring_map(ring_q, target, image)
+    if verdict and np.unique(image).size != target.order:
+        return Verdict(False, ("bijective",))
+    return verdict
 
 
 # -- lattice-pairwise routes ----------------------------------------------------------

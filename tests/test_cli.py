@@ -225,3 +225,27 @@ def test_example_honours_the_cap(capsys):
     code, _, err = run(capsys, "example", "ex2.12", "--cap", "10")
     assert code == 3
     assert "has order 64, over the cap 10" in err
+
+
+def test_inherited_pairing_needs_carriers_inside_the_base_ring(tmp_path, capsys):
+    # V is Z2 as a residue module, not a subset of the base ring, so the
+    # base ring's multiplication gives no VW pairing.
+    doc = tmp_path / "residue.mctx"
+    doc.write_text("base zn 2\nV zn 2\nproduct VW inherited\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == ("error: product VW inherited needs both module carriers inside the "
+                   "base ring and both corners equal to it\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_invalid_input(capsys, cap):
+    code, out, err = run(capsys, "ideals", "full:4", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert f"argument --cap: must be at least 1, got {cap}" in err
+
+
+def test_non_integer_cap_is_invalid_input(capsys):
+    code, out, err = run(capsys, "ideals", "full:4", "--cap", "ten")
+    assert (code, out) == (2, "")
+    assert "argument --cap: invalid int value: 'ten'" in err

@@ -12,7 +12,9 @@ from moritactx import (
     CapacityError,
     CentralityError,
     MalformedTableError,
+    MoritaContext,
     NotAnIdealError,
+    Verdict,
     build_context_ring,
     build_ks_context,
     check_prime_quadruple,
@@ -37,12 +39,13 @@ from moritactx import (
     verify_quotient_iso,
 )
 from moritactx import ideals
+from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.catalog import battery_names, builtin_context, builtin_document
 from moritactx.checks import run_check
 from moritactx.mctx import inline_ideal_mask, load_mctx
 
 from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
-                   naive_quadruple_ideals)
+                   naive_quadruple_ideals, quotient_iso_by_quotient_ring)
 
 
 def ctx_of(name):
@@ -457,6 +460,66 @@ def test_radical_members_are_nilpotent():
                                   "paper:ex2.8", "paper:ex2.12"])
 def test_quotient_context_is_isomorphic_to_ring_quotient(name):
     assert verify_quotient_iso(ctx_of(name)).holds
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_quotient_iso_agrees_with_the_built_quotient(name):
+    ctx = ctx_of(name)
+    assert verify_quotient_iso(ctx) == quotient_iso_by_quotient_ring(ctx)
+
+
+def _fresh(name):
+    """A context of its own, so editing its caches leaves the shared one alone."""
+    return load_mctx(builtin_document(name)).context
+
+
+def _replace_quotient(ctx, **changes):
+    """Swap fields of the cached quotient that check 2.10 reads."""
+    ctx._cache[("quotient", DEFAULT_LATTICE_CAP)] = dataclasses.replace(
+        quotient_context(ctx), **changes)
+
+
+@pytest.mark.parametrize("name, witness", [("full:4", ("mul", 4, 16)),
+                                           ("ks:6:2", ("mul", 6, 36)),
+                                           ("paper:ex2.12", None)])
+def test_quotient_iso_refuses_a_valid_quotient_with_zero_pairings(name, witness):
+    # Zero pairings always make a context; it is the quotient only where the
+    # quotient's pairings are zero already, as in ex2.12.
+    ctx = _fresh(name)
+    quot = quotient_context(ctx).context
+    zeroed = MoritaContext(quot.ring_r, quot.ring_s, quot.mod_v, quot.mod_w,
+                           np.full(quot.prod_vw.shape, quot.ring_r.zero),
+                           np.full(quot.prod_wv.shape, quot.ring_s.zero))
+    assert validate_context(zeroed).ok
+    _replace_quotient(ctx, context=zeroed)
+    verdict = verify_quotient_iso(ctx)
+    assert (verdict.holds, verdict.witness) == (witness is None, witness)
+    assert quotient_iso_by_quotient_ring(ctx).holds == verdict.holds
+
+
+def test_quotient_iso_refuses_a_quotient_that_breaks_a_pairing_law():
+    ctx = _fresh("full:4")
+    quot = quotient_context(ctx).context
+    # Every slot of the quotient is Z2 and both pairings multiply. With 1·1 = 0
+    # in V×W alone, (v·w)·v = v·(w·v) fails at v = w = 1.
+    pair = quot.prod_vw.copy()
+    pair[1, 1] = 0
+    broken = MoritaContext(quot.ring_r, quot.ring_s, quot.mod_v, quot.mod_w, pair, quot.prod_wv)
+    assert not validate_context(broken).ok
+    _replace_quotient(ctx, context=broken)
+    assert verify_quotient_iso(ctx) == Verdict(False, ("context",))
+    assert not quotient_iso_by_quotient_ring(ctx).holds
+
+
+def test_quotient_iso_refuses_the_wrong_kernel_and_a_map_not_onto():
+    ctx = _fresh("full:4")
+    _replace_quotient(ctx, proj_v=np.zeros(4, dtype=np.int64))
+    assert verify_quotient_iso(ctx) == Verdict(False, ("kernel",))
+    # Into the unreduced context, each slot still projected mod its radical:
+    # the kernel is the radical, but only 16 of 256 elements are reached.
+    ctx = _fresh("full:4")
+    _replace_quotient(ctx, context=ctx_of("full:4"))
+    assert verify_quotient_iso(ctx) == Verdict(False, ("onto",))
 
 
 def test_quotient_context_dims():

@@ -37,7 +37,7 @@ def test_ring_bimodule_satisfies_the_laws(z6):
     mod = ring_bimodule(z6)
     assert mod.order == 6
     assert validate_bimodule(mod).ok
-    assert mod.ambient_ring is z6
+    assert mod.left_ring is z6 and mod.right_ring is z6
 
 
 def test_subset_bimodule_of_even_residues(z6):

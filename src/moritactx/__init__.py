@@ -28,7 +28,6 @@ from .context import (
     decompose_ideal,
     enumerate_context_ideals,
     is_prime_context,
-    is_prime_onesided_ideal,
     is_semiprime_context,
     is_surjective_context,
     product_span_vw,
@@ -123,8 +122,8 @@ __all__ = [
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
-    "decompose_ideal", "side_decomposition", "is_prime_onesided_ideal",
-    "closure_sets", "check_prime_quadruple", "check_semiprime_quadruple",
+    "decompose_ideal", "side_decomposition", "closure_sets",
+    "check_prime_quadruple", "check_semiprime_quadruple",
     "context_prime_radical", "quotient_context", "verify_quotient_iso",
     "is_prime_context", "is_semiprime_context", "is_surjective_context",
     "product_span_vw", "product_span_wv",

@@ -109,19 +109,22 @@ def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str,
     return ok, lines
 
 
-def _prime_submodules(pairs, failure) -> tuple[int, int, list[str]]:
-    """Prime-submodule test over (view, mask) pairs, skipping whole-carrier
-    masks (primeness is only defined below the whole module): the counts
-    checked and skipped, and ``failure(view, mask)`` for each non-prime one."""
-    proper = [(view, mask) for view, mask in pairs if mask != full_mask(view.order)]
-    failed = [failure(view, mask) for view, mask in proper if not is_prime_submodule(view, mask)]
-    return len(proper), len(pairs) - len(proper), failed
+def _prime_submodules(triples, failure) -> tuple[int, int, list[str]]:
+    """Prime-submodule test over (module, side, mask) triples, skipping
+    whole-carrier masks (primeness is only defined below the whole module):
+    the counts checked and skipped, and ``failure(module, side, mask)`` for
+    each non-prime one."""
+    proper = [(mod, side, mask) for mod, side, mask in triples if mask != full_mask(mod.order)]
+    failed = [failure(mod, side, mask) for mod, side, mask in proper
+              if not is_prime_submodule(mod, mask, side)]
+    return len(proper), len(triples) - len(proper), failed
 
 
 def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
                               lattice_cap: int) -> tuple[bool, list[str]]:
     """Blocks of an elementwise-prime one-sided ideal are prime submodules
-    of their block views; whole-carrier blocks are skipped."""
+    of their block modules on the ideal's side; whole-carrier blocks are
+    skipped."""
     ctx = res.context
     ring = build_context_ring(ctx, order_cap)
     ok = True
@@ -131,10 +134,10 @@ def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
                   if ideal.size < ring.order and is_prime_ideal(ideal)]
         decs = [side_decomposition(ctx, ideal.members, side) for ideal in primes]
         checked, skipped, failed = _prime_submodules(
-            [pair for dec in decs for pair in ((dec.part1_view, dec.part1_mask),
-                                               (dec.part2_view, dec.part2_mask))],
-            lambda view, mask: f"  block {view.format_subset(mask)} of {view.name} "
-                               f"is not prime under a prime {side} ideal")
+            [t for dec in decs for t in ((dec.part1_view, side, dec.part1_mask),
+                                         (dec.part2_view, side, dec.part2_mask))],
+            lambda view, side, mask: f"  block {view.format_subset(mask)} of {view.name} "
+                                     f"is not prime under a prime {side} ideal")
         ok = ok and not failed
         lines.extend(failed)
         lines.append(f"{side}: prime ideals {len(primes)}, blocks checked {checked}, "
@@ -188,11 +191,11 @@ def _check_prime_closure_submodules(res: ResolvedContext, order_cap: int,
             continue
         eligible += 1
         sets = closure_sets(ctx, i_mask, j_mask)
-        stations += [(V.left_view(), sets.v_into_r), (V.right_view(), sets.v_into_s),
-                     (W.right_view(), sets.w_into_r), (W.left_view(), sets.w_into_s)]
+        stations += [(V, "left", sets.v_into_r), (V, "right", sets.v_into_s),
+                     (W, "right", sets.w_into_r), (W, "left", sets.w_into_s)]
     checked, skipped, failed = _prime_submodules(
-        stations, lambda view, mask: f"  closure set {view.format_subset(mask)} is not prime "
-                                     f"on its {view.side} view")
+        stations, lambda mod, side, mask: f"  closure set {mod.format_subset(mask)} is not "
+                                          f"prime on its {side} view")
     return not failed, [f"corner pairs with both ideals prime: {eligible}, closure sets "
                         f"checked {checked}, whole-carrier sets skipped {skipped}", *failed]
 

@@ -23,9 +23,6 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    is_prime_context,
-    is_prime_onesided_ideal,
-    is_semiprime_context,
     is_surjective_context,
     product_span_vw,
     product_span_wv,
@@ -42,6 +39,7 @@ from .ideals import (
     is_prime_ideal,
     is_semiprime_ideal,
     prime_radical,
+    verify_ideal,
 )
 from .mctx import ResolvedContext, inline_ideal_mask, load_mctx
 from .modules import confirm_prime_submodule_witness, is_prime_submodule
@@ -112,7 +110,9 @@ def _context_header(out: _Printer, res: ResolvedContext) -> None:
 
 
 def _quad_verdicts(ctx, quads, order_cap: int) -> list[tuple[bool, bool] | None]:
-    """(prime, semiprime) for each quadruple, None for the improper one."""
+    """(prime, semiprime) for each quadruple, None for the improper one. The
+    lattice is sorted by size, so its first entry is the zero ideal, whose
+    verdicts are those of T itself."""
     ring = build_context_ring(ctx, cap=order_cap)
     ideals = (Ideal(ring, quad.member_mask(), "two") for quad in quads)
     return [(bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal)))
@@ -185,11 +185,12 @@ def _cmd_primes(args, out: _Printer) -> int:
     order_cap, lattice_cap = _caps(args)
     _context_header(out, res)
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
-    proper = [q for q in quads if q.is_proper()]
+    verdicts = _quad_verdicts(ctx, quads, order_cap)
+    proper = [(quad, v) for quad, v in zip(quads, verdicts) if v is not None]
     out.line(f"proper two-sided ideals: {len(proper)}")
     out.kv("proper", len(proper))
     n_prime = n_semi = 0
-    for k, (quad, (prime, semi)) in enumerate(zip(proper, _quad_verdicts(ctx, proper, order_cap))):
+    for k, (quad, (prime, semi)) in enumerate(proper):
         n_prime += prime
         n_semi += semi
         out.line(f"  [{k}] {quad}: prime={_flag(prime)} semiprime={_flag(semi)}")
@@ -198,12 +199,10 @@ def _cmd_primes(args, out: _Printer) -> int:
     out.line(f"prime: {n_prime}, semiprime: {n_semi}")
     out.kv("prime", n_prime)
     out.kv("semiprime", n_semi)
-    ring_prime = is_prime_context(ctx, cap=order_cap)
-    ring_semi = is_semiprime_context(ctx, cap=order_cap)
-    out.line(f"context ring prime: {_flag(ring_prime.t_prime)},"
-             f" semiprime: {_flag(ring_semi.t_semiprime)}")
-    out.kv("ring_prime", ring_prime.t_prime)
-    out.kv("ring_semiprime", ring_semi.t_semiprime)
+    ring_prime, ring_semi = verdicts[0]
+    out.line(f"context ring prime: {_flag(ring_prime)}, semiprime: {_flag(ring_semi)}")
+    out.kv("ring_prime", ring_prime)
+    out.kv("ring_semiprime", ring_semi)
     return 0
 
 
@@ -301,23 +300,21 @@ def _cmd_report(args, out: _Printer) -> int:
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
     out.line(f"two-sided ideals: {len(quads)}")
     out.kv("two_sided_ideals", len(quads))
-    for k, (quad, verdicts) in enumerate(zip(quads, _quad_verdicts(ctx, quads, order_cap))):
-        if verdicts is None:
-            flags = "improper"
-        else:
-            flags = f"{'prime' if verdicts[0] else '-'}/{'semiprime' if verdicts[1] else '-'}"
+    verdicts = _quad_verdicts(ctx, quads, order_cap)
+    for k, (quad, v) in enumerate(zip(quads, verdicts)):
+        flags = ("improper" if v is None
+                 else f"{'prime' if v[0] else '-'}/{'semiprime' if v[1] else '-'}")
         out.line(f"  [{k}] size={quad.size} {quad} [{flags}]")
 
     radical = context_prime_radical(ctx, cap=lattice_cap)
     out.line(f"prime radical: {radical}")
     out.kv("radical", str(radical))
 
-    ring_prime = is_prime_context(ctx, cap=order_cap)
-    ring_semi = is_semiprime_context(ctx, cap=order_cap)
-    out.line(f"context ring prime: {_flag(ring_prime.t_prime)}")
-    out.line(f"context ring semiprime: {_flag(ring_semi.t_semiprime)}")
-    out.kv("ring_prime", ring_prime.t_prime)
-    out.kv("ring_semiprime", ring_semi.t_semiprime)
+    ring_prime, ring_semi = verdicts[0]
+    out.line(f"context ring prime: {_flag(ring_prime)}")
+    out.line(f"context ring semiprime: {_flag(ring_semi)}")
+    out.kv("ring_prime", ring_prime)
+    out.kv("ring_semiprime", ring_semi)
 
     if res.ideals:
         ring = build_context_ring(ctx, cap=order_cap)
@@ -350,7 +347,7 @@ def _cmd_example(args, out: _Printer) -> int:
         out.line(f"  block 1: {dec.part1_view.format_subset(dec.part1_mask)}")
         out.line(f"  block 2: {dec.part2_view.format_subset(dec.part2_mask)}")
         fact("blocks reconstruct U", dec.all_hold)
-        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask)
+        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask, "right")
         fact("block 1 is not a prime submodule", not verdict.holds)
         if verdict.witness is not None:
             scalar, element = verdict.witness
@@ -358,10 +355,10 @@ def _cmd_example(args, out: _Printer) -> int:
                      f" element {dec.part1_view.label(element)}")
             fact("witness scalar is 2", scalar == 2)
         fact("the pair (scalar 2, element (2, 2)) also witnesses it",
-             confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask,
+             confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask, "right",
                                              2, 2 * ctx.mod_w.order + 2))
         fact("U is not prime as a one-sided ideal",
-             not is_prime_onesided_ideal(ctx, mask, "right").holds)
+             not is_prime_ideal(verify_ideal(ring, mask, "right")).holds)
 
     elif args.name == "ex2.8":
         mask = res.ideals["H"].mask

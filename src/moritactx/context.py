@@ -73,7 +73,6 @@ __all__ = [
     "quadruple_mask",
     "enumerate_context_ideals",
     "side_decomposition",
-    "is_prime_onesided_ideal",
     "closure_sets",
     "check_prime_quadruple",
     "check_semiprime_quadruple",
@@ -683,16 +682,6 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     return ctx._cache[key]
 
 
-def is_prime_onesided_ideal(ctx: MoritaContext, u, side: str) -> Verdict:
-    """Elementwise primeness of a one-sided ideal of the context ring.
-
-    The test is the same middle-quantified scan used for two-sided ideals
-    — a·x·b inside for every x forces a or b inside — which only needs the
-    target to be additively closed.
-    """
-    return is_prime_ideal(verify_ideal(_context_ring(ctx), as_mask(u), side))
-
-
 # -- closure sets -----------------------------------------------------------------
 
 
@@ -936,16 +925,13 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
 
 
 def _prime_module(mod: Bimodule) -> bool:
-    """Is zero a prime submodule on both one-sided views of the carrier?
+    """Is zero a prime submodule of the carrier on each side?
 
     The one-point module fails by convention: a prime submodule must be
     proper, and its only submodule is the whole thing.
     """
-    if mod.order == 1:
-        return False
-    zero_mask = 1 << mod.zero
-    return (bool(is_prime_submodule(mod.left_view(), zero_mask))
-            and bool(is_prime_submodule(mod.right_view(), zero_mask)))
+    return mod.order > 1 and all(is_prime_submodule(mod, 1 << mod.zero, side)
+                                 for side in ("left", "right"))
 
 
 @dataclass(frozen=True)

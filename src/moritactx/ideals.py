@@ -100,11 +100,13 @@ def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CA
 
 
 def is_prime_ideal(ideal: Ideal) -> Verdict:
-    """Decide primeness of a proper two-sided ideal; witness is lex-first (a, b).
+    """Decide elementwise primeness of a proper ideal of any sidedness;
+    witness is lex-first (a, b).
 
     Prime: a*x*b inside for all x forces a or b inside, which is ``prime_pair``
-    on T over itself with a outside. Improper input raises NotProperError
-    rather than answering.
+    on T over itself with a outside. The scan needs only an additively
+    closed target, so left and right ideals are decided as two-sided ones
+    are. Improper input raises NotProperError rather than answering.
     """
     ring = ideal.ring
     if not ideal.is_proper():

@@ -1,15 +1,15 @@
-"""Bimodules over finite rings, one-sided views, and prime submodules.
+"""Bimodules over finite rings, one-sided modules, and prime submodules.
 
 A bimodule is an additive group with a left action of one ring and a right
 action of another, stored as dense lookup tables. A ``ModuleView`` is a
-module over a single ring — either one side of a bimodule or a standalone
-carrier (used for column spaces of context rings) — on which submodule
-primeness is decided. Each carrier presents its actions through
-``action(side)``, the right one transposed so ``act[r]`` is r acting on
-every element; closure checks, cyclic submodules, lattices and the prime
-submodule scan are the kernels in ``spans`` that ideals use, which assume
-additive actions. Views go through the same entry points as bimodules,
-with ``view.side`` as the sidedness.
+standalone module over a single ring, acting from one side (the coordinate
+blocks of a context ring's one-sided ideals). Each carrier presents its
+actions through ``action(side)``, the right one transposed so ``act[r]`` is
+r acting on every element; closure checks, cyclic submodules, lattices and
+the prime submodule scan are the kernels in ``spans`` that ideals use,
+which assume additive actions. Every module kernel takes the carrier, a
+mask and the side or sidedness to read; a ``ModuleView`` has an action on
+its own side only, and raises ValueError for the other.
 """
 
 from __future__ import annotations
@@ -79,14 +79,6 @@ class Bimodule(Carrier):
         self._present(labels, label_fn)
         self._cache: dict = {}
 
-    def left_view(self) -> ModuleView:
-        return ModuleView(self.left_ring, "left", self.add, self.left_act, self.zero,
-                          name=self.name, module=self)
-
-    def right_view(self) -> ModuleView:
-        return ModuleView(self.right_ring, "right", self.add, self.action("right")[1], self.zero,
-                          name=self.name, module=self)
-
     def action(self, side: str) -> tuple:
         """(acting ring, act) with act[r] r acting on every element: the left
         table as stored, the right one transposed."""
@@ -100,20 +92,18 @@ class Bimodule(Carrier):
 
 
 class ModuleView(Carrier):
-    """A finite module over one ring.
+    """A finite module over one ring, acting from ``side``.
 
     The action table is normalized so ``act[r]`` is always the row "r acting
-    on each element", whichever side the scalars are written on. ``module``
-    points back to the parent bimodule when there is one; the view then
-    shares its labels, additive group and caches.
+    on each element", whichever side the scalars are written on.
     """
 
-    __slots__ = ("ring", "side", "add", "act", "zero", "order", "name", "module", "_cache")
+    __slots__ = ("ring", "side", "add", "act", "zero", "order", "name", "_cache")
     SIDEDNESS = {"left": ("left",), "right": ("right",)}    # only its own side has an action
     SIDEDNESS_TEXT = "'left' or 'right'"
 
     def __init__(self, ring, side: str, add, act, zero: int,
-                 labels=None, name: str | None = None, module: Bimodule | None = None):
+                 labels=None, name: str | None = None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         add = as_square_table(add, "module add")
@@ -127,16 +117,11 @@ class ModuleView(Carrier):
         self.zero = int(zero)
         self.order = m
         self.name = name or f"{side}mod{m}"
-        self.module = module
-        if module is None:
-            self._present(labels, None)
-            self._cache = {}
-        else:
-            self._present(None, module.label, module.addgroup)
-            self._cache = module._cache
+        self._present(labels, None)
+        self._cache: dict = {}
 
     def action(self, side: str) -> tuple:
-        """(ring, act) on the view's own side; ValueError for the other."""
+        """(ring, act) on its own side; ValueError for the other."""
         if side != self.side:
             raise ValueError(f"{self!r} has no {side} action")
         return self.ring, self.act
@@ -147,8 +132,8 @@ class ModuleView(Carrier):
 
 @dataclass(frozen=True)
 class Submodule(Subset):
-    """A subset of a module carrier (a bimodule or a one-sided view) closed
-    under + and the actions named by ``sidedness``."""
+    """A subset of a module carrier (a bimodule or a one-sided module)
+    closed under + and the actions named by ``sidedness``."""
 
     module: Bimodule | ModuleView
     members: int
@@ -319,7 +304,7 @@ def verify_submodule(module: Bimodule | ModuleView, mask: int, sidedness: str) -
 def enumerate_submodules(module: Bimodule | ModuleView, sidedness: str = "bi",
                          cap: int = DEFAULT_LATTICE_CAP) -> list[Submodule]:
     """All submodules of the named sidedness, sorted by (size, mask): the
-    join closure of the cyclic ones (a view has only its own side).
+    join closure of the cyclic ones (a ``ModuleView`` has only its own side).
 
     Bisubmodules are the joins of the cyclic ones L.x.R, each the sum of
     the orbits (g.x)R over the left ring's additive generators g.
@@ -332,37 +317,41 @@ def enumerate_submodules(module: Bimodule | ModuleView, sidedness: str = "bi",
 # -- prime submodules --------------------------------------------------------------
 
 
-def is_prime_submodule(view: ModuleView, members: int | Submodule) -> Verdict:
-    """Decide primeness of a proper submodule of a one-sided view.
+def is_prime_submodule(module: Bimodule | ModuleView, members: int | Submodule,
+                       side: str) -> Verdict:
+    """Decide primeness of a proper submodule of ``module`` under its
+    ``side`` action.
 
     Left reading: r.(ring.x) inside N forces r.(whole module) inside N or x
     inside N; the right reading mirrors it with scalars on the other side.
     ``prime_pair`` decides it; the witness is the first failing (ring
-    element, module element) pair. Improper input raises NotProperError.
+    element, module element) pair. Improper input raises NotProperError, a
+    side the carrier has no action on ValueError.
     """
     mask = as_mask(members)
-    if mask == full_mask(view.order):
+    if mask == full_mask(module.order):
         raise NotProperError("primeness is only defined for proper submodules")
-    hit = prime_pair(view, view.side, bool_array(mask, view.order))
+    hit = prime_pair(module, side, bool_array(mask, module.order))
     return Verdict(hit is None, hit)
 
 
-def confirm_prime_submodule_witness(view: ModuleView, members: int | Submodule,
-                                    r: int, x: int) -> bool:
-    """Directly check that (r, x) genuinely violates submodule primeness.
+def confirm_prime_submodule_witness(module: Bimodule | ModuleView, members: int | Submodule,
+                                    side: str, r: int, x: int) -> bool:
+    """Directly check that (r, x) genuinely violates submodule primeness
+    under the ``side`` action.
 
     True when the middle-product condition holds at (r, x), x lies outside
     the submodule, and r does not send the whole module inside — i.e. the
     pair is a bona fide counterexample, wherever a scan happened to stop.
     """
-    mask = as_mask(members)
-    inside = bool_array(mask, view.order)
+    ring, act = module.action(side)
+    inside = bool_array(as_mask(members), module.order)
     if inside[x]:
         return False
-    if inside[view.act[r]].all():
+    if inside[act[r]].all():
         return False
-    scalars = view.ring.mul[r, :] if view.side == "left" else view.ring.mul[:, r]
-    return bool(inside[view.act[np.unique(scalars)][:, x]].all())
+    scalars = ring.mul[r, :] if side == "left" else ring.mul[:, r]
+    return bool(inside[act[np.unique(scalars)][:, x]].all())
 
 
 # -- quotients ----------------------------------------------------------------------

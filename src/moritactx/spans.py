@@ -9,7 +9,7 @@ closure check, one cyclic-submodule kernel, one prime scan) take any
 carrier and a side. Each carrier presents a side's action as
 ``action(side)``: the acting ring and ``act``, ``act[r]`` being r acting on
 every element, so only there is a right action transposed. Actions are
-assumed unital, additive and associative, as in every view the package
+assumed unital, additive and associative, as in every carrier the package
 builds; the orbit kernel leans on all three, since it tells orbits apart
 by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
 that needs none of them). The lattice join closure and the coset split of
@@ -289,10 +289,10 @@ class Carrier:
 
     __slots__ = ("_labels", "_label_fn", "_addgroup")
 
-    def _present(self, labels, label_fn, addgroup: AddGroup | None = None) -> None:
+    def _present(self, labels, label_fn) -> None:
         self._labels = tuple(str(x) for x in labels) if labels is not None else None
         self._label_fn = label_fn
-        self._addgroup = addgroup
+        self._addgroup: AddGroup | None = None
 
     def label(self, i: int) -> str:
         if self._labels is not None:

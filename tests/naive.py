@@ -98,45 +98,59 @@ def naive_prime_radical(ring) -> frozenset[int]:
     return frozenset(out)
 
 
-def naive_is_submodule(view, members: list[int]) -> bool:
-    if not naive_is_subgroup(view.add, view.zero, members):
+def scalar_action(module, side: str):
+    """(acting ring, act) with act(r, x) r acting on x, read off the stored
+    tables and not through ``action(side)``: a bimodule's left table at
+    [r, x] and its right one at [x, r], a one-sided module's own table on
+    its own side. ValueError for a side a one-sided module has no action on."""
+    if isinstance(module, ModuleView):
+        if side != module.side:
+            raise ValueError(f"{module!r} has no {side} action")
+        return module.ring, lambda r, x: int(module.act[r, x])
+    if side == "left":
+        return module.left_ring, lambda r, x: int(module.left_act[r, x])
+    return module.right_ring, lambda r, x: int(module.right_act[x, r])
+
+
+def naive_is_submodule(module, members: list[int], side: str) -> bool:
+    if not naive_is_subgroup(module.add, module.zero, members):
         return False
+    ring, act = scalar_action(module, side)
     inside = set(members)
-    return all(int(view.act[r, m]) in inside
-               for r in range(view.ring.order) for m in members)
+    return all(act(r, m) in inside for r in range(ring.order) for m in members)
 
 
-def naive_view_submodules(view) -> set[frozenset[int]]:
+def naive_submodules(module, side: str) -> set[frozenset[int]]:
     found = set()
-    rest = [i for i in range(view.order) if i != view.zero]
+    rest = [i for i in range(module.order) if i != module.zero]
     for size in range(len(rest) + 1):
         for extra in combinations(rest, size):
-            members = [view.zero, *extra]
-            if naive_is_submodule(view, members):
+            members = [module.zero, *extra]
+            if naive_is_submodule(module, members, side):
                 found.add(frozenset(members))
     return found
 
 
-def naive_is_prime_submodule(view, members: list[int]) -> bool:
+def naive_is_prime_submodule(module, members: list[int], side: str) -> bool:
     """Scalar-element primeness, chased without the generator shortcut.
 
     Left reading: r*(ring)*m landing inside forces r*(module) inside or m
     inside; the right reading mirrors the scalars. The library checks ring
     products only at additive generators — this loops over the whole ring.
     """
+    ring, act = scalar_action(module, side)
     inside = set(members)
-    if len(inside) == view.order:
+    if len(inside) == module.order:
         return False
-    for r in range(view.ring.order):
+    for r in range(ring.order):
         # does r send the whole module inside? then r constrains nothing
-        if all(int(view.act[r, m]) in inside for m in range(view.order)):
+        if all(act(r, m) in inside for m in range(module.order)):
             continue
-        for m in range(view.order):
+        for m in range(module.order):
             if m in inside:
                 continue
-            if all(int(view.act[int(view.ring.mul[r, t]) if view.side == "left"
-                                else int(view.ring.mul[t, r]), m]) in inside
-                   for t in range(view.ring.order)):
+            if all(act(int(ring.mul[r, t]) if side == "left" else int(ring.mul[t, r]), m)
+                   in inside for t in range(ring.order)):
                 return False
     return True
 
@@ -354,9 +368,10 @@ def full_scan_verify_closed(carrier, mask: int, actions) -> None:
             raise NotASubmoduleError(f"subset is not stable under the {side} ring action")
 
 
-def span_cyclic_masks(view) -> list[int]:
-    """Each element's cyclic submodule as the span of its orbit."""
-    return [view.addgroup.span_mask(np.unique(view.act[:, x])) for x in range(view.order)]
+def span_cyclic_masks(module, side: str) -> list[int]:
+    """Each element's cyclic submodule under the ``side`` action as the span of its orbit."""
+    act = module.action(side)[1]
+    return [module.addgroup.span_mask(np.unique(act[:, x])) for x in range(module.order)]
 
 
 def span_bicyclic_masks(module) -> list[int]:
@@ -365,16 +380,16 @@ def span_bicyclic_masks(module) -> list[int]:
             for x in range(module.order)]
 
 
-def fingerprint_is_prime_submodule(view, mask: int) -> Verdict:
+def fingerprint_is_prime_submodule(module, mask: int, side: str) -> Verdict:
     """Prime submodule scan over every ring element r, the condition on x
     shared by elements with the same products with the additive generators."""
-    inside = bool_array(mask, view.order)
-    gens = view.ring.addgroup.generators
-    rmul = view.ring.mul
+    ring, act = module.action(side)
+    inside = bool_array(mask, module.order)
+    gens = ring.addgroup.generators
     cache: dict[bytes, np.ndarray] = {}
-    for r in range(view.ring.order):
-        u = np.unique(rmul[r, gens] if view.side == "left" else rmul[gens, r])
-        rows = inside[view.act[u]]
+    for r in range(ring.order):
+        u = np.unique(ring.mul[r, gens] if side == "left" else ring.mul[gens, r])
+        rows = inside[act[u]]
         if rows.all():
             continue
         cond = cache.get(u.tobytes())
@@ -393,22 +408,25 @@ def fingerprint_is_prime_submodule(view, mask: int) -> Verdict:
 # is a prime submodule of M.
 
 
-def annihilator(view) -> Ideal:
-    """The ring elements acting as zero on a one-sided view: the kernel of
-    the action map, hence a two-sided ideal, returned without a closure check."""
-    return Ideal(view.ring, mask_from_bool((view.act == view.zero).all(axis=1)), "two")
+def annihilator(module, side: str) -> Ideal:
+    """The ring elements acting as zero from ``side``: the kernel of the
+    action map, hence a two-sided ideal, returned without a closure check."""
+    ring, act = module.action(side)
+    return Ideal(ring, mask_from_bool((act == module.zero).all(axis=1)), "two")
 
 
-def quotient_view(view, mask: int) -> tuple[ModuleView, np.ndarray]:
-    """A one-sided view modulo a submodule of its side, over the same ring,
-    with the projection array old index -> new index. Always well defined:
-    the action is additive and preserves the submodule."""
-    verify_submodule(view, mask, view.side)
-    reps, proj = view.addgroup.cosets(mask)
-    quotient = ModuleView(view.ring, view.side, proj[view.add[np.ix_(reps, reps)]],
-                          proj[view.act[:, reps]], int(proj[view.zero]),
-                          labels=[view.label(int(r)) for r in reps],
-                          name=f"{view.name}/sub{mask.bit_count()}")
+def quotient_view(module, mask: int, side: str) -> tuple[ModuleView, np.ndarray]:
+    """A module modulo a submodule of its ``side`` action, as a one-sided
+    module over the same ring, with the projection array old index -> new
+    index. Always well defined: the action is additive and preserves the
+    submodule."""
+    verify_submodule(module, mask, side)
+    ring, act = module.action(side)
+    reps, proj = module.addgroup.cosets(mask)
+    quotient = ModuleView(ring, side, proj[module.add[np.ix_(reps, reps)]],
+                          proj[act[:, reps]], int(proj[module.zero]),
+                          labels=[module.label(int(r)) for r in reps],
+                          name=f"{module.name}/sub{mask.bit_count()}")
     return quotient, proj
 
 

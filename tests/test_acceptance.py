@@ -33,7 +33,6 @@ from moritactx import (
     enumerate_ideals,
     is_prime_context,
     is_prime_ideal,
-    is_prime_onesided_ideal,
     is_prime_ring,
     is_prime_submodule,
     is_semiprime_context,
@@ -102,14 +101,15 @@ def test_right_ideal_blocks(capsys):
                 expected |= 1 << (r * 8 + w)
         assert dec.part1_mask == expected
 
-        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask)
+        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask, "right")
         assert not verdict.holds
         scalar, _element = verdict.witness
         assert scalar == 2
         # The historical witness pair (2, (2, 2)) also certifies the failure.
-        assert confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask, 2, 2 * 8 + 2)
+        assert confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask, "right",
+                                               2, 2 * 8 + 2)
 
-        assert not is_prime_onesided_ideal(ctx, mask, "right").holds
+        assert not is_prime_ideal(verify_ideal(ring, mask, "right")).holds
 
 
 def test_prime_needs_spanning(capsys):

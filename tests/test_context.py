@@ -24,10 +24,10 @@ from moritactx import (
     decompose_ideal,
     enumerate_context_ideals,
     is_prime_context,
-    is_prime_onesided_ideal,
     is_semiprime_context,
     is_surjective_context,
     enumerate_ideals,
+    is_prime_ideal,
     make_zn,
     product_span_vw,
     product_span_wv,
@@ -36,6 +36,7 @@ from moritactx import (
     side_decomposition,
     validate_context,
     validate_ring,
+    verify_ideal,
     verify_quotient_iso,
 )
 from moritactx import ideals
@@ -194,7 +195,6 @@ def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):
     assert check_semiprime_quadruple(ctx, zero).is_semiprime is False
     assert decompose_ideal(ctx, zero.member_mask()).masks == zero.masks
     assert side_decomposition(ctx, 1 << ring.zero, "right").all_hold
-    assert not is_prime_onesided_ideal(ctx, 1 << ring.zero, "left")
     # An explicit cap still holds for a ring already built.
     with pytest.raises(CapacityError):
         build_context_ring(ctx, cap=100)
@@ -321,7 +321,8 @@ def test_block_shapes_of_the_z8_right_ideal():
     # first block: 4Z8 in the corner ring, everything in the module slot
     got = {divmod(i, 8) for i in members_of(dec.part1_mask, 16 * 4)}
     assert got == {(r, w) for r in (0, 4) for w in range(8)}
-    assert not is_prime_onesided_ideal(res.context, res.ideals["U"].mask, "right").holds
+    ring = build_context_ring(res.context)
+    assert not is_prime_ideal(verify_ideal(ring, res.ideals["U"].mask, "right")).holds
 
 
 BLOCK_TOKENS = ("2.1", "2.2", "2.3")

@@ -80,6 +80,19 @@ def test_prime_agrees_with_naive(n):
         assert is_prime_ideal(ideal).holds == expected, (n, bin(ideal.members))
 
 
+@pytest.mark.parametrize("name", [name for name in battery_names()
+                                  if builtin_context(name).context.order <= 81])
+def test_one_sided_prime_agrees_with_naive(name):
+    # Elementwise primeness (a*T*b inside forces a or b inside) needs only an
+    # additively closed target, so it decides left and right ideals too:
+    # check 2.3 and example 2.4 read it on one-sided ideals of T.
+    ring = build_context_ring(builtin_context(name).context)
+    for side in ("left", "right"):
+        for ideal in enumerate_ideals(ring, side)[:-1]:            # the proper ones
+            expected = naive_is_prime(ring, members_of(ideal.members, ring.order))
+            assert is_prime_ideal(ideal).holds == expected, (name, side, str(ideal))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_semiprime_agrees_with_naive(n):
     ring = make_zn(n)

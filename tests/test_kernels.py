@@ -6,11 +6,11 @@ the principal masks must equal the spans of generator products; each
 lattice must equal the plain join closure of those spans; and the prime
 scan by class of aT must give the fingerprint scan's witness. The module
 kernels are the same ones, so the same comparisons run on the carriers V and
-W (bisubmodules and both one-sided views), on T over itself where T is
-small, and on the four block views of T's one-sided ideals: cyclic masks against spanned orbits, lattices against
-the plain join closure, closure checks against the full scan (verdict and
-message), and the prime submodule scan by class of rR against the
-fingerprint scan. The order-1296 contexts share their shape, so one of them
+W (bisubmodules and each side), on T over itself where T is small, and on
+the four block views of T's one-sided ideals: cyclic masks against spanned
+orbits, lattices against the plain join closure, closure checks against the
+full scan (verdict and message), and the prime submodule scan by class of
+rR against the fingerprint scan. The order-1296 contexts share their shape, so one of them
 stands for the rest; the one-sided lattices of two more, where joins create
 masks that no principal ideal is, are compared with the plain join closure.
 ex2.4 is compared where the full-table routes fit in the suite's time. On
@@ -181,11 +181,11 @@ def _modules(ctx) -> list:
     return [ctx.mod_v, ctx.mod_w, *([ring_bimodule(build_context_ring(ctx))] if small else [])]
 
 
-def _views(ctx):
-    """Both one-sided views of each of ``_modules``, and the four block views."""
-    modules = _modules(ctx)
-    views = [m.left_view() for m in modules] + [m.right_view() for m in modules]
-    return views + [*_pair_views(ctx, "right"), *_pair_views(ctx, "left")]
+def _one_sided(ctx) -> list[tuple]:
+    """(carrier, side): each of ``_modules`` on both sides, and the four
+    block views on their own."""
+    pairs = [(m, side) for side in ("left", "right") for m in _modules(ctx)]
+    return pairs + [(v, side) for side in ("right", "left") for v in _pair_views(ctx, side)]
 
 
 def _failure(verify, *args) -> str | None:
@@ -208,11 +208,11 @@ def _bicyclic_masks(module) -> list[int]:
 @pytest.mark.parametrize("name", MODULE_CONTEXTS)
 def test_cyclic_masks_and_lattices_match_the_span_routes(name):
     ctx = builtin_context(name).context
-    for view in _views(ctx):
-        spans = span_cyclic_masks(view)
-        assert cyclic_masks(view, view.side) == spans, view
-        lattice = [sub.members for sub in enumerate_submodules(view, view.side)]
-        assert lattice == plain_join_closure(view.addgroup, spans), view
+    for carrier, side in _one_sided(ctx):
+        spans = span_cyclic_masks(carrier, side)
+        assert cyclic_masks(carrier, side) == spans, (carrier, side)
+        lattice = [sub.members for sub in enumerate_submodules(carrier, side)]
+        assert lattice == plain_join_closure(carrier.addgroup, spans), (carrier, side)
     for module in _modules(ctx):
         spans = span_bicyclic_masks(module)
         assert _bicyclic_masks(module) == spans, module
@@ -223,12 +223,13 @@ def test_cyclic_masks_and_lattices_match_the_span_routes(name):
 @pytest.mark.parametrize("name", MODULE_CONTEXTS)
 def test_closure_checks_match_the_full_scan(name):
     ctx = builtin_context(name).context
-    for view in _views(ctx):
-        lattice = [sub.members for sub in enumerate_submodules(view, view.side)]
-        for mask in [*lattice, *_non_ideals(view, lattice)]:
-            assert (_failure(verify_submodule, view, mask, view.side)
-                    == _failure(full_scan_verify_closed, view, mask, [(view.side, view.act)])), \
-                (view, view.format_subset(mask))
+    for carrier, side in _one_sided(ctx):
+        lattice = [sub.members for sub in enumerate_submodules(carrier, side)]
+        for mask in [*lattice, *_non_ideals(carrier, lattice)]:
+            assert (_failure(verify_submodule, carrier, mask, side)
+                    == _failure(full_scan_verify_closed, carrier, mask,
+                                [(side, carrier.action(side)[1])])), \
+                (carrier, side, carrier.format_subset(mask))
     for module in _modules(ctx):
         for lattice_side in MODULE_SIDES:
             lattice = [sub.members for sub in enumerate_submodules(module, lattice_side)]
@@ -243,10 +244,11 @@ def test_closure_checks_match_the_full_scan(name):
 @pytest.mark.parametrize("name", MODULE_CONTEXTS)
 def test_prime_submodule_scan_matches_the_fingerprint_scan(name):
     ctx = builtin_context(name).context
-    for view in _views(ctx):
-        for sub in enumerate_submodules(view, view.side)[:-1]:      # the proper ones
-            assert (is_prime_submodule(view, sub)
-                    == fingerprint_is_prime_submodule(view, sub.members)), (view, str(sub))
+    for carrier, side in _one_sided(ctx):
+        for sub in enumerate_submodules(carrier, side)[:-1]:        # the proper ones
+            assert (is_prime_submodule(carrier, sub, side)
+                    == fingerprint_is_prime_submodule(carrier, sub.members, side)), \
+                (carrier, side, str(sub))
 
 
 # -- slot products -----------------------------------------------------------------

@@ -93,15 +93,13 @@ def test_quotient_context_has_zero_radical(name):
     assert context_prime_radical(quotient).size == 1
 
 
-def _side_views(source, side: str) -> list:
-    """Z_n over itself on one side, or a battery context's views on one
-    side: V, W and the two coordinate blocks."""
+def _side_carriers(source, side: str) -> list:
+    """Z_n over itself, or a battery context's carriers with an action on
+    one side: V, W and the two coordinate blocks."""
     if isinstance(source, int):
-        modules, blocks = [ring_bimodule(make_zn(source))], ()
-    else:
-        ctx = builtin_context(source).context
-        modules, blocks = [ctx.mod_v, ctx.mod_w], _pair_views(ctx, side)
-    return [getattr(mod, f"{side}_view")() for mod in modules] + list(blocks)
+        return [ring_bimodule(make_zn(source))]
+    ctx = builtin_context(source).context
+    return [ctx.mod_v, ctx.mod_w, *_pair_views(ctx, side)]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12, *battery_names()])
@@ -111,21 +109,22 @@ def test_prime_submodule_gives_prime_annihilator(n, side):
     # decided by definition chase, not by the prime_pair scan under test.
     decided: dict[tuple, bool] = {}
     hits = 0
-    for view in _side_views(n, side):
-        for sub in enumerate_submodules(view, side)[:-1]:          # the proper ones
-            if not is_prime_submodule(view, sub):
+    for carrier in _side_carriers(n, side):
+        ring, act = carrier.action(side)
+        for sub in enumerate_submodules(carrier, side)[:-1]:       # the proper ones
+            if not is_prime_submodule(carrier, sub, side):
                 continue
-            quot, _ = quotient_view(view, sub.members)
-            ann = annihilator(quot)
-            inside = bool_array(sub.members, view.order)
-            assert ann.members == sum(1 << r for r in range(view.ring.order)
-                                      if inside[view.act[r]].all()), (view, str(sub))
+            quot, _ = quotient_view(carrier, sub.members, side)
+            ann = annihilator(quot, side)
+            inside = bool_array(sub.members, carrier.order)
+            assert ann.members == sum(1 << r for r in range(ring.order)
+                                      if inside[act[r]].all()), (carrier, str(sub))
             assert check_ideal(ann.ring, ann.members, "two").holds
             assert ann.is_proper()
             key = (id(ann.ring), ann.members)
             if key not in decided:
                 decided[key] = naive_is_prime(ann.ring, members_of(ann.members, ann.ring.order))
-            assert decided[key], (view, str(sub), str(ann))
+            assert decided[key], (carrier, side, str(sub), str(ann))
             hits += 1
     assert hits > 0  # the sweep must actually exercise something
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,13 @@ from moritactx import (
     zero_bimodule,
 )
 import moritactx.modules
-from moritactx.catalog import builtin_context, builtin_document
+from moritactx.catalog import battery_names, builtin_context, builtin_document
+from moritactx.context import _pair_views
 from moritactx.mctx import load_mctx
 from moritactx.spans import cyclic_masks
 
-from naive import annihilator, naive_is_prime_submodule, naive_view_submodules, quotient_view
+from naive import (annihilator, members_of, naive_is_prime_submodule, naive_submodules,
+                   quotient_view)
 
 
 def test_ring_bimodule_satisfies_the_laws(z6):
@@ -120,21 +124,11 @@ def test_zero_bimodule_is_a_point(z4, z6):
     assert mod.left_ring is z4 and mod.right_ring is z6
 
 
-def test_views_expose_sides(z4):
-    mod = ring_bimodule(z4)
-    left, right = mod.left_view(), mod.right_view()
-    assert left.side == "left" and right.side == "right"
-    assert left.order == right.order == 4
-    # both views act by ring multiplication here
-    assert left.act[3, 2] == (3 * 2) % 4
-    assert right.act[3, 2] == (2 * 3) % 4
-
-
 def test_view_submodule_enumeration_matches_naive(z12):
-    view = ring_bimodule(z12).left_view()
+    mod = ring_bimodule(z12)
     got = {frozenset(i for i in range(12) if sub.members >> i & 1)
-           for sub in enumerate_submodules(view, view.side)}
-    assert got == naive_view_submodules(view)
+           for sub in enumerate_submodules(mod, "left")}
+    assert got == naive_submodules(mod, "left")
 
 
 def test_enumerate_submodules_bi(z6):
@@ -154,46 +148,79 @@ def test_verify_submodule_roundtrip(z6):
 
 
 def test_cyclic_submodule_of_two_in_z8(z8):
-    view = ring_bimodule(z8).left_view()
-    assert cyclic_masks(view, view.side)[2] == 0b01010101  # {0,2,4,6}
+    assert cyclic_masks(ring_bimodule(z8), "left")[2] == 0b01010101  # {0,2,4,6}
 
 
 def test_prime_submodule_agrees_with_naive_on_z8(z8):
-    view = ring_bimodule(z8).left_view()
-    for mask in (sub.members for sub in enumerate_submodules(view, view.side)):
+    mod = ring_bimodule(z8)
+    for mask in (sub.members for sub in enumerate_submodules(mod, "left")):
         if mask == (1 << 8) - 1:
             continue
         members = [i for i in range(8) if mask >> i & 1]
-        assert is_prime_submodule(view, mask).holds == naive_is_prime_submodule(view, members)
+        assert (is_prime_submodule(mod, mask, "left").holds
+                == naive_is_prime_submodule(mod, members, "left"))
 
 
 def test_prime_submodule_agrees_with_naive_on_right_views(z12):
-    view = ring_bimodule(z12).right_view()
-    for mask in (sub.members for sub in enumerate_submodules(view, view.side)):
+    mod = ring_bimodule(z12)
+    for mask in (sub.members for sub in enumerate_submodules(mod, "right")):
         if mask == (1 << 12) - 1:
             continue
         members = [i for i in range(12) if mask >> i & 1]
-        assert is_prime_submodule(view, mask).holds == naive_is_prime_submodule(view, members)
+        assert (is_prime_submodule(mod, mask, "right").holds
+                == naive_is_prime_submodule(mod, members, "right"))
 
 
 def test_prime_submodule_witness_confirms(z8):
-    view = ring_bimodule(z8).left_view()
-    verdict = is_prime_submodule(view, verify_submodule(view, 0b00010001, view.side))  # {0,4}
+    mod = ring_bimodule(z8)
+    verdict = is_prime_submodule(mod, verify_submodule(mod, 0b00010001, "left"), "left")  # {0,4}
     assert not verdict.holds
     r, x = verdict.witness
-    assert confirm_prime_submodule_witness(view, 0b00010001, r, x)
+    assert confirm_prime_submodule_witness(mod, 0b00010001, "left", r, x)
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_prime_submodule_agrees_with_naive_on_each_side_of_the_carriers(name):
+    # Every proper one-sided submodule of V and W, on both sides: the verdict
+    # against the definition chase over the stored tables, and each witness
+    # confirmed directly.
+    ctx = builtin_context(name).context
+    for mod, side in itertools.product((ctx.mod_v, ctx.mod_w), ("left", "right")):
+        for sub in enumerate_submodules(mod, side)[:-1]:           # the proper ones
+            verdict = is_prime_submodule(mod, sub, side)
+            assert verdict.holds == naive_is_prime_submodule(
+                mod, members_of(sub.members, mod.order), side), (name, mod.name, side, str(sub))
+            assert verdict.holds or confirm_prime_submodule_witness(mod, sub, side,
+                                                                    *verdict.witness)
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_a_block_view_has_no_action_on_the_other_side(side):
+    # A block view acts from its ideal's side only; every module kernel
+    # refuses the other one with the same ValueError.
+    other = "right" if side == "left" else "left"
+    for view in _pair_views(builtin_context("paper:ex2.4").context, side):
+        zero = 1 << view.zero
+        texts = set()
+        for call in (lambda: is_prime_submodule(view, zero, other),
+                     lambda: confirm_prime_submodule_witness(view, zero, other, 0, 0),
+                     lambda: verify_submodule(view, zero, other),
+                     lambda: cyclic_masks(view, other)):
+            with pytest.raises(ValueError) as info:
+                call()
+            texts.add(str(info.value))
+        assert texts == {f"{view!r} has no {other} action"}
 
 
 def test_annihilator_of_residue_carrier(z6):
     mod = residue_bimodule(3, z6, z6)
-    ann = annihilator(mod.left_view())
+    ann = annihilator(mod, "left")
     assert check_ideal(z6, ann.members, "two").holds
     assert ann.members == 0b001001  # multiples of 3 kill Z3
 
 
 def test_quotient_view_collapses_submodule(z8):
-    view = ring_bimodule(z8).left_view()
-    quot, proj = quotient_view(view, 0b00010001)  # mod out {0,4}
+    quot, proj = quotient_view(ring_bimodule(z8), 0b00010001, "left")  # mod out {0,4}
     assert quot.order == 4
     for x in range(8):
         assert proj[x] == proj[(x + 4) % 8]
@@ -221,5 +248,5 @@ def test_lattice_cap_counts_the_cyclic_submodules():
     with pytest.raises(CapacityError, match="bisubmodule of Z6 lattice exceeds cap 3"):
         enumerate_submodules(mod, "bi", cap=3)
     with pytest.raises(CapacityError, match=r"submodule \(left\) of Z6 lattice exceeds cap 3"):
-        enumerate_submodules(mod.left_view(), "left", cap=3)
-    assert len(enumerate_submodules(mod.left_view(), "left", cap=4)) == 4
+        enumerate_submodules(mod, "left", cap=3)
+    assert len(enumerate_submodules(mod, "left", cap=4)) == 4

@@ -134,7 +134,7 @@ def test_as_table_rejects_ragged_lists():
 def test_labels_and_format_subset(z4, z6):
     assert [z4.label(i) for i in range(4)] == ["0", "1", "2", "3"]
     assert z4.format_subset(0b0101) == "{0, 2}"
-    # A subset bimodule and both its views label like the ring they sit in.
+    # A subset bimodule labels like the ring it sits in.
     mod = subset_bimodule(z6, 0b010101)
     assert mod.labels == ("0", "2", "4")
     members = indices_of(0b010101, 6)
@@ -142,8 +142,6 @@ def test_labels_and_format_subset(z4, z6):
         ambient = sum(1 << int(members[i]) for i in range(mod.order) if mask >> i & 1)
         shown = z6.format_subset(ambient)
         assert mod.format_subset(mask) == shown
-        assert mod.left_view().format_subset(mask) == shown
-        assert mod.right_view().format_subset(mask) == shown
 
 
 def test_quotient_of_z8_by_4z8_is_z4(z8):

@@ -27,9 +27,12 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    ideal_product,
     is_prime_context,
     is_semiprime_context,
+    is_slotted_ideal,
     is_surjective_context,
+    lattice_prime_flags,
     product_span_vw,
     product_span_wv,
     quadruple_conditions,
@@ -122,6 +125,7 @@ __all__ = [
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
+    "is_slotted_ideal", "ideal_product", "lattice_prime_flags",
     "decompose_ideal", "side_decomposition", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",
     "context_prime_radical", "quotient_context", "verify_quotient_iso",

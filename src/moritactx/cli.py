@@ -23,7 +23,9 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    is_slotted_ideal,
     is_surjective_context,
+    lattice_prime_flags,
     product_span_vw,
     product_span_wv,
     side_decomposition,
@@ -32,12 +34,10 @@ from .context import (
 from .errors import AlgebraError, CapacityError, ValidationFailedError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
-    Ideal,
     check_ideal,
     confirm_prime_witness,
     enumerate_ideals,
     is_prime_ideal,
-    is_semiprime_ideal,
     prime_radical,
     verify_ideal,
 )
@@ -109,16 +109,6 @@ def _context_header(out: _Printer, res: ResolvedContext) -> None:
     out.kv("order", ctx.order)
 
 
-def _quad_verdicts(ctx, quads, order_cap: int) -> list[tuple[bool, bool] | None]:
-    """(prime, semiprime) for each quadruple, None for the improper one. The
-    lattice is sorted by size, so its first entry is the zero ideal, whose
-    verdicts are those of T itself."""
-    ring = build_context_ring(ctx, cap=order_cap)
-    ideals = (Ideal(ring, quad.member_mask(), "two") for quad in quads)
-    return [(bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal)))
-            if ideal.is_proper() else None for ideal in ideals]
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -182,10 +172,10 @@ def _cmd_ideals(args, out: _Printer) -> int:
 def _cmd_primes(args, out: _Printer) -> int:
     res = _load(args.src)
     ctx = res.context
-    order_cap, lattice_cap = _caps(args)
+    lattice_cap = _caps(args)[1]
     _context_header(out, res)
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
-    verdicts = _quad_verdicts(ctx, quads, order_cap)
+    verdicts = lattice_prime_flags(ctx, quads)
     proper = [(quad, v) for quad, v in zip(quads, verdicts) if v is not None]
     out.line(f"proper two-sided ideals: {len(proper)}")
     out.kv("proper", len(proper))
@@ -199,7 +189,7 @@ def _cmd_primes(args, out: _Printer) -> int:
     out.line(f"prime: {n_prime}, semiprime: {n_semi}")
     out.kv("prime", n_prime)
     out.kv("semiprime", n_semi)
-    ring_prime, ring_semi = verdicts[0]
+    ring_prime, ring_semi = verdicts[0]         # the zero ideal: the lattice is sorted by size
     out.line(f"context ring prime: {_flag(ring_prime)}, semiprime: {_flag(ring_semi)}")
     out.kv("ring_prime", ring_prime)
     out.kv("ring_semiprime", ring_semi)
@@ -282,7 +272,7 @@ def _cmd_check(args, out: _Printer) -> int:
 def _cmd_report(args, out: _Printer) -> int:
     res = _load(args.src)
     ctx = res.context
-    order_cap, lattice_cap = _caps(args)
+    lattice_cap = _caps(args)[1]
     _context_header(out, res)
 
     report = validate_context(ctx)
@@ -300,7 +290,7 @@ def _cmd_report(args, out: _Printer) -> int:
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
     out.line(f"two-sided ideals: {len(quads)}")
     out.kv("two_sided_ideals", len(quads))
-    verdicts = _quad_verdicts(ctx, quads, order_cap)
+    verdicts = lattice_prime_flags(ctx, quads)
     for k, (quad, v) in enumerate(zip(quads, verdicts)):
         flags = ("improper" if v is None
                  else f"{'prime' if v[0] else '-'}/{'semiprime' if v[1] else '-'}")
@@ -310,20 +300,18 @@ def _cmd_report(args, out: _Printer) -> int:
     out.line(f"prime radical: {radical}")
     out.kv("radical", str(radical))
 
-    ring_prime, ring_semi = verdicts[0]
+    ring_prime, ring_semi = verdicts[0]         # the zero ideal
     out.line(f"context ring prime: {_flag(ring_prime)}")
     out.line(f"context ring semiprime: {_flag(ring_semi)}")
     out.kv("ring_prime", ring_prime)
     out.kv("ring_semiprime", ring_semi)
 
     if res.ideals:
-        ring = build_context_ring(ctx, cap=order_cap)
         out.line("named ideals:")
         for name, named in sorted(res.ideals.items()):
-            verdict = check_ideal(ring, named.mask, named.side)
-            out.line(f"  {name}: {named.side}-sided, members {bin(named.mask).count('1')},"
-                     f" ideal: {_flag(verdict.holds)}")
-            out.kv(f"named.{name}.ideal", verdict.holds)
+            holds = is_slotted_ideal(ctx, named.parts, named.side)
+            out.line(f"  {name}: {named.side}-sided, members {named.size}, ideal: {_flag(holds)}")
+            out.kv(f"named.{name}.ideal", holds)
     return 0
 
 
@@ -469,7 +457,8 @@ def run_command(argv: list[str]) -> int:
     try:
         code = args.func(args, out)
     except CapacityError as exc:
-        sys.stderr.write(f"capacity: {exc} (raise --cap to proceed)\n")
+        hint = "" if exc.cap is None else " (raise --cap to proceed)"
+        sys.stderr.write(f"capacity: {exc}{hint}\n")
         return 3
     except (AlgebraError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,6 +14,7 @@ Index convention for the built ring: element (r, v, w, s) sits at
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,9 @@ __all__ = [
     "quadruple_conditions",
     "quadruple_mask",
     "enumerate_context_ideals",
+    "is_slotted_ideal",
+    "ideal_product",
+    "lattice_prime_flags",
     "side_decomposition",
     "closure_sets",
     "check_prime_quadruple",
@@ -87,6 +91,27 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 10_000
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _mib(nbytes: float) -> str:
+    return f"{nbytes / 2**20:.0f}" if nbytes >= 2**20 else "under 1"
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """CapacityError, before anything is allocated, when tables of ``nbytes``
+    would not fit in physical memory: no cap can make them fit."""
+    phys = _physical_memory()
+    if phys is not None and nbytes > phys:
+        raise CapacityError(f"{what}: tables need {_mib(nbytes)} MiB, over the "
+                            f"{_mib(phys)} MiB of physical memory", None)
 
 
 class MoritaContext:
@@ -241,14 +266,17 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     ss[w1,s1,v2,s2] the (w, s) half. One broadcast ``np.add`` of the halves
     fills the 8-axis array (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n table
     in row-major order. The addition table splits into halves the same way.
+    Tables that would not fit in physical memory raise CapacityError under
+    any cap, before they are allocated.
     """
     n = ctx.order
+    nbytes = 2 * n * n * 4                              # two int32 n×n tables
     if n > cap:
-        mib = 2 * n * n * 4 / 2**20                     # two int32 n×n tables
         raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
-                            f"(tables need {f'{mib:.0f}' if mib >= 1 else 'under 1'} MiB)", cap)
+                            f"(tables need {_mib(nbytes)} MiB)", cap)
     if "ring" in ctx._cache:
         return ctx._cache["ring"]
+    _require_memory(nbytes, f"context ring of {ctx.name} has order {n}")
     kr, mv, mw, ks = ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     pr, pv, pw = np.int32(mv * mw * ks), np.int32(mw * ks), np.int32(ks)   # place values
@@ -378,6 +406,12 @@ def _rule(ctx: MoritaContext) -> dict:
 def _lands(x: int, y: int) -> int:
     """Slot (i, j) is number 2i + j, and (i, j)·(j, k) lands in (i, k)."""
     return (x & 2) | (y & 1)
+
+
+# The two slot pairs (x, y) of the rule whose products land in each slot:
+# (i, j)·(j', k) is nonzero exactly when j = j'.
+_INTO = tuple(tuple((x, y) for x in range(4) for y in range(4)
+                    if x & 1 == y >> 1 and _lands(x, y) == dst) for dst in range(4))
 
 
 # The pairing laws as (law, x, y, z), x, y, z the slots of the witness:
@@ -569,6 +603,114 @@ def enumerate_context_ideals(ctx: MoritaContext,
     return found
 
 
+def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> bool:
+    """Is the product of the four slot subsets ``masks`` (R, V, W, S) an ideal
+    of the context ring of the given sidedness? Decided slotwise; no table
+    of T is read.
+
+    A product of subsets is a subgroup exactly when each is, and it absorbs
+    T on a side exactly when each slot is a submodule on that side
+    (``check_closed``) and the four cross-slot products with the carrier on
+    that side land in their target slots (all eight for a two-sided ideal),
+    each decided by ``_colon`` on the carrier's generators.
+    """
+    per_slot = ("two", "bi", "bi", "two") if sidedness == "two" else (sidedness,) * 4
+    if not all(check_closed(c, m, sd) for c, m, sd in zip(_carriers(ctx), masks, per_slot)):
+        return False
+    inside = [bool_array(m, n) for m, n in zip(masks, ctx.dims)]
+    return all(_colon(ctx, p, inside[p.dst])[inside[p.src]].all() for p in _slot_products(ctx)
+               if sidedness == "two" or p.carrier_first == (sidedness == "left"))
+
+
+# -- products of two-sided ideals; prime and semiprime flags from covers ---------
+
+
+def _generators(ctx: MoritaContext, slot: int, mask: int) -> np.ndarray:
+    """Greedy additive generators of a subgroup of one slot (cached)."""
+    key = ("generators", slot, mask)
+    if key not in ctx._cache:
+        ctx._cache[key] = _carriers(ctx)[slot].addgroup.subgroup_generators(mask)
+    return ctx._cache[key]
+
+
+def ideal_product(ctx: MoritaContext, a, b) -> tuple[int, int, int, int]:
+    """The slot masks of AB, for two-sided ideals A and B of the context ring
+    given as ``IdealQuadruple``s or as their four slot masks.
+
+    AB is the additive span of the products ab. A and B are products of
+    their slots, so AB is too, and each slot of AB is the span of the two
+    rule products landing there (``_rule``):
+    R: I·I′ + V₁·W₁′, V: I·V₁′ + V₁·J′, W: W₁·I′ + J·W₁′, S: W₁·V₁′ + J·J′.
+    The products are biadditive, so each is spanned from the products of
+    the slots' additive generators. No table of T is read. Each slot is
+    cached by the four slot masks it depends on.
+    """
+    a, b = getattr(a, "masks", a), getattr(b, "masks", b)
+    rule, memo = _rule(ctx), ctx._cache.setdefault("ideal-product", {})
+    out = []
+    for dst, carrier in enumerate(_carriers(ctx)):
+        key = (dst,) + tuple(m for x, y in _INTO[dst] for m in (a[x], b[y]))
+        if key not in memo:
+            memo[key] = carrier.addgroup.span_mask(np.concatenate([
+                rule[x, y][np.ix_(_generators(ctx, x, a[x]), _generators(ctx, y, b[y]))].ravel()
+                for x, y in _INTO[dst]]))
+        out.append(memo[key])
+    return tuple(out)
+
+
+def _covers(quads: list[IdealQuadruple]) -> np.ndarray:
+    """``covers[p, q]``: quads[q] covers quads[p], i.e. P ⊊ Q with no ideal
+    strictly between. Containment is slotwise: each slot's distinct masks
+    are compared once, and the lattice's matrix is read off their indices.
+    Then covers = strict ∧ ¬(strict·strict), the product taken in float32
+    (exact for these counts) a block of rows at a time."""
+    n = len(quads)
+    contains = np.ones((n, n), dtype=bool)
+    for k in range(4):
+        distinct = sorted({q.masks[k] for q in quads})
+        index = {m: i for i, m in enumerate(distinct)}
+        sub = np.array([[is_subset(x, y) for y in distinct] for x in distinct])
+        at = np.array([index[q.masks[k]] for q in quads])
+        contains &= sub[np.ix_(at, at)]
+    np.fill_diagonal(contains, False)
+    strict = contains.astype(np.float32)
+    step = max(1, 2**22 // n)
+    for lo in range(0, n, step):
+        contains[lo:lo + step] &= (strict[lo:lo + step] @ strict) == 0
+    return contains
+
+
+def lattice_prime_flags(ctx: MoritaContext,
+                        quads: list[IdealQuadruple]) -> list[tuple[bool, bool] | None]:
+    """(prime, semiprime) for each ideal of ``quads``, the whole two-sided
+    lattice as ``enumerate_context_ideals`` returns it, None for the
+    improper one. T is never built.
+
+    T is unital, so a proper ideal P is prime exactly when AB ⊆ P forces
+    A ⊆ P or B ⊆ P for two-sided ideals A and B, and semiprime exactly when
+    A² ⊆ P forces A ⊆ P (Lam, *A First Course in Noncommutative Rings*, §10).
+    Replacing A by A + P and then shrinking it only shrinks the products,
+    so A and B may run over the covers of P in the lattice: P is prime when
+    no ``ideal_product`` of two of its covers lies inside P, semiprime when
+    no cover's square does.
+    """
+    covers = _covers(quads)
+    flags: list[tuple[bool, bool] | None] = []
+    for p, quad in enumerate(quads):
+        if not quad.is_proper():
+            flags.append(None)
+            continue
+        above = [quads[q].masks for q in np.flatnonzero(covers[p])]
+
+        def inside(a, b, target=quad.masks) -> bool:
+            return all(map(is_subset, ideal_product(ctx, a, b), target))
+
+        semiprime = not any(inside(a, a) for a in above)
+        prime = semiprime and not any(inside(a, b) for a in above for b in above if a is not b)
+        flags.append((prime, semiprime))
+    return flags
+
+
 # -- one-sided ideals and their block decompositions ------------------------------
 
 
@@ -617,14 +759,20 @@ def _side_blocks(side: str) -> tuple:
 
 def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     """One-sided module structures on the two coordinate blocks (cached).
-    Block element (a, b) of slots (k1, k2) sits at a*|k2| + b."""
+    Block element (a, b) of slots (k1, k2) sits at a*|k2| + b. Each block
+    holds a square int32 addition table and its action table; CapacityError
+    before either block is built when they would not fit in physical memory."""
     key = ("pair-views", side)
     if key in ctx._cache:
         return ctx._cache[key]
     carriers = _carriers(ctx)
+    blocks = [(carriers[k1], carriers[k2]) for k1, k2 in _side_blocks(side)]
+    orders = [A.order * B.order for A, B in blocks]
+    _require_memory(sum(4 * m * (m + A.action(side)[0].order)
+                        for m, (A, _) in zip(orders, blocks)),
+                    f"{side} block views of {ctx.name} have orders {orders[0]} and {orders[1]}")
     views = []
-    for k1, k2 in _side_blocks(side):
-        A, B = carriers[k1], carriers[k2]
+    for A, B in blocks:
         (ring, act_a), (_, act_b) = A.action(side), B.action(side)
         a, b = np.divmod(np.arange(A.order * B.order), B.order)
         views.append(ModuleView(

@@ -39,9 +39,10 @@ class NotProperError(AlgebraError):
 
 
 class CapacityError(AlgebraError):
-    """An enumeration or construction exceeded its configured cap."""
+    """An enumeration or construction exceeded its configured cap, or (with
+    ``cap`` None) its tables would exceed physical memory under any cap."""
 
-    def __init__(self, message: str, cap: int):
+    def __init__(self, message: str, cap: int | None):
         super().__init__(message)
         self.cap = cap
 

@@ -27,6 +27,7 @@ Part and subset lists use element labels, not carrier indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,11 +134,23 @@ class ContextDocument:
 
 @dataclass(frozen=True)
 class NamedIdeal:
-    """A named candidate ideal, resolved to a member mask of the context ring."""
+    """A named candidate ideal: the product of its four slot ``parts``, masks
+    of R, V, W and S. ``is_slotted_ideal(context, parts, side)`` decides it
+    without T; ``mask``, its member mask in the context ring, is formed only
+    when asked for."""
 
     name: str
     side: str
-    mask: int
+    parts: tuple[int, int, int, int]
+    context: MoritaContext = field(repr=False, compare=False)
+
+    @property
+    def size(self) -> int:
+        return math.prod(m.bit_count() for m in self.parts)
+
+    @property
+    def mask(self) -> int:
+        return quadruple_mask(self.context, *self.parts)
 
 
 @dataclass(frozen=True)
@@ -557,23 +570,21 @@ def resolve_document(doc: ContextDocument) -> ResolvedContext:
 
     named: dict[str, NamedIdeal] = {}
     for spec in doc.ideals:
-        named[spec.name] = NamedIdeal(spec.name, spec.side, _ideal_mask(ctx, spec))
+        named[spec.name] = NamedIdeal(spec.name, spec.side, _ideal_parts(ctx, spec), ctx)
     return ResolvedContext(doc, ctx, named)
 
 
-def _ideal_mask(ctx: MoritaContext, spec: IdealSpec) -> int:
-    return quadruple_mask(
-        ctx,
-        _part_mask(spec.r, ctx.ring_r.label, ctx.ring_r.order, "first ring"),
-        _part_mask(spec.v, ctx.mod_v.label, ctx.mod_v.order, "first module"),
-        _part_mask(spec.w, ctx.mod_w.label, ctx.mod_w.order, "second module"),
-        _part_mask(spec.s, ctx.ring_s.label, ctx.ring_s.order, "second ring"))
+def _ideal_parts(ctx: MoritaContext, spec: IdealSpec) -> tuple[int, int, int, int]:
+    return (_part_mask(spec.r, ctx.ring_r.label, ctx.ring_r.order, "first ring"),
+            _part_mask(spec.v, ctx.mod_v.label, ctx.mod_v.order, "first module"),
+            _part_mask(spec.w, ctx.mod_w.label, ctx.mod_w.order, "second module"),
+            _part_mask(spec.s, ctx.ring_s.label, ctx.ring_s.order, "second ring"))
 
 
 def inline_ideal_mask(ctx: MoritaContext, text: str) -> int:
     """Mask for a free-standing part listing like ``R=0,4 V=all W=all S=all``."""
     tokens = ["ideal", "_"] + text.split()
-    return _ideal_mask(ctx, _parse_ideal(tokens, 1, text))
+    return quadruple_mask(ctx, *_ideal_parts(ctx, _parse_ideal(tokens, 1, text)))
 
 
 def load_mctx(text: str) -> ResolvedContext:

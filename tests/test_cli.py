@@ -61,9 +61,19 @@ def test_unknown_builtin(capsys):
 
 
 def test_capacity_exit_code(capsys):
-    code, _, err = run(capsys, "report", "full:6", "--cap", "100")
+    # report never builds T, so --cap bounds only its lattices; Z6 has 4
+    # ideals, all principal.
+    code, _, err = run(capsys, "report", "full:6", "--cap", "3")
     assert code == 3
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("command", ["primes", "report"])
+def test_the_order_cap_does_not_apply_without_t(capsys, command):
+    # full:6 has order 1296, over a cap of 100; its lattices are far under it.
+    code, out, err = run(capsys, command, "full:6", "--cap", "100")
+    assert (code, err) == (0, "")
+    assert "context ring prime: NO" in out
 
 
 def test_ideals_listing(capsys):

@@ -1,5 +1,6 @@
-"""The CLI's stdout on the battery contexts (and ``validate`` on the
-benchmark's large ones), against a recorded transcript.
+"""The CLI's stdout on the battery contexts (and ``validate``, ``primes``
+and two reports on the benchmark's large ones), against a recorded
+transcript.
 
 Each invocation runs in process and contributes a header line with its
 arguments and exit code, then its stdout. Running this module as a script
@@ -33,6 +34,8 @@ def invocations() -> list[list[str]]:
     runs += [["example", name] for name in ("ex2.4", "ex2.8", "ex2.12")]
     runs += [["validate", name] for name in names]
     runs += [["validate", name] for name in SLOT_LARGE]
+    runs += [["primes", name] for name in SLOT_LARGE]
+    runs += [["report", "zero:100,101"], ["report", "full:60"]]
     return runs
 
 

@@ -1,0 +1,211 @@
+"""Products of two-sided ideals, the prime and semiprime flags read off the
+covers of the two-sided lattice, and named ideals decided in slot form.
+
+None of these routes builds T. Under the order cap the built T is their
+oracle; above it, the paper's slot descriptions are.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from naive import ideal_product_mask
+
+from moritactx import (
+    CapacityError,
+    Ideal,
+    build_context_ring,
+    builtin_context,
+    check_ideal,
+    closure_sets,
+    enumerate_context_ideals,
+    enumerate_ideals,
+    enumerate_submodules,
+    ideal_product,
+    is_prime_ideal,
+    is_semiprime_ideal,
+    is_slotted_ideal,
+    is_surjective_context,
+    lattice_prime_flags,
+    load_mctx,
+    quadruple_mask,
+)
+from moritactx.bitsets import full_mask, is_subset
+from moritactx.catalog import battery_names, builtin_document
+from moritactx.cli import run_command
+from moritactx.context import _covers, _pair_views
+
+from test_cli_golden import SLOT_LARGE
+
+
+def _fresh(name: str):
+    """A newly resolved context, so no cached ring or view is reused."""
+    return load_mctx(builtin_document(name)).context
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_cover_flags_agree_with_the_built_ring(name):
+    ctx = builtin_context(name).context
+    ring = build_context_ring(ctx)
+    quads = enumerate_context_ideals(ctx)
+    flags = lattice_prime_flags(ctx, quads)
+    assert len(flags) == len(quads)
+    for quad, flag in zip(quads, flags):
+        ideal = Ideal(ring, quad.member_mask(), "two")
+        if not ideal.is_proper():
+            assert flag is None
+            continue
+        assert flag == (bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal))), str(quad)
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_ideal_product_is_the_span_of_the_products_in_t(name):
+    ctx = builtin_context(name).context
+    ring = build_context_ring(ctx)
+    quads = enumerate_context_ideals(ctx)
+    members = [quad.member_mask() for quad in quads]
+    for a, amask in zip(quads, members):
+        for b, bmask in zip(quads, members):
+            assert (quadruple_mask(ctx, *ideal_product(ctx, a, b))
+                    == ideal_product_mask(ring, amask, bmask)), (str(a), str(b))
+
+
+@pytest.mark.parametrize("name", battery_names())
+def test_covers_are_the_lattice_covers(name):
+    quads = enumerate_context_ideals(builtin_context(name).context)
+    masks = [quad.member_mask() for quad in quads]
+    below = [[a != b and is_subset(a, b) for b in masks] for a in masks]
+    expected = [[below[p][q] and not any(below[p][r] and below[r][q] for r in range(len(masks)))
+                 for q in range(len(masks))] for p in range(len(masks))]
+    assert _covers(quads).tolist() == expected
+
+
+@pytest.mark.parametrize("name", SLOT_LARGE)
+def test_cover_flags_match_the_slot_descriptions_above_the_cap(name):
+    # The paper's descriptions, read as _slot_description reads them but
+    # without T: each corner prime (semiprime), an improper corner passing
+    # vacuously, and each module slot equal to both of its closure sets.
+    ctx = builtin_context(name).context
+    surjective = is_surjective_context(ctx)
+    corner, closures = {}, {}
+
+    def corner_ok(ideal, test) -> bool:
+        key = (ideal.ring is ctx.ring_r, ideal.members, test)
+        if key not in corner:
+            corner[key] = not ideal.is_proper() or bool(test(ideal))
+        return corner[key]
+
+    quads = enumerate_context_ideals(ctx)
+    for quad, flag in zip(quads, lattice_prime_flags(ctx, quads)):
+        if flag is None:
+            continue
+        key = (quad.r_part.members, quad.s_part.members)
+        if key not in closures:
+            closures[key] = closure_sets(ctx, quad.r_part, quad.s_part)
+        sets = closures[key]
+        _, v1, w1, _ = quad.masks
+        slots = v1 == sets.v_into_r == sets.v_into_s and w1 == sets.w_into_r == sets.w_into_s
+        prime, semiprime = flag
+        described = [slots and all(corner_ok(c, test) for c in (quad.r_part, quad.s_part))
+                     for test in (is_prime_ideal, is_semiprime_ideal)]
+        assert semiprime == described[1], str(quad)
+        assert not prime or described[0], str(quad)
+        assert not (surjective and described[0]) or prime, str(quad)
+
+
+# -- named ideals in slot form ---------------------------------------------------------
+
+_NAMED_CONTEXTS = ["full:4", "full:6", "ks:4:2", "ks:6:2", "tri:4,2", "zero:2,4",
+                   "paper:ex2.4", "paper:ex2.8", "paper:ex2.12"]
+
+
+def _part_pool(carrier, lattice: list[int], rng: random.Random) -> list[int]:
+    """Candidate parts of one slot: its two-sided sublattice, an empty part,
+    a part that misses zero, and random subsets (rarely subgroups)."""
+    n, zero = carrier.order, 1 << carrier.zero
+    pool = list(lattice) + [0, full_mask(n) & ~zero]
+    pool += [rng.getrandbits(n) | zero for _ in range(3)]
+    pool += [m & ~zero for m in lattice if m != zero]
+    return pool
+
+
+@pytest.mark.parametrize("name", _NAMED_CONTEXTS)
+def test_slotted_ideal_agrees_with_the_built_ring(name):
+    res = builtin_context(name)
+    ctx = res.context
+    ring = build_context_ring(ctx)
+    rng = random.Random(name)
+    lattices = ([i.members for i in enumerate_ideals(ctx.ring_r)],
+                [m.members for m in enumerate_submodules(ctx.mod_v, "bi")],
+                [m.members for m in enumerate_submodules(ctx.mod_w, "bi")],
+                [i.members for i in enumerate_ideals(ctx.ring_s)])
+    carriers = (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
+    pools = [_part_pool(c, lat, rng) for c, lat in zip(carriers, lattices)]
+    samples = [tuple(rng.choice(pool) for pool in pools) for _ in range(40)]
+    samples += [tuple(rng.choice(lat) for lat in lattices) for _ in range(40)]
+    samples += [named.parts for named in res.ideals.values()]
+    seen = 0
+    for parts in samples:
+        mask = quadruple_mask(ctx, *parts)
+        for side in ("two", "left", "right"):
+            expected = check_ideal(ring, mask, side).holds
+            assert is_slotted_ideal(ctx, parts, side) == expected, (parts, side)
+            seen += expected
+    assert seen > 0
+
+
+def test_report_decides_named_ideals_above_the_cap(tmp_path, capsys):
+    doc = tmp_path / "z60.mctx"
+    doc.write_text("context z60\nbase zn 60\nproduct VW inherited\nproduct WV inherited\n"
+                   "rightideal U R=0,30 V=0,30 W=all S=all\n"
+                   "leftideal L R=0,30 V=0,30 W=all S=all\n")
+    code = run_command(["report", str(doc)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "order: 12960000" in out
+    assert "  L: left-sided, members 14400, ideal: NO" in out
+    assert "  U: right-sided, members 14400, ideal: yes" in out
+
+
+# -- tables that would not fit in memory ----------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["radical", "full:60"],
+                                  ["ideals", "tri:240,180", "--side", "right"]])
+def test_tables_over_physical_memory_exit_3_before_allocating(capsys, argv):
+    # Both rings need tables of millions of MiB: no machine grants them.
+    code = run_command(argv + ["--cap", "20000000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("capacity: context ring of ")
+    assert lines[0].endswith("MiB of physical memory")
+
+
+def test_build_context_ring_checks_memory_before_allocating(monkeypatch):
+    ctx = _fresh("full:6")                      # 1296², two int32 tables: 13 MiB
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2**20)
+    with pytest.raises(CapacityError, match="tables need 13 MiB, over the 1 MiB") as info:
+        build_context_ring(ctx)
+    assert info.value.cap is None and "ring" not in ctx._cache
+
+
+def test_pair_views_check_memory_before_allocating(monkeypatch):
+    ctx = _fresh("full:6")                      # blocks of order 36, acted on by Z6
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 4 * 36 * 42 * 2 - 1)
+    with pytest.raises(CapacityError, match="right block views of full:6 have orders 36 and 36"):
+        _pair_views(ctx, "right")
+    assert ("pair-views", "right") not in ctx._cache
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 4 * 36 * 42 * 2)
+    assert [v.order for v in _pair_views(ctx, "right")] == [36, 36]
+
+
+def test_the_cap_comes_first_and_a_built_ring_is_reused(monkeypatch):
+    built = _fresh("full:2")
+    ring = build_context_ring(built)
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 1)
+    with pytest.raises(CapacityError, match="over the cap 100") as info:
+        build_context_ring(_fresh("full:6"), cap=100)
+    assert info.value.cap == 100
+    assert build_context_ring(built) is ring

@@ -16,6 +16,7 @@ __all__ = [
     "is_subset",
     "full_mask",
     "as_mask",
+    "distinct",
 ]
 
 
@@ -45,3 +46,14 @@ def full_mask(size: int) -> int:
 def as_mask(subset) -> int:
     """The mask of a subset argument: an object with ``members``, or a mask."""
     return int(getattr(subset, "members", subset))
+
+
+def distinct(values: np.ndarray, size: int) -> np.ndarray:
+    """The sorted distinct values of an index array, all in ``range(size)``.
+
+    Marks them in a bool array of ``size``: O(size + len), no sort, and
+    unlike plain ``np.unique`` it never reaches ``numpy.ma``.
+    """
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitsets import as_mask, bool_array, full_mask, is_subset, mask_from_bool
+from .bitsets import as_mask, bool_array, distinct, full_mask, is_subset, mask_from_bool
 from .errors import (
     CapacityError,
     CentralityError,
@@ -345,14 +345,14 @@ def build_ks_context(ring: FiniteRing, s: int) -> MoritaContext:
 def product_span_vw(ctx: MoritaContext) -> int:
     """Additive span, in the first ring, of all first-pairing values."""
     if "span_vw" not in ctx._cache:
-        ctx._cache["span_vw"] = ctx.ring_r.addgroup.span_mask(np.unique(ctx.prod_vw))
+        ctx._cache["span_vw"] = ctx.ring_r.addgroup.span_mask(distinct(ctx.prod_vw, ctx.ring_r.order))
     return ctx._cache["span_vw"]
 
 
 def product_span_wv(ctx: MoritaContext) -> int:
     """Additive span, in the second ring, of all second-pairing values."""
     if "span_wv" not in ctx._cache:
-        ctx._cache["span_wv"] = ctx.ring_s.addgroup.span_mask(np.unique(ctx.prod_wv))
+        ctx._cache["span_wv"] = ctx.ring_s.addgroup.span_mask(distinct(ctx.prod_wv, ctx.ring_s.order))
     return ctx._cache["span_wv"]
 
 
@@ -1064,7 +1064,7 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
                                qres.proj_w[w_of], qres.proj_s[s_of])
     if mask_from_bool(proj == target.zero) != qres.radical.member_mask():
         return Verdict(False, ("kernel",))
-    if np.unique(proj).size != target.order:
+    if distinct(proj, target.order).size != target.order:
         return Verdict(False, ("onto",))
     return verify_ring_map(ring, target, proj)
 

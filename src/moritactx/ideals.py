@@ -147,8 +147,7 @@ def confirm_prime_witness(ring, mask: int, a: int, b: int) -> bool:
     inside = bool_array(mask, ring.order)
     if inside[a] or inside[b]:
         return False
-    u = np.unique(ring.mul[a, ring.addgroup.generators])
-    return bool(inside[ring.mul[u, b]].all())
+    return bool(inside[ring.mul[ring.mul[a, ring.addgroup.generators], b]].all())
 
 
 # -- spectra and radicals -----------------------------------------------------------

@@ -351,7 +351,7 @@ def confirm_prime_submodule_witness(module: Bimodule | ModuleView, members: int 
     if inside[act[r]].all():
         return False
     scalars = ring.mul[r, :] if side == "left" else ring.mul[:, r]
-    return bool(inside[act[np.unique(scalars)][:, x]].all())
+    return bool(inside[act[scalars, x]].all())
 
 
 # -- quotients ----------------------------------------------------------------------

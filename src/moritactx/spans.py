@@ -14,6 +14,12 @@ builds; the orbit kernel leans on all three, since it tells orbits apart
 by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
 that needs none of them). The lattice join closure and the coset split of
 quotients live here too.
+
+Index sets are deduplicated with ``bitsets.distinct``, not plain
+``np.unique``: on numpy 2.x that asks ``np.ma.is_masked`` first, so the
+first call in a process imports ``numpy.ma`` (about 20 ms, more than the
+algebra of most CLI jobs), and every call hashes and sorts. Only
+``np.unique(..., return_index=True)`` is used, which skips that check.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .bitsets import bool_array, full_mask, indices_of, mask_from_bool
+from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError
 from .validation import Verdict
 
@@ -145,7 +151,7 @@ class AddGroup:
         """
         members = indices_of(mask, self.order)
         rep_of = self.add[:, members].min(axis=1)
-        reps = np.unique(rep_of)
+        reps = distinct(rep_of, self.order)
         rank = np.full(self.order, -1, dtype=np.int64)
         rank[reps] = np.arange(reps.size)
         return reps, rank[rep_of]
@@ -257,9 +263,10 @@ def prime_pair(carrier, side: str, inside: np.ndarray,
     r.(R.x) = (rR).x on the left, (Rr).x on the right, so the least r of
     each class there is tested, in ascending order: the witness stays
     lex-first. The middle products only need the ring's additive
-    generators. With ``eligible``, r runs over the eligible elements and
-    none is skipped: an ideal of T over itself, read elementwise (a*T*b
-    inside forces a or b inside), passes ``~inside``.
+    generators; their rows may repeat, which cannot change an ``all``. With
+    ``eligible``, r runs over the eligible elements and none is skipped: an
+    ideal of T over itself, read elementwise (a*T*b inside forces a or b
+    inside), passes ``~inside``.
     """
     ring, act = carrier.action(side)
     other = "right" if side == "left" else "left"
@@ -269,7 +276,7 @@ def prime_pair(carrier, side: str, inside: np.ndarray,
     pool = np.arange(ring.order) if eligible is None else np.flatnonzero(eligible)
     _, first = np.unique(classes[pool], return_index=True)
     for r in np.sort(pool[first]):
-        rows = inside[act[np.unique(mid[gens, r])]]
+        rows = inside[act[mid[gens, r]]]
         if eligible is None and rows.all():         # r sends the whole carrier inside
             continue
         bad = rows.all(axis=0) & ~inside            # per x: r.(R.x) inside

@@ -1,6 +1,14 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import moritactx
 
 from moritactx.bitsets import full_mask
 from moritactx.cli import run_command
@@ -259,3 +267,42 @@ def test_non_integer_cap_is_invalid_input(capsys):
     code, out, err = run(capsys, "ideals", "full:4", "--cap", "ten")
     assert (code, out) == (2, "")
     assert "argument --cap: invalid int value: 'ten'" in err
+
+
+# Every subcommand, run through run_command in one fresh interpreter after
+# importing the CLI. Plain np.unique imports numpy.ma on numpy 2.x (it asks
+# np.ma.is_masked first), about 20 ms of a few-millisecond job; the check
+# is a set difference, since numpy 1.x loads numpy.ma with numpy itself.
+_NO_MA_SCRIPT = """\
+import contextlib, io, json, sys
+from moritactx.checks import CHECK_TOKENS
+from moritactx.cli import run_command
+commands = [
+    ["validate", "paper:ex2.4"],
+    ["ideals", "paper:ex2.4"],
+    ["ideals", "paper:ex2.4", "--side", "right"],
+    ["primes", "paper:ex2.4"],
+    ["radical", "paper:ex2.4"],
+    ["radical", "full:60"],
+    ["decompose", "paper:ex2.4", "--ideal", "U"],
+    *(["check", "ks:6:2", "--theorem", token] for token in CHECK_TOKENS),
+    *(["example", name] for name in ("ex2.4", "ex2.8", "ex2.12")),
+    ["report", "paper:ex2.4"],
+]
+before = set(sys.modules)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_no_subcommand_imports_numpy_ma():
+    src = str(Path(moritactx.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_MA_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "numpy.ma" not in added, added

@@ -24,6 +24,10 @@ witness) on every candidate quadruple, compatible or not (on full:60, every
 one with J = I); ``closure_sets`` against its definition on every pair of
 corner ideals; and each block view's addition, action, zero and labels
 against T's sum and product formulas.
+
+``bitsets.distinct`` is compared with ``np.unique`` on small arrays, and the
+pairing spans it seeds with ``np.unique``'s on the battery contexts and on
+every ``slot-large`` context of the benchmark.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
                        builtin_context, builtin_document, check_ideal, closure_sets,
                        enumerate_ideals, enumerate_submodules, is_prime_ideal,
-                       is_prime_submodule, load_mctx, quadruple_conditions, ring_bimodule,
-                       verify_submodule)
-from moritactx.bitsets import bool_array, is_subset
+                       is_prime_submodule, load_mctx, product_span_vw, product_span_wv,
+                       quadruple_conditions, ring_bimodule, verify_submodule)
+from moritactx.bitsets import bool_array, distinct, is_subset
 from moritactx.context import _pair_views
 from moritactx.spans import AddGroup, cyclic_masks
 
@@ -342,3 +346,30 @@ def test_pair_views_act_from_the_absorbing_side_of_noncommutative_corners():
     # elements; their sums are the battery's carrier sums again.
     ring = build_context_ring(builtin_context("full:2").context)
     _assert_pair_views_match(build_ks_context(ring, ring.one), sums=False)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([3], dtype=np.int32),
+    np.array([5, 0, 5, 2, 0, 5], dtype=np.int32),
+    np.array([9, 1, 1, 4, 9], dtype=np.int64),
+    np.array([[2, 7, 2], [0, 7, 3]], dtype=np.int32),
+    np.random.default_rng(1).integers(0, 40, size=(6, 50)),
+])
+def test_distinct_matches_unique(values):
+    got = distinct(values, 40)
+    assert got.tolist() == np.unique(values).tolist()
+    assert got.ndim == 1
+
+
+# The contexts of the benchmark's slot-large workload, with every associate
+# scalar it may pick for the two scalar contexts.
+SLOT_LARGE = ("zero:100,101", "full:60", "full:120", "full:180", "tri:240,180", "tri:360,240",
+              *(f"ks:120:{s}" for s in (7, 11, 13, 17)), *(f"ks:180:{s}" for s in (5, 25, 35, 55)))
+
+
+@pytest.mark.parametrize("name", battery_names() + list(SLOT_LARGE))
+def test_product_spans_match_spans_of_the_unique_values(name):
+    ctx = builtin_context(name).context
+    assert product_span_vw(ctx) == ctx.ring_r.addgroup.span_mask(np.unique(ctx.prod_vw))
+    assert product_span_wv(ctx) == ctx.ring_s.addgroup.span_mask(np.unique(ctx.prod_wv))

@@ -270,8 +270,8 @@ def validate_bimodule(mod: Bimodule) -> ValidationReport:
                 violations.append(Violation(f"{side}-unital", (int(unital[0]),)))
             # (r1*r2) acts as r2 then r1 on the left, r1 then r2 on the right
             staged = (associative(ring.mul, act, act, act) if side == "left" else
-                      law_witness(ring.order, lambda r1: act[ring.mul[r1]],
-                                  lambda r1: act[:, act[r1]]))
+                      law_witness((ring.order,) + act.shape, lambda r1: act[ring.mul[r1]],
+                                  lambda r1: act[:, act[r1]].swapaxes(0, 1)))
             violations += violations_of([
                 (f"{side}-additive-in-ring", additive_first(act, ring.add, add)),
                 (f"{side}-additive-in-module", additive_second(act, add, add)),

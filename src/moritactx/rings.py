@@ -185,9 +185,10 @@ def verify_ring_map(source: FiniteRing, target: FiniteRing, image) -> Verdict:
     additive generator g of the source (every element is a sum of
     generators), and an additive map is multiplicative iff f(g·h) =
     f(g)·f(h) on generator pairs, both sides being biadditive. Only a map
-    that fails is scanned in full, one row at a time, for the lex-first
-    witness: ("one",) for a moved identity, else ("add"|"mul", a, b). An
-    image of the wrong length or out of range raises MalformedTableError.
+    that fails is scanned in full, a block of rows at a time
+    (``law_witness``), for the lex-first witness: ("one",) for a moved
+    identity, else ("add"|"mul", a, b). An image of the wrong length or out
+    of range raises MalformedTableError.
     """
     img = np.asarray(image, dtype=np.int64)
     if img.shape != (source.order,):
@@ -204,8 +205,8 @@ def verify_ring_map(source: FiniteRing, target: FiniteRing, image) -> Verdict:
             and (img[source.mul[np.ix_(gens, gens)]] == target.mul[np.ix_(at, at)]).all()):
         return Verdict(True)
     for op, src, tgt in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
-        found = law_witness(source.order, lambda a: img[src[a:a + 1]],
-                            lambda a: tgt[img[a:a + 1, None], img])
+        found = law_witness((source.order, 1, source.order), lambda a: img[src[a]][:, None],
+                            lambda a: tgt[img[a][:, None, None], img])
         if found is not None:
             return Verdict(False, (op, found[0], found[2]))
     return Verdict(True)

@@ -348,8 +348,14 @@ class Carrier:
         return self._cache[key]
 
     def format_subset(self, mask: int) -> str:
-        labels = self.labels
-        return "{" + ", ".join(labels[i] for i in indices_of(mask, self.order).tolist()) + "}"
+        """The labels of ``mask``'s members in braces, cached: labels are
+        fixed once the carrier is built, and listings repeat slot masks."""
+        key = ("format", mask)
+        if key not in self._cache:
+            labels = self.labels
+            self._cache[key] = "{" + ", ".join(labels[i] for i in
+                                               indices_of(mask, self.order).tolist()) + "}"
+        return self._cache[key]
 
 
 class Subset:

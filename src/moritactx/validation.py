@@ -8,8 +8,10 @@ the generators and zero; and every other law is multi-additive once those
 hold, so it is checked on tuples of generators alone. Only when one of
 these checks fails does the validator run the full scans, which name each
 failed law's lex-first witness; ``validate_ring`` always runs them. Every
-check goes through one search (``law_witness``), and the full scans use
-it in the three shapes every ring, bimodule and pairing law takes."""
+check goes through one search (``law_witness``), which decides a block of
+rows, about ``_BLOCK`` entries, per numpy call and never holds a whole cube;
+the full scans use it in the three shapes every ring, bimodule and pairing
+law takes."""
 
 from __future__ import annotations
 
@@ -133,14 +135,30 @@ def as_square_table(data, what: str) -> np.ndarray:
     return arr
 
 
-def law_witness(n: int, lhs, rhs) -> tuple | None:
-    """Lex-first (i, j, k) with ``lhs(i)[j, k] != rhs(i)[j, k]``, i below n,
-    computing both sides one 2-d slab i at a time, never a whole cube."""
-    for i in range(n):
-        diff = lhs(i) != rhs(i)
+# Entries of one side of a law that one block holds: rows are decided this
+# many entries at a time, so a law pays numpy's call overhead per block, not
+# per row, and a full scan still never holds a whole cube.
+_BLOCK = 1 << 16
+
+
+def law_witness(shape: tuple[int, int, int], lhs, rhs) -> tuple | None:
+    """Lex-first (i, j, k) with ``lhs(rows)[., j, k] != rhs(rows)[., j, k]``
+    over a law's cube of ``shape`` (n, J, K), or None when none differs.
+
+    ``lhs`` and ``rhs`` take a slice of rows i and return both sides on
+    those rows as an (r, J, K) slab. Rows are decided a block at a time, as
+    many as fit in ``_BLOCK`` entries; a row wider than that goes alone, so
+    no whole cube is ever built. A cube that fits one block is decided in
+    one call of each side. A slice, not an index array, so that a block of
+    a table's rows is a view, not a copy."""
+    n, width = shape[0], shape[1] * shape[2]
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        diff = lhs(rows) != rhs(rows)
         if diff.any():
-            j, k = map(int, np.argwhere(diff)[0])
-            return (i, j, k)
+            i, j, k = map(int, np.argwhere(diff)[0])
+            return (start + i, j, k)
     return None
 
 
@@ -148,19 +166,20 @@ def associative(ab: np.ndarray, bc: np.ndarray, ab_c: np.ndarray,
                 a_bc: np.ndarray) -> tuple | None:
     """First (a, b, c) with (a·b)·c != a·(b·c): ``ab[a, b]`` is a·b, ``bc[b, c]``
     is b·c, and ``ab_c``, ``a_bc`` multiply those products by c and by a."""
-    return law_witness(ab.shape[0], lambda a: ab_c[ab[a]], lambda a: a_bc[a][bc])
+    return law_witness((ab.shape[0],) + bc.shape, lambda a: ab_c[ab[a]],
+                       lambda a: a_bc[a][:, bc])
 
 
 def additive_first(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray) -> tuple | None:
     """First (x, y, z) with (x+y)·z != x·z + y·z, where ``op[x, z]`` is x·z."""
-    return law_witness(add_in.shape[0], lambda x: op[add_in[x]],
-                       lambda x: add_out[op[x][None, :], op])
+    return law_witness(add_in.shape + op.shape[1:], lambda x: op[add_in[x]],
+                       lambda x: add_out[op[x][:, None, :], op])
 
 
 def additive_second(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray) -> tuple | None:
     """First (x, y, z) with x·(y+z) != x·y + x·z, where ``op[x, y]`` is x·y."""
-    return law_witness(op.shape[0], lambda x: op[x][add_in],
-                       lambda x: add_out[op[x][:, None], op[x][None, :]])
+    return law_witness(op.shape[:1] + add_in.shape, lambda x: op[x][:, add_in],
+                       lambda x: add_out[op[x][:, :, None], op[x][:, None, :]])
 
 
 def violations_of(witnesses) -> list[Violation]:
@@ -209,7 +228,7 @@ def group_generators(group) -> np.ndarray | None:
     then are the generators computed: the greedy loop need not end on a
     table whose zero is not an identity. Associativity is Light's test,
     (x+g)+y = x+(g+y) for every x, y and generator g, in n²·k entries,
-    one k×n slab per x.
+    a block of k×n slabs at a time.
     """
     add, zero, n = group.add, group.zero, group.order
     idx = np.arange(n, dtype=np.int32)
@@ -217,7 +236,9 @@ def group_generators(group) -> np.ndarray | None:
             or _inverse_commutativity_violations(add)):
         return None
     gens = group.generators
-    if law_witness(n, lambda x: add[add[x, gens]], lambda x: add[x][add[gens]]) is not None:
+    g_plus = add[gens]
+    if law_witness((n, gens.size, n), lambda x: add[add[x, gens]],
+                   lambda x: add[x][:, g_plus]) is not None:
         return None
     return gens
 
@@ -241,9 +262,12 @@ def additive_on(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray,
     ``steps`` the generators of ``add_in`` and its zero: x·z is additive iff
     (x+g)·z = x·z + g·z for every x, z and g in ``steps``. The zero is there
     for a trivial carrier, which has no generators but must send 0 to 0.
-    One slab of |steps| rows per x. For the second argument, pass ``op.T``."""
-    return law_witness(op.shape[0], lambda x: op[add_in[x, steps]],
-                       lambda x: add_out[op[x][None, :], op[steps]]) is None
+    A block of |steps|-row slabs at a time. For the second argument, pass
+    ``op.T``."""
+    at_steps = op[steps]
+    return law_witness((op.shape[0], steps.size, op.shape[1]),
+                       lambda x: op[add_in[x, steps]],
+                       lambda x: add_out[op[x][:, None, :], at_steps]) is None
 
 
 def associative_on(ga: np.ndarray, gb: np.ndarray, gc: np.ndarray, ab: np.ndarray,

@@ -24,9 +24,7 @@ from moritactx.bitsets import bool_array, indices_of, is_subset, mask_from_bool
 from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.spans import _classes
-from moritactx.validation import (ValidationReport, Violation, abelian_group_violations,
-                                  additive_first, additive_second, associative, law_witness,
-                                  violations_of)
+from moritactx.validation import ValidationReport, Violation, violations_of
 
 
 def members_of(mask: int, order: int) -> list[int]:
@@ -471,10 +469,54 @@ def full_row_quadruple_conditions(ctx, i_mask: int, v1_mask: int, w1_mask: int,
 # -- full-scan validators --------------------------------------------------------------
 #
 # The route the bimodule and context validators took before they decided at
-# generator width: every law is scanned over all of its triples
-# (``law_witness``, one slab at a time), whatever the others found. The library
-# still runs these scans, but only to name the witnesses of a check that
-# failed. ``validate_ring`` has no generator-width pass, so it needs no copy.
+# generator width: every law is scanned over all of its triples, whatever the
+# others found. The library still runs these scans, but only to name the
+# witnesses of a check that failed. ``validate_ring`` has no generator-width
+# pass, so it needs no copy. The scans here walk one row (a 2-d slab) at a
+# time, not the library's blocks of rows, so they share no kernel with
+# ``validation.law_witness``.
+
+
+def row_witness(n: int, lhs, rhs) -> tuple | None:
+    """Lex-first (i, j, k) with ``lhs(i)[j, k] != rhs(i)[j, k]``, i below n."""
+    for i in range(n):
+        diff = lhs(i) != rhs(i)
+        if diff.any():
+            j, k = map(int, np.argwhere(diff)[0])
+            return (i, j, k)
+    return None
+
+
+def row_associative(ab, bc, ab_c, a_bc) -> tuple | None:
+    """First (a, b, c) with ab_c[ab[a, b], c] != a_bc[a, bc[b, c]]."""
+    return row_witness(ab.shape[0], lambda a: ab_c[ab[a]], lambda a: a_bc[a][bc])
+
+
+def row_additive_first(op, add_in, add_out) -> tuple | None:
+    """First (x, y, z) with (x+y)·z != x·z + y·z, where ``op[x, z]`` is x·z."""
+    return row_witness(add_in.shape[0], lambda x: op[add_in[x]],
+                       lambda x: add_out[op[x][None, :], op])
+
+
+def row_additive_second(op, add_in, add_out) -> tuple | None:
+    """First (x, y, z) with x·(y+z) != x·y + x·z, where ``op[x, y]`` is x·y."""
+    return row_witness(op.shape[0], lambda x: op[x][add_in],
+                       lambda x: add_out[op[x][:, None], op[x][None, :]])
+
+
+def row_group_violations(add) -> list[Violation]:
+    """Inverse, commutativity and associativity of an addition table, each
+    with its first witness, as ``abelian_group_violations`` reports them."""
+    n = add.shape[0]
+    violations = []
+    not_perm = [x for x in range(n) if sorted(add[x].tolist()) != list(range(n))]
+    if not_perm:
+        violations.append(Violation("additive-inverse", (not_perm[0],)))
+    asym = np.argwhere(add != add.T)
+    if asym.size:
+        violations.append(Violation("additive-commutativity", tuple(map(int, asym[0]))))
+    return violations + violations_of(
+        [("additive-associativity", row_associative(add, add, add, add))])
 
 
 def full_scan_bimodule_violations(mod) -> list[Violation]:
@@ -484,20 +526,20 @@ def full_scan_bimodule_violations(mod) -> list[Violation]:
     violations: list[Violation] = []
     if not ((add[zero] == idx).all() and (add[:, zero] == idx).all()):
         violations.append(Violation("additive-identity", (zero,)))
-    violations.extend(abelian_group_violations(add))
+    violations.extend(row_group_violations(add))
     for side in ("left", "right"):
         ring, act = mod.action(side)
         unital = np.flatnonzero(act[ring.one] != idx)
         if unital.size:
             violations.append(Violation(f"{side}-unital", (int(unital[0]),)))
-        staged = (associative(ring.mul, act, act, act) if side == "left" else
-                  law_witness(ring.order, lambda r1: act[ring.mul[r1]],
+        staged = (row_associative(ring.mul, act, act, act) if side == "left" else
+                  row_witness(ring.order, lambda r1: act[ring.mul[r1]],
                               lambda r1: act[:, act[r1]]))
         violations += violations_of([
-            (f"{side}-additive-in-ring", additive_first(act, ring.add, add)),
-            (f"{side}-additive-in-module", additive_second(act, add, add)),
+            (f"{side}-additive-in-ring", row_additive_first(act, ring.add, add)),
+            (f"{side}-additive-in-module", row_additive_second(act, add, add)),
             (f"{side}-associative", staged)])
-    return violations + violations_of([("actions-commute", associative(
+    return violations + violations_of([("actions-commute", row_associative(
         mod.left_act, mod.right_act, mod.right_act, mod.left_act))])
 
 
@@ -514,10 +556,11 @@ def full_scan_validate_context(ctx) -> ValidationReport:
 
     def witness(x: int, y: int, z: int) -> tuple | None:
         if x == y:
-            return additive_first(rule[y, z], adds[x], adds[_lands(y, z)])
+            return row_additive_first(rule[y, z], adds[x], adds[_lands(y, z)])
         if y == z:
-            return additive_second(rule[x, y], adds[y], adds[_lands(x, y)])
-        return associative(rule[x, y], rule[y, z], rule[_lands(x, y), z], rule[x, _lands(y, z)])
+            return row_additive_second(rule[x, y], adds[y], adds[_lands(x, y)])
+        return row_associative(rule[x, y], rule[y, z], rule[_lands(x, y), z],
+                               rule[x, _lands(y, z)])
 
     violations += violations_of((law, witness(x, y, z)) for law, x, y, z in _PAIRING_LAWS)
     return ValidationReport(f"context {ctx.name}", tuple(violations))

@@ -43,6 +43,7 @@ from moritactx import ideals
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.catalog import battery_names, builtin_context, builtin_document
 from moritactx.checks import run_check
+from moritactx.context import _carriers
 from moritactx.mctx import inline_ideal_mask, load_mctx
 
 from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
@@ -166,9 +167,10 @@ def _validation_peak(ctx) -> tuple:
 
 
 def test_context_validation_peaks_at_slab_width():
-    # Every check holds one 2-d slab at a time, so validating full:120
-    # (both Z120 carriers' bimodule laws and the twelve pairing laws) never
-    # holds a 120³ cube; whole cubes peaked at 14.8 MiB.
+    # Every check holds one block of rows at a time, at most
+    # validation._BLOCK entries a side, so validating full:120 (both Z120
+    # carriers' bimodule laws and the twelve pairing laws) never holds a
+    # 120³ cube; whole cubes peaked at 14.8 MiB, blocks peak at 0.6 MiB.
     report, peak = _validation_peak(_z120_context())
     assert report.ok and peak < 2**20
 
@@ -547,3 +549,26 @@ def test_prime_corners_do_not_make_a_prime_context():
 def test_semiprime_context_for_scaled_units():
     assert is_semiprime_context(ctx_of("ks:6:1")).t_semiprime
     assert not is_semiprime_context(ctx_of("ks:6:2")).t_semiprime
+
+
+@pytest.mark.parametrize("name", ["tri:4,2", "zero:100,101"])
+def test_format_subset_is_cached_per_carrier(name):
+    # An ideals listing prints each slot mask many times. A carrier's labels
+    # are fixed once it is built, so it keeps each string it formats; a
+    # fresh load of the same document has carriers of its own.
+    ctx = load_mctx(builtin_document(name)).context
+    carriers = _carriers(ctx)
+    slots = {(slot, mask) for quad in enumerate_context_ideals(ctx)
+             for slot, mask in enumerate(quad.masks)}
+    shown = {}
+    for slot, mask in sorted(slots):
+        carrier = carriers[slot]
+        text = carrier.format_subset(mask)
+        members = members_of(mask, carrier.order)
+        assert text == "{" + ", ".join(carrier.label(i) for i in members) + "}"
+        assert carrier.format_subset(mask) is text
+        shown[slot, mask] = text
+    fresh = _carriers(load_mctx(builtin_document(name)).context)
+    for (slot, mask), text in shown.items():
+        again = fresh[slot].format_subset(mask)
+        assert again == text and again is not text

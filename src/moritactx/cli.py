@@ -150,7 +150,8 @@ def _cmd_ideals(args, out: _Printer) -> int:
         out.kv("side", "two")
         out.kv("count", len(quads))
         for k, quad in enumerate(quads):
-            out.line(f"  [{k}] size={quad.size} {quad}")
+            if not out.summary:                 # --summary prints no listing: format none
+                out.line(f"  [{k}] size={quad.size} {quad}")
             out.kv(f"ideal.{k}.size", quad.size)
     else:
         ring = build_context_ring(ctx, cap=order_cap)
@@ -160,10 +161,11 @@ def _cmd_ideals(args, out: _Printer) -> int:
         out.kv("count", len(found))
         for k, ideal in enumerate(found):
             dec = side_decomposition(ctx, ideal.members, args.side)
-            blocks = (f"{dec.part1_view.format_subset(dec.part1_mask)} (+) "
-                      f"{dec.part2_view.format_subset(dec.part2_mask)}")
-            out.line(f"  [{k}] size={ideal.size} blocks {blocks}"
-                     f" (block form: {_flag(dec.all_hold)})")
+            if not out.summary:
+                blocks = (f"{dec.part1_view.format_subset(dec.part1_mask)} (+) "
+                          f"{dec.part2_view.format_subset(dec.part2_mask)}")
+                out.line(f"  [{k}] size={ideal.size} blocks {blocks}"
+                         f" (block form: {_flag(dec.all_hold)})")
             out.kv(f"ideal.{k}.size", ideal.size)
             out.kv(f"ideal.{k}.block_form", dec.all_hold)
     return 0
@@ -183,7 +185,8 @@ def _cmd_primes(args, out: _Printer) -> int:
     for k, (quad, (prime, semi)) in enumerate(proper):
         n_prime += prime
         n_semi += semi
-        out.line(f"  [{k}] {quad}: prime={_flag(prime)} semiprime={_flag(semi)}")
+        if not out.summary:
+            out.line(f"  [{k}] {quad}: prime={_flag(prime)} semiprime={_flag(semi)}")
         out.kv(f"ideal.{k}.prime", prime)
         out.kv(f"ideal.{k}.semiprime", semi)
     out.line(f"prime: {n_prime}, semiprime: {n_semi}")

@@ -50,7 +50,7 @@ from .modules import (
     validate_bimodule,
 )
 from .rings import FiniteRing, checked_generators, quotient_ring, verify_ring_map
-from .spans import check_closed
+from .spans import AddGroup, SumGroup, check_closed
 from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_on,
                          additive_second, as_table, associative, associative_on, violations_of)
 
@@ -258,51 +258,55 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     diagonal slots collect the two one-sided actions. Zero and one are the
     diagonal embeddings of the corner identities. Elements are labelled by
     their slots. ``cap`` is checked on every call, cached or not, and the
-    error gives the MiB the two int32 tables would need.
+    error gives the MiB the tables would need.
 
-    Each slot of a product reads four of the eight coordinates. Small int32
-    slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to their place in
-    the index, give the (r, v) half of every product; ww[w1,s1,r2,w2] +
-    ss[w1,s1,v2,s2] the (w, s) half. One broadcast ``np.add`` of the halves
-    fills the 8-axis array (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n table
-    in row-major order. The addition table splits into halves the same way.
+    Slotwise addition makes T additively the direct sum (R⊕V) ⊕ (W⊕S):
+    the ring's ``addgroup`` is a ``SumGroup`` over two half tables of
+    (|R|·|V|)² and (|W|·|S|)² entries, and T's n×n addition table is never
+    stored. Each slot of a product reads four of the eight coordinates.
+    Small int32 slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to
+    their place in the index, give the (r, v) half of every product;
+    ww[w1,s1,r2,w2] + ss[w1,s1,v2,s2] the (w, s) half. One broadcast
+    ``np.add`` of the halves fills the 8-axis array
+    (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n ``mul`` in row-major order.
     Tables that would not fit in physical memory raise CapacityError under
     any cap, before they are allocated.
     """
     n = ctx.order
-    nbytes = 2 * n * n * 4                              # two int32 n×n tables
+    kr, mv, mw, ks = ctx.dims
+    nbytes = 4 * (n * n + (kr * mv) ** 2 + (mw * ks) ** 2)     # int32 mul and half tables
     if n > cap:
         raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
                             f"(tables need {_mib(nbytes)} MiB)", cap)
     if "ring" in ctx._cache:
         return ctx._cache["ring"]
     _require_memory(nbytes, f"context ring of {ctx.name} has order {n}")
-    kr, mv, mw, ks = ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     pr, pv, pw = np.int32(mv * mw * ks), np.int32(mw * ks), np.int32(ks)   # place values
 
     def grid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[:, None, :, None], y[None, :, None, :]     # x[a, b], y[c, d] at [a, c, b, d]
 
-    def halves(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        table = np.add(top, bottom, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
-        table.setflags(write=False)                 # read-only: the ring takes it uncopied
-        return table
+    def half(first, second) -> AddGroup:                    # first ⊕ second, as one table
+        group = SumGroup(first.addgroup, second.addgroup)
+        idx = np.arange(group.order)
+        table = group.sums(idx[:, None], idx)
+        table.setflags(write=False)
+        return AddGroup(table, group.zero)
 
-    rr = (R.add[grid(R.mul, ctx.prod_vw)] * pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
-    vv = (V.add[grid(V.left_act, V.right_act)] * pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
-    ww = (W.add[grid(W.right_act, W.left_act)] * pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
-    ss = S.add[grid(ctx.prod_wv, S.mul)].reshape(1, 1, mw, ks, 1, mv, 1, ks)
-    mul = halves(rr + vv, ww + ss)
-    add = halves(np.add(*grid(R.add * pr, V.add * pv)).reshape(kr, mv, 1, 1, kr, mv, 1, 1),
-                 np.add(*grid(W.add * pw, S.add)).reshape(1, 1, mw, ks, 1, 1, mw, ks))
+    rr = (R.addgroup.sums(*grid(R.mul, ctx.prod_vw)) * pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
+    vv = (V.addgroup.sums(*grid(V.left_act, V.right_act)) * pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
+    ww = (W.addgroup.sums(*grid(W.right_act, W.left_act)) * pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
+    ss = S.addgroup.sums(*grid(ctx.prod_wv, S.mul)).reshape(1, 1, mw, ks, 1, mv, 1, ks)
+    mul = np.add(rr + vv, ww + ss, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
+    mul.setflags(write=False)                       # read-only: the ring takes it uncopied
 
     def slot_label(index: int) -> str:
         r, v, w, s = ctx.decode(index)
         return f"({R.label(r)}, {V.label(v)}, {W.label(w)}, {S.label(s)})"
 
     ring = FiniteRing(
-        add, mul,
+        SumGroup(half(R, V), half(W, S)), mul,
         zero=ctx.encode(R.zero, V.zero, W.zero, S.zero),
         one=ctx.encode(R.one, V.zero, W.zero, S.one),
         name=f"T({ctx.name})", label_fn=slot_label,
@@ -759,27 +763,35 @@ def _side_blocks(side: str) -> tuple:
 
 def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     """One-sided module structures on the two coordinate blocks (cached).
-    Block element (a, b) of slots (k1, k2) sits at a*|k2| + b. Each block
-    holds a square int32 addition table and its action table; CapacityError
-    before either block is built when they would not fit in physical memory."""
+    Block element (a, b) of slots (k1, k2) sits at a*|k2| + b: a view's
+    additive group is the ``SumGroup`` of its two slot carriers' groups, so
+    it holds only its int32 action table, and labels are formed on demand.
+    CapacityError before either block is built when the action tables would
+    not fit in physical memory."""
     key = ("pair-views", side)
     if key in ctx._cache:
         return ctx._cache[key]
     carriers = _carriers(ctx)
     blocks = [(carriers[k1], carriers[k2]) for k1, k2 in _side_blocks(side)]
     orders = [A.order * B.order for A, B in blocks]
-    _require_memory(sum(4 * m * (m + A.action(side)[0].order)
-                        for m, (A, _) in zip(orders, blocks)),
+    _require_memory(sum(4 * m * A.action(side)[0].order for m, (A, _) in zip(orders, blocks)),
                     f"{side} block views of {ctx.name} have orders {orders[0]} and {orders[1]}")
     views = []
     for A, B in blocks:
         (ring, act_a), (_, act_b) = A.action(side), B.action(side)
-        a, b = np.divmod(np.arange(A.order * B.order), B.order)
-        views.append(ModuleView(
-            ring, side, A.add[a[:, None], a] * B.order + B.add[b[:, None], b],
-            act_a[:, a] * B.order + act_b[:, b], A.zero * B.order + B.zero,
-            labels=[f"({A.label(int(x))}, {B.label(int(y))})" for x, y in zip(a, b)],
-            name=f"{A.name}(+){B.name}"))
+        group = SumGroup(A.addgroup, B.addgroup)
+        a, b = group.digits
+        act = act_a[:, a]
+        act *= B.order
+        act += act_b[:, b]
+        act.setflags(write=False)                   # read-only int32: the view takes it uncopied
+
+        def pair_label(i: int, A=A, B=B) -> str:
+            x, y = divmod(i, B.order)
+            return f"({A.label(x)}, {B.label(y)})"
+
+        views.append(ModuleView(ring, side, group, act, group.zero,
+                                name=f"{A.name}(+){B.name}", label_fn=pair_label))
     ctx._cache[key] = tuple(views)
     return ctx._cache[key]
 

@@ -3,7 +3,8 @@
 A bimodule is an additive group with a left action of one ring and a right
 action of another, stored as dense lookup tables. A ``ModuleView`` is a
 standalone module over a single ring, acting from one side (the coordinate
-blocks of a context ring's one-sided ideals). Each carrier presents its
+blocks of a context ring's one-sided ideals, whose addition is the direct
+sum of their two slot carriers'). Each carrier presents its
 actions through ``action(side)``, the right one transposed so ``act[r]`` is
 r acting on every element; closure checks, cyclic submodules, lattices and
 the prime submodule scan are the kernels in ``spans`` that ideals use,
@@ -27,9 +28,9 @@ from .errors import (
 )
 from .ideals import DEFAULT_LATTICE_CAP, check_ideal
 from .rings import checked_generators
-from .spans import Carrier, Subset, check_closed, prime_pair
+from .spans import Carrier, Subset, as_group, check_closed, prime_pair
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
-                         additive_first, additive_second, additive_on, as_square_table, as_table,
+                         additive_first, additive_second, additive_on, as_table,
                          associative, associative_on, group_generators, law_witness, require_ok,
                          violations_of)
 
@@ -57,26 +58,25 @@ class Bimodule(Carrier):
     ``right_act`` has shape (m, |R|): column r is the right action of r.
     """
 
-    __slots__ = ("order", "add", "zero", "left_ring", "left_act", "right_ring", "right_act",
+    __slots__ = ("order", "zero", "left_ring", "left_act", "right_ring", "right_act",
                  "name", "_cache")
     SIDEDNESS = {"left": ("left",), "right": ("right",), "bi": ("left", "right")}
     SIDEDNESS_TEXT = "'left', 'right' or 'bi'"
 
     def __init__(self, add, zero: int, left_ring, left_act, right_ring, right_act,
                  labels=None, name: str | None = None, label_fn=None):
-        add = as_square_table(add, "module add")
-        m = add.shape[0]
+        group = as_group(add, zero, "module add")
+        m = group.order
         if not 0 <= zero < m:
             raise MalformedTableError(f"zero index out of range for order {m}")
         self.order = m
-        self.add = add
         self.zero = int(zero)
         self.left_ring = left_ring
         self.left_act = as_table(left_act, left_ring.order, m, "left action")
         self.right_ring = right_ring
         self.right_act = as_table(right_act, m, right_ring.order, "right action", limit=m)
         self.name = name or f"bimod{m}"
-        self._present(labels, label_fn)
+        self._present(group, labels, label_fn)
         self._cache: dict = {}
 
     def action(self, side: str) -> tuple:
@@ -95,29 +95,30 @@ class ModuleView(Carrier):
     """A finite module over one ring, acting from ``side``.
 
     The action table is normalized so ``act[r]`` is always the row "r acting
-    on each element", whichever side the scalars are written on.
+    on each element", whichever side the scalars are written on. ``add`` is
+    a table or an AddGroup: a block view passes the direct sum of its two
+    slot carriers' groups.
     """
 
-    __slots__ = ("ring", "side", "add", "act", "zero", "order", "name", "_cache")
+    __slots__ = ("ring", "side", "act", "zero", "order", "name", "_cache")
     SIDEDNESS = {"left": ("left",), "right": ("right",)}    # only its own side has an action
     SIDEDNESS_TEXT = "'left' or 'right'"
 
     def __init__(self, ring, side: str, add, act, zero: int,
-                 labels=None, name: str | None = None):
+                 labels=None, name: str | None = None, label_fn=None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        add = as_square_table(add, "module add")
-        m = add.shape[0]
+        group = as_group(add, zero, "module add")
+        m = group.order
         if not 0 <= zero < m:
             raise MalformedTableError(f"zero index out of range for order {m}")
         self.ring = ring
         self.side = side
-        self.add = add
         self.act = as_table(act, ring.order, m, f"{side} action")
         self.zero = int(zero)
         self.order = m
         self.name = name or f"{side}mod{m}"
-        self._present(labels, None)
+        self._present(group, labels, label_fn)
         self._cache: dict = {}
 
     def action(self, side: str) -> tuple:
@@ -150,7 +151,7 @@ class Submodule(Subset):
 def ring_bimodule(ring) -> Bimodule:
     """The ring as a bimodule over itself."""
     return Bimodule(
-        ring.add, ring.zero, ring, ring.mul, ring, ring.mul,
+        ring.addgroup, ring.zero, ring, ring.mul, ring, ring.mul,
         name=ring.name, label_fn=ring.label,
     )
 
@@ -167,7 +168,7 @@ def subset_bimodule(ring, members_mask: int, name: str | None = None) -> Bimodul
     members = indices_of(members_mask, k)
     rank = np.full(k, -1, dtype=np.int64)
     rank[members] = np.arange(members.size)
-    add = rank[ring.add[np.ix_(members, members)]]
+    add = rank[ring.addgroup.sums(members[:, None], members)]
     lact = rank[ring.mul[:, members]]
     ract = rank[ring.mul[members, :]]
     labels = [ring.label(int(i)) for i in members]
@@ -371,7 +372,7 @@ def quotient_module(module: Bimodule, mask: int,
     """
     verify_submodule(module, mask, "bi")
     reps, proj = module.addgroup.cosets(mask)
-    q_add = proj[module.add[np.ix_(reps, reps)]]
+    q_add = proj[module.addgroup.sums(reps[:, None], reps)]
 
     def induced(side: str, ring_pair) -> tuple[np.ndarray, object]:
         ring, act_rows = module.action(side)                # normalized (|ring|, m)

@@ -1,7 +1,9 @@
-"""Finite unital rings presented by dense Cayley tables.
+"""Finite unital rings presented by Cayley tables.
 
-Elements are the indices 0..order-1; the addition and multiplication tables
-are read-only int32 arrays. Rings constructed by this package (``make_zn``,
+Elements are the indices 0..order-1; the multiplication table is a
+read-only int32 array, and the addition an ``AddGroup``: a read-only int32
+table, or a direct sum of smaller groups with no table of its own (a
+context ring's). Rings constructed by this package (``make_zn``,
 quotients, context rings) are correct by construction and only get cheap
 sanity checks; user-supplied tables must go through ``validate_ring``.
 """
@@ -13,7 +15,7 @@ import numpy as np
 from .bitsets import as_mask
 from .errors import InvalidOrderError, MalformedTableError
 from .ideals import verify_ideal
-from .spans import Carrier
+from .spans import Carrier, as_group
 from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
                          additive_second, as_square_table, as_table, associative, law_witness,
                          require_ok, ring_generators, violations_of)
@@ -31,43 +33,50 @@ __all__ = [
 class FiniteRing(Carrier):
     """A finite ring with identity, on the index set 0..order-1.
 
-    Treat instances as immutable. Identity-based equality is intentional:
-    structurally equal rings built twice are distinct carriers.
+    ``add`` is a square table or an ``AddGroup`` (a context ring passes a
+    direct sum); ``mul`` is a table. Treat instances as immutable.
+    Identity-based equality is intentional: structurally equal rings built
+    twice are distinct carriers.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "name", "_cache")
+    __slots__ = ("order", "mul", "zero", "one", "name", "_cache")
     SIDEDNESS = {"left": ("left",), "right": ("right",), "two": ("left", "right")}
     SIDEDNESS_TEXT = f"one of {tuple(SIDEDNESS)}"
 
     def __init__(self, add, mul, zero: int, one: int, labels=None, name: str | None = None, label_fn=None):
-        add = as_square_table(add, "add")
-        k = add.shape[0]
+        group = as_group(add, zero, "add")          # a table, or an AddGroup such as a direct sum
+        k = group.order
         mul = as_table(mul, k, k, "mul")
         if not (0 <= zero < k and 0 <= one < k):
             raise MalformedTableError(f"zero/one indices out of range for order {k}")
         if zero == one:
             raise InvalidOrderError("a unital ring needs one != zero (order >= 2)")
         self.order = k
-        self.add = add
         self.mul = mul
         self.zero = int(zero)
         self.one = int(one)
         self.name = name or f"ring{k}"
-        self._present(labels, label_fn)
+        self._present(group, labels, label_fn)
         self._cache: dict = {}
         self._basic_sanity()
 
     def _basic_sanity(self) -> None:
-        k = self.order
-        idx = np.arange(k, dtype=np.int32)
-        if not (self.add[self.zero] == idx).all() or not (self.add[:, self.zero] == idx).all():
-            raise MalformedTableError("zero is not an additive identity")
+        # Zero and inverses are checked on each summand's table: the sum's
+        # zero is the tuple of the summands' zeros, and (a, b) has a unique
+        # inverse exactly when a and b do.
+        summands = self.addgroup.summands
+        for add, zero in summands:
+            idx = np.arange(add.shape[0], dtype=np.int32)
+            if not (add[zero] == idx).all() or not (add[:, zero] == idx).all():
+                raise MalformedTableError("zero is not an additive identity")
+        idx = np.arange(self.order, dtype=np.int32)
         if not (self.mul[self.one] == idx).all() or not (self.mul[:, self.one] == idx).all():
             raise MalformedTableError("one is not a two-sided multiplicative identity")
-        step = max(1, 2**22 // k)                   # rows per chunk: at most 4 MiB of bools
-        for lo in range(0, k, step):
-            if not ((self.add[lo:lo + step] == self.zero).sum(axis=1) == 1).all():
-                raise MalformedTableError("some element lacks a unique additive inverse")
+        for add, zero in summands:
+            step = max(1, 2**22 // add.shape[0])    # rows per chunk: at most 4 MiB of bools
+            for lo in range(0, add.shape[0], step):
+                if not ((add[lo:lo + step] == zero).sum(axis=1) == 1).all():
+                    raise MalformedTableError("some element lacks a unique additive inverse")
 
     def action(self, side: str) -> tuple:
         """The ring over itself, as (ring, act) with act[r] r acting on every
@@ -167,7 +176,7 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, np.ndarray]:
     mask = as_mask(ideal)
     verify_ideal(ring, mask, "two")
     reps, proj = ring.addgroup.cosets(mask)
-    q_add = proj[ring.add[np.ix_(reps, reps)]]
+    q_add = proj[ring.addgroup.sums(reps[:, None], reps)]
     q_mul = proj[ring.mul[np.ix_(reps, reps)]]
     labels = [ring.label(int(r)) for r in reps]
     qname = f"{ring.name}/<{mask.bit_count()}>"
@@ -200,13 +209,16 @@ def verify_ring_map(source: FiniteRing, target: FiniteRing, image) -> Verdict:
     if img[source.one] != target.one:
         return Verdict(False, ("one",))
     gens = source.addgroup.generators
-    at = img[gens]
-    if ((img[source.add[:, gens]] == target.add[np.ix_(img, at)]).all()
+    at, every = img[gens], np.arange(source.order)
+    src_sum, tgt_sum = source.addgroup.sums, target.addgroup.sums
+    if ((img[src_sum(every[:, None], gens)] == tgt_sum(img[:, None], at)).all()
             and (img[source.mul[np.ix_(gens, gens)]] == target.mul[np.ix_(at, at)]).all()):
         return Verdict(True)
-    for op, src, tgt in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
-        found = law_witness((source.order, 1, source.order), lambda a: img[src[a]][:, None],
-                            lambda a: tgt[img[a][:, None, None], img])
+    for op, src, tgt in (("add", src_sum, tgt_sum),
+                         ("mul", lambda x, y: source.mul[x, y], lambda x, y: target.mul[x, y])):
+        found = law_witness((source.order, 1, source.order),
+                            lambda a: img[src(every[a, None], every)][:, None],
+                            lambda a: tgt(img[a][:, None, None], img))
         if found is not None:
             return Verdict(False, (op, found[0], found[2]))
     return Verdict(True)

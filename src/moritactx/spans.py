@@ -1,4 +1,4 @@
-"""Additive-subgroup kernels over a finite abelian group table.
+"""Additive-subgroup kernels over a finite abelian group.
 
 The whole package leans on one observation: a finite abelian group of order
 k is generated by at most log2(k) elements, and every product condition of
@@ -13,7 +13,9 @@ assumed unital, additive and associative, as in every carrier the package
 builds; the orbit kernel leans on all three, since it tells orbits apart
 by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
 that needs none of them). The lattice join closure and the coset split of
-quotients live here too.
+quotients live here too. A group is an ``AddGroup`` over a table, or a
+``SumGroup`` A ⊕ B that reads its two summands and stores no square table;
+every kernel reads + through ``sums``.
 
 Index sets are deduplicated with ``bitsets.distinct``, not plain
 ``np.unique``: on numpy 2.x that asks ``np.ma.is_masked`` first, so the
@@ -29,11 +31,11 @@ from collections.abc import Iterable
 import numpy as np
 
 from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
-from .errors import CapacityError
-from .validation import Verdict
+from .errors import CapacityError, MalformedTableError
+from .validation import Verdict, as_square_table
 
-__all__ = ["AddGroup", "Carrier", "Subset", "check_closed", "orbit_classes", "cyclic_masks",
-           "prime_pair"]
+__all__ = ["AddGroup", "SumGroup", "as_group", "Carrier", "Subset", "check_closed",
+           "orbit_classes", "cyclic_masks", "prime_pair"]
 
 
 class AddGroup:
@@ -41,15 +43,42 @@ class AddGroup:
 
     Instances are lightweight views over a table owned by a ring or module;
     they cache a greedy generating sequence and provide span/join closure.
+    Every read of the addition goes through ``sums``, so a ``SumGroup``
+    serves each kernel without a table of its own.
     """
 
-    __slots__ = ("add", "zero", "order", "_generators")
+    __slots__ = ("_table", "zero", "order", "_generators")
 
     def __init__(self, add: np.ndarray, zero: int):
-        self.add = add
+        self._table = add
         self.zero = int(zero)
         self.order = int(add.shape[0])
         self._generators: np.ndarray | None = None
+
+    @property
+    def add(self) -> np.ndarray:
+        """The whole k x k table. A ``SumGroup`` forms it on first read and
+        keeps it; no kernel reads it."""
+        if self._table is None:
+            idx = np.arange(self.order)
+            self._table = self.sums(idx[:, None], idx)
+            self._table.setflags(write=False)
+        return self._table
+
+    def sums(self, xs, ys) -> np.ndarray:
+        """The table entries ``add[xs, ys]``, broadcast as fancy indexing is."""
+        return self._table[xs, ys]
+
+    def _sums_with(self, ys: np.ndarray):
+        """The int x -> ``sums(x, ys)`` for a fixed ``ys``: row x, then a
+        gather, which numpy does faster than ``table[x, ys]``."""
+        table = self._table
+        return lambda x: table[x][ys]
+
+    @property
+    def summands(self) -> list[tuple[np.ndarray, int]]:
+        """(table, zero) of each table-backed summand, in index order."""
+        return [(self._table, self.zero)]
 
     @property
     def generators(self) -> np.ndarray:
@@ -75,19 +104,20 @@ class AddGroup:
     def _extend(self, inside: np.ndarray, chunks: list[np.ndarray], gens: Iterable[int]) -> None:
         # Grows the subgroup marked in `inside` by each generator in turn,
         # adding whole cosets S, S+g, S+2g, ... until the shift re-enters S.
-        add = self.add
         for g in gens:
             g = int(g)
             if inside[g]:
                 continue
-            base = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            chunks[:] = [base]
+            ext = np.concatenate([*chunks, (g,)])  # S, then g: the last sum is the next shift
+            chunks[:] = [ext[:-1]]
+            plus = self._sums_with(ext)
             shift = g
             while not inside[shift]:
-                coset = add[shift, base]
+                row = plus(shift)
+                coset = row[:-1]
                 inside[coset] = True
                 chunks.append(coset)
-                shift = int(add[shift, g])
+                shift = int(row[-1])
 
     def span_mask(self, seeds: Iterable[int] | np.ndarray, base: int | None = None) -> int:
         """Bitmask of the subgroup generated by ``seeds`` on top of ``base``."""
@@ -150,7 +180,7 @@ class AddGroup:
         the projection sends every element to the rank of its coset.
         """
         members = indices_of(mask, self.order)
-        rep_of = self.add[:, members].min(axis=1)
+        rep_of = self.sums(np.arange(self.order)[:, None], members).min(axis=1)
         reps = distinct(rep_of, self.order)
         rank = np.full(self.order, -1, dtype=np.int64)
         rank[reps] = np.arange(reps.size)
@@ -159,6 +189,54 @@ class AddGroup:
     def subgroup_generators(self, mask: int) -> np.ndarray:
         """Greedy generating sequence for an existing subgroup mask."""
         return self.generate(bool_array(mask, self.order))[0]
+
+
+class SumGroup(AddGroup):
+    """The direct sum A ⊕ B of two groups: element (a, b) sits at a·|B| + b.
+
+    It holds no table of its own. ``sums`` gathers from the summands
+    through the digit arrays ``divmod(arange(order), |B|)``, and
+    ``_sums_with`` splits its fixed operand into digits once, so each
+    coset ``_extend`` adds costs two small gathers.
+    """
+
+    __slots__ = ("parts", "digits")
+
+    def __init__(self, first: AddGroup, second: AddGroup):
+        m = second.order
+        self.parts = (first, second)
+        self.digits = np.divmod(np.arange(first.order * m), m)
+        self._table = None
+        self.zero = first.zero * m + second.zero
+        self.order = first.order * m
+        self._generators = None
+
+    def sums(self, xs, ys) -> np.ndarray:
+        (first, second), (hi, lo) = self.parts, self.digits
+        return first.sums(hi[xs], hi[ys]) * second.order + second.sums(lo[xs], lo[ys])
+
+    def _sums_with(self, ys: np.ndarray):
+        (first, second), (hi, lo) = self.parts, self.digits
+        plus_hi, plus_lo, m = first._sums_with(hi[ys]), second._sums_with(lo[ys]), second.order
+
+        def plus(x: int) -> np.ndarray:
+            a, b = divmod(x, m)
+            return plus_hi(a) * m + plus_lo(b)
+        return plus
+
+    @property
+    def summands(self) -> list[tuple[np.ndarray, int]]:
+        return self.parts[0].summands + self.parts[1].summands
+
+
+def as_group(add, zero: int, what: str) -> AddGroup:
+    """``add`` itself when it is an AddGroup, else one over the square table
+    ``add`` (``as_square_table``). A group's zero must be ``zero``."""
+    if not isinstance(add, AddGroup):
+        return AddGroup(as_square_table(add, what), zero)
+    if add.zero != zero:
+        raise MalformedTableError(f"{what}: zero {zero} is not the group's zero {add.zero}")
+    return add
 
 
 def check_closed(carrier, mask: int, sidedness: str) -> Verdict:
@@ -180,7 +258,7 @@ def check_closed(carrier, mask: int, sidedness: str) -> Verdict:
                                       for _, act, rgens in actions):
         return Verdict(True)
     members = np.flatnonzero(inside)
-    sums = inside[group.add[np.ix_(members, members)]]
+    sums = inside[group.sums(members[:, None], members)]
     if not sums.all():
         i, j = map(int, np.argwhere(~sums)[0])
         return Verdict(False, ("add", int(members[i]), int(members[j])))
@@ -289,17 +367,24 @@ class Carrier:
     """Labels, subset formatting, additive group and actions of a carrier.
 
     Rings and modules share this presentation. Subclasses set ``order``,
-    ``add``, ``zero`` and ``_cache``, call ``_present`` (an explicit label
-    tuple wins over ``label_fn``, which wins over the bare index), define
-    ``action(side)`` and map each sidedness to its sides in ``SIDEDNESS``.
+    ``zero`` and ``_cache``, call ``_present`` with their additive group
+    (an explicit label tuple wins over ``label_fn``, which wins over the
+    bare index), define ``action(side)`` and map each sidedness to its
+    sides in ``SIDEDNESS``.
     """
 
-    __slots__ = ("_labels", "_label_fn", "_addgroup")
+    __slots__ = ("_labels", "_label_fn", "addgroup")
 
-    def _present(self, labels, label_fn) -> None:
+    def _present(self, group: AddGroup, labels, label_fn) -> None:
+        self.addgroup = group
         self._labels = tuple(str(x) for x in labels) if labels is not None else None
         self._label_fn = label_fn
-        self._addgroup: AddGroup | None = None
+
+    @property
+    def add(self) -> np.ndarray:
+        """The whole addition table, ``addgroup.add``: formed on first read
+        for a direct sum, whose kernels read ``addgroup.sums`` instead."""
+        return self.addgroup.add
 
     def label(self, i: int) -> str:
         if self._labels is not None:
@@ -313,12 +398,6 @@ class Carrier:
         if self._labels is None:
             self._labels = tuple(self.label(i) for i in range(self.order))
         return self._labels
-
-    @property
-    def addgroup(self) -> AddGroup:
-        if self._addgroup is None:
-            self._addgroup = AddGroup(self.add, self.zero)
-        return self._addgroup
 
     def actions(self, sidedness: str) -> list:
         """(side, act, acting ring's additive generators) for each side

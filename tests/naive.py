@@ -173,6 +173,29 @@ def naive_context_sum(ctx, x: tuple, y: tuple) -> tuple:
     return tuple(int(c.add[a, b]) for c, a, b in zip(carriers, x, y))
 
 
+def broadcast_context_add(ctx) -> np.ndarray:
+    """T's n×n addition table as the build once stored it: the (r, v) and
+    (w, s) halves, scaled to their place in the index, added by one
+    broadcast over the 8-axis array (r1,v1,w1,s1,r2,v2,w2,s2)."""
+    kr, mv, mw, ks = ctx.dims
+    big_r, big_s, vee, dub = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
+
+    def grid(x, y):
+        return x[:, None, :, None], y[None, :, None, :]
+
+    top = np.add(*grid(big_r.add * (mv * mw * ks), vee.add * (mw * ks)))
+    bottom = np.add(*grid(dub.add * ks, big_s.add))
+    return (top.reshape(kr, mv, 1, 1, kr, mv, 1, 1)
+            + bottom.reshape(1, 1, mw, ks, 1, 1, mw, ks)).reshape(ctx.order, ctx.order)
+
+
+def block_add(first, second) -> np.ndarray:
+    """The square addition table a block view of slots (first, second) once
+    stored: (a, b) at a·|second| + b, added slotwise."""
+    a, b = np.divmod(np.arange(first.order * second.order), second.order)
+    return first.add[a[:, None], a] * second.order + second.add[b[:, None], b]
+
+
 def naive_closure_sets(ctx, i_mask: int, j_mask: int) -> tuple[int, int, int, int]:
     """(v_into_r, v_into_s, w_into_r, w_into_s) by their definitions: the v
     with every v·w in I, the v with every w·v in J, the w with every v·w in

@@ -306,3 +306,36 @@ def test_no_subcommand_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr
     added = json.loads(proc.stdout)
     assert "numpy.ma" not in added, added
+
+
+@pytest.mark.parametrize("argv", [["ideals", "tri:4,2"],
+                                  ["ideals", "paper:ex2.8", "--side", "left"],
+                                  ["ideals", "paper:ex2.8", "--side", "right"],
+                                  ["primes", "paper:ex2.12"]])
+def test_summary_formats_no_listing(monkeypatch, capsys, argv):
+    # --summary prints no listing line, so no subset of one is formatted;
+    # it reports the same ideals the listing shows.
+    from moritactx.spans import Carrier
+    calls = []
+    original = Carrier.format_subset
+
+    def counting(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(Carrier, "format_subset", counting)
+    code, summary, _ = run(capsys, *argv, "--summary")
+    assert (code, calls) == (0, [])
+    code, listing, _ = run(capsys, *argv)
+    assert code == 0 and calls
+    pairs = dict(line.split("=", 1) for line in summary.splitlines())
+    items = [line.split("]", 1)[0].strip() + "]" for line in listing.splitlines()
+             if line.startswith("  [")]
+    assert items == [f"[{k}]" for k in range(len(items))]
+    if argv[0] == "ideals":
+        assert int(pairs["count"]) == len(items)
+        sizes = [line.split("size=", 1)[1].split()[0] for line in listing.splitlines()
+                 if line.startswith("  [")]
+        assert sizes == [pairs[f"ideal.{k}.size"] for k in range(len(items))]
+    else:
+        assert int(pairs["proper"]) == len(items)

@@ -45,6 +45,7 @@ from moritactx.catalog import battery_names, builtin_context, builtin_document
 from moritactx.checks import run_check
 from moritactx.context import _carriers
 from moritactx.mctx import inline_ideal_mask, load_mctx
+from moritactx.spans import SumGroup
 
 from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
                    naive_quadruple_ideals, quotient_iso_by_quotient_ring)
@@ -106,33 +107,40 @@ def test_capacity_cap_is_enforced():
 
 
 def test_capacity_error_gives_the_table_size():
-    # zero:100,101 has order 10100; two int32 tables of 10100² entries
-    # take 2·10100²·4 bytes, about 778 MiB. Nothing that size is allocated.
+    # zero:100,101 has order 10100 and dims (100, 1, 1, 101): one int32 mul
+    # of 10100² entries and half tables of 100² and 101² entries take about
+    # 389 MiB. Nothing that size is allocated.
     with pytest.raises(CapacityError, match=r"has order 10100, over the cap 10000 "
-                                            r"\(tables need 778 MiB\)$"):
+                                            r"\(tables need 389 MiB\)$"):
         build_context_ring(ctx_of("zero:100,101"))
-    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 13 MiB\)$"):
+    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 6 MiB\)$"):
         build_context_ring(ctx_of("full:6"), cap=100)
     with pytest.raises(CapacityError, match=r"has order 81, over the cap 10 \(tables need under 1 MiB\)$"):
         build_context_ring(ctx_of("full:3"), cap=10)
 
 
 def test_context_ring_tables_are_not_copied():
-    # The build hands its read-only int32 tables to the ring uncopied: each
-    # is still the (n, n) view of the 8-axis array it was built in.
-    ctx = ctx_of("paper:ex2.12")
+    # The build hands its read-only int32 mul to the ring uncopied: it is
+    # still the (n, n) view of the 8-axis array it was built in. Addition
+    # is the direct sum (R⊕V) ⊕ (W⊕S) of two half tables; no n×n sum table
+    # is stored.
+    ctx = load_mctx(builtin_document("paper:ex2.12")).context     # fresh, nothing read yet
+    kr, mv, mw, ks = ctx.dims
     ring = build_context_ring(ctx)
-    for table in (ring.add, ring.mul):
-        assert table.dtype == np.int32 and not table.flags.writeable
-        assert table.base is not None and table.base.shape == ctx.dims * 2
+    assert ring.mul.dtype == np.int32 and not ring.mul.flags.writeable
+    assert ring.mul.base is not None and ring.mul.base.shape == ctx.dims * 2
+    group = ring.addgroup
+    assert isinstance(group, SumGroup) and group._table is None
+    assert [table.shape for table, _ in group.summands] == [(kr * mv,) * 2, (mw * ks,) * 2]
+    assert all(table.dtype == np.int32 and not table.flags.writeable
+               for table, _ in group.summands)
 
 
 def test_context_ring_build_peaks_near_its_tables():
-    # With the tables uncopied, the peak is the two tables plus one chunk of
-    # the ring's inverse check, at most 4 MiB of bools. For full:6 that is
-    # the whole n×n bool, 1.125 times the tables; for ex2.4's 128 MiB of
-    # tables it is a thirty-second.
-    for name, bound in (("full:6", 1.2), ("paper:ex2.4", 1.05)):
+    # With mul uncopied and no n×n sum table, the peak is mul plus the half
+    # tables and the slot tables of the broadcast: on ex2.4's 64 MiB of
+    # mul, 2 MiB of those.
+    for name, bound in (("full:6", 1.1), ("paper:ex2.4", 1.05)):
         ctx = load_mctx(builtin_document(name)).context     # fresh, nothing cached
         tracemalloc.start()
         try:
@@ -140,7 +148,7 @@ def test_context_ring_build_peaks_near_its_tables():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * (ring.add.nbytes + ring.mul.nbytes), name
+        assert peak <= bound * ring.mul.nbytes, name
         del ctx, ring
 
 

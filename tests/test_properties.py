@@ -18,7 +18,7 @@ from moritactx import (
     serialize_document,
 )
 from moritactx.bitsets import indices_of
-from moritactx.spans import AddGroup
+from moritactx.spans import AddGroup, SumGroup
 
 from naive import (naive_additive_span, naive_is_ideal, naive_is_subgroup, members_of,
                    plain_join_closure)
@@ -80,6 +80,25 @@ def test_join_closure_matches_plain_closure_on_product_groups(moduli, seed_sets)
     assert group.join_closure(seeds, len(lattice), "lattice") == lattice
     with pytest.raises(CapacityError, match=f"^lattice exceeds cap {len(lattice) - 1}$"):
         group.join_closure(seeds, len(lattice) - 1, "lattice")
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+       st.lists(st.lists(st.integers(min_value=0, max_value=63), max_size=3),
+                min_size=1, max_size=5))
+def test_sum_groups_match_their_square_table(moduli, seed_sets):
+    # (Z_a ⊕ Z_b) ⊕ Z_c numbers (x, y, z) in mixed radix, as the product
+    # group's table does: spans, cosets, generators and joins must agree.
+    a, b, c = (_product_group([m]) for m in moduli)
+    summed, table = SumGroup(SumGroup(a, b), c), _product_group(moduli)
+    idx = np.arange(table.order)
+    assert (summed.sums(idx[:, None], idx) == table.add).all()
+    assert (summed.generators == table.generators).all()
+    seeds = [table.span_mask([x % table.order for x in elements]) for elements in seed_sets]
+    for elements, mask in zip(seed_sets, seeds):
+        assert summed.span_mask([x % table.order for x in elements]) == mask
+        assert all((got == want).all() for got, want in zip(summed.cosets(mask), table.cosets(mask)))
+    assert summed.join_closure(seeds, 1 << 12, "lattice") == table.join_closure(seeds, 1 << 12,
+                                                                                "lattice")
 
 
 @given(rings, st.integers(min_value=0, max_value=(1 << 10) - 1))

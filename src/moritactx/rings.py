@@ -1,9 +1,10 @@
 """Finite unital rings presented by Cayley tables.
 
 Elements are the indices 0..order-1; the multiplication table is a
-read-only int32 array, and the addition an ``AddGroup``: a read-only int32
-table, or a direct sum of smaller groups with no table of its own (a
-context ring's). Rings constructed by this package (``make_zn``,
+read-only int32 array, or uint16 where the package built it in
+``index_dtype`` (a context ring's), and the addition an ``AddGroup``: a
+read-only table, or a direct sum of smaller groups with no table of its
+own (a context ring's). Rings constructed by this package (``make_zn``,
 quotients, context rings) are correct by construction and only get cheap
 sanity checks; user-supplied tables must go through ``validate_ring``.
 """

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError, MalformedTableError
-from .validation import Verdict, as_square_table
+from .validation import Verdict, as_square_table, index_dtype
 
 __all__ = ["AddGroup", "SumGroup", "as_group", "Carrier", "Subset", "check_closed",
            "orbit_classes", "cyclic_masks", "prime_pair"]
@@ -197,15 +197,19 @@ class SumGroup(AddGroup):
     It holds no table of its own. ``sums`` gathers from the summands
     through the digit arrays ``divmod(arange(order), |B|)``, and
     ``_sums_with`` splits its fixed operand into digits once, so each
-    coset ``_extend`` adds costs two small gathers.
+    coset ``_extend`` adds costs two small gathers. A first digit a is
+    placed by the lookup ``place[a]`` = a·|B| in ``index_dtype(order)``,
+    not by multiplying a summand's entries, whose dtype may be too narrow
+    for the sum; ``sums`` returns that dtype.
     """
 
-    __slots__ = ("parts", "digits")
+    __slots__ = ("parts", "digits", "place")
 
     def __init__(self, first: AddGroup, second: AddGroup):
         m = second.order
         self.parts = (first, second)
         self.digits = np.divmod(np.arange(first.order * m), m)
+        self.place = (np.arange(first.order) * m).astype(index_dtype(first.order * m))
         self._table = None
         self.zero = first.zero * m + second.zero
         self.order = first.order * m
@@ -213,15 +217,17 @@ class SumGroup(AddGroup):
 
     def sums(self, xs, ys) -> np.ndarray:
         (first, second), (hi, lo) = self.parts, self.digits
-        return first.sums(hi[xs], hi[ys]) * second.order + second.sums(lo[xs], lo[ys])
+        lo_sums = second.sums(lo[xs], lo[ys]).astype(self.place.dtype, copy=False)
+        return self.place[first.sums(hi[xs], hi[ys])] + lo_sums
 
     def _sums_with(self, ys: np.ndarray):
         (first, second), (hi, lo) = self.parts, self.digits
-        plus_hi, plus_lo, m = first._sums_with(hi[ys]), second._sums_with(lo[ys]), second.order
+        plus_hi, plus_lo, place = first._sums_with(hi[ys]), second._sums_with(lo[ys]), self.place
+        m = second.order
 
-        def plus(x: int) -> np.ndarray:
+        def plus(x: int) -> np.ndarray:     # array + array: the wider dtype, sums < order
             a, b = divmod(x, m)
-            return plus_hi(a) * m + plus_lo(b)
+            return place[plus_hi(a)] + plus_lo(b)
         return plus
 
     @property

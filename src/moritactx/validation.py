@@ -25,6 +25,7 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "Verdict",
+    "index_dtype",
     "as_table",
     "as_square_table",
     "law_witness",
@@ -95,12 +96,23 @@ class Verdict:
         return self.holds
 
 
+def index_dtype(order: int) -> np.dtype:
+    """The dtype of a table the package builds whose entries are element
+    indices below ``order``: uint16 up to 1 << 16 elements, else int32.
+    Arithmetic on such entries picks its dtype explicitly (an ``astype``
+    or a lookup table of that dtype): uint16 times a Python int stays
+    uint16 under numpy 1.24 and 2 alike, and wraps past 65 535."""
+    return np.dtype(np.uint16 if order <= 1 << 16 else np.int32)
+
+
 def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | None = None) -> np.ndarray:
-    """Normalize raw table data to a read-only int32 array, checking shape and range.
+    """Normalize raw table data to a read-only index table, checking shape and range.
 
     ``rows``/``cols`` may be None to accept whatever square-ish shape arrives;
     ``limit`` bounds the entries (defaults to ``cols`` when omitted). An
-    array that is already read-only int32 is returned as is, not copied.
+    array that is already read-only int32 or uint16 (a table the package
+    built in ``index_dtype``) is returned as is, not copied; anything else
+    is copied to int32.
     """
     integer = isinstance(data, np.ndarray) and data.dtype.kind in "iu"
     try:        # an integer array is range-checked in its own dtype, not widened
@@ -120,7 +132,7 @@ def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | N
         raise MalformedTableError(
             f"{what}: entry {arr[bad[0], bad[1]]} at ({bad[0]}, {bad[1]}) outside 0..{hi - 1}"
         )
-    if arr.dtype == np.int32 and not arr.flags.writeable:
+    if arr.dtype in (np.int32, np.uint16) and not arr.flags.writeable:
         return arr
     out = arr.astype(np.int32)
     out.setflags(write=False)

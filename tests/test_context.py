@@ -111,49 +111,55 @@ def test_capacity_cap_is_enforced():
 
 
 def test_capacity_error_gives_the_table_size():
-    # zero:100,101 has order 10100 and dims (100, 1, 1, 101): one int32 mul
-    # of 10100² entries and half tables of 100² and 101² entries take about
-    # 389 MiB. Nothing that size is allocated.
+    # zero:100,101 has order 10100 and dims (100, 1, 1, 101): one uint16
+    # mul of 10100² entries and half tables of 100² and 101² entries take
+    # about 195 MiB. Nothing that size is allocated.
     with pytest.raises(CapacityError, match=r"has order 10100, over the cap 10000 "
-                                            r"\(tables need 389 MiB\)$"):
+                                            r"\(tables need 195 MiB\)$"):
         build_context_ring(ctx_of("zero:100,101"))
-    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 6 MiB\)$"):
+    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 3 MiB\)$"):
         build_context_ring(ctx_of("full:6"), cap=100)
     with pytest.raises(CapacityError, match=r"has order 81, over the cap 10 \(tables need under 1 MiB\)$"):
         build_context_ring(ctx_of("full:3"), cap=10)
 
 
 def test_context_ring_tables_are_not_copied():
-    # The build hands its read-only int32 mul to the ring uncopied: it is
+    # The build hands its read-only uint16 mul to the ring uncopied: it is
     # still the (n, n) view of the 8-axis array it was built in. Addition
     # is the direct sum (R⊕V) ⊕ (W⊕S) of two half tables; no n×n sum table
     # is stored.
     ctx = load_mctx(builtin_document("paper:ex2.12")).context     # fresh, nothing read yet
     kr, mv, mw, ks = ctx.dims
     ring = build_context_ring(ctx)
-    assert ring.mul.dtype == np.int32 and not ring.mul.flags.writeable
+    assert ring.mul.dtype == np.uint16 and not ring.mul.flags.writeable
     assert ring.mul.base is not None and ring.mul.base.shape == ctx.dims * 2
     group = ring.addgroup
     assert isinstance(group, SumGroup) and group._table is None
     assert [table.shape for table, _ in group.summands] == [(kr * mv,) * 2, (mw * ks,) * 2]
-    assert all(table.dtype == np.int32 and not table.flags.writeable
+    assert all(table.dtype == np.uint16 and not table.flags.writeable
                for table, _ in group.summands)
 
 
 def test_context_ring_build_peaks_near_its_tables():
-    # With mul uncopied and no n×n sum table, the peak is mul plus the half
-    # tables and the slot tables of the broadcast: on ex2.4's 64 MiB of
-    # mul, 2 MiB of those.
-    for name, bound in (("full:6", 1.1), ("paper:ex2.4", 1.05)):
+    # With mul uncopied and no n×n sum table, the peak is mul, the half
+    # tables and the two summed slot tables of the broadcast, rr + vv and
+    # ww + ss, of n·|R||V| and n·|W||S| entries in mul's dtype; 128 KiB
+    # covers the small slot tables and index arrays. On ex2.4 that is
+    # within 5% of its 32 MiB mul.
+    for name in ("full:6", "paper:ex2.4"):
         ctx = load_mctx(builtin_document(name)).context     # fresh, nothing cached
+        kr, mv, mw, ks = ctx.dims
         tracemalloc.start()
         try:
             ring = build_context_ring(ctx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * ring.mul.nbytes, name
+        halves = sum(table.nbytes for table, _ in ring.addgroup.summands)
+        slots = ring.mul.itemsize * ring.order * (kr * mv + mw * ks)
+        assert peak <= ring.mul.nbytes + halves + slots + 2**17, name
         del ctx, ring
+    assert peak <= 1.05 * 2**25                     # ex2.4: 4096² uint16 entries
 
 
 def _z120_context(corrupt: str | None = None):

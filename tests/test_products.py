@@ -184,21 +184,21 @@ def test_tables_over_physical_memory_exit_3_before_allocating(capsys, argv):
 
 
 def test_build_context_ring_checks_memory_before_allocating(monkeypatch):
-    ctx = _fresh("full:6")                      # int32 mul of 1296², half tables of 36²: 6 MiB
+    ctx = _fresh("full:6")                      # uint16 mul of 1296², half tables of 36²: 3 MiB
     monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2**20)
-    with pytest.raises(CapacityError, match="tables need 6 MiB, over the 1 MiB") as info:
+    with pytest.raises(CapacityError, match="tables need 3 MiB, over the 1 MiB") as info:
         build_context_ring(ctx)
     assert info.value.cap is None and "ring" not in ctx._cache
 
 
 def test_pair_views_check_memory_before_allocating(monkeypatch):
     ctx = _fresh("full:6")                      # blocks of order 36, acted on by Z6
-    # Only the two int32 action tables, 6 × 36 entries each, are stored.
-    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 4 * 6 * 36 * 2 - 1)
+    # Only the two uint16 action tables, 6 × 36 entries each, are stored.
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2 * 6 * 36 * 2 - 1)
     with pytest.raises(CapacityError, match="right block views of full:6 have orders 36 and 36"):
         _pair_views(ctx, "right")
     assert ("pair-views", "right") not in ctx._cache
-    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 4 * 6 * 36 * 2)
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2 * 6 * 36 * 2)
     assert [v.order for v in _pair_views(ctx, "right")] == [36, 36]
 
 

@@ -108,7 +108,7 @@ def test_as_table_range_checks_an_integer_array_in_its_own_dtype(dtype):
         as_table(arr, 3, 3, "t", limit=8)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint16, np.int64])
 def test_as_table_returns_a_read_only_int32_copy(dtype):
     arr = np.array([[0, 1], [1, 0]], dtype=dtype)
     out = as_table(arr, 2, 2, "t")
@@ -120,6 +120,15 @@ def test_as_table_returns_a_read_only_int32_copy(dtype):
 
 def test_as_table_takes_a_read_only_int32_array_as_is():
     arr = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    arr.setflags(write=False)
+    assert as_table(arr, 2, 2, "t") is arr
+    with pytest.raises(MalformedTableError, match=r"^t: entry 1 at \(0, 1\) outside 0\.\.0$"):
+        as_table(arr, 2, 2, "t", limit=1)
+
+
+def test_as_table_takes_a_read_only_uint16_array_as_is():
+    # The dtype the package builds its own index tables in up to order 65 536.
+    arr = np.array([[0, 1], [1, 0]], dtype=np.uint16)
     arr.setflags(write=False)
     assert as_table(arr, 2, 2, "t") is arr
     with pytest.raises(MalformedTableError, match=r"^t: entry 1 at \(0, 1\) outside 0\.\.0$"):

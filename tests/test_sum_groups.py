@@ -11,17 +11,20 @@ plain copy of the ring that holds the square table.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from moritactx import (FiniteRing, MalformedTableError, ModuleView, build_context_ring,
-                       make_zn, quotient_context, run_check, verify_ring_map)
+from moritactx import (Bimodule, FiniteRing, MalformedTableError, ModuleView, MoritaContext,
+                       build_context_ring, build_ks_context, make_zn, quotient_context,
+                       run_check, verify_ring_map, zero_bimodule)
 from moritactx.catalog import battery_names, builtin_document
 from moritactx.checks import CHECK_TOKENS
-from moritactx.context import _carriers, _pair_views, _side_blocks
+from moritactx.context import _carriers, _pair_views, _side_blocks, block_ideals
 from moritactx.mctx import load_mctx
 from moritactx.spans import AddGroup, SumGroup, check_closed
+from moritactx.validation import index_dtype
 
 from naive import (block_add, broadcast_context_add, full_scan_check_ideal,
                    full_scan_verify_ring_map)
@@ -155,3 +158,74 @@ def test_sum_groups_carry_rings_and_views():
         FiniteRing(broken, mul, zero=0, one=4)
     view = ModuleView(ring, "left", group, ring.mul, 0)
     assert view.add is ring.add and view.lattice("left", 100, "v") == ring.lattice("left", 100, "t")
+
+
+# -- index dtypes ---------------------------------------------------------------
+# Tables the package builds hold indices in index_dtype(order), uint16 up to
+# 65 536 elements, and as_table passes them uncopied. A direct sum or block
+# view past 65 535 elements over a uint16 summand must come out int32 and
+# equal to an int64 reference: uint16 times a Python int stays uint16 under
+# numpy 1.24 and 2 alike, and wraps.
+
+
+def _u16(table) -> np.ndarray:
+    """A read-only uint16 copy, as the package stores a table it built."""
+    out = np.array(table, dtype=np.uint16)
+    out.setflags(write=False)
+    return out
+
+
+def test_index_dtype_holds_every_index_below_the_order():
+    assert index_dtype(1 << 16) == np.uint16
+    assert index_dtype((1 << 16) + 1) == np.int32
+
+
+def test_sums_over_a_uint16_summand_do_not_wrap():
+    z300 = make_zn(300)
+    group = SumGroup(AddGroup(_u16(z300.add), 0), z300.addgroup)    # Z300 ⊕ Z300
+    rng = np.random.default_rng(300)
+    xs, ys = rng.integers(group.order, size=(40, 1)), rng.integers(group.order, size=500)
+    (hx, lx), (hy, ly) = divmod(xs, 300), divmod(ys, 300)
+    want = z300.add[hx, hy].astype(np.int64) * 300 + z300.add[lx, ly]
+    got = group.sums(xs, ys)
+    assert got.dtype == np.int32 and want.max() > 65_535 and (got == want).all()
+    plus = group._sums_with(ys.ravel())                 # the rows _extend reads
+    assert all((plus(int(x)) == want[i]).all() for i, x in enumerate(xs.ravel()))
+
+
+def test_block_views_over_uint16_tables_do_not_wrap():
+    # Z2 (uint16 mul) and W = F2^16 (uint16 actions, a sum of two XOR
+    # tables): the blocks R⊕W and W⊕S have 131 072 elements, so a first
+    # slot's entry times its place value passes 65 535. V is zero.
+    z2 = make_zn(2)
+    ring_r = FiniteRing(z2.addgroup, _u16(z2.mul), 0, 1, name="R")
+    ring_s = make_zn(2)
+    idx = np.arange(256)
+    byte = AddGroup(_u16(idx[:, None] ^ idx), 0)
+    w = np.arange(1 << 16)
+    mod_w = Bimodule(SumGroup(byte, byte), 0, ring_s, _u16([0 * w, w]),
+                     ring_r, _u16(np.stack([0 * w, w], axis=1)), name="W")
+    mod_v = zero_bimodule(ring_r, ring_s)
+    ctx = MoritaContext(ring_r, ring_s, mod_v, mod_w, np.zeros((1, 1 << 16), np.int32),
+                        np.zeros((1 << 16, 1), np.int32), name="wide")
+    carriers = _carriers(ctx)
+    for side in ("left", "right"):
+        for view, (k1, k2) in zip(_pair_views(ctx, side), _side_blocks(side)):
+            (_, act_a), (_, act_b) = (carriers[k].action(side) for k in (k1, k2))
+            a, b = np.divmod(np.arange(view.order), carriers[k2].order)
+            want = act_a.astype(np.int64)[:, a] * carriers[k2].order + act_b[:, b]
+            assert view.act.dtype == index_dtype(view.order) and (view.act == want).all()
+            if view.order > 1 << 16:
+                assert view.act.dtype == np.int32 and want.max() > 65_535
+
+
+def test_block_pairs_over_a_uint16_ring_do_not_wrap():
+    # Over Z257 with a uint16 mul, as T's own mul is stored, the scalar-one
+    # context's T is M_2(F257). Its block views have 257² elements, so the
+    # colons place R·V entries past 65 535. Its right ideals match the
+    # subspaces of F257²: 1 + 258 + 1 = 260 pairs, of matching block sizes.
+    z257 = make_zn(257)
+    ring = FiniteRing(z257.addgroup, _u16(z257.mul), z257.zero, z257.one, name="Z257")
+    pairs = block_ideals(build_ks_context(ring, ring.one), "right")
+    sizes = Counter((bin(a.members).count("1"), bin(b.members).count("1")) for a, b in pairs)
+    assert sizes == {(1, 1): 1, (257, 257): 258, (257**2, 257**2): 1}

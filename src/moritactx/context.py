@@ -51,9 +51,9 @@ from .modules import (
 )
 from .rings import FiniteRing, checked_generators, quotient_ring, verify_ring_map
 from .spans import AddGroup, SumGroup, check_closed
-from .validation import (ValidationReport, Verdict, Violation, additive_first, additive_on,
-                         additive_second, as_table, associative, associative_on, index_dtype,
-                         violations_of)
+from .validation import (_BLOCK, ValidationReport, Verdict, Violation, additive_first,
+                         additive_on, additive_second, as_table, associative, associative_on,
+                         index_dtype, violations_of)
 
 __all__ = [
     "MoritaContext",
@@ -784,10 +784,10 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     additive group is the ``SumGroup`` of its two slot carriers' groups, so
     it holds only its action table, in ``index_dtype`` of its order, and
     labels are formed on demand. Each slot's action is cast to that dtype
-    (the first slot's through the group's ``place``) before the block's
-    table is gathered, so no entry wraps and no wider table is formed.
-    CapacityError before either block is built when the action tables would
-    not fit in physical memory."""
+    (the first slot's through the group's ``place``) and the second is
+    added a block of rows at a time, so no entry wraps and no wider or
+    second table is formed. CapacityError before either block is built
+    when the action tables would not fit in physical memory."""
     key = ("pair-views", side)
     if key in ctx._cache:
         return ctx._cache[key]
@@ -803,7 +803,9 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
         group = SumGroup(A.addgroup, B.addgroup)
         a, b = group.digits
         act = group.place[act_a][:, a]              # a·|B|, in the view's dtype
-        act += act_b.astype(act.dtype)[:, b]
+        step = max(1, _BLOCK // act.shape[1])       # rows: no second whole table
+        for lo in range(0, act.shape[0], step):
+            act[lo:lo + step] += act_b[lo:lo + step].astype(act.dtype)[:, b]
         act.setflags(write=False)                   # read-only: the view takes it uncopied
 
         def pair_label(i: int, A=A, B=B) -> str:
@@ -988,8 +990,13 @@ class ClosureSets:
 
 def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
     """The four closure sets of a corner-ideal pair: the colons of the four
-    pairing products (those landing in a corner) at the two ideals."""
+    pairing products (those landing in a corner) at the two ideals. Cached
+    by the pair only once both pass the ideal check, so a cached pair needs
+    no check and a non-ideal raises on every call."""
     i_mask, j_mask = as_mask(i), as_mask(j)
+    key = ("closure-sets", i_mask, j_mask)
+    if key in ctx._cache:
+        return ctx._cache[key]
     for ring, m, which in ((ctx.ring_r, i_mask, "first"), (ctx.ring_s, j_mask, "second")):
         verdict = check_ideal(ring, m, "two")
         if not verdict:
@@ -999,8 +1006,9 @@ def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
     in_target = {_R: bool_array(i_mask, ctx.ring_r.order), _S: bool_array(j_mask, ctx.ring_s.order)}
     sets = {(p.src, p.dst): mask_from_bool(_colon(ctx, p, in_target[p.dst]))
             for p in _slot_products(ctx) if p.dst in in_target}
-    return ClosureSets(v_into_r=sets[_V, _R], v_into_s=sets[_V, _S],
-                       w_into_r=sets[_W, _R], w_into_s=sets[_W, _S])
+    ctx._cache[key] = ClosureSets(v_into_r=sets[_V, _R], v_into_s=sets[_V, _S],
+                                  w_into_r=sets[_W, _R], w_into_s=sets[_W, _S])
+    return ctx._cache[key]
 
 
 # -- prime and semiprime slotted ideals ---------------------------------------------

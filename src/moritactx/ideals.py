@@ -7,21 +7,19 @@ kernels in ``spans``. Two observations keep every kernel off the n²
 entries of the table. Products are biadditive, so a condition quantified
 over all ring elements between two fixed ones ("a, anything, b") only
 needs the additive generators. And in a unital ring the right ideal
-generated by a is its orbit aT = {a*t}, the left one Ta; a ∉ P exactly
-when aT ⊄ P for a right or two-sided ideal P, so a prime ideal is a prime
-submodule of T over itself, and the prime scan works one class of aT at a
-time.
+generated by a is its orbit aT = {a*t}, the left one Ta; a ∈ P exactly
+when aT ⊆ P for a right or two-sided ideal P (Ta ⊆ P for a left one), so
+whether a*T*b ⊆ P depends only on the classes of a and b on P's own side:
+the prime and semiprime scans pair class minima, or read the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bitsets import bool_array, full_mask
 from .errors import NotAnIdealError, NotProperError
-from .spans import Subset, check_closed, cyclic_masks, prime_pair
+from .spans import Subset, check_closed, cyclic_masks, prime_pair, semiprime_element
 from .validation import Verdict
 
 __all__ = [
@@ -103,39 +101,29 @@ def is_prime_ideal(ideal: Ideal) -> Verdict:
     """Decide elementwise primeness of a proper ideal of any sidedness;
     witness is lex-first (a, b).
 
-    Prime: a*x*b inside for all x forces a or b inside, which is ``prime_pair``
-    on T over itself with a outside. The scan needs only an additively
-    closed target, so left and right ideals are decided as two-sided ones
-    are. Improper input raises NotProperError rather than answering.
+    Prime: a*x*b inside for all x forces a or b inside: ``prime_pair`` on T
+    over itself, on pairs of classes of the ideal's own side, which needs
+    it to absorb on the sides it names (as every ``Ideal`` made here does).
+    Improper input raises NotProperError rather than answering.
     """
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProperError("primeness is only defined for proper ideals")
-    inside = bool_array(ideal.members, ring.order)
-    hit = prime_pair(ring, "left", inside, ~inside)
+    hit = prime_pair(ring, "left", bool_array(ideal.members, ring.order), ideal.sidedness)
     return Verdict(hit is None, hit)
 
 
 def is_semiprime_ideal(ideal: Ideal) -> Verdict:
-    """Decide semiprimeness of a proper two-sided ideal; witness is the least a.
+    """Decide semiprimeness of a proper ideal of any sidedness; witness is the least a.
 
-    Semiprime: a*x*a inside for all x forces a inside. Fully vectorized —
-    the diagonal pairs make the whole table small.
+    Semiprime: a*x*a inside for all x forces a inside: the diagonal of the
+    prime scan's class pairs (``semiprime_element``).
     """
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProperError("semiprimeness is only defined for proper ideals")
-    inside = bool_array(ideal.members, ring.order)
-    gens = ring.addgroup.generators
-    k = ring.order
-    arange = np.arange(k)
-    # t[a, j] = a * gens[j] * a
-    t = ring.mul[ring.mul[arange[:, None], gens[None, :]], arange[:, None]]
-    cond = inside[t].all(axis=1)
-    bad = cond & ~inside
-    if bad.any():
-        return Verdict(False, int(np.flatnonzero(bad)[0]))
-    return Verdict(True)
+    a = semiprime_element(ring, bool_array(ideal.members, ring.order), ideal.sidedness)
+    return Verdict(a is None, a)
 
 
 def confirm_prime_witness(ring, mask: int, a: int, b: int) -> bool:

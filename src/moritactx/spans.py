@@ -32,10 +32,10 @@ import numpy as np
 
 from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError, MalformedTableError
-from .validation import Verdict, as_square_table, index_dtype
+from .validation import _BLOCK, Verdict, as_square_table, index_dtype
 
 __all__ = ["AddGroup", "SumGroup", "as_group", "Carrier", "Subset", "check_closed",
-           "orbit_classes", "cyclic_masks", "prime_pair"]
+           "orbit_classes", "cyclic_masks", "prime_pair", "semiprime_element"]
 
 
 class AddGroup:
@@ -338,35 +338,69 @@ def cyclic_masks(carrier, sidedness: str) -> list[int]:
     return carrier._cache[key]
 
 
+def _outside_minima(carrier, side: str, inside: np.ndarray) -> np.ndarray:
+    """The least member outside ``inside`` of each ``orbits(side)`` class,
+    ascending: the cached class minima outside it when it is a union of
+    classes (a submodule on that side), else a sort."""
+    classes, key = carrier.orbits(side)[0], ("minima", side)
+    if key not in carrier._cache:           # ascending: classes number by first appearance
+        carrier._cache[key] = np.unique(classes, return_index=True)[1]
+    minima = carrier._cache[key]
+    if (inside[minima][classes] == inside).all():
+        return minima[~inside[minima]]
+    out = np.flatnonzero(~inside)
+    return np.sort(out[np.unique(classes[out], return_index=True)[1]])
+
+
+def _first_pair(carrier, side: str, inside: np.ndarray, rs: np.ndarray,
+                xs: np.ndarray | None = None) -> tuple[int, int] | None:
+    """Lex-first (r, x), r in ``rs`` and x in ``xs``, with every r.(g.x)
+    inside, g over the ring's additive generators (x = r when ``xs`` is
+    None). Blocks of r hold ``_BLOCK`` / 64 entries, growing fourfold up to
+    ``_BLOCK`` (one r if wider): witnesses mostly come early."""
+    ring, act = carrier.action(side)
+    gens, mid = ring.addgroup.generators, ring.action("right" if side == "left" else "left")[1]
+    most = max(1, _BLOCK // (gens.size * (1 if xs is None else max(xs.size, 1))))
+    lo, step = 0, max(1, most // 64)
+    while lo < rs.size:
+        r = rs[lo:lo + step, None]
+        lo, step = lo + step, min(4 * step, most)
+        hit = inside[act[mid[gens, r][:, :, None], r[:, :, None] if xs is None else xs]].all(1)
+        i, k = divmod(int(hit.argmax()), hit.shape[1])      # the first hit, if any
+        if hit[i, k]:
+            return int(r[i, 0]), int(r[i, 0] if xs is None else xs[k])
+    return None
+
+
 def prime_pair(carrier, side: str, inside: np.ndarray,
-               eligible: np.ndarray | None = None) -> tuple[int, int] | None:
+               sidedness: str | None = None) -> tuple[int, int] | None:
     """First (r, x) refuting primeness of the submodule ``inside`` under the
     ``side`` action: r.(R.x) lies inside, x does not, and r does not send
-    the whole carrier inside. None when the submodule is prime.
+    the carrier inside (read on its generators). None when it is prime.
 
-    r.(R.x) = (rR).x on the left, (Rr).x on the right, so the least r of
-    each class there is tested, in ascending order: the witness stays
-    lex-first. The middle products only need the ring's additive
-    generators; their rows may repeat, which cannot change an ``all``. With
-    ``eligible``, r runs over the eligible elements and none is skipped: an
-    ideal of T over itself, read elementwise (a*T*b inside forces a or b
-    inside), passes ``~inside``.
+    r.(R.x) is (rR).x on the left, (Rr).x on the right, so it depends only
+    on r's class under the ring's other-side orbits and x's under the
+    carrier's ``side`` orbits: the least r and the least x outside of each
+    class are paired in ascending order, so the witness stays lex-first.
+    With ``sidedness``, T over itself is read on the left and ``inside`` is
+    an ideal of that sidedness: a and b are classed on its own side (left
+    for a left ideal, else right), and a must lie outside, not merely aT.
     """
+    if sidedness is not None:
+        rs = _outside_minima(carrier, "left" if sidedness == "left" else "right", inside)
+        return _first_pair(carrier, side, inside, rs, rs)
     ring, act = carrier.action(side)
-    other = "right" if side == "left" else "left"
-    _, mid = ring.action(other)
-    gens = ring.addgroup.generators
-    classes, _ = ring.orbits(other)
-    pool = np.arange(ring.order) if eligible is None else np.flatnonzero(eligible)
-    _, first = np.unique(classes[pool], return_index=True)
-    for r in np.sort(pool[first]):
-        rows = inside[act[mid[gens, r]]]
-        if eligible is None and rows.all():         # r sends the whole carrier inside
-            continue
-        bad = rows.all(axis=0) & ~inside            # per x: r.(R.x) inside
-        if bad.any():
-            return int(r), int(np.flatnonzero(bad)[0])
-    return None
+    rs = _outside_minima(ring, "right" if side == "left" else "left", np.zeros(ring.order, bool))
+    rs = rs[~inside[act[rs[:, None], carrier.addgroup.generators]].all(axis=1)]
+    return _first_pair(carrier, side, inside, rs, _outside_minima(carrier, side, inside))
+
+
+def semiprime_element(ring, inside: np.ndarray, sidedness: str) -> int | None:
+    """Least a outside the ideal ``inside`` with a*T*a inside, or None: the
+    diagonal of ``prime_pair``'s class pairs."""
+    a = _outside_minima(ring, "left" if sidedness == "left" else "right", inside)
+    hit = _first_pair(ring, "left", inside, a)
+    return None if hit is None else hit[0]
 
 
 class Carrier:

@@ -335,6 +335,18 @@ def fingerprint_prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
+def least_semiprime_witness(ring, inside: np.ndarray) -> int | None:
+    """Least a outside with every a*x*a inside, x over the whole ring: rows
+    of the n x n table of a*x*a, 64 values of a at a time in ascending
+    order, with no orbit classes and no additive generators."""
+    for lo in range(0, ring.order, 64):
+        a = np.arange(lo, min(lo + 64, ring.order))
+        bad = inside[ring.mul[ring.mul[a], a[:, None]]].all(axis=1) & ~inside[a]
+        if bad.any():
+            return int(a[bad.argmax()])
+    return None
+
+
 def plain_join_closure(group, seeds) -> list[int]:
     """Every join of the seeds, each pair spanned from all members of the seed."""
     seeds = set(seeds)

@@ -499,6 +499,18 @@ def test_closure_sets_on_full_context(z6):
     assert sets.w_into_s == 0b010101
 
 
+def test_closure_sets_are_cached_only_for_ideals():
+    # One instance per corner-ideal pair; a non-ideal argument is refused on
+    # every call and leaves nothing cached.
+    ctx = load_mctx(builtin_document("full:6")).context
+    sets = closure_sets(ctx, 0b010101, 0b001001)          # I = 2Z6, J = 3Z6
+    assert closure_sets(ctx, 0b010101, 0b001001) is sets
+    for _ in range(2):
+        with pytest.raises(NotAnIdealError, match="second argument"):
+            closure_sets(ctx, 0b010101, 0b000011)         # {0, 1}
+    assert ("closure-sets", 0b010101, 0b000011) not in ctx._cache
+
+
 # -- prime and semiprime reports -----------------------------------------------------
 
 

@@ -3,8 +3,11 @@
 On the battery contexts, ``check_ideal`` must give the full scan's verdict
 and witness, for ideals of every side and for subsets that are not ideals;
 the principal masks must equal the spans of generator products; each
-lattice must equal the plain join closure of those spans; and the prime
-scan by class of aT must give the fingerprint scan's witness. The module
+lattice must equal the plain join closure of those spans; the prime scan
+on pairs of orbit classes must give the fingerprint scan's witness, and
+its semiprime diagonal the least a of a plain scan over every a*x*a (on
+ks:6:0 too, the battery ring with the most classes, and on F2^8, where
+every element is a class of its own, at several block sizes). The module
 kernels are the same ones, so the same comparisons run on the carriers V and
 W (bisubmodules and each side), on T over itself where T is small, and on
 the four block views of T's one-sided ideals: cyclic masks against spanned
@@ -32,24 +35,27 @@ every ``slot-large`` context of the benchmark.
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
                    full_row_quadruple_conditions, full_scan_check_ideal, full_scan_verify_closed,
-                   naive_closure_sets, naive_context_product, naive_context_sum,
-                   plain_join_closure, span_bicyclic_masks, span_cyclic_masks,
+                   least_semiprime_witness, naive_closure_sets, naive_context_product,
+                   naive_context_sum, plain_join_closure, span_bicyclic_masks, span_cyclic_masks,
                    span_principal_masks)
 
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
                        builtin_context, builtin_document, check_ideal, closure_sets,
                        enumerate_ideals, enumerate_submodules, is_prime_ideal,
-                       is_prime_submodule, load_mctx, product_span_vw, product_span_wv,
-                       quadruple_conditions, ring_bimodule, verify_submodule)
+                       is_prime_submodule, is_semiprime_ideal, load_mctx, product_span_vw,
+                       product_span_wv, quadruple_conditions, ring_bimodule, ring_from_tables,
+                       verify_submodule)
 from moritactx.bitsets import bool_array, distinct, is_subset
 from moritactx.context import _pair_views
 from moritactx.spans import AddGroup, cyclic_masks
+from moritactx.validation import _BLOCK
 
 SIDES = ("two", "left", "right")
 CONTEXTS = ("full:2", "full:3", "full:4", "full:5", "ks:4:2", "ks:6:1", "tri:4,2",
@@ -114,6 +120,69 @@ def test_prime_scan_matches_the_fingerprint_scan(name):
     ring = _ring(name)
     for side in SIDES:
         _assert_scans_agree(ring, side)
+
+
+def _assert_semiprime_scans_agree(ring, side: str):
+    for ideal in (i for i in enumerate_ideals(ring, side) if i.is_proper()):
+        inside = bool_array(ideal.members, ring.order)
+        assert is_semiprime_ideal(ideal).witness == least_semiprime_witness(ring, inside), \
+            (ring.name, side, str(ideal))
+
+
+@pytest.mark.parametrize("name", CONTEXTS)
+def test_semiprime_scan_matches_the_least_a_scan(name):
+    ring = _ring(name)
+    for side in SIDES:
+        _assert_semiprime_scans_agree(ring, side)
+
+
+@pytest.mark.parametrize("name", ("ks:6:0", "ks:6:2"))
+def test_one_sided_scans_match_the_plain_scans_on_many_classes(name):
+    # ks:6:0 has 99 classes a side, the most of any battery ring: its class
+    # pairs fill one block of the scan, where the other rings' fill less. On
+    # ks:6:2 a one-sided ideal's classes must be those of its own side: the
+    # other side's give the wrong least a for 14 of its semiprime scans.
+    ring = _ring(name)
+    assert [len(ring.orbits(side)[1]) for side in ("left", "right")] == \
+        {"ks:6:0": [99, 99], "ks:6:2": [54, 54]}[name]
+    for side in ("left", "right"):
+        _assert_scans_agree(ring, side)
+        _assert_semiprime_scans_agree(ring, side)
+
+
+def _boolean_ring(k: int):
+    """F2^k as bit vectors: + is XOR, * is AND."""
+    idx = np.arange(2**k)
+    return ring_from_tables(idx[:, None] ^ idx, idx[:, None] & idx, name=f"F2^{k}")
+
+
+def test_prime_scan_with_a_class_for_every_element(monkeypatch):
+    # In F2^8 each element is a class of its own (aT = {x ≤ a}), so the scan
+    # pairs 256 classes with 256 over 8 generators. Its prime and semiprime
+    # witnesses must be the fingerprint scan's and the least-a scan's at every
+    # block size, and its blocks must stay near _BLOCK entries: the whole
+    # class-pair table would be 2 MiB of int32 indices.
+    ring = _boolean_ring(8)
+    assert len(ring.orbits("right")[1]) == ring.order
+    ideals = [i for i in enumerate_ideals(ring, "two") if i.is_proper()]
+    insides = [bool_array(i.members, ring.order) for i in ideals]
+    primes = [fingerprint_prime_scan(ring, inside) for inside in insides]
+    semiprimes = [least_semiprime_witness(ring, inside) for inside in insides]
+    assert sum(w is None for w in primes) == 8              # the eight maximal ideals
+    tracemalloc.start()
+    try:
+        assert [is_prime_ideal(i).witness for i in ideals] == primes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _BLOCK, peak
+    # A maximal ideal leaves 128 classes outside: blocks of one r, two, five,
+    # and blocks that grow from four r.
+    width = 8 * 128
+    for block in (_BLOCK, 1, 3 * width - 1, 5 * width, 300 * width):
+        monkeypatch.setattr("moritactx.spans._BLOCK", block)
+        assert [is_prime_ideal(i).witness for i in ideals] == primes, block
+        assert [is_semiprime_ideal(i).witness for i in ideals] == semiprimes, block
 
 
 @pytest.mark.parametrize("name", ("ks:6:0", "ks:6:2"))

@@ -8,6 +8,7 @@ oracle; above it, the paper's slot descriptions are.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from naive import ideal_product_mask
@@ -200,6 +201,27 @@ def test_pair_views_check_memory_before_allocating(monkeypatch):
     assert ("pair-views", "right") not in ctx._cache
     monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2 * 6 * 36 * 2)
     assert [v.order for v in _pair_views(ctx, "right")] == [36, 36]
+
+
+def test_pair_views_peak_near_the_bytes_they_check(monkeypatch):
+    # The second slot is added a block of rows at a time, so building the
+    # views holds little beyond the action tables the memory check counts:
+    # adding it whole gathered a second table of the same size, a 2.0×
+    # peak on tri:240,180 (3.8 MiB of right-view tables, 6.7 MiB of left).
+    counted = []
+
+    def count(nbytes, what):
+        counted.append(nbytes)
+    monkeypatch.setattr("moritactx.context._require_memory", count)
+    for side in ("right", "left"):
+        ctx = _fresh("tri:240,180")
+        tracemalloc.start()
+        try:
+            _pair_views(ctx, side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * counted[-1], (side, peak, counted[-1])
 
 
 def test_the_cap_comes_first_and_a_built_ring_is_reused(monkeypatch):

@@ -43,7 +43,9 @@ DEFAULT_LATTICE_CAP = 20_000
 
 @dataclass(frozen=True)
 class Ideal(Subset):
-    """A subset of a ring closed under + and absorbing on the named sides."""
+    """A subset of a ring closed under + and absorbing on the named sides.
+    The mask is taken as given, and the prime and semiprime scans rely on
+    it; ``verify_ideal`` checks a hand-built one."""
 
     ring: object
     members: int
@@ -102,28 +104,34 @@ def is_prime_ideal(ideal: Ideal) -> Verdict:
     witness is lex-first (a, b).
 
     Prime: a*x*b inside for all x forces a or b inside: ``prime_pair`` on T
-    over itself, on pairs of classes of the ideal's own side, which needs
-    it to absorb on the sides it names (as every ``Ideal`` made here does).
-    Improper input raises NotProperError rather than answering.
+    over itself, on pairs of classes of the ideal's own side. The mask must
+    absorb on the sides it names, as every ``Ideal`` made here does;
+    ``verify_ideal`` checks a hand-built one. The verdict is cached on the
+    ring. Improper input raises NotProperError rather than answering.
     """
-    ring = ideal.ring
+    ring, key = ideal.ring, ("prime", ideal.members, ideal.sidedness)
     if not ideal.is_proper():
         raise NotProperError("primeness is only defined for proper ideals")
-    hit = prime_pair(ring, "left", bool_array(ideal.members, ring.order), ideal.sidedness)
-    return Verdict(hit is None, hit)
+    if key not in ring._cache:
+        hit = prime_pair(ring, "left", bool_array(ideal.members, ring.order), ideal.sidedness)
+        ring._cache[key] = Verdict(hit is None, hit)
+    return ring._cache[key]
 
 
 def is_semiprime_ideal(ideal: Ideal) -> Verdict:
     """Decide semiprimeness of a proper ideal of any sidedness; witness is the least a.
 
     Semiprime: a*x*a inside for all x forces a inside: the diagonal of the
-    prime scan's class pairs (``semiprime_element``).
+    prime scan's class pairs (``semiprime_element``), with the same
+    precondition and cache as ``is_prime_ideal``.
     """
-    ring = ideal.ring
+    ring, key = ideal.ring, ("semiprime", ideal.members, ideal.sidedness)
     if not ideal.is_proper():
         raise NotProperError("semiprimeness is only defined for proper ideals")
-    a = semiprime_element(ring, bool_array(ideal.members, ring.order), ideal.sidedness)
-    return Verdict(a is None, a)
+    if key not in ring._cache:
+        a = semiprime_element(ring, bool_array(ideal.members, ring.order), ideal.sidedness)
+        ring._cache[key] = Verdict(a is None, a)
+    return ring._cache[key]
 
 
 def confirm_prime_witness(ring, mask: int, a: int, b: int) -> bool:

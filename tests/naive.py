@@ -4,8 +4,9 @@ Most of what is here quantifies over raw subsets or loops over all
 elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
 disagree with. The sections at the end do use the package's spans and
-lattices: the full-table kernels the library replaced with generator-width
-ones, for rings and for modules, quotient views and annihilators, the
+lattices: the pairwise join closure, the full-table kernels the library
+replaced with generator-width ones, for rings and for modules, quotient
+views and annihilators, the
 full-row slot laws, the full-scan validators, the full-scan ring map and
 the built-quotient route of check 2.10, and the lattice-pairwise primeness
 and nilpotency routes with the nilpotent radical built on them.
@@ -362,6 +363,29 @@ def plain_join_closure(group, seeds) -> list[int]:
                     nxt.append(j)
         frontier = nxt
     return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def pairwise_join_closure(group, seeds) -> list[int]:
+    """Every join of the seeds: each mask found joined with every seed until
+    a fixpoint, in the order found, a pair spanned only when no found mask
+    of size |A|·|B| / |A∩B| contains a | b. Fast enough for lattices of
+    hundreds of members, where ``plain_join_closure`` spans every pair."""
+    sizes = {b: b.bit_count() for b in seeds}
+    lattice = list(sizes)
+    by_size: dict[int, list[int]] = {}
+    for m in lattice:
+        by_size.setdefault(sizes[m], []).append(m)
+    for a in lattice:                               # grows as joins are found
+        for b, size_b in sizes.items():
+            meet, ab = a & b, a | b
+            if meet in (a, b):
+                continue
+            size = a.bit_count() * size_b // meet.bit_count()
+            if any(c & ab == ab for c in by_size.get(size, ())):
+                continue
+            lattice.append(group.join_masks(a, group.subgroup_generators(b)))
+            by_size.setdefault(size, []).append(lattice[-1])
+    return sorted(lattice, key=lambda m: (m.bit_count(), m))
 
 
 def onehot_orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -31,6 +31,7 @@ from moritactx import (
     decompose_ideal,
     enumerate_context_ideals,
     enumerate_ideals,
+    enumerate_submodules,
     is_prime_context,
     is_prime_ideal,
     is_prime_ring,
@@ -50,6 +51,7 @@ from moritactx import (
     verify_submodule,
 )
 from moritactx.catalog import battery_names
+from moritactx.context import _pair_views
 
 
 @contextmanager
@@ -110,6 +112,15 @@ def test_right_ideal_blocks(capsys):
                                                2, 2 * 8 + 2)
 
         assert not is_prime_ideal(verify_ideal(ring, mask, "right")).holds
+
+
+def test_large_block_lattice(capsys):
+    # The right block view of full:120 has 14 400 elements and 770 distinct
+    # cyclic seeds, 32 of them join-irreducible; its lattice is closed over
+    # those 32 alone.
+    with _criterion(capsys, "large-block-lattice", budget=2.0):
+        ctx = builtin_context("full:120").context
+        assert len(enumerate_submodules(_pair_views(ctx, "right")[0], "right")) == 1776
 
 
 def test_prime_needs_spanning(capsys):

@@ -65,6 +65,20 @@ def test_check_ideal_verdicts(z6):
         verify_ideal(z6, 0b000011, "two")
 
 
+def test_verify_ideal_refuses_a_left_ideal_labelled_right():
+    # The prime and semiprime scans take an Ideal's mask to absorb on the
+    # sides it names; verify_ideal is the check for a hand-built one. In
+    # T(full:2) ≅ M2(Z2), 3 of the 5 left ideals are not right ideals.
+    ring = build_context_ring(builtin_context("full:2").context)
+    right = {i.members for i in enumerate_ideals(ring, "right")}
+    only_left = [i.members for i in enumerate_ideals(ring, "left") if i.members not in right]
+    assert len(only_left) == 3
+    for mask in only_left:
+        assert verify_ideal(ring, mask, "left").members == mask
+        with pytest.raises(NotAnIdealError, match="is not a right-sided ideal"):
+            verify_ideal(ring, mask, "right")
+
+
 def test_principal_ideal_of_two_in_z8(z8):
     ideal = principal_ideal(z8, 2)
     assert ideal.members == 0b01010101

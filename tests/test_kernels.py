@@ -18,7 +18,10 @@ stands for the rest; the one-sided lattices of two more, where joins create
 masks that no principal ideal is, are compared with the plain join closure.
 ex2.4 is compared where the full-table routes fit in the suite's time. On
 all 18 battery contexts, the join closure must span only masks it has not
-found yet.
+found yet; on the four block views of full:60, whose lattices are larger
+than any the battery closes, it must equal the pairwise closure. Cached
+prime and semiprime verdicts must equal those of a ring that has scanned
+nothing yet.
 
 The slot products behind the two-sided laws, the closure sets and the block
 views are compared on all 18 battery contexts (and full:60 for the first
@@ -43,8 +46,8 @@ import pytest
 from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
                    full_row_quadruple_conditions, full_scan_check_ideal, full_scan_verify_closed,
                    least_semiprime_witness, naive_closure_sets, naive_context_product,
-                   naive_context_sum, plain_join_closure, span_bicyclic_masks, span_cyclic_masks,
-                   span_principal_masks)
+                   naive_context_sum, pairwise_join_closure, plain_join_closure,
+                   span_bicyclic_masks, span_cyclic_masks, span_principal_masks)
 
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
                        builtin_context, builtin_document, check_ideal, closure_sets,
@@ -136,6 +139,20 @@ def test_semiprime_scan_matches_the_least_a_scan(name):
         _assert_semiprime_scans_agree(ring, side)
 
 
+@pytest.mark.parametrize("name", CONTEXTS)
+def test_cached_verdicts_match_a_fresh_scan(name):
+    # A repeated scan is a lookup in the ring's cache, and what it returns is
+    # what a ring that has scanned nothing yet computes.
+    ring, fresh = _ring(name), build_context_ring(load_mctx(builtin_document(name)).context)
+    for side in SIDES:
+        for ideal, new in zip(enumerate_ideals(ring, side), enumerate_ideals(fresh, side)):
+            if ideal.is_proper():
+                for scan in (is_prime_ideal, is_semiprime_ideal):
+                    verdict = scan(ideal)
+                    assert scan(ideal) is verdict
+                    assert scan(new) == verdict, (name, side, str(ideal), scan.__name__)
+
+
 @pytest.mark.parametrize("name", ("ks:6:0", "ks:6:2"))
 def test_one_sided_scans_match_the_plain_scans_on_many_classes(name):
     # ks:6:0 has 99 classes a side, the most of any battery ring: its class
@@ -181,6 +198,7 @@ def test_prime_scan_with_a_class_for_every_element(monkeypatch):
     width = 8 * 128
     for block in (_BLOCK, 1, 3 * width - 1, 5 * width, 300 * width):
         monkeypatch.setattr("moritactx.spans._BLOCK", block)
+        ring._cache.clear()                     # verdicts are cached on the ring
         assert [is_prime_ideal(i).witness for i in ideals] == primes, block
         assert [is_semiprime_ideal(i).witness for i in ideals] == semiprimes, block
 
@@ -193,6 +211,17 @@ def test_one_sided_lattices_match_the_plain_join_closure(name):
     for side in ("left", "right"):
         spans = cyclic_masks(ring, side)
         assert _lattice(ring, side) == plain_join_closure(ring.addgroup, spans), (name, side)
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_block_lattices_match_the_pairwise_closure_on_full_60(side):
+    # 350 distinct cyclic seeds a block, of which 20 are join-irreducible,
+    # and 720 submodules: beyond the battery's lattices, and too many spans
+    # for the plain closure.
+    for view in _pair_views(builtin_context("full:60").context, side):
+        lattice = view.lattice(side, 1 << 12, "block lattice")
+        assert len(lattice) == 720
+        assert lattice == pairwise_join_closure(view.addgroup, cyclic_masks(view, side))
 
 
 @pytest.mark.parametrize("name", battery_names())

@@ -75,11 +75,15 @@ def test_join_closure_matches_plain_closure_on_product_groups(moduli, seed_sets)
     # divisor chains; the seeds are spans of random element sets.
     group = _product_group(moduli)
     seeds = [group.span_mask([x % group.order for x in elements]) for elements in seed_sets]
+    # The closure takes the seeds in (size, mask) order, so the order they
+    # come in changes neither the lattice nor where the cap bites.
     lattice = group.join_closure(seeds, 1 << 12, "lattice")
     assert lattice == plain_join_closure(group, seeds)
-    assert group.join_closure(seeds, len(lattice), "lattice") == lattice
-    with pytest.raises(CapacityError, match=f"^lattice exceeds cap {len(lattice) - 1}$"):
-        group.join_closure(seeds, len(lattice) - 1, "lattice")
+    for order in (seeds, seeds[::-1]):
+        assert group.join_closure(order, 1 << 12, "lattice") == lattice
+        assert group.join_closure(order, len(lattice), "lattice") == lattice
+        with pytest.raises(CapacityError, match=f"^lattice exceeds cap {len(lattice) - 1}$"):
+            group.join_closure(order, len(lattice) - 1, "lattice")
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),

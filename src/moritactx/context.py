@@ -9,11 +9,13 @@ to corner ideals, prime/semiprime reports for slotted ideals and for the
 ring itself, the slotted prime radical, and the quotient construction.
 
 Index convention for the built ring: element (r, v, w, s) sits at
-``((r*|V| + v)*|W| + w)*|S| + s``, so slot order is row-major.
+``((r*|V| + v)*|W| + w)*|S| + s``, so a subset of T is a bool grid of shape
+``dims``: slot and block parts go in by broadcast and come out by projection.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -171,14 +173,6 @@ class MoritaContext:
         index, w = divmod(index, mw)
         r, v = divmod(index, mv)
         return (r, v, w, s)
-
-    def component_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Slot coordinates of every element index, as four parallel arrays."""
-        if "components" not in self._cache:
-            self._cache["components"] = np.unravel_index(np.arange(self.order), self.dims)
-            for arr in self._cache["components"]:
-                arr.setflags(write=False)
-        return self._cache["components"]
 
     def __repr__(self) -> str:
         return f"<MoritaContext {self.name} dims={self.dims}>"
@@ -384,16 +378,28 @@ def is_surjective_context(ctx: MoritaContext) -> bool:
 # -- the 2×2 slot product rule -------------------------------------------------
 
 _R, _V, _W, _S = range(4)                   # slot numbers, in index order
+_SLOTS = ((_R,), (_V,), (_W,), (_S,))       # the four slots, each a group of one
 
 
 def _carriers(ctx: MoritaContext) -> tuple:
     return (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
 
 
-def _at_slots(ctx: MoritaContext, values: dict) -> np.ndarray:
-    """Indices of the elements with ``values[k]`` in each slot k it names
-    and zero in the other slots; elementwise on arrays."""
-    return ctx.encode(*(values.get(k, c.zero) for k, c in enumerate(_carriers(ctx))))
+def _grid(ctx: MoritaContext, parts) -> np.ndarray:
+    """The elements of T in every part, as a bool grid of shape ``dims``.
+    ``parts`` pairs slot groups that together cover all four slots (one slot,
+    or a block's two, the first most significant) with bool arrays over them."""
+    return functools.reduce(np.logical_and, (
+        inside.reshape([n if k in group else 1 for k, n in enumerate(ctx.dims)])
+        for group, inside in parts))
+
+
+def _parts(ctx: MoritaContext, in_t: np.ndarray, groups) -> list[np.ndarray]:
+    """A subset of T (bool, flat or as the grid) projected onto each group
+    of slots: ``any`` over the other axes."""
+    grid = in_t.reshape(ctx.dims)
+    return [grid.any(axis=tuple(k for k in range(4) if k not in group)).ravel()
+            for group in groups]
 
 
 class _SlotProduct(NamedTuple):
@@ -478,7 +484,10 @@ def _colon(ctx: MoritaContext, product: _SlotProduct, in_target: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class IdealQuadruple:
-    """A two-sided ideal of a context ring, sliced into its four slots."""
+    """A two-sided ideal of a context ring, sliced into its four slots. The
+    slots are taken as given, as ``enumerate_context_ideals`` and
+    ``decompose_ideal`` derive them; ``verify_ideal`` on ``member_mask()``
+    checks a hand-built quadruple."""
 
     context: MoritaContext
     r_part: Ideal
@@ -519,10 +528,8 @@ class RadicalQuadruple(IdealQuadruple):
 def quadruple_mask(ctx: MoritaContext, i_mask: int, v1_mask: int,
                    w1_mask: int, j_mask: int) -> int:
     """Members of the context ring whose four slots lie in the four sets."""
-    kr, mv, mw, ks = ctx.dims
-    keep = (bool_array(i_mask, kr)[:, None, None, None] & bool_array(v1_mask, mv)[:, None, None]
-            & bool_array(w1_mask, mw)[:, None] & bool_array(j_mask, ks))    # axes r, v, w, s
-    return mask_from_bool(keep.ravel())
+    masks = (i_mask, v1_mask, w1_mask, j_mask)
+    return mask_from_bool(_grid(ctx, zip(_SLOTS, map(bool_array, masks, ctx.dims))))
 
 
 def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,
@@ -558,18 +565,14 @@ def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,
 def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
     """Slice a two-sided ideal of the context ring into its slot quadruple.
 
-    ``u`` is checked to be a two-sided ideal; its slots are then read off
-    along the four axes through zero. That the ideal is exactly the
+    ``u`` is checked to be a two-sided ideal; its slots are then its
+    projections onto the four slots. That the ideal is exactly the
     slotwise product of closed slots meeting the eight compatibility
     conditions is the paper's description, asserted by check 2.1 and the
     tests rather than re-derived here.
     """
-    mask = as_mask(u)
-    ring = _context_ring(ctx)
-    verify_ideal(ring, mask, "two")
-    in_u = bool_array(mask, ring.order)
-    i_mask, v1_mask, w1_mask, j_mask = (mask_from_bool(in_u[_at_slots(ctx, {k: np.arange(n)})])
-                                        for k, n in enumerate(ctx.dims))
+    in_u = bool_array(verify_ideal(_context_ring(ctx), as_mask(u), "two").members, ctx.order)
+    i_mask, v1_mask, w1_mask, j_mask = map(mask_from_bool, _parts(ctx, in_u, _SLOTS))
     return IdealQuadruple(ctx, Ideal(ctx.ring_r, i_mask, "two"), Submodule(ctx.mod_v, v1_mask, "bi"),
                           Submodule(ctx.mod_w, w1_mask, "bi"), Ideal(ctx.ring_s, j_mask, "two"))
 
@@ -678,8 +681,10 @@ def _covers(quads: list[IdealQuadruple]) -> np.ndarray:
     strictly between. Containment is slotwise: each slot's distinct masks
     are compared once, and the lattice's matrix is read off their indices.
     Then covers = strict ∧ ¬(strict·strict), the product taken in float32
-    (exact for these counts) a block of rows at a time."""
+    (exact for these counts) a block of rows at a time. The two n×n tables
+    (5·n² bytes) are checked against physical memory first."""
     n = len(quads)
+    _require_memory(5 * n * n, f"cover tables of {n} two-sided ideals")
     contains = np.ones((n, n), dtype=bool)
     for k in range(4):
         distinct = sorted({q.masks[k] for q in quads})
@@ -869,33 +874,17 @@ def block_ideals(ctx: MoritaContext, side: str,
     return found
 
 
-def _block_coords(ctx: MoritaContext, side: str) -> list[np.ndarray]:
-    """Each element of T's coordinate in the two ``side`` block views (cached)."""
-    key = ("block-coords", side)
-    if key not in ctx._cache:
-        dims, comps = ctx.dims, ctx.component_arrays()
-        ctx._cache[key] = [comps[k1] * dims[k2] + comps[k2] for k1, k2 in _side_blocks(side)]
-    return ctx._cache[key]
-
-
-def _block_mask(ctx: MoritaContext, side: str, part1: Submodule, part2: Submodule) -> int:
-    """Members of the context ring whose two ``side`` blocks lie in ``part1``
-    and ``part2``: the meet of the two parts' preimages in T, each cached by
-    its block mask."""
-    views = _pair_views(ctx, side)
-    coords, memo = _block_coords(ctx, side), ctx._cache.setdefault(("block-preimage", side), {})
-    found = full_mask(ctx.order)
-    for k, part in enumerate((part1.members, part2.members)):
-        if (k, part) not in memo:
-            memo[k, part] = mask_from_bool(bool_array(part, views[k].order)[coords[k]])
-        found &= memo[k, part]
-    return found
-
-
 def block_ideal_masks(ctx: MoritaContext, side: str,
                       cap: int = DEFAULT_LATTICE_CAP) -> dict[int, tuple[Submodule, Submodule]]:
-    """``block_ideals`` keyed by each pair's mask in the context ring."""
-    return {_block_mask(ctx, side, *pair): pair for pair in block_ideals(ctx, side, cap)}
+    """``block_ideals`` keyed by each pair's mask in the context ring (cached)."""
+    key = ("block-ideal-masks", side, cap)
+    if key not in ctx._cache:
+        blocks = _side_blocks(side)
+        ctx._cache[key] = {
+            mask_from_bool(_grid(ctx, zip(blocks, (bool_array(n.members, n.carrier.order)
+                                                   for n in pair)))): pair
+            for pair in block_ideals(ctx, side, cap)}
+    return ctx._cache[key]
 
 
 def ideal_blocks(ctx: MoritaContext, ideals, side: str,
@@ -933,31 +922,31 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     """
     blocks = _side_blocks(side)
     ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
-    views = _pair_views(ctx, side)
-    dims = ctx.dims
-    in_u = bool_array(ideal.members, ctx.order)
-    coords = _block_coords(ctx, side)
-    inside = [np.bincount(c[in_u], minlength=v.order) > 0 for c, v in zip(coords, views)]
-    solos = [dict(zip(slots, np.divmod(np.flatnonzero(ins), dims[slots[1]])))
-             for slots, ins in zip(blocks, inside)]          # each block's members, by slot
+    views, dims = _pair_views(ctx, side), ctx.dims
+    in_u = bool_array(ideal.members, ctx.order).reshape(dims)
+    inside = _parts(ctx, in_u, blocks)
+    by_slot = [dict(zip(slots, np.divmod(np.flatnonzero(ins), dims[slots[1]])))
+               for slots, ins in zip(blocks, inside)]        # each block's members, by slot
     products = _block_products(ctx, side)
 
     def carried(src: int) -> bool:
-        image = {p.dst: p.table[solos[src][k]] for k, p in products.items() if k in solos[src]}
+        image = {p.dst: p.table[by_slot[src][k]] for k, p in products.items() if k in by_slot[src]}
         k1, k2 = blocks[1 - src]
         place = views[1 - src].addgroup.place                 # a·|k2| in the view's dtype
         return bool(inside[1 - src][place[image[k1]] + image[k2]].all())
 
     part_masks = [mask_from_bool(x) for x in inside]
     closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]
-    embeds = [bool(in_u[_at_slots(ctx, solo)].all()) for solo in solos]
+    zeros = [c.zero for c in _carriers(ctx)]    # a block alone: U's slice at zero elsewhere
+    embeds = [bool(in_u[tuple(slice(None) if k in slots else z for k, z in enumerate(zeros))]
+                   .ravel()[ins].all()) for slots, ins in zip(blocks, inside)]
     return OneSidedDecomposition(
         context=ctx, side=side, part1_view=views[0], part2_view=views[1],
         part1_mask=part_masks[0], part2_mask=part_masks[1],
         part1_closed=closed[0], part2_closed=closed[1],
         part1_embeds=embeds[0], part2_embeds=embeds[1],
         pairing_1_to_2=carried(0), pairing_2_to_1=carried(1),
-        reconstructs=bool(((inside[0][coords[0]] & inside[1][coords[1]]) == in_u).all()),
+        reconstructs=bool((_grid(ctx, zip(blocks, inside)) == in_u).all()),
     )
 
 
@@ -1066,16 +1055,16 @@ class QuadrupleSemiprimeReport:
 
 
 def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test) -> tuple:
-    """``test`` (elementwise primeness or semiprimeness) on the slotted ideal,
-    then its slot description: ``test`` on each corner, and whether each
-    module slot equals both of its closure sets.
+    """``test`` (elementwise primeness or semiprimeness) on the slotted ideal
+    as given, then its slot description: ``test`` on each corner, and
+    whether each module slot equals both of its closure sets.
 
     An improper corner passes vacuously: it leaves no elements outside to
     witness a failure, so the defining implication holds by default;
     treating it otherwise would break the slot descriptions on contexts
     whose pairings vanish.
     """
-    verdict = test(verify_ideal(_context_ring(ctx), quad.member_mask(), "two"))
+    verdict = test(Ideal(_context_ring(ctx), quad.member_mask(), "two"))
     sets = closure_sets(ctx, quad.r_part, quad.s_part)
     r_ok, s_ok = (not c.is_proper() or bool(test(c)) for c in (quad.r_part, quad.s_part))
     _, v1_mask, w1_mask, _ = quad.masks
@@ -1084,7 +1073,8 @@ def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test) -> tuple:
 
 
 def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadruplePrimeReport:
-    """Compare elementwise primeness of a slotted ideal with its slot description."""
+    """Compare elementwise primeness of a slotted ideal with its slot
+    description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
     verdict, r_prime, s_prime, v_matches, w_matches, sets = _slot_description(
         ctx, quad, is_prime_ideal)
     return QuadruplePrimeReport(
@@ -1096,7 +1086,8 @@ def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> Quadruple
 
 
 def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadrupleSemiprimeReport:
-    """Compare elementwise semiprimeness of a slotted ideal with its slot description."""
+    """Compare elementwise semiprimeness of a slotted ideal with its slot
+    description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
     verdict, r_semiprime, s_semiprime, v_matches, w_matches, sets = _slot_description(
         ctx, quad, is_semiprime_ideal)
     return QuadrupleSemiprimeReport(
@@ -1196,9 +1187,7 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
     if not validate_context(qres.context).ok:
         return Verdict(False, ("context",))
     target = build_context_ring(qres.context, cap=ring.order)   # never larger than ring
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
-    proj = qres.context.encode(qres.proj_r[r_of], qres.proj_v[v_of],
-                               qres.proj_w[w_of], qres.proj_s[s_of])
+    proj = qres.context.encode(*np.ix_(qres.proj_r, qres.proj_v, qres.proj_w, qres.proj_s)).ravel()
     if mask_from_bool(proj == target.zero) != qres.radical.member_mask():
         return Verdict(False, ("kernel",))
     if distinct(proj, target.order).size != target.order:

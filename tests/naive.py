@@ -28,6 +28,12 @@ from moritactx.spans import _classes
 from moritactx.validation import ValidationReport, Violation, violations_of
 
 
+def components(ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slot coordinates of every element index of T, as four parallel
+    arrays: the gather route beside the library's broadcasts."""
+    return np.unravel_index(np.arange(ctx.order), ctx.dims)
+
+
 def members_of(mask: int, order: int) -> list[int]:
     return [i for i in range(order) if mask >> i & 1]
 
@@ -653,7 +659,7 @@ def quotient_iso_by_quotient_ring(ctx, cap: int = DEFAULT_LATTICE_CAP) -> Verdic
     if ring_q.order != target.order:
         return Verdict(False, ("bijective",))
     _, first = np.unique(proj_t, return_index=True)
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
+    r_of, v_of, w_of, s_of = components(ctx)
     image = qres.context.encode(qres.proj_r[r_of[first]], qres.proj_v[v_of[first]],
                                 qres.proj_w[w_of[first]], qres.proj_s[s_of[first]])
     verdict = full_scan_verify_ring_map(ring_q, target, image)

@@ -13,8 +13,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from naive import (is_prime_ideal_pairwise, is_semiprime_ideal_pairwise, members_of,
-                   naive_ideals)
+from naive import (components, is_prime_ideal_pairwise, is_semiprime_ideal_pairwise,
+                   members_of, naive_ideals)
 
 from moritactx import (
     Ideal,
@@ -248,8 +248,8 @@ def _scaled_formula_mul(ctx, ring, s_idx: int) -> np.ndarray:
     the formula (r, v, w, s)(r', v', w', s') =
     (rr' + s·vw', rv' + vs', wr' + sw', s·wv' + ss')."""
     _, mv, mw, ks = ctx.dims
-    r1, v1, w1, s1 = (a[:, None] for a in ctx.component_arrays())
-    r2, v2, w2, s2 = (a[None, :] for a in ctx.component_arrays())
+    r1, v1, w1, s1 = (a[:, None] for a in components(ctx))
+    r2, v2, w2, s2 = (a[None, :] for a in components(ctx))
     mul, srow = ring.mul, ring.mul[s_idx]
     part_r = ring.add[mul[r1, r2], srow[mul[v1, w2]]]
     part_v = ring.add[mul[r1, v2], mul[v1, s2]]

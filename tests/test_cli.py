@@ -375,13 +375,18 @@ def test_one_sided_listing_reads_blocks_from_the_block_pairs(monkeypatch, capsys
     assert out.count("(block form: yes)") == 56
 
 
-def test_one_sided_listing_refuses_an_ideal_the_block_pairs_miss(monkeypatch, capsys):
+def test_one_sided_listing_refuses_an_ideal_the_block_pairs_miss(tmp_path, monkeypatch, capsys):
     # By the block theorem no one-sided ideal of a validated context's T is
     # missing from the block pairs; were one missing, the listing says so.
+    # A copy of the document gives a fresh context: the builtin one is
+    # loaded once per process, and its block pairs are cached.
     from moritactx import context
+    from moritactx.catalog import builtin_document
 
+    doc = tmp_path / "ex2.8.mctx"
+    doc.write_text(builtin_document("paper:ex2.8"))
     real = context.block_ideals
     monkeypatch.setattr(context, "block_ideals", lambda *args: real(*args)[1:])
-    code, out, err = run(capsys, "ideals", "paper:ex2.8", "--side", "right")
+    code, out, err = run(capsys, "ideals", str(doc), "--side", "right")
     assert code == 2 and "  [0]" not in out
     assert "is not a right-sided ideal: no compatible block pair gives it" in err

@@ -232,3 +232,18 @@ def test_the_cap_comes_first_and_a_built_ring_is_reused(monkeypatch):
         build_context_ring(_fresh("full:6"), cap=100)
     assert info.value.cap == 100
     assert build_context_ring(built) is ring
+
+
+@pytest.mark.parametrize("spare", [-1, 0])
+def test_cover_tables_check_memory_before_allocating(monkeypatch, capsys, spare):
+    # ex2.12 has 21 two-sided ideals: _covers holds a bool and a float32
+    # table of 21 × 21 entries, 5 bytes each.
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 5 * 21 * 21 + spare)
+    code = run_command(["primes", "paper:ex2.12"])
+    captured = capsys.readouterr()
+    if spare < 0:
+        assert (code, captured.out) == (3, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("capacity: cover tables of 21 ")
+    else:
+        assert code == 0 and captured.out

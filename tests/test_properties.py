@@ -17,11 +17,13 @@ from moritactx import (
     quadruple_mask,
     serialize_document,
 )
-from moritactx.bitsets import indices_of
+from moritactx.bitsets import bool_array, indices_of
+from moritactx.catalog import battery_names, builtin_context
+from moritactx.context import _SLOTS, _grid, _parts
 from moritactx.spans import AddGroup, SumGroup
 
-from naive import (naive_additive_span, naive_is_ideal, naive_is_subgroup, members_of,
-                   plain_join_closure)
+from naive import (components, naive_additive_span, naive_is_ideal, naive_is_subgroup,
+                   members_of, plain_join_closure)
 
 rings = st.integers(min_value=2, max_value=10).map(make_zn)
 
@@ -162,10 +164,40 @@ def test_generated_documents_round_trip(n, m, shared):
 
 @given(st.sampled_from(["full:2", "full:3", "zero:2,2", "tri:4,2"]))
 def test_quadruple_members_reconstruct(name):
-    from moritactx.catalog import builtin_context
-
     ctx = builtin_context(name).context
     for quad in enumerate_context_ideals(ctx):
         mask = quad.member_mask()
         assert bin(mask).count("1") == quad.size
         assert quadruple_mask(ctx, *quad.masks) == mask
+
+
+@pytest.mark.parametrize("name", battery_names())
+@given(st.data())
+def test_grid_is_the_product_gathered_through_components(name, data):
+    # _grid broadcasts slot and block masks into T's grid and _parts
+    # projects them back; naive.components gathers the same products
+    # elementwise. The battery's dims differ (ex2.8 is 6,3,2,6 and tri:4,2
+    # is 4,2,1,2), so a swapped axis shows.
+    ctx = builtin_context(name).context
+    kr, mv, mw, ks = dims = ctx.dims
+    r_of, v_of, w_of, s_of = components(ctx)
+
+    def draw(n: int) -> np.ndarray:
+        return bool_array(data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)), n)
+
+    def round_trip(groups, parts):
+        grid = _grid(ctx, zip(groups, parts))
+        assert grid.shape == dims
+        if all(part.any() for part in parts):
+            assert all(np.array_equal(a, b) for a, b in zip(_parts(ctx, grid, groups), parts))
+        return grid.ravel()
+
+    in_r, in_v, in_w, in_s = slots = [draw(n) for n in dims]
+    got = round_trip(_SLOTS, slots)
+    assert np.array_equal(got, in_r[r_of] & in_v[v_of] & in_w[w_of] & in_s[s_of])
+    in1, in2 = draw(kr * mw), draw(mv * ks)                 # right blocks R(+)W, V(+)S
+    got = round_trip(((0, 2), (1, 3)), (in1, in2))
+    assert np.array_equal(got, in1[r_of * mw + w_of] & in2[v_of * ks + s_of])
+    in1, in2 = draw(kr * mv), draw(mw * ks)                 # left blocks R(+)V, W(+)S
+    got = round_trip(((0, 1), (2, 3)), (in1, in2))
+    assert np.array_equal(got, in1[r_of * mv + v_of] & in2[w_of * ks + s_of])

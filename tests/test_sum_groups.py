@@ -26,7 +26,7 @@ from moritactx.mctx import load_mctx
 from moritactx.spans import AddGroup, SumGroup, check_closed
 from moritactx.validation import index_dtype
 
-from naive import (block_add, broadcast_context_add, full_scan_check_ideal,
+from naive import (block_add, broadcast_context_add, components, full_scan_check_ideal,
                    full_scan_verify_ring_map)
 from test_cli_golden import GOLDEN, transcript
 
@@ -45,7 +45,7 @@ def _quotient_ring(ctx, ring):
     """Check 2.10's T′ and the slotwise projection T -> T′."""
     qres = quotient_context(ctx)
     target = build_context_ring(qres.context, cap=ring.order)
-    r_of, v_of, w_of, s_of = ctx.component_arrays()
+    r_of, v_of, w_of, s_of = components(ctx)
     proj = qres.context.encode(qres.proj_r[r_of], qres.proj_v[v_of],
                                qres.proj_w[w_of], qres.proj_s[s_of])
     return qres.context, target, proj

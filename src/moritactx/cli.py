@@ -218,6 +218,9 @@ def _cmd_decompose(args, out: _Printer) -> int:
     res = _load(args.src)
     ctx = res.context
     _context_header(out, res)
+    # The cap first, before the ideal's mask of T is formed; the
+    # decompositions reuse this T.
+    build_context_ring(ctx, cap=_caps(args)[0])
     if args.ideal in res.ideals:
         named = res.ideals[args.ideal]
         mask, side = named.mask, args.side or named.side
@@ -229,7 +232,6 @@ def _cmd_decompose(args, out: _Printer) -> int:
         out.line(f"inline ideal ({side}-sided)")
         out.kv("ideal", "inline")
     out.kv("side", side)
-    build_context_ring(ctx, cap=_caps(args)[0])       # the decompositions reuse this T
     if side == "two":
         quad = decompose_ideal(ctx, mask)
         out.line(f"slot form: {quad}")

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitsets import as_mask, bool_array, distinct, full_mask, is_subset, mask_from_bool
+from .bitsets import (as_mask, bool_array, distinct, full_mask, is_subset, mask_from_bool,
+                      subset_table)
 from .errors import (
     CapacityError,
     CentralityError,
@@ -53,9 +54,9 @@ from .modules import (
 )
 from .rings import FiniteRing, checked_generators, quotient_ring, verify_ring_map
 from .spans import AddGroup, SumGroup, check_closed
-from .validation import (_BLOCK, ValidationReport, Verdict, Violation, additive_first,
-                         additive_on, additive_second, as_table, associative, associative_on,
-                         index_dtype, violations_of)
+from .validation import (_BLOCK, SplitTable, ValidationReport, Verdict, Violation,
+                         additive_first, additive_on, additive_second, as_table, associative,
+                         associative_on, index_dtype, violations_of)
 
 __all__ = [
     "MoritaContext",
@@ -263,20 +264,25 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     (|R|·|V|)² and (|W|·|S|)² entries, and T's n×n addition table is never
     stored. Each slot of a product reads four of the eight coordinates.
     Small slot tables rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to their
-    place in the index, give the (r, v) half of every product;
-    ww[w1,s1,r2,w2] + ss[w1,s1,v2,s2] the (w, s) half. One broadcast
-    ``np.add`` of the halves fills the 8-axis array
-    (r1,v1,w1,s1,r2,v2,w2,s2), which is the n×n ``mul`` in row-major order.
-    ``mul`` and the slot tables are in ``index_dtype(n)`` (uint16 up to
-    order 65 536), each half table in that of its own order: each partial
-    sum is an index below n, and each place value is at most n/2, as R and
-    S have two elements or more, so nothing wraps.
+    place in the index, give the (r, v) half of every product: the table
+    ``top`` of |R|·|V| × n entries, row (r1, v1) times every y. And
+    ww[w1,s1,r2,w2] + ss[w1,s1,v2,s2] give the (w, s) half, ``bottom`` of
+    |W|·|S| × n entries: the first row of x·y reads only the first row of
+    x, the second only the second. ``mul`` is the ``SplitTable`` of the
+    two, x·y = top[hi(x), y] + bottom[lo(x), y] with (hi, lo) the digits
+    of the addition's ``SumGroup``, so no n×n table of T's products is
+    formed (ex2.4: two tables of 512 KiB, where the n×n one took 32 MiB).
+    The halves and the slot tables are in ``index_dtype(n)`` (uint16 up to
+    order 65 536), each + table in that of its own order: each partial sum
+    is an index below n, and each place value is at most n/2, as R and S
+    have two elements or more, so nothing wraps.
     Tables that would not fit in physical memory raise CapacityError under
     any cap, before they are allocated.
     """
     n = ctx.order
     kr, mv, mw, ks = ctx.dims
-    nbytes = sum(index_dtype(k).itemsize * k * k for k in (n, kr * mv, mw * ks))   # mul, halves
+    nbytes = sum(index_dtype(n).itemsize * k * n + index_dtype(k).itemsize * k * k
+                 for k in (kr * mv, mw * ks))       # each half's rows of mul and its + table
     if n > cap:
         raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
                             f"(tables need {_mib(nbytes)} MiB)", cap)
@@ -287,6 +293,7 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     pr, pv, pw, dtype = mv * mw * ks, mw * ks, ks, index_dtype(n)    # place values
 
     def grid(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x, y = x[:, :], y[:, :]     # whole: a corner that is itself a context ring has a SplitTable
         return x[:, None, :, None], y[None, :, None, :]     # x[a, b], y[c, d] at [a, c, b, d]
 
     def half(first, second) -> AddGroup:                    # first ⊕ second, as one table
@@ -303,15 +310,17 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     vv = slot(V.addgroup, V.left_act, V.right_act, pv).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
     ww = slot(W.addgroup, W.right_act, W.left_act, pw).reshape(1, 1, mw, ks, kr, 1, mw, 1)
     ss = slot(S.addgroup, ctx.prod_wv, S.mul, 1).reshape(1, 1, mw, ks, 1, mv, 1, ks)
-    mul = np.add(rr + vv, ww + ss, out=np.empty((kr, mv, mw, ks) * 2, dtype)).reshape(n, n)
-    mul.setflags(write=False)                       # read-only: the ring takes it uncopied
+    top, bottom = (rr + vv).reshape(kr * mv, n), (ww + ss).reshape(mw * ks, n)
+    for half_rows in (top, bottom):                 # read-only: the ring takes them uncopied
+        half_rows.setflags(write=False)
+    group = SumGroup(half(R, V), half(W, S))
 
     def slot_label(index: int) -> str:
         r, v, w, s = ctx.decode(index)
         return f"({R.label(r)}, {V.label(v)}, {W.label(w)}, {S.label(s)})"
 
     ring = FiniteRing(
-        SumGroup(half(R, V), half(W, S)), mul,
+        group, SplitTable(top, bottom, group.digits),
         zero=ctx.encode(R.zero, V.zero, W.zero, S.zero),
         one=ctx.encode(R.one, V.zero, W.zero, S.one),
         name=f"T({ctx.name})", label_fn=slot_label,
@@ -509,8 +518,13 @@ class IdealQuadruple:
         return self.size < self.context.order
 
     def member_mask(self) -> int:
-        """Mask of the corresponding subset of the context ring."""
-        return quadruple_mask(self.context, *self.masks)
+        """Mask of the corresponding subset of the context ring, cached on
+        the context by the four slot masks: the checks ask for the same
+        quadruples' masks again and again."""
+        key, cache = ("member-mask", self.masks), self.context._cache
+        if key not in cache:
+            cache[key] = quadruple_mask(self.context, *self.masks)
+        return cache[key]
 
     def conditions(self) -> list[tuple[str, bool, tuple | None]]:
         return quadruple_conditions(self.context, *self.masks)
@@ -806,11 +820,12 @@ def _pair_views(ctx: MoritaContext, side: str) -> tuple[ModuleView, ModuleView]:
     for A, B in blocks:
         (ring, act_a), (_, act_b) = A.action(side), B.action(side)
         group = SumGroup(A.addgroup, B.addgroup)
-        a, b = group.digits
-        act = group.place[act_a][:, a]              # a·|B|, in the view's dtype
-        step = max(1, _BLOCK // act.shape[1])       # rows: no second whole table
-        for lo in range(0, act.shape[0], step):
-            act[lo:lo + step] += act_b[lo:lo + step].astype(act.dtype)[:, b]
+        (a, b), dtype = group.digits, group.place.dtype
+        act = np.empty((ring.order, group.order), dtype)
+        step = max(1, _BLOCK // group.order)        # rows: no second whole table
+        for lo in range(0, ring.order, step):       # a·|B| + b, in the view's dtype
+            rows = slice(lo, lo + step)
+            np.add(group.place[act_a[rows]][:, a], act_b[rows].astype(dtype)[:, b], out=act[rows])
         act.setflags(write=False)                   # read-only: the view takes it uncopied
 
         def pair_label(i: int, A=A, B=B) -> str:
@@ -863,8 +878,7 @@ def block_ideals(ctx: MoritaContext, side: str,
         image = place[first.table[hi][:, gens]] + second.table[lo][:, gens]   # < target
         colons = [mask_from_bool(bool_array(t.members, target)[image].all(axis=1))
                   for t in lattices[1 - src]]
-        holds.append(np.array([[is_subset(x.members, c) for x in lattices[src]]
-                               for c in colons]))
+        holds.append(subset_table([x.members for x in lattices[src]], colons, views[src].order))
     pairs = np.argwhere(holds[0].T & holds[1])
     if len(pairs) > cap:
         raise CapacityError(f"{side}-sided ideal lattice of T({ctx.name}) as block pairs "

@@ -1,12 +1,13 @@
 """Finite unital rings presented by Cayley tables.
 
 Elements are the indices 0..order-1; the multiplication table is a
-read-only int32 array, or uint16 where the package built it in
-``index_dtype`` (a context ring's), and the addition an ``AddGroup``: a
-read-only table, or a direct sum of smaller groups with no table of its
-own (a context ring's). Rings constructed by this package (``make_zn``,
-quotients, context rings) are correct by construction and only get cheap
-sanity checks; user-supplied tables must go through ``validate_ring``.
+read-only int32 array, or a uint16 one where the package built it in
+``index_dtype``, or a context ring's ``SplitTable`` over two row halves;
+the addition is an ``AddGroup``: a read-only table, or a direct sum of
+smaller groups with no table of its own (a context ring's). Rings
+constructed by this package (``make_zn``, quotients, context rings) are
+correct by construction and only get cheap sanity checks; user-supplied
+tables must go through ``validate_ring``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class FiniteRing(Carrier):
     """A finite ring with identity, on the index set 0..order-1.
 
     ``add`` is a square table or an ``AddGroup`` (a context ring passes a
-    direct sum); ``mul`` is a table. Treat instances as immutable.
+    direct sum); ``mul`` is a square table, or a ``SplitTable`` read from
+    two row halves (a context ring's, with no n×n table behind it). Every
+    kernel reads ``mul`` by numpy indexing, which both serve alike. Treat
+    instances as immutable.
     Identity-based equality is intentional: structurally equal rings built
     twice are distinct carriers.
     """

@@ -15,7 +15,10 @@ by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
 that needs none of them). The lattice join closure and the coset split of
 quotients live here too. A group is an ``AddGroup`` over a table, or a
 ``SumGroup`` A ⊕ B that reads its two summands and stores no square table;
-every kernel reads + through ``sums``.
+every kernel reads + through ``sums``. An action table is read by numpy
+indexing alone, so a context ring's ``SplitTable`` product, two row
+halves with no n×n table behind them, serves every kernel as a table
+does.
 
 Index sets are deduplicated with ``bitsets.distinct``, not plain
 ``np.unique``: on numpy 2.x that asks ``np.ma.is_masked`` first, so the
@@ -32,7 +35,7 @@ import numpy as np
 
 from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError, MalformedTableError
-from .validation import _BLOCK, Verdict, as_square_table, index_dtype
+from .validation import _BLOCK, SplitTable, Verdict, as_square_table, index_dtype
 
 __all__ = ["AddGroup", "SumGroup", "as_group", "Carrier", "Subset", "check_closed",
            "orbit_classes", "cyclic_masks", "prime_pair", "semiprime_element"]
@@ -291,6 +294,19 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
     return classes, list(seen)
 
 
+def _column_zeros(act: np.ndarray, zero: int) -> np.ndarray:
+    """#{r : act[r, x] = zero} for each column x, a chunk of rows at a time
+    (at most 4 MiB and 65 535 rows): the chunk's bools summed as uint8 into
+    uint16, which cannot wrap and is several times faster than
+    ``count_nonzero``'s intp sums."""
+    n, m = act.shape
+    zeros = np.zeros(m, dtype=np.int64)
+    step = min(max(1, 2**22 // m), 2**16 - 1)
+    for lo in range(0, n, step):
+        zeros += (act[lo:lo + step] == zero).view(np.uint8).sum(axis=0, dtype=np.uint16)
+    return zeros
+
+
 def orbit_classes(act: np.ndarray, zero: int) -> tuple[np.ndarray, list[int]]:
     """Class of each element's orbit (column x of ``act``), numbered by first
     appearance, and each class's mask.
@@ -298,19 +314,15 @@ def orbit_classes(act: np.ndarray, zero: int) -> tuple[np.ndarray, list[int]]:
     The action must be unital, additive and associative. Then r -> r.x is
     additive, so |O(x)| = |R| / #{r : r.x = zero}, and y in O(x) gives
     O(y) <= O(x): O(y) = O(x) exactly when y is in O(x) and the two zero
-    counts agree. Each column's zeros are counted a chunk of rows at a
-    time (at most 4 MiB and 65 535 rows), summing the chunk's bools as
-    uint8 into uint16, which cannot wrap and is several times faster than
-    ``count_nonzero``'s intp sums. Then x runs in ascending order and each
-    x with no class yet reads its one column: its unclassed members with
-    x's zero count form x's class. The one-hot oracle in ``tests/naive.py``
-    keys on whole orbits and needs none of these laws.
+    counts agree. A ``SplitTable`` counts each column's zeros from its
+    halves; a table is counted a chunk of rows at a time. Then x runs in
+    ascending order and each x with no class yet reads its one column: its
+    unclassed members with x's zero count form x's class. The one-hot
+    oracle in ``tests/naive.py`` keys on whole orbits and needs none of
+    these laws.
     """
-    n, m = act.shape
-    zeros = np.zeros(m, dtype=np.int64)
-    step = min(max(1, 2**22 // m), 2**16 - 1)
-    for lo in range(0, n, step):
-        zeros += (act[lo:lo + step] == zero).view(np.uint8).sum(axis=0, dtype=np.uint16)
+    m = act.shape[1]
+    zeros = act.column_zeros(zero) if isinstance(act, SplitTable) else _column_zeros(act, zero)
     classes = np.full(m, -1, dtype=np.int64)
     masks: list[int] = []
     for x in range(m):
@@ -363,18 +375,24 @@ def _first_pair(carrier, side: str, inside: np.ndarray, rs: np.ndarray,
     """Lex-first (r, x), r in ``rs`` and x in ``xs``, with every r.(g.x)
     inside, g over the ring's additive generators (x = r when ``xs`` is
     None). Blocks of r hold ``_BLOCK`` / 64 entries, growing fourfold up to
-    ``_BLOCK`` (one r if wider): witnesses mostly come early."""
+    ``_BLOCK`` (one r if wider): witnesses mostly come early. The ring's
+    products with its generators, row r holding each r.g, are read once
+    and cached on the ring."""
     ring, act = carrier.action(side)
-    gens, mid = ring.addgroup.generators, ring.action("right" if side == "left" else "left")[1]
+    gens, key = ring.addgroup.generators, ("generator-products", side)
+    if key not in ring._cache:
+        mid = ring.action("right" if side == "left" else "left")[1]
+        ring._cache[key] = np.ascontiguousarray(mid[gens].T)
+    by_gens = ring._cache[key]
     most = max(1, _BLOCK // (gens.size * (1 if xs is None else max(xs.size, 1))))
     lo, step = 0, max(1, most // 64)
     while lo < rs.size:
-        r = rs[lo:lo + step, None]
+        r = rs[lo:lo + step]
         lo, step = lo + step, min(4 * step, most)
-        hit = inside[act[mid[gens, r][:, :, None], r[:, :, None] if xs is None else xs]].all(1)
+        hit = inside[act[by_gens[r][:, :, None], r[:, None, None] if xs is None else xs]].all(1)
         i, k = divmod(int(hit.argmax()), hit.shape[1])      # the first hit, if any
         if hit[i, k]:
-            return int(r[i, 0]), int(r[i, 0] if xs is None else xs[k])
+            return int(r[i]), int(r[i] if xs is None else xs[k])
     return None
 
 

@@ -196,6 +196,25 @@ def broadcast_context_add(ctx) -> np.ndarray:
             + bottom.reshape(1, 1, mw, ks, 1, 1, mw, ks)).reshape(ctx.order, ctx.order)
 
 
+def broadcast_context_mul(ctx) -> np.ndarray:
+    """T's n×n product table as the build once stored it: slot tables
+    rr[r1,v1,r2,w2] + vv[r1,v1,v2,s2], scaled to their place in the index,
+    for the (r, v) half and ww[w1,s1,r2,w2] + ss[w1,s1,v2,s2] for the
+    (w, s) half, added by one broadcast over the 8-axis array
+    (r1,v1,w1,s1,r2,v2,w2,s2). Every carrier table is read whole."""
+    kr, mv, mw, ks = ctx.dims
+    big_r, big_s, vee, dub = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
+
+    def slot(add, x, y, place):                     # add[x[a, b], y[c, d]] at [a, c, b, d]
+        return add[x[:, :][:, None, :, None], y[:, :][None, :, None, :]].astype(np.int64) * place
+
+    rr = slot(big_r.add, big_r.mul, ctx.prod_vw, mv * mw * ks).reshape(kr, mv, 1, 1, kr, 1, mw, 1)
+    vv = slot(vee.add, vee.left_act, vee.right_act, mw * ks).reshape(kr, mv, 1, 1, 1, mv, 1, ks)
+    ww = slot(dub.add, dub.right_act, dub.left_act, ks).reshape(1, 1, mw, ks, kr, 1, mw, 1)
+    ss = slot(big_s.add, ctx.prod_wv, big_s.mul, 1).reshape(1, 1, mw, ks, 1, mv, 1, ks)
+    return (rr + vv + ww + ss).reshape(ctx.order, ctx.order)
+
+
 def block_add(first, second) -> np.ndarray:
     """The square addition table a block view of slots (first, second) once
     stored: (a, b) at a·|second| + b, added slotwise."""
@@ -329,7 +348,7 @@ def span_principal_masks(ring, sidedness: str) -> list[int]:
 def fingerprint_prime_scan(ring, inside: np.ndarray) -> tuple[int, int] | None:
     """First (a, b) outside with a*T*b inside; the condition on b is shared
     only by elements a with the same products a*g."""
-    mul, gens = ring.mul, _mid_generators(ring)
+    mul, gens = ring.mul[:, :], _mid_generators(ring)         # the whole table
     cache: dict[bytes, np.ndarray] = {}
     for a in np.flatnonzero(~inside):
         u = np.unique(mul[a, gens])
@@ -346,9 +365,10 @@ def least_semiprime_witness(ring, inside: np.ndarray) -> int | None:
     """Least a outside with every a*x*a inside, x over the whole ring: rows
     of the n x n table of a*x*a, 64 values of a at a time in ascending
     order, with no orbit classes and no additive generators."""
+    mul = ring.mul[:, :]                            # the whole table
     for lo in range(0, ring.order, 64):
         a = np.arange(lo, min(lo + 64, ring.order))
-        bad = inside[ring.mul[ring.mul[a], a[:, None]]].all(axis=1) & ~inside[a]
+        bad = inside[mul[mul[a], a[:, None]]].all(axis=1) & ~inside[a]
         if bad.any():
             return int(a[bad.argmax()])
     return None
@@ -640,7 +660,8 @@ def full_scan_verify_ring_map(source, target, image) -> Verdict:
     img = np.asarray(image, dtype=np.int64)
     if int(img[source.one]) != target.one:
         return Verdict(False, ("one",))
-    for op, src, tgt in (("add", source.add, target.add), ("mul", source.mul, target.mul)):
+    for op, src, tgt in (("add", source.add, target.add),
+                         ("mul", source.mul[:, :], target.mul[:, :])):      # whole tables
         diff = img[src] != tgt[np.ix_(img, img)]
         if diff.any():
             a, b = map(int, np.argwhere(diff)[0])

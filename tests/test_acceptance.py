@@ -275,7 +275,7 @@ def test_scalar_context_criteria(capsys):
                 ctx = build_ks_context(base, s)
                 assert validate_context(ctx).ok, (n, s)
                 ring = build_context_ring(ctx)
-                assert np.array_equal(ring.mul, _scaled_formula_mul(ctx, base, s)), (n, s)
+                assert np.array_equal(ring.mul[:, :], _scaled_formula_mul(ctx, base, s)), (n, s)
                 assert bool(is_prime_ring(ring)) == (prime_int(n) and s != 0), (n, s)
                 assert bool(is_semiprime_ring(ring)) == \
                     (squarefree(n) and math.gcd(s, n) == 1), (n, s)

@@ -138,6 +138,18 @@ def test_decompose_inline_ideal(capsys):
     assert "decomposition: ok" in out
 
 
+def test_decompose_checks_the_order_cap_before_forming_a_mask(capsys, monkeypatch):
+    # full:180 has order 1 049 760 000: the inline ideal's mask of T would be
+    # a grid of 10⁹ bools. The cap is checked first, so none is formed.
+    def forbidden(*args):
+        raise AssertionError("a mask of T was formed")
+    monkeypatch.setattr("moritactx.cli.inline_ideal_mask", forbidden)
+    code, out, err = run(capsys, "decompose", "full:180", "--ideal", "R=0 V=0 W=0 S=0")
+    assert (code, out) == (3, "")
+    assert err == ("capacity: context ring of full:180 has order 1049760000, over the cap 10000 "
+                   "(tables need 259496680 MiB) (raise --cap to proceed)\n")
+
+
 def test_decompose_non_ideal_is_invalid_input(capsys):
     code, _, err = run(capsys, "decompose", "full:4", "--ideal", "R=0,1 V=0 W=0 S=0")
     assert code == 2

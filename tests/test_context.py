@@ -50,6 +50,7 @@ from moritactx.checks import run_check
 from moritactx.context import _carriers
 from moritactx.mctx import inline_ideal_mask, load_mctx
 from moritactx.spans import SumGroup
+from moritactx.validation import SplitTable
 
 from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
                    naive_quadruple_ideals, quotient_iso_by_quotient_ring)
@@ -65,7 +66,7 @@ def ctx_of(name):
 def test_full_context_ring_is_a_ring():
     ring = build_context_ring(ctx_of("full:2"))
     assert ring.order == 16
-    assert validate_ring(ring.add, ring.mul).ok
+    assert validate_ring(ring.add, ring.mul[:, :]).ok
 
 
 def test_context_multiplication_matches_the_formula():
@@ -111,28 +112,36 @@ def test_capacity_cap_is_enforced():
 
 
 def test_capacity_error_gives_the_table_size():
-    # zero:100,101 has order 10100 and dims (100, 1, 1, 101): one uint16
-    # mul of 10100² entries and half tables of 100² and 101² entries take
-    # about 195 MiB. Nothing that size is allocated.
+    # zero:100,101 has order 10100 and dims (100, 1, 1, 101): mul's two
+    # uint16 row halves of 100 × 10100 and 101 × 10100 entries and half
+    # tables of 100² and 101² entries take about 4 MiB. Nothing is allocated.
     with pytest.raises(CapacityError, match=r"has order 10100, over the cap 10000 "
-                                            r"\(tables need 195 MiB\)$"):
+                                            r"\(tables need 4 MiB\)$"):
         build_context_ring(ctx_of("zero:100,101"))
-    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need 3 MiB\)$"):
+    # full:6: row halves of 36 × 1296 entries each and half tables of 36².
+    with pytest.raises(CapacityError, match=r"has order 1296, over the cap 100 \(tables need under 1 MiB\)$"):
         build_context_ring(ctx_of("full:6"), cap=100)
     with pytest.raises(CapacityError, match=r"has order 81, over the cap 10 \(tables need under 1 MiB\)$"):
         build_context_ring(ctx_of("full:3"), cap=10)
 
 
 def test_context_ring_tables_are_not_copied():
-    # The build hands its read-only uint16 mul to the ring uncopied: it is
-    # still the (n, n) view of the 8-axis array it was built in. Addition
-    # is the direct sum (R⊕V) ⊕ (W⊕S) of two half tables; no n×n sum table
-    # is stored.
+    # The build hands its read-only uint16 row halves to the ring uncopied,
+    # as mul's SplitTable over the addition's digits: each is still the
+    # (rows, n) view of the 8-axis broadcast sum it was built in. Addition
+    # is the direct sum (R⊕V) ⊕ (W⊕S) of two half tables; no n×n table of
+    # either operation is stored.
     ctx = load_mctx(builtin_document("paper:ex2.12")).context     # fresh, nothing read yet
     kr, mv, mw, ks = ctx.dims
     ring = build_context_ring(ctx)
-    assert ring.mul.dtype == np.uint16 and not ring.mul.flags.writeable
-    assert ring.mul.base is not None and ring.mul.base.shape == ctx.dims * 2
+    mul = ring.mul
+    assert isinstance(mul, SplitTable) and mul.dtype == np.uint16 and mul.shape == (64, 64)
+    assert mul.digits is ring.addgroup.digits
+    assert mul.top.shape == (kr * mv, 64) and mul.bottom.shape == (mw * ks, 64)
+    assert mul.top.base.shape == (kr, mv, 1, 1) + ctx.dims
+    assert mul.bottom.base.shape == (1, 1, mw, ks) + ctx.dims
+    assert all(half.dtype == np.uint16 and not half.flags.writeable for half in (mul.top, mul.bottom))
+    assert mul.nbytes == mul.top.nbytes + mul.bottom.nbytes == 2 * 64 * (kr * mv + mw * ks)
     group = ring.addgroup
     assert isinstance(group, SumGroup) and group._table is None
     assert [table.shape for table, _ in group.summands] == [(kr * mv,) * 2, (mw * ks,) * 2]
@@ -141,11 +150,11 @@ def test_context_ring_tables_are_not_copied():
 
 
 def test_context_ring_build_peaks_near_its_tables():
-    # With mul uncopied and no n×n sum table, the peak is mul, the half
-    # tables and the two summed slot tables of the broadcast, rr + vv and
-    # ww + ss, of n·|R||V| and n·|W||S| entries in mul's dtype; 128 KiB
-    # covers the small slot tables and index arrays. On ex2.4 that is
-    # within 5% of its 32 MiB mul.
+    # mul is the two summed slot tables of the broadcast, rr + vv and
+    # ww + ss, of n·|R||V| and n·|W||S| entries, kept as they are: the peak
+    # is those, the half + tables and the addition's two int64 digit arrays
+    # of n entries; 128 KiB covers the small slot tables and index arrays.
+    # On ex2.4 that is under 2 MiB, where the n×n mul alone took 32 MiB.
     for name in ("full:6", "paper:ex2.4"):
         ctx = load_mctx(builtin_document(name)).context     # fresh, nothing cached
         kr, mv, mw, ks = ctx.dims
@@ -156,10 +165,11 @@ def test_context_ring_build_peaks_near_its_tables():
         finally:
             tracemalloc.stop()
         halves = sum(table.nbytes for table, _ in ring.addgroup.summands)
-        slots = ring.mul.itemsize * ring.order * (kr * mv + mw * ks)
-        assert peak <= ring.mul.nbytes + halves + slots + 2**17, name
+        digits = sum(d.nbytes for d in ring.addgroup.digits)
+        assert ring.mul.nbytes == 2 * ring.order * (kr * mv + mw * ks), name
+        assert peak <= ring.mul.nbytes + halves + digits + 2**17, name
         del ctx, ring
-    assert peak <= 1.05 * 2**25                     # ex2.4: 4096² uint16 entries
+    assert peak < 2**21                             # ex2.4: two halves of 64 × 4096 entries
 
 
 def _z120_context(corrupt: str | None = None):
@@ -424,7 +434,7 @@ def test_block_pairs_over_noncommutative_corners(side):
     # Every battery corner is commutative. T(tri:2,2), the upper triangular
     # 2×2 matrices over Z2, is not, and its scalar context's T has order 4096.
     ctx = _noncommutative_ks("tri:2,2")
-    assert (ctx.ring_r.mul != ctx.ring_r.mul.T).any()
+    assert (ctx.ring_r.mul[:, :] != ctx.ring_r.mul.T[:, :]).any()
     pairs = block_ideal_masks(ctx, side)
     assert len(pairs) == len(block_ideals(ctx, side))
     assert set(pairs) == {i.members for i in enumerate_ideals(build_context_ring(ctx), side)}

@@ -185,10 +185,12 @@ def test_tables_over_physical_memory_exit_3_before_allocating(capsys, argv):
 
 
 def test_build_context_ring_checks_memory_before_allocating(monkeypatch):
-    ctx = _fresh("full:6")                      # uint16 mul of 1296², half tables of 36²: 3 MiB
-    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2**20)
-    with pytest.raises(CapacityError, match="tables need 3 MiB, over the 1 MiB") as info:
-        build_context_ring(ctx)
+    # uint16 row halves of mul, 100 × 10100 and 101 × 10100 entries, and
+    # half tables of 100² and 101²: 4 MiB.
+    ctx = _fresh("zero:100,101")
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 2**21)
+    with pytest.raises(CapacityError, match="tables need 4 MiB, over the 2 MiB") as info:
+        build_context_ring(ctx, cap=20_000)
     assert info.value.cap is None and "ring" not in ctx._cache
 
 

@@ -211,19 +211,18 @@ def _pairings_hold(ctx: MoritaContext) -> bool:
     """The twelve pairing laws at generator width, for a context whose
     bimodules hold. The corner rings, perhaps unvalidated, must be abelian
     under + with · distributing over it (``checked_generators``). Each
-    biadditivity row is then checked with one summand over generators and
-    zero; once all four hold, every slot triple's two sides are additive
-    in each slot, so triples of generators decide associativity."""
+    biadditivity row is then checked with one summand over generators
+    (``additive_on``); once all four hold, every slot triple's two sides
+    are additive in each slot, so triples of generators decide associativity."""
     carriers = _carriers(ctx)
     gens = [checked_generators(c) if k in (_R, _S) else c.addgroup.generators
             for k, c in enumerate(carriers)]
     if gens[_R] is None or gens[_S] is None:
         return False
-    adds = [c.add for c in carriers]
-    steps = [np.append(g, c.zero) for g, c in zip(gens, carriers)]
+    adds, zeros = [c.add for c in carriers], [c.zero for c in carriers]
     checks = _pairing_checks(
-        ctx, lambda op, y, out: additive_on(op, adds[y], adds[out], steps[y]),
-        lambda op, y, out: additive_on(op.T, adds[y], adds[out], steps[y]),
+        ctx, lambda op, y, out: additive_on(op, adds[y], adds[out], gens[y], zeros[y]),
+        lambda op, y, out: additive_on(op.T, adds[y], adds[out], gens[y], zeros[y]),
         lambda x, y, z, *tables: associative_on(gens[x], gens[y], gens[z], *tables))
     # lazily, in table order: the biadditivity rows come first, as the triples rest on them
     return all(ok for _, ok in checks)

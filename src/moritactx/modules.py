@@ -226,19 +226,19 @@ def _bimodule_holds(mod: Bimodule) -> bool:
     abelian group, and so must each acting ring's, with its ·, perhaps
     unvalidated, distributing over it (``checked_generators``). Each action
     must be unital and additive in each argument, checked with one summand
-    over generators and zero. The two associativity laws and actions-commute
-    are then additive in every argument, so triples of generators decide
-    them."""
+    over generators (``additive_on``). The two associativity laws and
+    actions-commute are then additive in every argument, so triples of
+    generators decide them."""
     gm = group_generators(mod.addgroup)
     if gm is None:
         return False
-    idx, steps = np.arange(mod.order, dtype=np.int32), np.append(gm, mod.zero)
+    idx = np.arange(mod.order, dtype=np.int32)
     for side in ("left", "right"):
         ring, act = mod.action(side)
         gr = checked_generators(ring)
         if (gr is None or not (act[ring.one] == idx).all()
-                or not additive_on(act, ring.add, mod.add, np.append(gr, ring.zero))
-                or not additive_on(act.T, mod.add, mod.add, steps)):
+                or not additive_on(act, ring.add, mod.add, gr, ring.zero)
+                or not additive_on(act.T, mod.add, mod.add, gm, mod.zero)):
             return False
     lring, lact, rring, ract = mod.left_ring, mod.left_act, mod.right_ring, mod.right_act
     gl, gr = checked_generators(lring), checked_generators(rring)

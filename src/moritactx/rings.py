@@ -98,9 +98,14 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers mod n, with labels 0..n-1."""
     if n < 2:
         raise InvalidOrderError(f"make_zn needs n >= 2, got {n}")
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    # Read-only int32, kept uncopied by as_table: a sum of residues needs one
+    # conditional subtract, and a product fits int32 up to n = 46 341.
+    idx = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2**31 else np.int64)
+    add, mul = idx[:, None] + idx, idx[:, None] * idx
+    np.subtract(add, n, out=add, where=add >= n)
+    mul %= n
+    for table in (add, mul):
+        table.setflags(write=False)
     return FiniteRing(add, mul, zero=0, one=1, labels=[str(i) for i in range(n)], name=f"Z{n}")
 
 

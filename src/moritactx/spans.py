@@ -15,10 +15,10 @@ by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
 that needs none of them). The lattice join closure and the coset split of
 quotients live here too. A group is an ``AddGroup`` over a table, or a
 ``SumGroup`` A ⊕ B that reads its two summands and stores no square table;
-every kernel reads + through ``sums``. An action table is read by numpy
-indexing alone, so a context ring's ``SplitTable`` product, two row
-halves with no n×n table behind them, serves every kernel as a table
-does.
+every kernel reads + through ``sums``, the span loop through ``_plus``
+(one element plus an array). An action table is read by numpy indexing
+alone, so a context ring's ``SplitTable`` product, two row halves with no
+n×n table behind them, serves every kernel as a table does.
 
 Index sets are deduplicated with ``bitsets.distinct``, not plain
 ``np.unique``: on numpy 2.x that asks ``np.ma.is_masked`` first, so the
@@ -46,8 +46,8 @@ class AddGroup:
 
     Instances are lightweight views over a table owned by a ring or module;
     they cache a greedy generating sequence and provide span/join closure.
-    Every read of the addition goes through ``sums``, so a ``SumGroup``
-    serves each kernel without a table of its own.
+    Every read of the addition goes through ``sums`` or ``_plus``, so a
+    ``SumGroup`` serves each kernel without a table of its own.
     """
 
     __slots__ = ("_table", "zero", "order", "_generators")
@@ -72,11 +72,10 @@ class AddGroup:
         """The table entries ``add[xs, ys]``, broadcast as fancy indexing is."""
         return self._table[xs, ys]
 
-    def _sums_with(self, ys: np.ndarray):
-        """The int x -> ``sums(x, ys)`` for a fixed ``ys``: row x, then a
-        gather, which numpy does faster than ``table[x, ys]``."""
-        table = self._table
-        return lambda x: table[x][ys]
+    def _plus(self, x: int, ys: np.ndarray) -> np.ndarray:
+        """``sums(x, ys)`` for an int x: row x, then a gather, which numpy
+        does faster than ``table[x, ys]``."""
+        return self._table[x][ys]
 
     @property
     def summands(self) -> list[tuple[np.ndarray, int]]:
@@ -95,44 +94,41 @@ class AddGroup:
         least marked element outside the span so far), and that span as bools."""
         inside = np.zeros(self.order, dtype=bool)
         inside[self.zero] = True
-        chunks = [np.array([self.zero], dtype=np.int64)]
-        gens: list[int] = []
+        members, gens = np.array([self.zero]), []
         rest = want & ~inside
         while rest.any():
             gens.append(int(rest.argmax()))
-            self._extend(inside, chunks, gens[-1:])
+            members = self._extend(inside, members, gens[-1:])
             rest &= ~inside
         return np.array(gens, dtype=np.int64), inside
 
-    def _extend(self, inside: np.ndarray, chunks: list[np.ndarray], gens: Iterable[int]) -> None:
-        # Grows the subgroup marked in `inside` by each generator in turn,
-        # adding whole cosets S, S+g, S+2g, ... until the shift re-enters S.
+    def _extend(self, inside: np.ndarray, members: np.ndarray, gens: Iterable[int]) -> np.ndarray:
+        # Grows S (marked in `inside`, listed in `members`) by each g, doubling,
+        # and returns the new members: U = S + {0, g, ..., (j-1)g}, listed coset
+        # by coset, takes in U + jg until jg lies in U, which is then S + <g>.
+        # jg ends the operand, so the last sum is 2jg. U + jg wraps past S + <g>
+        # only when its last coset lies in U: then that part is dropped.
+        buf = np.empty(self.order + 1, dtype=np.int64)
+        size = members.size
+        buf[:size] = members
         for g in gens:
-            g = int(g)
-            if inside[g]:
-                continue
-            ext = np.concatenate([*chunks, (g,)])  # S, then g: the last sum is the next shift
-            chunks[:] = [ext[:-1]]
-            plus = self._sums_with(ext)
-            shift = g
+            shift = int(g)
             while not inside[shift]:
-                row = plus(shift)
-                coset = row[:-1]
-                inside[coset] = True
-                chunks.append(coset)
-                shift = int(row[-1])
+                buf[size] = shift
+                row = self._plus(shift, buf[:size + 1])
+                new, shift = row[:-1], row.item(-1)
+                if inside[row.item(-2)]:
+                    new = new[~inside[new]]
+                inside[new] = True
+                buf[size:size + new.size] = new
+                size += new.size
+        return buf[:size]
 
     def span_mask(self, seeds: Iterable[int] | np.ndarray, base: int | None = None) -> int:
         """Bitmask of the subgroup generated by ``seeds`` on top of ``base``."""
-        inside = np.zeros(self.order, dtype=bool)
-        if base is not None:
-            arr = bool_array(base, self.order)
-            inside |= arr
-            chunks = [np.flatnonzero(arr)]
-        else:
-            chunks = [np.array([self.zero], dtype=np.int64)]
+        inside = np.zeros(self.order, dtype=bool) if base is None else bool_array(base, self.order)
         inside[self.zero] = True
-        self._extend(inside, chunks, np.asarray(seeds, dtype=np.int64).ravel())
+        self._extend(inside, np.flatnonzero(inside), np.asarray(seeds, dtype=np.int64).ravel())
         return mask_from_bool(inside)
 
     def join_masks(self, a: int, b_gens: np.ndarray) -> int:
@@ -202,12 +198,12 @@ class SumGroup(AddGroup):
     """The direct sum A ⊕ B of two groups: element (a, b) sits at a·|B| + b.
 
     It holds no table of its own. ``sums`` gathers from the summands
-    through the digit arrays ``divmod(arange(order), |B|)``, and
-    ``_sums_with`` splits its fixed operand into digits once, so each
-    coset ``_extend`` adds costs two small gathers. A first digit a is
-    placed by the lookup ``place[a]`` = a·|B| in ``index_dtype(order)``,
-    not by multiplying a summand's entries, whose dtype may be too narrow
-    for the sum; ``sums`` returns that dtype.
+    through the digit arrays ``divmod(arange(order), |B|)``, and ``_plus``
+    splits its int into digits and its operand through those arrays, so
+    each doubling step of ``_extend`` costs two small gathers a summand.
+    A first digit a is placed by the lookup ``place[a]`` = a·|B| in
+    ``index_dtype(order)``, not by multiplying a summand's entries, whose
+    dtype may be too narrow for the sum; ``sums`` returns that dtype.
     """
 
     __slots__ = ("parts", "digits", "place")
@@ -227,15 +223,10 @@ class SumGroup(AddGroup):
         lo_sums = second.sums(lo[xs], lo[ys]).astype(self.place.dtype, copy=False)
         return self.place[first.sums(hi[xs], hi[ys])] + lo_sums
 
-    def _sums_with(self, ys: np.ndarray):
+    def _plus(self, x: int, ys: np.ndarray) -> np.ndarray:
         (first, second), (hi, lo) = self.parts, self.digits
-        plus_hi, plus_lo, place = first._sums_with(hi[ys]), second._sums_with(lo[ys]), self.place
-        m = second.order
-
-        def plus(x: int) -> np.ndarray:     # array + array: the wider dtype, sums < order
-            a, b = divmod(x, m)
-            return place[plus_hi(a)] + plus_lo(b)
-        return plus
+        a, b = divmod(x, second.order)      # array + array: the wider dtype, sums < order
+        return self.place[first._plus(a, hi[ys])] + second._plus(b, lo[ys])
 
     @property
     def summands(self) -> list[tuple[np.ndarray, int]]:

@@ -4,9 +4,9 @@ The bimodule and context validators decide at generator width first. The
 group laws of + are O(n²), with associativity by Light's test on the
 additive generators (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, §1.2); an additive law is checked with one summand over
-the generators and zero; and every other law is multi-additive once those
-hold, so it is checked on tuples of generators alone. Only when one of
-these checks fails does the validator run the full scans, which name each
+the generators; and every other law is multi-additive once those hold, so
+it is checked on tuples of generators alone. Only when one of these
+checks fails does the validator run the full scans, which name each
 failed law's lex-first witness; ``validate_ring`` always runs them. Every
 check goes through one search (``law_witness``), which decides a block of
 rows, about ``_BLOCK`` entries, per numpy call and never holds a whole cube;
@@ -375,20 +375,22 @@ def ring_generators(group, mul: np.ndarray) -> np.ndarray | None:
     gens = group_generators(group)
     if gens is None:
         return None
-    steps, add = np.append(gens, group.zero), group.add
-    if additive_on(mul, add, add, steps) and additive_on(mul.T, add, add, steps):
+    add, zero = group.add, group.zero
+    if additive_on(mul, add, add, gens, zero) and additive_on(mul.T, add, add, gens, zero):
         return gens
     return None
 
 
 def additive_on(op: np.ndarray, add_in: np.ndarray, add_out: np.ndarray,
-                steps: np.ndarray) -> bool:
+                gens: np.ndarray, zero: int) -> bool:
     """Is x·z = ``op[x, z]`` additive in x? Both additions must be groups, and
-    ``steps`` the generators of ``add_in`` and its zero: x·z is additive iff
-    (x+g)·z = x·z + g·z for every x, z and g in ``steps``. The zero is there
-    for a trivial carrier, which has no generators but must send 0 to 0.
-    A block of |steps|-row slabs at a time. For the second argument, pass
+    ``gens`` the generators of ``add_in``, ``zero`` its zero: x·z is additive
+    iff (x+g)·z = x·z + g·z for every x, z and generator g. At x = 0 that
+    reads g·z = 0·z + g·z, so 0·z = 0 follows; only a trivial group, which
+    has no generators, takes its zero as the one step, to check 0·z = 0.
+    A block of |gens|-row slabs at a time. For the second argument, pass
     ``op.T``."""
+    steps = gens if gens.size else np.array([zero])
     at_steps = op[steps]
     return law_witness((op.shape[0], steps.size, op.shape[1]),
                        lambda x: op[add_in[x, steps]],

@@ -3,13 +3,14 @@
 Most of what is here quantifies over raw subsets or loops over all
 elements, with none of the span/lattice machinery the package uses. Slow
 on purpose — these exist so the fast paths have something independent to
-disagree with. The sections at the end do use the package's spans and
-lattices: the pairwise join closure, the full-table kernels the library
+disagree with. The sections at the end do use the package's groups,
+spans and lattices: the coset-at-a-time span loop over a group's
+``sums``, the pairwise join closure, the full-table kernels the library
 replaced with generator-width ones, for rings and for modules, quotient
-views and annihilators, the
-full-row slot laws, the full-scan validators, the full-scan ring map and
-the built-quotient route of check 2.10, and the lattice-pairwise primeness
-and nilpotency routes with the nilpotent radical built on them.
+views and annihilators, the full-row slot laws, the full-scan validators,
+the full-scan ring map and the built-quotient route of check 2.10, and the
+lattice-pairwise primeness and nilpotency routes with the nilpotent
+radical built on them.
 """
 
 from __future__ import annotations
@@ -372,6 +373,31 @@ def least_semiprime_witness(ring, inside: np.ndarray) -> int | None:
         if bad.any():
             return int(a[bad.argmax()])
     return None
+
+
+def coset_span(group, seeds, base: np.ndarray | None = None) -> np.ndarray:
+    """The span of ``seeds`` over the subgroup ``base`` (bools; the zero
+    alone when None), as bools: each seed g in turn adds the cosets S + g,
+    S + 2g, ... of the span S so far, one ``sums`` row a coset, until the
+    shift re-enters S. The span loop the library's doubling one replaced."""
+    inside = np.zeros(group.order, dtype=bool) if base is None else base.copy()
+    inside[group.zero] = True
+    for g in map(int, seeds):
+        members, shift = np.flatnonzero(inside), g
+        while not inside[shift]:
+            inside[group.sums(shift, members)] = True
+            shift = int(group.sums(shift, g))
+    return inside
+
+
+def coset_generate(group, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``AddGroup.generate`` over ``coset_span``: greedy generators, each the
+    least wanted element outside the span so far, and that span."""
+    gens, inside = [], coset_span(group, [])
+    while (want & ~inside).any():
+        gens.append(int((want & ~inside).argmax()))
+        inside = coset_span(group, gens[-1:], inside)
+    return np.array(gens, dtype=np.int64), inside
 
 
 def plain_join_closure(group, seeds) -> list[int]:

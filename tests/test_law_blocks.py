@@ -12,8 +12,11 @@ W + 1, 2W + 1) and around the whole cube, and compares with
 * on every law shape the library scans: ``associative``,
   ``additive_first`` and ``additive_second`` against the naive row shapes;
   Light's test in ``group_generators`` and ``additive_on`` through the
-  witness their search returns; the right-staged law and every other
-  bimodule law through ``validate_bimodule``'s report, the pairing laws
+  witness their search returns (and ``additive_on``, which checks
+  generators but not the zero, against ``additive_first`` on random
+  additive and one-entry-mutated ops over Z_n, Z_2 ⊕ Z_2 and Z_2 ⊕ Z_4, a
+  trivial group still refusing 0·z != 0); the right-staged law and every
+  other bimodule law through ``validate_bimodule``'s report, the pairing laws
   through ``validate_context``'s; and ``verify_ring_map`` on broken maps.
 
 Setting ``_BLOCK`` only moves the block edges inside a test; the library
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from naive import (full_scan_validate_bimodule, full_scan_validate_context,
                    full_scan_verify_ring_map, row_additive_first, row_additive_second,
                    row_associative, row_witness)
@@ -175,17 +179,54 @@ def test_lights_test_matches_the_row_loop(monkeypatch):
 
 @pytest.mark.parametrize("row", PLANT_ROWS)
 def test_additive_on_matches_the_row_loop(monkeypatch, row):
-    steps = np.append(AddGroup(ADD, 0).generators, 0)
-    add_in = _bump(ADD, (row, int(steps[0])))
-    want = row_witness(N, lambda x: MUL[add_in[x, steps]],
-                       lambda x: ADD[MUL[x][None, :], MUL[steps]])
+    gens = AddGroup(ADD, 0).generators
+    add_in = _bump(ADD, (row, int(gens[0])))
+    want = row_witness(N, lambda x: MUL[add_in[x, gens]],
+                       lambda x: ADD[MUL[x][None, :], MUL[gens]])
     assert want is not None and want[0] == row
     seen = _spy(monkeypatch)
-    for block in block_sizes(N, steps.size * N):
+    for block in block_sizes(N, gens.size * N):
         monkeypatch.setattr(validation, "_BLOCK", block)
-        assert not additive_on(MUL, add_in, ADD, steps)
+        assert not additive_on(MUL, add_in, ADD, gens, 0)
         assert seen[-1] == want
-        assert additive_on(MUL, ADD, ADD, steps)
+        assert additive_on(MUL, ADD, ADD, gens, 0)
+
+
+def _product_ring(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul) of Z_a × Z_b × ...: element (x1, x2, ...) sits at its
+    mixed-radix index, and both operations act digit by digit."""
+    digits = np.stack(np.unravel_index(np.arange(np.prod(orders)), orders))
+    ns = np.array(orders)[:, None, None]
+    tables = [(digits[:, :, None] + digits[:, None, :]) % ns,
+              (digits[:, :, None] * digits[:, None, :]) % ns]
+    return tuple(np.ravel_multi_index(tuple(t), orders) for t in tables)
+
+
+@given(st.sampled_from([(2,), (3,), (4,), (6,), (8,), (9,), (12,), (2, 2), (2, 4)]),
+       st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["none", "row 0", "any"]))
+def test_additive_on_needs_no_zero_step(orders, seed, mutate):
+    # op[:, z] = x·c + x·d: additive in x. One entry mutated, in row 0 (so
+    # that 0·z != 0) or anywhere, mostly breaks that. With the generators
+    # alone, additive_on must agree with the full scan either way.
+    add, mul = _product_ring(orders)
+    n, rng = add.shape[0], np.random.default_rng(seed)
+    c, d = rng.integers(n, size=(2, int(rng.integers(1, 2 * n))))
+    op = add[mul[:, c], mul[:, d]]
+    if mutate != "none":
+        x, z = 0 if mutate == "row 0" else int(rng.integers(n)), int(rng.integers(op.shape[1]))
+        op[x, z] = add[op[x, z], rng.integers(1, n)]
+    gens = AddGroup(add, 0).generators
+    assert additive_on(op, add, add, gens, 0) == (additive_first(op, add, add) is None)
+
+
+def test_a_trivial_group_still_sends_zero_to_zero():
+    # No generators: the zero is the one step, so 0·z = 1 in Z2 is refused.
+    trivial, z2 = np.zeros((1, 1), dtype=np.int32), np.array(make_zn(2).add)
+    gens = AddGroup(trivial, 0).generators
+    assert gens.size == 0
+    assert not additive_on(np.array([[0, 1]]), trivial, z2, gens, 0)
+    assert additive_first(np.array([[0, 1]]), trivial, z2) is not None
+    assert additive_on(np.array([[0, 0]]), trivial, z2, gens, 0)
 
 
 @pytest.mark.parametrize("at", [(5, 7), (11, 3), (0, 11), (6, 6)])

@@ -189,8 +189,8 @@ def test_sums_over_a_uint16_summand_do_not_wrap():
     want = z300.add[hx, hy].astype(np.int64) * 300 + z300.add[lx, ly]
     got = group.sums(xs, ys)
     assert got.dtype == np.int32 and want.max() > 65_535 and (got == want).all()
-    plus = group._sums_with(ys.ravel())                 # the rows _extend reads
-    assert all((plus(int(x)) == want[i]).all() for i, x in enumerate(xs.ravel()))
+    rows = [group._plus(int(x), ys.ravel()) for x in xs.ravel()]   # what _extend reads
+    assert all(row.dtype == np.int32 and (row == want[i]).all() for i, row in enumerate(rows))
 
 
 def test_block_views_over_uint16_tables_do_not_wrap():

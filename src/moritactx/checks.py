@@ -79,10 +79,10 @@ def _check_ideal_slot_forms(res: ResolvedContext, order_cap: int,
         lines = [f"two-sided ideals: slot enumeration found {len(quads)}, "
                  f"direct enumeration found {len(direct)} (they DISAGREE)"]
     for quad in quads:
-        if decompose_ideal(ctx, quad.member_mask()).masks != quad.masks:
+        if decompose_ideal(ctx, quad.member_mask(), order_cap).masks != quad.masks:
             ok = False
             lines.append(f"  slot round-trip failed for {quad}")
-    blocks_ok, block_lines = _block_audit(ctx, ring, lattice_cap, "block form holds")
+    blocks_ok, block_lines = _block_audit(ctx, order_cap, lattice_cap, "block form holds")
     return ok and blocks_ok, lines + block_lines
 
 
@@ -90,28 +90,29 @@ def _check_block_embeddings(res: ResolvedContext, order_cap: int,
                             lattice_cap: int) -> tuple[bool, list[str]]:
     """Each block element of a one-sided ideal, placed alone in its two
     slots with zeros elsewhere, is a member of the ideal."""
-    ring = build_context_ring(res.context, order_cap)
-    return _block_audit(res.context, ring, lattice_cap, "solo embeddings hold")
+    return _block_audit(res.context, order_cap, lattice_cap, "solo embeddings hold")
 
 
 def _pair_text(pair) -> str:
     return f"{pair[0]} (+) {pair[1]}"
 
 
-def _block_audit(ctx: MoritaContext, ring, lattice_cap: int, what: str) -> tuple[bool, list[str]]:
+def _block_audit(ctx: MoritaContext, order_cap: int, lattice_cap: int,
+                 what: str) -> tuple[bool, list[str]]:
     """Per side, the one-sided ideals of T against the compatible block
     pairs: equal sets are the block theorem both ways (every ideal is the
     product of its closed, mutually carried blocks, each of which embeds
     alone, and every such product is an ideal). ``what`` counts the ideals
     found among the pairs; each ideal missing from them and each pair that
     is no ideal is named."""
+    ring = build_context_ring(ctx, order_cap)
     ok = True
     lines = []
     for side in ("right", "left"):
         ideals = enumerate_ideals(ring, side, lattice_cap)
         pairs = block_ideal_masks(ctx, side, lattice_cap)
         direct = {ideal.members for ideal in ideals}
-        missing = [side_decomposition(ctx, ideal.members, side).blocks
+        missing = [side_decomposition(ctx, ideal.members, side, order_cap).blocks
                    for ideal in ideals if ideal.members not in pairs]
         strays = [pair for mask, pair in pairs.items() if mask not in direct]
         failed = ([f"  {side} ideal {_pair_text(p)} is missing from the block pairs"
@@ -218,14 +219,13 @@ def _check_prime_quadruple_description(res: ResolvedContext, order_cap: int,
     """Prime quadruples always satisfy the slot description; with spanning
     pairings the description is also sufficient."""
     ctx = res.context
-    build_context_ring(ctx, order_cap)
     ok = True
     lines = []
     quads = _proper_quadruples(ctx, lattice_cap)
     prime = described = 0
     surjective = None
     for quad in quads:
-        report = check_prime_quadruple(ctx, quad)
+        report = check_prime_quadruple(ctx, quad, order_cap)
         surjective = report.surjective
         prime += report.is_prime
         described += report.cond2
@@ -245,13 +245,12 @@ def _check_semiprime_quadruple_description(res: ResolvedContext, order_cap: int,
     """Semiprimeness of a proper quadruple coincides with its slot
     description outright — no spanning hypothesis."""
     ctx = res.context
-    build_context_ring(ctx, order_cap)
     ok = True
     lines = []
     quads = _proper_quadruples(ctx, lattice_cap)
     semiprime = 0
     for quad in quads:
-        report = check_semiprime_quadruple(ctx, quad)
+        report = check_semiprime_quadruple(ctx, quad, order_cap)
         semiprime += report.is_semiprime
         if report.theorem_violation:
             ok = False
@@ -264,8 +263,8 @@ def _check_semiprime_quadruple_description(res: ResolvedContext, order_cap: int,
 
 def _check_slotwise_radical(res: ResolvedContext, order_cap: int,
                             lattice_cap: int) -> tuple[bool, list[str]]:
-    """The slotwise radical equals the intersection of the primes of the
-    built ring, recomputed here rather than trusted from the cache."""
+    """The slotwise radical (closure sets of the corner radicals) equals
+    ``prime_radical`` of the built ring, the intersection of its primes."""
     ctx = res.context
     radical = context_prime_radical(ctx, lattice_cap)
     ring = build_context_ring(ctx, order_cap)
@@ -281,9 +280,8 @@ def _check_quotient_iso(res: ResolvedContext, order_cap: int,
     """Quotienting the ring by its radical is the same as building the ring
     of the slotwise quotient context."""
     ctx = res.context
-    build_context_ring(ctx, order_cap)
     result = quotient_context(ctx, lattice_cap)
-    verdict = verify_quotient_iso(ctx, lattice_cap)
+    verdict = verify_quotient_iso(ctx, lattice_cap, order_cap)
     lines = [f"quotient context dims: {result.context.dims}",
              f"ring-quotient isomorphism verified: {_yes(bool(verdict))}"]
     if not verdict:

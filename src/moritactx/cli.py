@@ -151,9 +151,10 @@ def _cmd_ideals(args, out: _Printer) -> int:
         out.kv("side", "two")
         out.kv("count", len(quads))
         for k, quad in enumerate(quads):
+            size = quad.size
             if not out.summary:                 # --summary prints no listing: format none
-                out.line(f"  [{k}] size={quad.size} {quad}")
-            out.kv(f"ideal.{k}.size", quad.size)
+                out.line(f"  [{k}] size={size} {quad}")
+            out.kv(f"ideal.{k}.size", size)
     else:
         ring = build_context_ring(ctx, cap=order_cap)
         found = enumerate_ideals(ring, args.side, cap=lattice_cap)
@@ -218,9 +219,9 @@ def _cmd_decompose(args, out: _Printer) -> int:
     res = _load(args.src)
     ctx = res.context
     _context_header(out, res)
-    # The cap first, before the ideal's mask of T is formed; the
-    # decompositions reuse this T.
-    build_context_ring(ctx, cap=_caps(args)[0])
+    # A guard only: refuse above the order cap before the ideal's T-sized mask is formed.
+    order_cap = _caps(args)[0]
+    build_context_ring(ctx, cap=order_cap)
     if args.ideal in res.ideals:
         named = res.ideals[args.ideal]
         mask, side = named.mask, args.side or named.side
@@ -233,7 +234,7 @@ def _cmd_decompose(args, out: _Printer) -> int:
         out.kv("ideal", "inline")
     out.kv("side", side)
     if side == "two":
-        quad = decompose_ideal(ctx, mask)
+        quad = decompose_ideal(ctx, mask, order_cap)
         out.line(f"slot form: {quad}")
         out.kv("slots", str(quad))
         for law, ok, _ in quad.conditions():
@@ -241,7 +242,7 @@ def _cmd_decompose(args, out: _Printer) -> int:
         out.line("decomposition: ok")
         out.kv("ok", True)
     else:
-        dec = side_decomposition(ctx, mask, side)
+        dec = side_decomposition(ctx, mask, side, order_cap)
         out.line(f"block 1: {dec.part1_view.format_subset(dec.part1_mask)}"
                  f" (submodule: {_flag(dec.part1_closed)})")
         out.line(f"block 2: {dec.part2_view.format_subset(dec.part2_mask)}"
@@ -323,7 +324,8 @@ def _cmd_report(args, out: _Printer) -> int:
 def _cmd_example(args, out: _Printer) -> int:
     res = builtin_context(f"paper:{args.name}")
     ctx = res.context
-    ring = build_context_ring(ctx, cap=_caps(args)[0])
+    order_cap = _caps(args)[0]
+    ring = build_context_ring(ctx, cap=order_cap)
     _context_header(out, res)
     facts: list[tuple[str, bool]] = []
 
@@ -336,7 +338,7 @@ def _cmd_example(args, out: _Printer) -> int:
         mask = res.ideals["U"].mask
         fact("U is a right ideal", check_ideal(ring, mask, "right").holds)
         fact("U is not a left ideal", not check_ideal(ring, mask, "left").holds)
-        dec = side_decomposition(ctx, mask, "right")
+        dec = side_decomposition(ctx, mask, "right", order_cap)
         out.line(f"  block 1: {dec.part1_view.format_subset(dec.part1_mask)}")
         out.line(f"  block 2: {dec.part2_view.format_subset(dec.part2_mask)}")
         fact("blocks reconstruct U", dec.all_hold)
@@ -356,9 +358,9 @@ def _cmd_example(args, out: _Printer) -> int:
     elif args.name == "ex2.8":
         mask = res.ideals["H"].mask
         fact("H is a two-sided ideal", check_ideal(ring, mask, "two").holds)
-        quad = decompose_ideal(ctx, mask)
+        quad = decompose_ideal(ctx, mask, order_cap)
         out.line(f"  slot form: {quad}")
-        report = check_prime_quadruple(ctx, quad)
+        report = check_prime_quadruple(ctx, quad, order_cap)
         fact("slot description of primeness holds", report.cond2)
         fact("pairing products do not span", not report.surjective)
         fact("H is not prime", not report.is_prime)
@@ -371,9 +373,9 @@ def _cmd_example(args, out: _Printer) -> int:
     else:
         mask = res.ideals["H"].mask
         fact("H is a two-sided ideal", check_ideal(ring, mask, "two").holds)
-        quad = decompose_ideal(ctx, mask)
+        quad = decompose_ideal(ctx, mask, order_cap)
         out.line(f"  slot form: {quad}")
-        report = check_semiprime_quadruple(ctx, quad)
+        report = check_semiprime_quadruple(ctx, quad, order_cap)
         fact("H is not semiprime", not report.is_semiprime)
         expected = ctx.encode(0, 0, 0, 2)
         if report.witness is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -328,12 +328,6 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     return ring
 
 
-def _context_ring(ctx: MoritaContext) -> FiniteRing:
-    """The context ring for helpers that take no cap: the one already built,
-    under whatever cap its caller chose, else a build under the default."""
-    return ctx._cache.get("ring") or build_context_ring(ctx)
-
-
 def build_ks_context(ring: FiniteRing, s: int) -> MoritaContext:
     """The one-ring context with all four carriers equal and pairings s·x·y.
 
@@ -502,16 +496,16 @@ class IdealQuadruple:
     v_part: Submodule
     w_part: Submodule
     s_part: Ideal
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:    # the order, computed once: the slots never change
+        object.__setattr__(self, "size", self.r_part.size * self.v_part.size
+                           * self.w_part.size * self.s_part.size)
 
     @property
     def masks(self) -> tuple[int, int, int, int]:
         return (self.r_part.members, self.v_part.members,
                 self.w_part.members, self.s_part.members)
-
-    @property
-    def size(self) -> int:
-        return (self.r_part.size * self.v_part.size
-                * self.w_part.size * self.s_part.size)
 
     def is_proper(self) -> bool:
         return self.size < self.context.order
@@ -575,16 +569,17 @@ def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,
     return found
 
 
-def decompose_ideal(ctx: MoritaContext, u) -> IdealQuadruple:
+def decompose_ideal(ctx: MoritaContext, u, cap: int = DEFAULT_ORDER_CAP) -> IdealQuadruple:
     """Slice a two-sided ideal of the context ring into its slot quadruple.
 
-    ``u`` is checked to be a two-sided ideal; its slots are then its
-    projections onto the four slots. That the ideal is exactly the
-    slotwise product of closed slots meeting the eight compatibility
-    conditions is the paper's description, asserted by check 2.1 and the
-    tests rather than re-derived here.
+    ``u`` is checked to be a two-sided ideal of T, built under the order
+    cap ``cap``; its slots are then its projections onto the four slots.
+    That the ideal is exactly the slotwise product of closed slots meeting
+    the eight compatibility conditions is the paper's description,
+    asserted by check 2.1 and the tests rather than re-derived here.
     """
-    in_u = bool_array(verify_ideal(_context_ring(ctx), as_mask(u), "two").members, ctx.order)
+    ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), "two")
+    in_u = bool_array(ideal.members, ctx.order)
     i_mask, v1_mask, w1_mask, j_mask = map(mask_from_bool, _parts(ctx, in_u, _SLOTS))
     return IdealQuadruple(ctx, Ideal(ctx.ring_r, i_mask, "two"), Submodule(ctx.mod_v, v1_mask, "bi"),
                           Submodule(ctx.mod_w, w1_mask, "bi"), Ideal(ctx.ring_s, j_mask, "two"))
@@ -919,7 +914,8 @@ def ideal_blocks(ctx: MoritaContext, ideals, side: str,
     return found
 
 
-def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecomposition:
+def side_decomposition(ctx: MoritaContext, u, side: str,
+                       cap: int = DEFAULT_ORDER_CAP) -> OneSidedDecomposition:
     """Project a one-sided ideal onto its two coordinate blocks and audit them.
 
     Every flag in the result is computed, not assumed; for genuine
@@ -930,11 +926,11 @@ def side_decomposition(ctx: MoritaContext, u, side: str) -> OneSidedDecompositio
     and ``example``, and the ideals checks 2.1 and 2.2 find missing from
     the block pairs.
 
-    ``side`` is checked before T is built or scanned, and a mask that fails
-    verification raises NotAnIdealError.
+    ``side`` is checked before T is built (under the order cap ``cap``) or
+    scanned, and a mask that fails verification raises NotAnIdealError.
     """
     blocks = _side_blocks(side)
-    ideal = verify_ideal(_context_ring(ctx), as_mask(u), side)
+    ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), side)
     views, dims = _pair_views(ctx, side), ctx.dims
     in_u = bool_array(ideal.members, ctx.order).reshape(dims)
     inside = _parts(ctx, in_u, blocks)
@@ -1067,17 +1063,17 @@ class QuadrupleSemiprimeReport:
         return self.is_semiprime != self.cond2
 
 
-def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test) -> tuple:
+def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test, cap: int) -> tuple:
     """``test`` (elementwise primeness or semiprimeness) on the slotted ideal
-    as given, then its slot description: ``test`` on each corner, and
-    whether each module slot equals both of its closure sets.
+    in T (order cap ``cap``), then its slot description: ``test`` on each
+    corner, and whether each module slot equals both of its closure sets.
 
     An improper corner passes vacuously: it leaves no elements outside to
     witness a failure, so the defining implication holds by default;
     treating it otherwise would break the slot descriptions on contexts
     whose pairings vanish.
     """
-    verdict = test(Ideal(_context_ring(ctx), quad.member_mask(), "two"))
+    verdict = test(Ideal(build_context_ring(ctx, cap), quad.member_mask(), "two"))
     sets = closure_sets(ctx, quad.r_part, quad.s_part)
     r_ok, s_ok = (not c.is_proper() or bool(test(c)) for c in (quad.r_part, quad.s_part))
     _, v1_mask, w1_mask, _ = quad.masks
@@ -1085,11 +1081,12 @@ def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test) -> tuple:
             w1_mask == sets.w_into_r == sets.w_into_s, sets)
 
 
-def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadruplePrimeReport:
-    """Compare elementwise primeness of a slotted ideal with its slot
-    description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
+def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple,
+                          cap: int = DEFAULT_ORDER_CAP) -> QuadruplePrimeReport:
+    """Compare elementwise primeness of a slotted ideal in T (order cap ``cap``)
+    with its slot description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
     verdict, r_prime, s_prime, v_matches, w_matches, sets = _slot_description(
-        ctx, quad, is_prime_ideal)
+        ctx, quad, is_prime_ideal, cap)
     return QuadruplePrimeReport(
         quadruple=quad, is_prime=bool(verdict), witness=verdict.witness,
         cond2=r_prime and s_prime and v_matches and w_matches,
@@ -1098,11 +1095,12 @@ def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> Quadruple
         v_matches=v_matches, w_matches=w_matches, closures=sets)
 
 
-def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple) -> QuadrupleSemiprimeReport:
-    """Compare elementwise semiprimeness of a slotted ideal with its slot
-    description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
+def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple,
+                              cap: int = DEFAULT_ORDER_CAP) -> QuadrupleSemiprimeReport:
+    """Compare elementwise semiprimeness of a slotted ideal in T (order cap ``cap``)
+    with its slot description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
     verdict, r_semiprime, s_semiprime, v_matches, w_matches, sets = _slot_description(
-        ctx, quad, is_semiprime_ideal)
+        ctx, quad, is_semiprime_ideal, cap)
     return QuadrupleSemiprimeReport(
         quadruple=quad, is_semiprime=bool(verdict), witness=verdict.witness,
         cond2=r_semiprime and s_semiprime and v_matches and w_matches,
@@ -1184,7 +1182,8 @@ def quotient_context(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Quot
     return result
 
 
-def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:
+def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
+                        order_cap: int = DEFAULT_ORDER_CAP) -> Verdict:
     """Check that the ring modulo its radical is the ring of the quotient context.
 
     By the first isomorphism theorem T/ker π ≅ im π, so T is never
@@ -1193,9 +1192,9 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> V
     kernel, be onto, and be a ring map. The witness is ("context",) when
     the quotient context breaks a law, ("kernel",) or ("onto",) for the
     wrong kernel or image, else ``verify_ring_map``'s, with a, b elements
-    of T.
+    of T. ``cap`` bounds the lattices, ``order_cap`` T's order.
     """
-    ring = _context_ring(ctx)
+    ring = build_context_ring(ctx, order_cap)
     qres = quotient_context(ctx, cap)
     if not validate_context(qres.context).ok:
         return Verdict(False, ("context",))

@@ -212,22 +212,49 @@ def test_failed_context_validation_peaks_at_slab_width(corrupt):
     assert not report.ok and peak < 2**20
 
 
-def test_helpers_reuse_a_ring_built_under_a_raised_cap(monkeypatch):
-    # A default order cap below full:4's order 256 stands in for a context
-    # above the real default, without building a ring that large.
-    monkeypatch.setattr(build_context_ring, "__defaults__", (100,))
+def _readers_of_t(ctx, zero, cap):
+    """The five helpers that read T, each under the order cap ``cap``."""
+    return {
+        "prime": lambda: check_prime_quadruple(ctx, zero, cap),
+        "semiprime": lambda: check_semiprime_quadruple(ctx, zero, cap),
+        "decompose": lambda: decompose_ideal(ctx, zero.member_mask(), cap),
+        "side": lambda: side_decomposition(ctx, zero.member_mask(), "right", cap),
+        "quotient": lambda: verify_quotient_iso(ctx, order_cap=cap),
+    }
+
+
+def test_helpers_read_t_under_their_own_cap():
+    # full:4 has order 256: over a cap of 100, under one of 1000. A ring
+    # built under the raised cap does not lift the lower one, and no
+    # helper needs T built before it.
     ctx = load_mctx(builtin_document("full:4")).context      # nothing built yet
     zero = enumerate_context_ideals(ctx)[0]
-    with pytest.raises(CapacityError):
-        check_prime_quadruple(ctx, zero)
-    ring = build_context_ring(ctx, cap=1000)
-    assert check_prime_quadruple(ctx, zero).is_prime is False
-    assert check_semiprime_quadruple(ctx, zero).is_semiprime is False
-    assert decompose_ideal(ctx, zero.member_mask()).masks == zero.masks
-    assert side_decomposition(ctx, 1 << ring.zero, "right").all_hold
-    # An explicit cap still holds for a ring already built.
-    with pytest.raises(CapacityError):
-        build_context_ring(ctx, cap=100)
+    for built in (False, True):
+        if built:
+            build_context_ring(ctx, cap=1000)
+        for read in _readers_of_t(ctx, zero, 100).values():
+            with pytest.raises(CapacityError):
+                read()
+    ctx = load_mctx(builtin_document("full:4")).context
+    zero = enumerate_context_ideals(ctx)[0]
+    answers = {name: read() for name, read in _readers_of_t(ctx, zero, 1000).items()}
+    assert answers["prime"].is_prime is False
+    assert answers["semiprime"].is_semiprime is False
+    assert answers["decompose"].masks == zero.masks
+    assert answers["side"].all_hold
+    assert answers["quotient"]
+
+
+@pytest.mark.parametrize("token", [t for t in checks.CHECK_TOKENS if t != "ks"])
+def test_the_order_cap_reaches_every_check(token):
+    # 2.6 reads the closure sets alone; every other check reads T.
+    res = load_mctx(builtin_document("full:4"))
+    if token == "2.6":
+        assert run_check(token, res, order_cap=100).passed
+    else:
+        with pytest.raises(CapacityError):
+            run_check(token, res, order_cap=100)
+    assert run_check(token, load_mctx(builtin_document("full:4")), order_cap=256).passed
 
 
 def test_validation_catches_broken_pairings(z2):

@@ -30,7 +30,6 @@ from .context import (
     decompose_ideal,
     enumerate_context_ideals,
     ideal_blocks,
-    ideal_product,
     is_prime_context,
     is_semiprime_context,
     is_slotted_ideal,
@@ -128,7 +127,7 @@ __all__ = [
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
-    "is_slotted_ideal", "ideal_product", "lattice_prime_flags",
+    "is_slotted_ideal", "lattice_prime_flags",
     "decompose_ideal", "block_ideals", "block_ideal_masks", "ideal_blocks",
     "side_decomposition", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",

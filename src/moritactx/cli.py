@@ -176,7 +176,7 @@ def _cmd_primes(args, out: _Printer) -> int:
     lattice_cap = _caps(args)[1]
     _context_header(out, res)
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
-    verdicts = lattice_prime_flags(ctx, quads)
+    verdicts = lattice_prime_flags(quads)
     proper = [(quad, v) for quad, v in zip(quads, verdicts) if v is not None]
     out.line(f"proper two-sided ideals: {len(proper)}")
     out.kv("proper", len(proper))
@@ -295,7 +295,7 @@ def _cmd_report(args, out: _Printer) -> int:
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
     out.line(f"two-sided ideals: {len(quads)}")
     out.kv("two_sided_ideals", len(quads))
-    verdicts = lattice_prime_flags(ctx, quads)
+    verdicts = lattice_prime_flags(quads)
     for k, (quad, v) in enumerate(zip(quads, verdicts)):
         if not out.summary:
             flags = ("improper" if v is None

@@ -78,7 +78,6 @@ __all__ = [
     "quadruple_mask",
     "enumerate_context_ideals",
     "is_slotted_ideal",
-    "ideal_product",
     "lattice_prime_flags",
     "block_ideals",
     "block_ideal_masks",
@@ -431,12 +430,6 @@ def _lands(x: int, y: int) -> int:
     return (x & 2) | (y & 1)
 
 
-# The two slot pairs (x, y) of the rule whose products land in each slot:
-# (i, j)·(j', k) is nonzero exactly when j = j'.
-_INTO = tuple(tuple((x, y) for x in range(4) for y in range(4)
-                    if x & 1 == y >> 1 and _lands(x, y) == dst) for dst in range(4))
-
-
 # The pairing laws as (law, x, y, z), x, y, z the slots of the witness:
 # (x, x, z) is x·z additive in x, (x, z, z) additive in z, and any other
 # triple the associativity of the rule on x·y·z.
@@ -648,95 +641,52 @@ def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> bool:
                if sidedness == "two" or p.carrier_first == (sidedness == "left"))
 
 
-# -- products of two-sided ideals; prime and semiprime flags from covers ---------
+# -- prime and semiprime flags from the coatoms of the two-sided lattice ----------
 
 
-def _generators(ctx: MoritaContext, slot: int, mask: int) -> np.ndarray:
-    """Greedy additive generators of a subgroup of one slot (cached)."""
-    key = ("generators", slot, mask)
-    if key not in ctx._cache:
-        ctx._cache[key] = _carriers(ctx)[slot].addgroup.subgroup_generators(mask)
-    return ctx._cache[key]
-
-
-def ideal_product(ctx: MoritaContext, a, b) -> tuple[int, int, int, int]:
-    """The slot masks of AB, for two-sided ideals A and B of the context ring
-    given as ``IdealQuadruple``s or as their four slot masks.
-
-    AB is the additive span of the products ab. A and B are products of
-    their slots, so AB is too, and each slot of AB is the span of the two
-    rule products landing there (``_rule``):
-    R: I·I′ + V₁·W₁′, V: I·V₁′ + V₁·J′, W: W₁·I′ + J·W₁′, S: W₁·V₁′ + J·J′.
-    The products are biadditive, so each is spanned from the products of
-    the slots' additive generators. No table of T is read. Each slot is
-    cached by the four slot masks it depends on.
-    """
-    a, b = getattr(a, "masks", a), getattr(b, "masks", b)
-    rule, memo = _rule(ctx), ctx._cache.setdefault("ideal-product", {})
-    out = []
-    for dst, carrier in enumerate(_carriers(ctx)):
-        key = (dst,) + tuple(m for x, y in _INTO[dst] for m in (a[x], b[y]))
-        if key not in memo:
-            memo[key] = carrier.addgroup.span_mask(np.concatenate([
-                rule[x, y][np.ix_(_generators(ctx, x, a[x]), _generators(ctx, y, b[y]))].ravel()
-                for x, y in _INTO[dst]]))
-        out.append(memo[key])
-    return tuple(out)
-
-
-def _covers(quads: list[IdealQuadruple]) -> np.ndarray:
-    """``covers[p, q]``: quads[q] covers quads[p], i.e. P ⊊ Q with no ideal
-    strictly between. Containment is slotwise: each slot's distinct masks
-    are compared once, and the lattice's matrix is read off their indices.
-    Then covers = strict ∧ ¬(strict·strict), the product taken in float32
-    (exact for these counts) a block of rows at a time. The two n×n tables
-    (5·n² bytes) are checked against physical memory first."""
+def _containment(quads: list[IdealQuadruple]) -> np.ndarray:
+    """``contains[p, q]``: quads[p] ⊆ quads[q]. Containment is slotwise:
+    each slot's distinct masks are compared once, and the lattice's matrix
+    is read off their indices, a block of rows at a time so that no second
+    n×n table is formed. The table (n² bytes) is checked against physical
+    memory first."""
     n = len(quads)
-    _require_memory(5 * n * n, f"cover tables of {n} two-sided ideals")
+    _require_memory(n * n, f"containment table of {n} two-sided ideals")
     contains = np.ones((n, n), dtype=bool)
+    step = max(1, 2**22 // n)
     for k in range(4):
         distinct = sorted({q.masks[k] for q in quads})
         index = {m: i for i, m in enumerate(distinct)}
         sub = np.array([[is_subset(x, y) for y in distinct] for x in distinct])
         at = np.array([index[q.masks[k]] for q in quads])
-        contains &= sub[np.ix_(at, at)]
-    np.fill_diagonal(contains, False)
-    strict = contains.astype(np.float32)
-    step = max(1, 2**22 // n)
-    for lo in range(0, n, step):
-        contains[lo:lo + step] &= (strict[lo:lo + step] @ strict) == 0
+        for lo in range(0, n, step):
+            contains[lo:lo + step] &= sub[at[lo:lo + step]][:, at]
     return contains
 
 
-def lattice_prime_flags(ctx: MoritaContext,
-                        quads: list[IdealQuadruple]) -> list[tuple[bool, bool] | None]:
+def lattice_prime_flags(quads: list[IdealQuadruple]) -> list[tuple[bool, bool] | None]:
     """(prime, semiprime) for each ideal of ``quads``, the whole two-sided
     lattice as ``enumerate_context_ideals`` returns it, None for the
-    improper one. T is never built.
+    improper one. T is never built and no table of T is read.
 
-    T is unital, so a proper ideal P is prime exactly when AB ⊆ P forces
-    A ⊆ P or B ⊆ P for two-sided ideals A and B, and semiprime exactly when
-    A² ⊆ P forces A ⊆ P (Lam, *A First Course in Noncommutative Rings*, §10).
-    Replacing A by A + P and then shrinking it only shrinks the products,
-    so A and B may run over the covers of P in the lattice: P is prime when
-    no ``ideal_product`` of two of its covers lies inside P, semiprime when
-    no cover's square does.
+    T is finite and unital, hence Artinian, so a proper ideal is prime
+    exactly when it is maximal, and semiprime exactly when it contains the
+    prime radical, the meet of the maximal ideals (Lam, *A First Course in
+    Noncommutative Rings*, §4 and §10). The maximal ideals are the
+    lattice's coatoms: proper ideals that no other proper ideal contains.
+    Each ideal is the product of its slots, so the meet is the slotwise AND
+    of the coatoms' masks, and containing it is slotwise too.
     """
-    covers = _covers(quads)
-    flags: list[tuple[bool, bool] | None] = []
-    for p, quad in enumerate(quads):
-        if not quad.is_proper():
-            flags.append(None)
-            continue
-        above = [quads[q].masks for q in np.flatnonzero(covers[p])]
-
-        def inside(a, b, target=quad.masks) -> bool:
-            return all(map(is_subset, ideal_product(ctx, a, b), target))
-
-        semiprime = not any(inside(a, a) for a in above)
-        prime = semiprime and not any(inside(a, b) for a in above for b in above if a is not b)
-        flags.append((prime, semiprime))
-    return flags
+    proper = np.array([q.is_proper() for q in quads], dtype=bool)
+    contains = _containment(quads)
+    np.fill_diagonal(contains, False)
+    contains[:, ~proper] = False
+    coatom = proper & ~contains.any(axis=1)
+    radical = [full_mask(n) for n in quads[0].context.dims]
+    for p in np.flatnonzero(coatom):
+        radical = [r & m for r, m in zip(radical, quads[p].masks)]
+    return [(bool(c), all(map(is_subset, radical, q.masks))) if is_proper else None
+            for q, is_proper, c in zip(quads, proper, coatom)]
 
 
 # -- one-sided ideals and their block decompositions ------------------------------

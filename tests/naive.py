@@ -8,9 +8,11 @@ spans and lattices: the coset-at-a-time span loop over a group's
 ``sums``, the pairwise join closure, the full-table kernels the library
 replaced with generator-width ones, for rings and for modules, quotient
 views and annihilators, the full-row slot laws, the full-scan validators,
-the full-scan ring map and the built-quotient route of check 2.10, and the
+the full-scan ring map and the built-quotient route of check 2.10, the
 lattice-pairwise primeness and nilpotency routes with the nilpotent
-radical built on them.
+radical built on them, and the slotwise products of two-sided ideals of a
+context ring with the prime and semiprime flags read off products of
+lattice covers.
 """
 
 from __future__ import annotations
@@ -737,6 +739,83 @@ def ideal_product_mask(ring, amask: int, bmask: int) -> int:
         return 1 << ring.zero
     prods = ring.mul[np.ix_(agens, bgens)].ravel()
     return group.span_mask(np.unique(prods))
+
+
+# The two slot pairs (x, y) of the rule whose products land in each slot:
+# (i, j)·(j', k) is nonzero exactly when j = j'.
+_INTO = tuple(tuple((x, y) for x in range(4) for y in range(4)
+                    if x & 1 == y >> 1 and _lands(x, y) == dst) for dst in range(4))
+
+
+def _generators(ctx, slot: int, mask: int) -> np.ndarray:
+    """Greedy additive generators of a subgroup of one slot (cached)."""
+    key = ("generators", slot, mask)
+    if key not in ctx._cache:
+        ctx._cache[key] = _carriers(ctx)[slot].addgroup.subgroup_generators(mask)
+    return ctx._cache[key]
+
+
+def ideal_product(ctx, a, b) -> tuple[int, int, int, int]:
+    """The slot masks of AB, for two-sided ideals A and B of the context ring
+    given as ``IdealQuadruple``s or as their four slot masks.
+
+    AB is the additive span of the products ab. A and B are products of
+    their slots, so AB is too, and each slot of AB is the span of the two
+    rule products landing there (``_rule``):
+    R: I·I′ + V₁·W₁′, V: I·V₁′ + V₁·J′, W: W₁·I′ + J·W₁′, S: W₁·V₁′ + J·J′.
+    The products are biadditive, so each is spanned from the products of
+    the slots' additive generators. No table of T is read. Each slot is
+    cached by the four slot masks it depends on.
+    """
+    a, b = getattr(a, "masks", a), getattr(b, "masks", b)
+    rule, memo = _rule(ctx), ctx._cache.setdefault("ideal-product", {})
+    out = []
+    for dst, carrier in enumerate(_carriers(ctx)):
+        key = (dst,) + tuple(m for x, y in _INTO[dst] for m in (a[x], b[y]))
+        if key not in memo:
+            memo[key] = carrier.addgroup.span_mask(np.concatenate([
+                rule[x, y][np.ix_(_generators(ctx, x, a[x]), _generators(ctx, y, b[y]))].ravel()
+                for x, y in _INTO[dst]]))
+        out.append(memo[key])
+    return tuple(out)
+
+
+def lattice_covers(quads) -> list[list[bool]]:
+    """``covers[p][q]``: quads[q] covers quads[p], P ⊊ Q with no ideal of
+    the list strictly between, from slotwise containment."""
+    n = len(quads)
+    below = [[p != q and all(map(is_subset, quads[p].masks, quads[q].masks)) for q in range(n)]
+             for p in range(n)]
+    return [[below[p][q] and not any(below[p][r] and below[r][q] for r in range(n))
+             for q in range(n)] for p in range(n)]
+
+
+def cover_product_flags(ctx, quads) -> list[tuple[bool, bool] | None]:
+    """(prime, semiprime) for each ideal of the whole two-sided lattice
+    ``quads``, None for the improper one, from products of covers.
+
+    T is unital, so a proper ideal P is prime exactly when AB ⊆ P forces
+    A ⊆ P or B ⊆ P for two-sided ideals A and B, and semiprime exactly when
+    A² ⊆ P forces A ⊆ P. Replacing A by A + P and then shrinking it only
+    shrinks the products, so A and B may run over the covers of P: P is
+    prime when no ``ideal_product`` of two of its covers lies inside P,
+    semiprime when no cover's square does.
+    """
+    covers = lattice_covers(quads)
+    flags: list[tuple[bool, bool] | None] = []
+    for p, quad in enumerate(quads):
+        if not quad.is_proper():
+            flags.append(None)
+            continue
+        above = [quads[q].masks for q in range(len(quads)) if covers[p][q]]
+
+        def inside(a, b, target=quad.masks) -> bool:
+            return all(map(is_subset, ideal_product(ctx, a, b), target))
+
+        semiprime = not any(inside(a, a) for a in above)
+        prime = semiprime and not any(inside(a, b) for a in above for b in above if a is not b)
+        flags.append((prime, semiprime))
+    return flags
 
 
 def is_prime_ideal_pairwise(ideal: Ideal, cap: int = DEFAULT_LATTICE_CAP) -> Verdict:

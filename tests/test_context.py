@@ -386,10 +386,11 @@ BLOCK_TOKENS = ("2.1", "2.2", "2.3")
 GOLDEN_BATTERY = Path(__file__).parent / "golden" / "battery_verbose.txt"
 
 
-def _noncommutative_ks(name):
-    """The scalar context with scalar one over T(name): T is M_2(T(name))."""
+def _noncommutative_ks(name, scalar="one"):
+    """The scalar context over T(name) with scalar T's ``one`` or ``zero``;
+    with the one, T is M_2(T(name))."""
     base = build_context_ring(builtin_context(name).context)
-    return build_ks_context(base, base.one)
+    return build_ks_context(base, getattr(base, scalar))
 
 
 @pytest.mark.parametrize("name", ["paper:ex2.4", "ks:6:0"])

@@ -1,8 +1,11 @@
-"""Products of two-sided ideals, the prime and semiprime flags read off the
-covers of the two-sided lattice, and named ideals decided in slot form.
+"""The prime and semiprime flags read off the coatoms of the two-sided
+lattice, products of two-sided ideals, and named ideals decided in slot
+form.
 
-None of these routes builds T. Under the order cap the built T is their
-oracle; above it, the paper's slot descriptions are.
+None of the library's routes here builds T. Under the order cap the built
+T is their oracle; above it, the paper's slot descriptions are. Beside
+the T scans, the flags read off products of pairs of covers
+(``naive.cover_product_flags``) are a second oracle.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import naive
 import pytest
-from naive import ideal_product_mask
 
 from moritactx import (
     CapacityError,
@@ -20,10 +23,10 @@ from moritactx import (
     builtin_context,
     check_ideal,
     closure_sets,
+    context_prime_radical,
     enumerate_context_ideals,
     enumerate_ideals,
     enumerate_submodules,
-    ideal_product,
     is_prime_ideal,
     is_semiprime_ideal,
     is_slotted_ideal,
@@ -35,9 +38,10 @@ from moritactx import (
 from moritactx.bitsets import full_mask, is_subset
 from moritactx.catalog import battery_names, builtin_document
 from moritactx.cli import run_command
-from moritactx.context import _covers, _pair_views
+from moritactx.context import _containment, _pair_views
 
 from test_cli_golden import SLOT_LARGE
+from test_context import _noncommutative_ks
 
 
 def _fresh(name: str):
@@ -45,19 +49,46 @@ def _fresh(name: str):
     return load_mctx(builtin_document(name)).context
 
 
-@pytest.mark.parametrize("name", battery_names())
+# Every battery corner is commutative. T(tri:2,2), the upper triangular 2×2
+# matrices over Z2, is not: its scalar contexts have T of order 4096, with
+# 5 two-sided ideals for the scalar one (T = M_2(T(tri:2,2))) and 124 for
+# the scalar zero.
+_NONCOMMUTATIVE = {"tri:2,2 scalar one": "one", "tri:2,2 scalar zero": "zero"}
+
+
+def _flag_context(name: str):
+    """A battery context, or one of the two scalar contexts over T(tri:2,2)."""
+    if name in _NONCOMMUTATIVE:
+        return _noncommutative_ks("tri:2,2", _NONCOMMUTATIVE[name])
+    return builtin_context(name).context
+
+
+def _coatom_meet(quads, flags) -> tuple[int, ...]:
+    """The slotwise AND of the ideals flagged prime."""
+    meet = [full_mask(n) for n in quads[0].context.dims]
+    for quad, flag in zip(quads, flags):
+        if flag is not None and flag[0]:
+            meet = [m & x for m, x in zip(meet, quad.masks)]
+    return tuple(meet)
+
+
+@pytest.mark.parametrize("name", battery_names() + list(_NONCOMMUTATIVE))
 def test_cover_flags_agree_with_the_built_ring(name):
-    ctx = builtin_context(name).context
+    # The coatom flags against the T scans and against the products of
+    # covers; their meet against the paper's slotwise radical.
+    ctx = _flag_context(name)
     ring = build_context_ring(ctx)
     quads = enumerate_context_ideals(ctx)
-    flags = lattice_prime_flags(ctx, quads)
+    flags = lattice_prime_flags(quads)
     assert len(flags) == len(quads)
+    assert flags == naive.cover_product_flags(ctx, quads)
     for quad, flag in zip(quads, flags):
         ideal = Ideal(ring, quad.member_mask(), "two")
         if not ideal.is_proper():
             assert flag is None
             continue
         assert flag == (bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal))), str(quad)
+    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -68,18 +99,23 @@ def test_ideal_product_is_the_span_of_the_products_in_t(name):
     members = [quad.member_mask() for quad in quads]
     for a, amask in zip(quads, members):
         for b, bmask in zip(quads, members):
-            assert (quadruple_mask(ctx, *ideal_product(ctx, a, b))
-                    == ideal_product_mask(ring, amask, bmask)), (str(a), str(b))
+            assert (quadruple_mask(ctx, *naive.ideal_product(ctx, a, b))
+                    == naive.ideal_product_mask(ring, amask, bmask)), (str(a), str(b))
 
 
 @pytest.mark.parametrize("name", battery_names())
 def test_covers_are_the_lattice_covers(name):
-    quads = enumerate_context_ideals(builtin_context(name).context)
+    # The ideals flagged prime are the lattice's coatoms, the ideals the
+    # improper one covers: proper, with no proper ideal strictly above.
+    ctx = builtin_context(name).context
+    quads = enumerate_context_ideals(ctx)
     masks = [quad.member_mask() for quad in quads]
+    proper = [m != full_mask(ctx.order) for m in masks]
     below = [[a != b and is_subset(a, b) for b in masks] for a in masks]
-    expected = [[below[p][q] and not any(below[p][r] and below[r][q] for r in range(len(masks)))
-                 for q in range(len(masks))] for p in range(len(masks))]
-    assert _covers(quads).tolist() == expected
+    expected = [proper[p] and not any(proper[q] and below[p][q] for q in range(len(masks)))
+                for p in range(len(masks))]
+    assert _containment(quads).tolist() == [[is_subset(a, b) for b in masks] for a in masks]
+    assert [flag is not None and flag[0] for flag in lattice_prime_flags(quads)] == expected
 
 
 @pytest.mark.parametrize("name", SLOT_LARGE)
@@ -87,6 +123,7 @@ def test_cover_flags_match_the_slot_descriptions_above_the_cap(name):
     # The paper's descriptions, read as _slot_description reads them but
     # without T: each corner prime (semiprime), an improper corner passing
     # vacuously, and each module slot equal to both of its closure sets.
+    # The coatoms' meet is the slotwise radical.
     ctx = builtin_context(name).context
     surjective = is_surjective_context(ctx)
     corner, closures = {}, {}
@@ -98,7 +135,9 @@ def test_cover_flags_match_the_slot_descriptions_above_the_cap(name):
         return corner[key]
 
     quads = enumerate_context_ideals(ctx)
-    for quad, flag in zip(quads, lattice_prime_flags(ctx, quads)):
+    flags = lattice_prime_flags(quads)
+    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks
+    for quad, flag in zip(quads, flags):
         if flag is None:
             continue
         key = (quad.r_part.members, quad.s_part.members)
@@ -113,6 +152,19 @@ def test_cover_flags_match_the_slot_descriptions_above_the_cap(name):
         assert semiprime == described[1], str(quad)
         assert not prime or described[0], str(quad)
         assert not (surjective and described[0]) or prime, str(quad)
+
+
+def test_flags_of_four_by_four_matrices_without_building_t():
+    # Over T(full:2) = M_2(Z2) the scalar-one context's T is M_4(Z2), of
+    # order 65536, a simple ring whose left and right ideals differ: its
+    # only proper two-sided ideal, zero, is prime and is the radical.
+    ctx = _noncommutative_ks("full:2")
+    quads = enumerate_context_ideals(ctx)
+    flags = lattice_prime_flags(quads)
+    assert len(quads) == 2 and flags == [(True, True), None]
+    zero = tuple(1 << c.zero for c in (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s))
+    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks == zero
+    assert "ring" not in ctx._cache
 
 
 # -- named ideals in slot form ---------------------------------------------------------
@@ -237,15 +289,15 @@ def test_the_cap_comes_first_and_a_built_ring_is_reused(monkeypatch):
 
 
 @pytest.mark.parametrize("spare", [-1, 0])
-def test_cover_tables_check_memory_before_allocating(monkeypatch, capsys, spare):
-    # ex2.12 has 21 two-sided ideals: _covers holds a bool and a float32
-    # table of 21 × 21 entries, 5 bytes each.
-    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 5 * 21 * 21 + spare)
+def test_containment_table_checks_memory_before_allocating(monkeypatch, capsys, spare):
+    # ex2.12 has 21 two-sided ideals: _containment holds one bool table of
+    # 21 × 21 entries.
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 21 * 21 + spare)
     code = run_command(["primes", "paper:ex2.12"])
     captured = capsys.readouterr()
     if spare < 0:
         assert (code, captured.out) == (3, "")
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("capacity: cover tables of 21 ")
+        assert len(lines) == 1 and lines[0].startswith("capacity: containment table of 21 ")
     else:
         assert code == 0 and captured.out

@@ -14,7 +14,7 @@ __all__ = [
     "bool_array",
     "indices_of",
     "is_subset",
-    "subset_table",
+    "generator_table",
     "full_mask",
     "as_mask",
     "distinct",
@@ -40,28 +40,19 @@ def is_subset(a: int, b: int) -> bool:
     return a & b == a
 
 
-def subset_table(subs: list[int], sups: list[int], size: int) -> np.ndarray:
-    """[i, j]: is ``subs[j]`` a subset of ``sups[i]``, for masks over
-    ``size`` elements. It counts the members of each sub outside each sup
-    by float32 products of bit rows, the sups' complements against the
-    subs; a count of 0s and 1s is 0 only when every term is. The rows are
-    kept as packed bytes and unpacked a block of columns at a time, at most
-    1 Mi entries a block, so no bool matrix of every mask is held."""
+def generator_table(sups: list[int], gens: np.ndarray, size: int) -> np.ndarray:
+    """[i, j]: does ``sups[i]`` hold each element of row ``gens[j]``? For sups that are
+    submodules on the members' side and rows of member generators (or of their products with an
+    absorbing carrier's), that is member j ⊆ (or carried into) sups[i]. Packed, 1 MiB a block."""
     nbytes = (size + 7) // 8
-
-    def packed(masks: list[int]) -> np.ndarray:
-        rows = np.empty((len(masks), nbytes), dtype=np.uint8)
-        for row, m in zip(rows, masks):
-            row[:] = np.frombuffer(m.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return rows
-    outside, inside = ~packed(sups), packed(subs)   # padding: outside a sup, inside no sub
-    counts = np.zeros((len(sups), len(subs)), dtype=np.float32)
-    step = max(1, 2**17 // max(1, len(sups) + len(subs)))      # bytes a block
-    for lo in range(0, nbytes, step):
-        block = slice(lo, lo + step)
-        counts += (np.unpackbits(outside[:, block], axis=1).astype(np.float32)
-                   @ np.unpackbits(inside[:, block], axis=1).astype(np.float32).T)
-    return counts == 0
+    step = max(1, 2**20 // nbytes)                  # sups a block: 1 MiB packed
+    table = np.ones((len(sups), len(gens)), dtype=bool)
+    for lo in range(0, len(sups), step):
+        rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in sups[lo:lo + step]),
+                             dtype=np.uint8).reshape(-1, nbytes)
+        for col in gens.T:
+            table[lo:lo + step] &= rows[:, col >> 3] & (1 << (col & 7)).astype(np.uint8) != 0
+    return table
 
 
 def full_mask(size: int) -> int:

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitsets import (as_mask, bool_array, distinct, full_mask, is_subset, mask_from_bool,
-                      subset_table)
+from .bitsets import (as_mask, bool_array, distinct, full_mask, generator_table, is_subset,
+                      mask_from_bool)
 from .errors import (
     CapacityError,
     CentralityError,
@@ -380,6 +380,7 @@ def is_surjective_context(ctx: MoritaContext) -> bool:
 
 _R, _V, _W, _S = range(4)                   # slot numbers, in index order
 _SLOTS = ((_R,), (_V,), (_W,), (_S,))       # the four slots, each a group of one
+_SIDEDNESS = ("two", "bi", "bi", "two")     # each slot's part of a two-sided ideal
 
 
 def _carriers(ctx: MoritaContext) -> tuple:
@@ -584,11 +585,13 @@ def enumerate_context_ideals(ctx: MoritaContext,
 
     Candidates are ideals of the corner rings crossed with two-sided
     submodules of the carriers, filtered by the eight compatibility
-    conditions. Each condition couples exactly two slots, so it is decided
-    pairwise: the colon of every lattice member under each slot product is
-    taken once, and a law holds where the source member lies inside it.
-    The corner and carrier lattices and the result each count against
-    ``cap``.
+    conditions. Each couples two slots, so it is decided pairwise, for
+    all pairs at once by ``generator_table``: the sups, the target slot's
+    members, are submodules on the source members' side, and so is each
+    one's colon (the products are biadditive and the acting slot absorbs),
+    so a source member lies in it exactly when its recorded generators'
+    products with the acting slot's additive generators lie in the target.
+    The corner and carrier lattices and the result each count against ``cap``.
     """
     key = ("quadruples", cap)
     if key in ctx._cache:
@@ -602,11 +605,12 @@ def enumerate_context_ideals(ctx: MoritaContext,
     # t-th lattice member of dst and the x-th of src. Each coupling of a
     # corner with a module slot is the two laws between them.
     masks = [[c.members for c in lattice] for lattice in (r_ideals, v_subs, w_subs, s_ideals)]
+    gens = [c.member_generators(sd, m) for c, sd, m in zip(_carriers(ctx), _SIDEDNESS, masks)]
     holds = {}
     for p in _slot_products(ctx):
-        colons = [mask_from_bool(_colon(ctx, p, bool_array(t, ctx.dims[p.dst])))
-                  for t in masks[p.dst]]
-        holds[p.dst, p.src] = np.array([[is_subset(x, c) for x in masks[p.src]] for c in colons])
+        image = p.table[gens[p.src][:, :, None], _carriers(ctx)[p.carrier].addgroup.generators]
+        holds[p.dst, p.src] = generator_table(masks[p.dst], image.reshape(len(image), -1),
+                                              ctx.dims[p.dst])
     ok_iv, ok_iw = holds[_R, _V] & holds[_V, _R].T, holds[_R, _W] & holds[_W, _R].T
     ok_jv, ok_jw = holds[_S, _V] & holds[_V, _S].T, holds[_S, _W] & holds[_W, _S].T
 
@@ -633,7 +637,7 @@ def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> bool:
     that side land in their target slots (all eight for a two-sided ideal),
     each decided by ``_colon`` on the carrier's generators.
     """
-    per_slot = ("two", "bi", "bi", "two") if sidedness == "two" else (sidedness,) * 4
+    per_slot = _SIDEDNESS if sidedness == "two" else (sidedness,) * 4
     if not all(check_closed(c, m, sd) for c, m, sd in zip(_carriers(ctx), masks, per_slot)):
         return False
     inside = [bool_array(m, n) for m, n in zip(masks, ctx.dims)]
@@ -645,19 +649,20 @@ def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> bool:
 
 
 def _containment(quads: list[IdealQuadruple]) -> np.ndarray:
-    """``contains[p, q]``: quads[p] ⊆ quads[q]. Containment is slotwise:
-    each slot's distinct masks are compared once, and the lattice's matrix
-    is read off their indices, a block of rows at a time so that no second
-    n×n table is formed. The table (n² bytes) is checked against physical
-    memory first."""
+    """``contains[p, q]``: quads[p] ⊆ quads[q], slotwise: each slot's
+    distinct masks, lattice members and so submodules on the members' side,
+    are compared once (``generator_table``), and the matrix is read off
+    their indices a block of rows at a time, so that no second n×n table is
+    formed. The table (n² bytes) is checked against physical memory first."""
     n = len(quads)
     _require_memory(n * n, f"containment table of {n} two-sided ideals")
     contains = np.ones((n, n), dtype=bool)
     step = max(1, 2**22 // n)
-    for k in range(4):
+    for k, (carrier, sidedness) in enumerate(zip(_carriers(quads[0].context), _SIDEDNESS)):
         distinct = sorted({q.masks[k] for q in quads})
         index = {m: i for i, m in enumerate(distinct)}
-        sub = np.array([[is_subset(x, y) for y in distinct] for x in distinct])
+        sub = generator_table(distinct, carrier.member_generators(sidedness, distinct),
+                              carrier.order).T
         at = np.array([index[q.masks[k]] for q in quads])
         for lo in range(0, n, step):
             contains[lo:lo + step] &= sub[at[lo:lo + step]][:, at]
@@ -797,12 +802,13 @@ def block_ideals(ctx: MoritaContext, side: str,
     T is unital with idempotents e11 and e22, so a right ideal U is
     Ue11 ⊕ Ue22: N1 ≤ R⊕W and N2 ≤ V⊕S are right submodules with
     N1·V ⊆ N2 and N2·W ⊆ N1, and every such pair is a right ideal; left
-    ideals mirror this with (R⊕V, W⊕S), V·N2 ⊆ N1 and W·N1 ⊆ N2. Each
-    containment couples one member of each block lattice: the products are
-    biadditive and the target a subgroup, so the colon of each target
-    member is taken once on the acting carrier's generators, and a pair is
-    compatible where each block lies inside the other's colon. Each block
-    lattice counts against ``cap``, and so does the number of pairs.
+    ideals mirror this with (R⊕V, W⊕S), V·N2 ⊆ N1 and W·N1 ⊆ N2. The sups
+    of ``generator_table``, one block's members, are ``side`` submodules
+    like the other's, and so is each one's colon (the carrier absorbs the
+    view's ring), so a member is carried into a sup exactly when its
+    recorded generators' products with the acting carrier's additive
+    generators lie there. Each block lattice counts against ``cap``, and
+    so does the number of pairs.
     """
     key = ("block-ideals", side, cap)
     if key in ctx._cache:
@@ -817,12 +823,11 @@ def block_ideals(ctx: MoritaContext, side: str,
     for src, (k1, k2) in enumerate(blocks):
         first, second = products[k1], products[k2]          # one acting carrier
         gens = _carriers(ctx)[first.carrier].addgroup.generators
-        hi, lo = views[src].addgroup.digits
-        place, target = views[1 - src].addgroup.place, views[1 - src].order
-        image = place[first.table[hi][:, gens]] + second.table[lo][:, gens]   # < target
-        colons = [mask_from_bool(bool_array(t.members, target)[image].all(axis=1))
-                  for t in lattices[1 - src]]
-        holds.append(subset_table([x.members for x in lattices[src]], colons, views[src].order))
+        hi, lo = (d[views[src].member_generators(side, [x.members for x in lattices[src]])]
+                  for d in views[src].addgroup.digits)      # of each member's generators
+        image = views[1 - src].addgroup.place[first.table[:, gens][hi]] + second.table[:, gens][lo]
+        holds.append(generator_table([t.members for t in lattices[1 - src]],
+                                     image.reshape(len(hi), -1), views[1 - src].order))
     pairs = np.argwhere(holds[0].T & holds[1])
     if len(pairs) > cap:
         raise CapacityError(f"{side}-sided ideal lattice of T({ctx.name}) as block pairs "

@@ -5,26 +5,16 @@ k is generated by at most log2(k) elements, and every product condition of
 the form "x * S * y lands inside an additively closed set" only needs to be
 checked on additive generators of S, because the products are biadditive.
 A ring's ideals are its submodules over itself, so the kernels here (one
-closure check, one cyclic-submodule kernel, one prime scan) take any
-carrier and a side. Each carrier presents a side's action as
-``action(side)``: the acting ring and ``act``, ``act[r]`` being r acting on
-every element, so only there is a right action transposed. Actions are
-assumed unital, additive and associative, as in every carrier the package
-builds; the orbit kernel leans on all three, since it tells orbits apart
-by their annihilator counts (``tests/naive.py`` keeps a one-hot oracle
-that needs none of them). The lattice join closure and the coset split of
-quotients live here too. A group is an ``AddGroup`` over a table, or a
-``SumGroup`` A ⊕ B that reads its two summands and stores no square table;
-every kernel reads + through ``sums``, the span loop through ``_plus``
-(one element plus an array). An action table is read by numpy indexing
-alone, so a context ring's ``SplitTable`` product, two row halves with no
-n×n table behind them, serves every kernel as a table does.
-
-Index sets are deduplicated with ``bitsets.distinct``, not plain
-``np.unique``: on numpy 2.x that asks ``np.ma.is_masked`` first, so the
-first call in a process imports ``numpy.ma`` (about 20 ms, more than the
-algebra of most CLI jobs), and every call hashes and sorts. Only
-``np.unique(..., return_index=True)`` is used, which skips that check.
+closure check, one cyclic-submodule kernel, one lattice join closure that
+records each member's module generators, one prime scan) take any carrier
+and a side. Each carrier presents a side's action as ``action(side)``: the
+acting ring and ``act``, ``act[r]`` being r acting on every element, read
+by numpy indexing alone (a context ring's ``SplitTable`` serves as a table
+does). Actions are assumed unital, additive and associative, as in every
+carrier the package builds; the orbit kernel leans on all three
+(``tests/naive.py`` keeps a one-hot oracle that needs none of them). Index
+sets are deduplicated with ``bitsets.distinct``: plain ``np.unique``
+imports ``numpy.ma`` on numpy 2.x unless given ``return_index=True``.
 """
 
 from __future__ import annotations
@@ -135,31 +125,32 @@ class AddGroup:
         """Join of the subgroup mask ``a`` with the subgroup that ``b_gens`` generates."""
         return self.span_mask(b_gens, base=a)
 
-    def join_closure(self, seeds: Iterable[int], cap: int, what: str) -> list[int]:
-        """Every join of the seed subgroups, sorted by (size, mask).
+    def join_closure(self, seeds: dict[int, int], cap: int,
+                     what: str) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        """Every join of the seed subgroups, sorted by (size, mask), and each
+        member's module generators, keyed by its mask.
 
-        The seeds must be subgroup masks. They are closed one at a time in
-        (size, mask) order: if L is join-closed, so is L ∪ {s} ∪ {a ∨ s},
-        and a seed already in the closure of those before it is a join of
-        smaller seeds, so it is skipped. The closure grows only at the
-        join-irreducible seeds. A join is spanned only when it is not
-        known yet: subgroups have |A+B| = |A|·|B| / |A∩B|, so a known mask
-        of that size containing a | s is A+B, and every seed is known from
-        the start. Each span is a new member, so CapacityError, naming the
-        lattice as ``what``, comes exactly when it would hold more than
-        ``cap`` masks.
+        ``seeds`` maps each seed mask to an element whose cyclic submodule it
+        is. They are closed in (size, mask) order: if L is join-closed, so
+        is L ∪ {s} ∪ {a ∨ s}, and a seed already in the closure is skipped.
+        A join is spanned only when no known mask of its size, |A|·|B| /
+        |A∩B|, contains a | s; each span is a new member, so CapacityError
+        (naming ``what``) comes exactly when there would be over ``cap``. A
+        seed is generated by its element, a ∨ s, first found, by a's and s's:
+        at least twice a's size, it has at most ⌊log₂ order⌋ + 1, and a
+        submodule on the members' side holds it exactly when it holds them.
         """
-        seeds = sorted(set(seeds), key=lambda m: (m.bit_count(), m))
+        order = sorted(seeds, key=lambda m: (m.bit_count(), m))
         by_size: dict[int, list[int]] = {}
-        for m in seeds:
+        for m in order:
             by_size.setdefault(m.bit_count(), []).append(m)
-        known, closed = len(seeds), {}              # closed: the closure so far, as dict keys
+        known, closed = len(order), {}             # closed: the closure so far, with generators
         if known > cap:
             raise CapacityError(f"{what} exceeds cap {cap}", cap)
-        for s in seeds:
+        for s in order:
             if s in closed:
                 continue
-            size_s, gens = s.bit_count(), None
+            size_s, gens, own = s.bit_count(), None, (seeds[s],)
             for a in list(closed):
                 meet, ab = a & s, a | s
                 if meet in (a, s):                  # one contains the other
@@ -172,9 +163,10 @@ class AddGroup:
                     gens = self.subgroup_generators(s) if gens is None else gens
                     c, known = self.join_masks(a, gens), known + 1
                     by_size.setdefault(size, []).append(c)
-                closed[c] = None
-            closed[s] = None
-        return sorted(closed, key=lambda m: (m.bit_count(), m))
+                if c not in closed:
+                    closed[c] = closed[a] + own
+            closed[s] = own
+        return sorted(closed, key=lambda m: (m.bit_count(), m)), closed
 
     def cosets(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
         """Cosets of a subgroup: (representatives, projection).
@@ -473,13 +465,24 @@ class Carrier:
         return self._cache[key]
 
     def lattice(self, sidedness: str, cap: int, what: str) -> list[int]:
-        """Every submodule mask of the sidedness, sorted by (size, mask): the
-        join closure of the cyclic ones, cached. ``what`` names the lattice
-        in a CapacityError."""
-        key = ("lattice", sidedness, cap)
+        """Every submodule mask of the sidedness, sorted by (size, mask): the join
+        closure of the cyclic ones (keyed to least elements), cached with the generators
+        that decide containment in submodules of the sidedness. CapacityError over ``cap``."""
+        key = ("lattice", sidedness)
         if key not in self._cache:
-            self._cache[key] = self.addgroup.join_closure(cyclic_masks(self, sidedness), cap, what)
-        return self._cache[key]
+            masks = cyclic_masks(self, sidedness)   # each keyed to its least element
+            seeds = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+            self._cache[key] = self.addgroup.join_closure(seeds, cap, what)
+        if len(self._cache[key][0]) > cap:
+            raise CapacityError(f"{what} exceeds cap {cap}", cap)
+        return self._cache[key][0]
+
+    def member_generators(self, sidedness: str, masks: list[int]) -> np.ndarray:
+        """Row i: the recorded generators of ``masks[i]``, a member of the built
+        lattice, padded with its first to the longest row."""
+        rows = [self._cache[("lattice", sidedness)][1][m] for m in masks]
+        width = max(map(len, rows), default=1)
+        return np.array([g + g[:1] * (width - len(g)) for g in rows], np.int64).reshape(-1, width)
 
     def format_subset(self, mask: int) -> str:
         """The labels of ``mask``'s members in braces, cached: labels are

@@ -9,6 +9,8 @@ spans and lattices: the coset-at-a-time span loop over a group's
 replaced with generator-width ones, for rings and for modules, quotient
 views and annihilators, the full-row slot laws, the full-scan validators,
 the full-scan ring map and the built-quotient route of check 2.10, the
+join of the cyclic submodules of a set of elements, the block pairs of
+one-sided ideals by an ``is_subset`` loop over masks, the
 lattice-pairwise primeness and nilpotency routes with the nilpotent
 radical built on them, and the slotwise products of two-sided ideals of a
 context ring with the prime and semiprime flags read off products of
@@ -23,9 +25,11 @@ import numpy as np
 
 from moritactx import (Ideal, ModuleView, NotASubmoduleError, NotProperError, Verdict,
                        build_context_ring, confirm_prime_witness, enumerate_ideals,
-                       quotient_context, quotient_ring, verify_submodule)
+                       enumerate_submodules, quotient_context, quotient_ring,
+                       verify_submodule)
 from moritactx.bitsets import bool_array, indices_of, is_subset, mask_from_bool
-from moritactx.context import _PAIRING_LAWS, _carriers, _lands, _rule
+from moritactx.context import (_PAIRING_LAWS, _block_products, _carriers, _lands, _pair_views,
+                               _rule, _side_blocks)
 from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.spans import _classes
 from moritactx.validation import ValidationReport, Violation, violations_of
@@ -417,6 +421,37 @@ def plain_join_closure(group, seeds) -> list[int]:
                     nxt.append(j)
         frontier = nxt
     return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def generated_submodule(carrier, elements, sidedness: str) -> int:
+    """The submodule of the sidedness that ``elements`` generate, the join
+    of their cyclic submodules: the ``coset_span`` of every l.x, x.r or
+    l.x.r, l and r over the acting rings' additive generators (the actions
+    are biadditive and unital, so x and all of R.x.R lie in that span)."""
+    images = np.unique(np.asarray(elements, dtype=np.int64))
+    for _, act, ring_gens in carrier.actions(sidedness):
+        images = np.unique(np.asarray(act[np.ix_(ring_gens, images)]))
+    return mask_from_bool(coset_span(carrier.addgroup, images))
+
+
+def block_pairs(ctx, side: str) -> list[tuple]:
+    """The ``side``-sided ideals of T as block pairs (N1, N2), by an
+    ``is_subset`` double loop over the masks of the two block lattices:
+    N1 must lie in N2's colon and N2 in N1's, each colon read from the
+    block products with every element of the acting carrier."""
+    views = _pair_views(ctx, side)
+    lattices = [enumerate_submodules(view, side) for view in views]
+    products = _block_products(ctx, side)
+    holds = []
+    for src, (k1, k2) in enumerate(_side_blocks(side)):
+        hi, lo = views[src].addgroup.digits
+        target = views[1 - src]
+        image = target.addgroup.place[products[k1].table[hi]] + products[k2].table[lo]
+        colons = [mask_from_bool(bool_array(t.members, target.order)[image].all(axis=1))
+                  for t in lattices[1 - src]]
+        holds.append([[is_subset(x.members, c) for x in lattices[src]] for c in colons])
+    return [(a, b) for i, a in enumerate(lattices[0]) for j, b in enumerate(lattices[1])
+            if holds[0][j][i] and holds[1][i][j]]
 
 
 def pairwise_join_closure(group, seeds) -> list[int]:

@@ -52,8 +52,8 @@ from moritactx.mctx import inline_ideal_mask, load_mctx
 from moritactx.spans import SumGroup
 from moritactx.validation import SplitTable
 
-from naive import (is_nilpotent_ideal, members_of, naive_context_product, naive_context_sum,
-                   naive_quadruple_ideals, quotient_iso_by_quotient_ring)
+from naive import (block_pairs, is_nilpotent_ideal, members_of, naive_context_product,
+                   naive_context_sum, naive_quadruple_ideals, quotient_iso_by_quotient_ring)
 
 
 def ctx_of(name):
@@ -466,6 +466,19 @@ def test_block_pairs_over_noncommutative_corners(side):
     pairs = block_ideal_masks(ctx, side)
     assert len(pairs) == len(block_ideals(ctx, side))
     assert set(pairs) == {i.members for i in enumerate_ideals(build_context_ring(ctx), side)}
+
+
+@pytest.mark.parametrize("name", battery_names() + ["nc:one", "nc:zero", "full:60"])
+def test_block_pairs_match_the_is_subset_loop(name):
+    # The generator kernel against the double loop over masks, on both
+    # sides; full:60 has 720 pairs a side, found without building T.
+    ctx = (_noncommutative_ks("tri:2,2", name[3:]) if name.startswith("nc:")
+           else load_mctx(builtin_document(name)).context)
+    for side in ("right", "left"):
+        assert block_ideals(ctx, side) == block_pairs(ctx, side), (name, side)
+    if name == "full:60":
+        assert len(block_ideals(ctx, "right")) == len(block_ideals(ctx, "left")) == 720
+        assert "ring" not in ctx._cache
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

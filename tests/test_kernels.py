@@ -232,14 +232,13 @@ def test_join_closure_spans_only_new_masks(name, monkeypatch):
     spans: list[list[int]] = []
 
     def counted_closure(group, seeds, cap, what):
-        seeds = set(seeds)
         spans.append([])
-        lattice = join_closure(group, seeds, cap, what)
+        lattice, gens = join_closure(group, seeds, cap, what)
         new = spans[-1]
         assert len(set(new)) == len(new), what              # no mask is spanned twice
-        assert not seeds & set(new), what                   # nor is a seed
+        assert not set(seeds) & set(new), what              # nor is a seed
         assert len(new) == len(lattice) - len(seeds), what
-        return lattice
+        return lattice, gens
 
     def counted_join(group, a, b_gens):
         spans[-1].append(join_masks(group, a, b_gens))

@@ -69,21 +69,31 @@ def _product_group(moduli: list[int]) -> AddGroup:
     return AddGroup(np.ravel_multi_index(tuple(sums), moduli), 0)
 
 
+def _cyclic_seeds(group: AddGroup, elements: list[int]) -> dict[int, int]:
+    """Each element's cyclic subgroup, keyed to that element (the group as
+    a module over Z, whose cyclic submodules are cyclic subgroups)."""
+    return {group.span_mask([x % group.order]): x % group.order for x in elements}
+
+
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
-       st.lists(st.lists(st.integers(min_value=0, max_value=63), max_size=3),
-                min_size=1, max_size=5))
-def test_join_closure_matches_plain_closure_on_product_groups(moduli, seed_sets):
+       st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=8))
+def test_join_closure_matches_plain_closure_on_product_groups(moduli, elements):
     # Non-cyclic groups such as Z2 × Z4 × Z4, whose subgroup lattices are not
-    # divisor chains; the seeds are spans of random element sets.
+    # divisor chains; the seeds are cyclic subgroups, so their joins need not be.
     group = _product_group(moduli)
-    seeds = [group.span_mask([x % group.order for x in elements]) for elements in seed_sets]
+    seeds = _cyclic_seeds(group, elements)
     # The closure takes the seeds in (size, mask) order, so the order they
     # come in changes neither the lattice nor where the cap bites.
-    lattice = group.join_closure(seeds, 1 << 12, "lattice")
+    lattice, gens = group.join_closure(seeds, 1 << 12, "lattice")
     assert lattice == plain_join_closure(group, seeds)
-    for order in (seeds, seeds[::-1]):
-        assert group.join_closure(order, 1 << 12, "lattice") == lattice
-        assert group.join_closure(order, len(lattice), "lattice") == lattice
+    # Each member is the span of its recorded generators, at most
+    # ⌊log₂ order⌋ + 1 of them.
+    assert [group.span_mask(gens[m]) for m in lattice] == lattice
+    assert max(map(len, gens.values())) <= group.order.bit_length()
+    for order in (seeds, dict(reversed(seeds.items()))):
+        for cap in (1 << 12, len(lattice)):
+            again, again_gens = group.join_closure(order, cap, "lattice")
+            assert again == lattice and again_gens == gens
         with pytest.raises(CapacityError, match=f"^lattice exceeds cap {len(lattice) - 1}$"):
             group.join_closure(order, len(lattice) - 1, "lattice")
 
@@ -103,8 +113,9 @@ def test_sum_groups_match_their_square_table(moduli, seed_sets):
     for elements, mask in zip(seed_sets, seeds):
         assert summed.span_mask([x % table.order for x in elements]) == mask
         assert all((got == want).all() for got, want in zip(summed.cosets(mask), table.cosets(mask)))
-    assert summed.join_closure(seeds, 1 << 12, "lattice") == table.join_closure(seeds, 1 << 12,
-                                                                                "lattice")
+    (masks, gens), (want, want_gens) = (g.join_closure(_cyclic_seeds(table, sum(seed_sets, [])),
+                                                       1 << 12, "lattice") for g in (summed, table))
+    assert masks == want and gens == want_gens
 
 
 @given(rings, st.integers(min_value=0, max_value=(1 << 10) - 1))

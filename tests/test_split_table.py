@@ -3,14 +3,13 @@
 The ``SplitTable`` against the n×n table the build once formed
 (``naive.broadcast_context_mul``), its numpy reads against an ndarray's,
 the zero counts it takes from its halves, and the memory the build and
-its readers hold. Also the bit-row containment table of ``block_ideals``
-and the cached member masks of slot quadruples.
+its readers hold. Also the memory of ``block_ideals``' pair filter and
+the cached member masks of slot quadruples.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 import tracemalloc
 
 import numpy as np
@@ -18,9 +17,8 @@ import pytest
 from naive import broadcast_context_mul
 
 from moritactx import (build_context_ring, builtin_context, enumerate_context_ideals,
-                       load_mctx, run_check)
+                       enumerate_submodules, load_mctx, run_check)
 from moritactx import context
-from moritactx.bitsets import is_subset, subset_table
 from moritactx.catalog import battery_names, builtin_document
 from moritactx.spans import _column_zeros
 from moritactx.validation import SplitTable
@@ -130,17 +128,14 @@ def test_building_order_10100_allocates_under_8_mib():
     assert _peak(lambda: build_context_ring(ctx, cap=20_000)) < 8 * 2**20
 
 
-@pytest.mark.parametrize("size", [1, 7, 64, 5000])
-def test_subset_table_matches_is_subset(size):
-    # 300 + 300 masks over 5000 elements take three blocks of columns.
-    rng = random.Random(size)
-    subs = [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(300)]
-    sups = [rng.getrandbits(size) | rng.getrandbits(size) for _ in range(300)]
-    sups[:len(subs) // 3] = [s | rng.getrandbits(size) for s in subs[:len(subs) // 3]]
-    table = subset_table(subs, sups, size)
-    assert table.shape == (300, 300)
-    assert table.tolist() == [[is_subset(x, c) for x in subs] for c in sups]
-    assert subset_table([], sups, size).shape == (300, 0)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_block_pair_filter_on_full_60_allocates_under_5_mib(side):
+    # 720 members a block lattice: the filter reads each colon's packed row
+    # at the members' generators, with no bit matrix of every mask.
+    ctx = _fresh("full:60")
+    for view in context._pair_views(ctx, side):
+        enumerate_submodules(view, side)
+    assert _peak(lambda: context.block_ideals(ctx, side)) < 5 * 2**20
 
 
 def test_member_masks_are_formed_once_per_quadruple(monkeypatch):

@@ -3,13 +3,15 @@
 The ``SplitTable`` against the n×n table the build once formed
 (``naive.broadcast_context_mul``), its numpy reads against an ndarray's,
 the zero counts it takes from its halves, and the memory the build and
-its readers hold. Also the memory of ``block_ideals``' pair filter and
-the cached member masks of slot quadruples.
+its readers hold. Also the memory of ``block_ideals``' pair filter, the
+containment kernel read as a subset table of random masks, and the cached
+member masks of slot quadruples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from naive import broadcast_context_mul
 from moritactx import (build_context_ring, builtin_context, enumerate_context_ideals,
                        enumerate_submodules, load_mctx, run_check)
 from moritactx import context
+from moritactx.bitsets import generator_table, is_subset
 from moritactx.catalog import battery_names, builtin_document
 from moritactx.spans import _column_zeros
 from moritactx.validation import SplitTable
@@ -136,6 +139,22 @@ def test_block_pair_filter_on_full_60_allocates_under_5_mib(side):
     for view in context._pair_views(ctx, side):
         enumerate_submodules(view, side)
     assert _peak(lambda: context.block_ideals(ctx, side)) < 5 * 2**20
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 5000])
+def test_subset_table_matches_is_subset(size):
+    # Each sub is the set of its row's elements, so the kernel is a subset
+    # table of any masks. 3500 sups over 5000 elements take three 1 MiB blocks.
+    rng = random.Random(size)
+    gens = np.array([[rng.randrange(size) for _ in range(3)] for _ in range(100)])
+    subs = [sum({1 << int(e) for e in row}) for row in gens]
+    sups = [rng.getrandbits(size) | rng.getrandbits(size) for _ in range(3500)]
+    sups[::50] = [s | rng.getrandbits(size) for s in subs[:70]]
+    table = generator_table(sups, gens, size)
+    assert table.shape == (3500, 100)
+    assert table.tolist() == [[is_subset(x, c) for x in subs] for c in sups]
+    assert generator_table([], gens, size).shape == (0, 100)
+    assert generator_table(sups, gens[:0], size).shape == (3500, 0)
 
 
 def test_member_masks_are_formed_once_per_quadruple(monkeypatch):

@@ -29,7 +29,6 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    ideal_blocks,
     is_prime_context,
     is_semiprime_context,
     is_slotted_ideal,
@@ -128,7 +127,7 @@ __all__ = [
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
     "is_slotted_ideal", "lattice_prime_flags",
-    "decompose_ideal", "block_ideals", "block_ideal_masks", "ideal_blocks",
+    "decompose_ideal", "block_ideals", "block_ideal_masks",
     "side_decomposition", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",
     "context_prime_radical", "quotient_context", "verify_quotient_iso",

@@ -26,7 +26,6 @@ from .context import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    ideal_blocks,
     is_prime_context,
     is_semiprime_context,
     quotient_context,
@@ -110,7 +109,7 @@ def _block_audit(ctx: MoritaContext, order_cap: int, lattice_cap: int,
     lines = []
     for side in ("right", "left"):
         ideals = enumerate_ideals(ring, side, lattice_cap)
-        pairs = block_ideal_masks(ctx, side, lattice_cap)
+        pairs = block_ideal_masks(ctx, side, lattice_cap, order_cap)
         direct = {ideal.members for ideal in ideals}
         missing = [side_decomposition(ctx, ideal.members, side, order_cap).blocks
                    for ideal in ideals if ideal.members not in pairs]
@@ -135,21 +134,23 @@ def _prime_submodules(triples, failure) -> tuple[int, int, list[str]]:
     return len(proper), len(triples) - len(proper), failed
 
 
-def _check_prime_ideal_blocks(res: ResolvedContext, order_cap: int,
-                              lattice_cap: int) -> tuple[bool, list[str]]:
+def _check_prime_blocks(res: ResolvedContext, order_cap: int,
+                        lattice_cap: int) -> tuple[bool, list[str]]:
     """Blocks of an elementwise-prime one-sided ideal are prime submodules
     of their block modules on the ideal's side; whole-carrier blocks are
-    skipped."""
+    skipped. The one-sided ideals are the block pairs (``block_ideal_masks``,
+    which checks 2.1 and 2.2 compare with T's lattices); primeness is
+    decided in T."""
     ctx = res.context
     ring = build_context_ring(ctx, order_cap)
     ok = True
     lines = []
     for side in ("right", "left"):
-        primes = [ideal for ideal in enumerate_ideals(ring, side, lattice_cap)
-                  if ideal.size < ring.order and is_prime_ideal(ideal)]
+        pairs = block_ideal_masks(ctx, side, lattice_cap, order_cap)
+        primes = [pair for mask, pair in pairs.items()
+                  if mask.bit_count() < ring.order and is_prime_ideal(Ideal(ring, mask, side))]
         checked, skipped, failed = _prime_submodules(
-            [(block.module, side, block.members)
-             for pair in ideal_blocks(ctx, primes, side, lattice_cap) for block in pair],
+            [(block.module, side, block.members) for pair in primes for block in pair],
             lambda view, side, mask: f"  block {view.format_subset(mask)} of {view.name} "
                                      f"is not prime under a prime {side} ideal")
         ok = ok and not failed
@@ -355,7 +356,7 @@ def _check_scaled_criteria(res: ResolvedContext, order_cap: int,
 _CHECKS = {
     "2.1": _check_ideal_slot_forms,
     "2.2": _check_block_embeddings,
-    "2.3": _check_prime_ideal_blocks,
+    "2.3": _check_prime_blocks,
     "2.5": _check_semiprime_closure_agreement,
     "2.6": _check_prime_closure_submodules,
     "2.7": _check_prime_quadruple_description,

@@ -17,13 +17,13 @@ from .catalog import BUILTIN_PATTERNS, builtin_context
 from .checks import CHECK_TOKENS, run_check
 from .context import (
     DEFAULT_ORDER_CAP,
+    block_ideal_masks,
     build_context_ring,
     check_prime_quadruple,
     check_semiprime_quadruple,
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    ideal_blocks,
     is_slotted_ideal,
     is_surjective_context,
     lattice_prime_flags,
@@ -37,7 +37,6 @@ from .ideals import (
     DEFAULT_LATTICE_CAP,
     check_ideal,
     confirm_prime_witness,
-    enumerate_ideals,
     is_prime_ideal,
     prime_radical,
     verify_ideal,
@@ -141,6 +140,7 @@ def _cmd_validate(args, out: _Printer) -> int:
 
 
 def _cmd_ideals(args, out: _Printer) -> int:
+    """The slot quadruples, or a side's block pairs (``block_ideal_masks``): T is not built."""
     res = _load(args.src)
     ctx = res.context
     order_cap, lattice_cap = _caps(args)
@@ -156,16 +156,15 @@ def _cmd_ideals(args, out: _Printer) -> int:
                 out.line(f"  [{k}] size={size} {quad}")
             out.kv(f"ideal.{k}.size", size)
     else:
-        ring = build_context_ring(ctx, cap=order_cap)
-        found = enumerate_ideals(ring, args.side, cap=lattice_cap)
-        pairs = ideal_blocks(ctx, found, args.side, lattice_cap)
-        out.line(f"{args.side} ideals: {len(found)}")
+        pairs = block_ideal_masks(ctx, args.side, lattice_cap, order_cap)
+        out.line(f"{args.side} ideals: {len(pairs)}")
         out.kv("side", args.side)
-        out.kv("count", len(found))
-        for k, (ideal, (part1, part2)) in enumerate(zip(found, pairs)):
+        out.kv("count", len(pairs))
+        for k, (mask, (part1, part2)) in enumerate(pairs.items()):
+            size = mask.bit_count()
             if not out.summary:                 # each ideal is a compatible pair: block form holds
-                out.line(f"  [{k}] size={ideal.size} blocks {part1} (+) {part2} (block form: yes)")
-            out.kv(f"ideal.{k}.size", ideal.size)
+                out.line(f"  [{k}] size={size} blocks {part1} (+) {part2} (block form: yes)")
+            out.kv(f"ideal.{k}.size", size)
             out.kv(f"ideal.{k}.block_form", True)
     return 0
 

@@ -81,7 +81,6 @@ __all__ = [
     "lattice_prime_flags",
     "block_ideals",
     "block_ideal_masks",
-    "ideal_blocks",
     "side_decomposition",
     "closure_sets",
     "check_prime_quadruple",
@@ -247,6 +246,21 @@ def _pairing_checks(ctx: MoritaContext, first, second, triple):
 # -- the context ring -----------------------------------------------------------
 
 
+def _require_ring(ctx: MoritaContext, cap: int) -> None:
+    """CapacityError wherever ``build_context_ring`` would refuse T: its order
+    over ``cap``, checked on every call, or, unless T is built, its tables
+    over physical memory. Nothing is allocated first."""
+    n = ctx.order
+    kr, mv, mw, ks = ctx.dims
+    nbytes = sum(index_dtype(n).itemsize * k * n + index_dtype(k).itemsize * k * k
+                 for k in (kr * mv, mw * ks))       # each half's rows of mul and its + table
+    if n > cap:
+        raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
+                            f"(tables need {_mib(nbytes)} MiB)", cap)
+    if "ring" not in ctx._cache:
+        _require_memory(nbytes, f"context ring of {ctx.name} has order {n}")
+
+
 def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """The ring of 2×2 slot arrays over the context (cached on the context).
 
@@ -275,18 +289,12 @@ def build_context_ring(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> Fini
     is an index below n, and each place value is at most n/2, as R and S
     have two elements or more, so nothing wraps.
     Tables that would not fit in physical memory raise CapacityError under
-    any cap, before they are allocated.
+    any cap, before they are allocated (``_require_ring``).
     """
-    n = ctx.order
-    kr, mv, mw, ks = ctx.dims
-    nbytes = sum(index_dtype(n).itemsize * k * n + index_dtype(k).itemsize * k * k
-                 for k in (kr * mv, mw * ks))       # each half's rows of mul and its + table
-    if n > cap:
-        raise CapacityError(f"context ring of {ctx.name} has order {n}, over the cap {cap} "
-                            f"(tables need {_mib(nbytes)} MiB)", cap)
+    _require_ring(ctx, cap)
     if "ring" in ctx._cache:
         return ctx._cache["ring"]
-    _require_memory(nbytes, f"context ring of {ctx.name} has order {n}")
+    n, (kr, mv, mw, ks) = ctx.order, ctx.dims
     R, S, V, W = ctx.ring_r, ctx.ring_s, ctx.mod_v, ctx.mod_w
     pr, pv, pw, dtype = mv * mw * ks, mw * ks, ks, index_dtype(n)    # place values
 
@@ -837,36 +845,21 @@ def block_ideals(ctx: MoritaContext, side: str,
     return found
 
 
-def block_ideal_masks(ctx: MoritaContext, side: str,
-                      cap: int = DEFAULT_LATTICE_CAP) -> dict[int, tuple[Submodule, Submodule]]:
-    """``block_ideals`` keyed by each pair's mask in the context ring (cached)."""
+def block_ideal_masks(ctx: MoritaContext, side: str, cap: int = DEFAULT_LATTICE_CAP,
+                      order_cap: int = DEFAULT_ORDER_CAP) -> dict[int, tuple[Submodule, Submodule]]:
+    """``block_ideals`` keyed by each pair's mask in the context ring, in the
+    order (size, mask) of ``enumerate_ideals(T, side)`` (cached). A key is a
+    mask of T, so this refuses wherever T would be, under ``order_cap`` on
+    every call and before any block lattice (``_require_ring``); T is not built."""
+    _require_ring(ctx, order_cap)
     key = ("block-ideal-masks", side, cap)
     if key not in ctx._cache:
         blocks = _side_blocks(side)
-        ctx._cache[key] = {
-            mask_from_bool(_grid(ctx, zip(blocks, (bool_array(n.members, n.carrier.order)
-                                                   for n in pair)))): pair
-            for pair in block_ideals(ctx, side, cap)}
+        pairs = {mask_from_bool(_grid(ctx, zip(blocks, (bool_array(n.members, n.carrier.order)
+                                                        for n in pair)))): pair
+                 for pair in block_ideals(ctx, side, cap)}
+        ctx._cache[key] = {m: pairs[m] for m in sorted(pairs, key=lambda m: (m.bit_count(), m))}
     return ctx._cache[key]
-
-
-def ideal_blocks(ctx: MoritaContext, ideals, side: str,
-                 cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[Submodule, Submodule]]:
-    """The block pair (N1, N2) of each ``side``-sided ideal of the context
-    ring in ``ideals`` (masks or ideals), read from ``block_ideal_masks``.
-
-    On a validated context every one-sided ideal of T is one compatible
-    pair (the block theorem), so a mask that no pair gives is no ``side``
-    ideal of T and raises NotAnIdealError.
-    """
-    pairs = block_ideal_masks(ctx, side, cap)
-    found = []
-    for mask in map(as_mask, ideals):
-        if mask not in pairs:
-            raise NotAnIdealError(f"subset {mask:#x} of T({ctx.name}) is not a {side}-sided "
-                                  f"ideal: no compatible block pair gives it")
-        found.append(pairs[mask])
-    return found
 
 
 def side_decomposition(ctx: MoritaContext, u, side: str,

@@ -317,14 +317,14 @@ def orbit_classes(act: np.ndarray, zero: int) -> tuple[np.ndarray, list[int]]:
     return classes, masks
 
 
-def cyclic_masks(carrier, sidedness: str) -> list[int]:
-    """Mask of the submodule each element x generates (cached).
-
-    One-sided, it is x's orbit; no span. Two-sided, it is the sum of the
-    right orbits of the g.x, g over the left ring's additive generators:
-    spanned once per sorted set of their classes, from the g.x.h of its
-    least x, h over the right ring's additive generators.
-    """
+def _cyclic_classes(carrier, sidedness: str) -> tuple[np.ndarray, list[int]]:
+    """Class of each element, numbered by first appearance, and the mask of
+    the submodule each class generates (cached). One-sided, a class is an
+    orbit class and its mask the orbit; no span. Two-sided, x's submodule is
+    the sum of the right orbits of the g.x, g over the left ring's additive
+    generators: a class is a sorted set of their classes (two may share a
+    mask), spanned once from the g.x.h of its least x, h over the right
+    ring's additive generators."""
     key = ("cyclic", sidedness)
     if key not in carrier._cache:
         actions = carrier.actions(sidedness)
@@ -335,8 +335,14 @@ def cyclic_masks(carrier, sidedness: str) -> list[int]:
             classes, _ = _classes(np.sort(classes[first].T, axis=1))     # of the g.x
             _, least = np.unique(classes, return_index=True)
             masks = [carrier.addgroup.span_mask(last[:, first[:, x]]) for x in least]
-        carrier._cache[key] = [masks[c] for c in classes]
+        carrier._cache[key] = classes, masks
     return carrier._cache[key]
+
+
+def cyclic_masks(carrier, sidedness: str) -> list[int]:
+    """Mask of the submodule each element generates (``_cyclic_classes``)."""
+    classes, masks = _cyclic_classes(carrier, sidedness)
+    return [masks[c] for c in classes]
 
 
 def _outside_minima(carrier, side: str, inside: np.ndarray) -> np.ndarray:
@@ -470,8 +476,9 @@ class Carrier:
         that decide containment in submodules of the sidedness. CapacityError over ``cap``."""
         key = ("lattice", sidedness)
         if key not in self._cache:
-            masks = cyclic_masks(self, sidedness)   # each keyed to its least element
-            seeds = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+            classes, masks = _cyclic_classes(self, sidedness)
+            least = np.unique(classes, return_index=True)[1].tolist()   # ascending by class
+            seeds = dict(zip(reversed(masks), reversed(least)))     # a shared mask keeps its least
             self._cache[key] = self.addgroup.join_closure(seeds, cap, what)
         if len(self._cache[key][0]) > cap:
             raise CapacityError(f"{what} exceeds cap {cap}", cap)

@@ -387,18 +387,19 @@ def test_one_sided_listing_reads_blocks_from_the_block_pairs(monkeypatch, capsys
     assert out.count("(block form: yes)") == 56
 
 
-def test_one_sided_listing_refuses_an_ideal_the_block_pairs_miss(tmp_path, monkeypatch, capsys):
-    # By the block theorem no one-sided ideal of a validated context's T is
-    # missing from the block pairs; were one missing, the listing says so.
-    # A copy of the document gives a fresh context: the builtin one is
-    # loaded once per process, and its block pairs are cached.
-    from moritactx import context
-    from moritactx.catalog import builtin_document
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_sided_listing_builds_no_context_ring(monkeypatch, capsys, side):
+    # The listing reads the block pairs alone: with every route to T
+    # refused it still prints the recorded bytes.
+    from moritactx import cli, context
+    from test_cli_golden import GOLDEN
 
-    doc = tmp_path / "ex2.8.mctx"
-    doc.write_text(builtin_document("paper:ex2.8"))
-    real = context.block_ideals
-    monkeypatch.setattr(context, "block_ideals", lambda *args: real(*args)[1:])
-    code, out, err = run(capsys, "ideals", str(doc), "--side", "right")
-    assert code == 2 and "  [0]" not in out
-    assert "is not a right-sided ideal: no compatible block pair gives it" in err
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_context_ring called")
+
+    for module in (cli, context):
+        monkeypatch.setattr(module, "build_context_ring", refuse)
+    argv = ["ideals", "paper:ex2.8", "--side", side]
+    head = f"$ moritactx {' '.join(argv)}  [exit 0]\n"
+    recorded = GOLDEN.read_text(encoding="utf-8").split(head, 1)[1].split("$ moritactx", 1)[0]
+    assert run(capsys, *argv) == (0, recorded, "")

@@ -26,7 +26,6 @@ from moritactx import (
     context_prime_radical,
     decompose_ideal,
     enumerate_context_ideals,
-    ideal_blocks,
     is_prime_context,
     is_semiprime_context,
     is_surjective_context,
@@ -468,6 +467,48 @@ def test_block_pairs_over_noncommutative_corners(side):
     assert set(pairs) == {i.members for i in enumerate_ideals(build_context_ring(ctx), side)}
 
 
+@pytest.mark.parametrize("name", battery_names() + ["nc:one", "nc:zero", "zero:100,101"])
+def test_block_ideal_masks_come_in_the_order_of_t_lattices(name):
+    # ideals --side lists the pairs alone; T's lattices sort the same set by
+    # the same (size, mask) key. zero:100,101 has order 10 100, over the
+    # default order cap: T and the pairs both take a cap of 20 000.
+    ctx = (_noncommutative_ks("tri:2,2", name[3:]) if name.startswith("nc:")
+           else load_mctx(builtin_document(name)).context)
+    ring = build_context_ring(ctx, 20_000)
+    for side in ("right", "left"):
+        listed = [i.members for i in enumerate_ideals(ring, side)]
+        assert list(block_ideal_masks(ctx, side, order_cap=20_000)) == listed, (name, side)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_block_ideal_masks_refuse_over_the_order_cap_before_any_block(side):
+    # Every key is a mask of T: full:30 has order 810 000, and its 240
+    # pairs a side would hold 21.6 MiB of them.
+    ctx = load_mctx(builtin_document("full:30")).context
+    with pytest.raises(CapacityError, match="has order 810000, over the cap 10000"):
+        block_ideal_masks(ctx, side)
+    assert ("pair-views", side) not in ctx._cache and "ring" not in ctx._cache
+
+
+def test_block_ideal_masks_refuse_where_t_would_on_every_call(monkeypatch):
+    ctx = load_mctx(builtin_document("full:2")).context
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 1)
+    with pytest.raises(CapacityError, match="MiB of physical memory") as info:
+        block_ideal_masks(ctx, "right")
+    assert info.value.cap is None and ("pair-views", "right") not in ctx._cache
+    monkeypatch.undo()
+    pairs = block_ideal_masks(ctx, "right")
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 1)
+    with pytest.raises(CapacityError, match="MiB of physical memory"):
+        block_ideal_masks(ctx, "right")        # cached pairs, T still unbuilt
+    monkeypatch.undo()
+    build_context_ring(ctx)
+    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 1)
+    assert block_ideal_masks(ctx, "right") is pairs     # T is built: its tables fit
+    with pytest.raises(CapacityError, match="has order 16, over the cap 15"):
+        block_ideal_masks(ctx, "right", order_cap=15)
+
+
 @pytest.mark.parametrize("name", battery_names() + ["nc:one", "nc:zero", "full:60"])
 def test_block_pairs_match_the_is_subset_loop(name):
     # The generator kernel against the double loop over masks, on both
@@ -538,16 +579,6 @@ def test_a_non_ideal_is_refused_on_every_call():
         with pytest.raises(NotAnIdealError):
             side_decomposition(ctx, mask, "right")
     assert not any(mask in key for key in ctx._cache if isinstance(key, tuple))
-
-
-def test_ideal_blocks_refuses_a_mask_no_block_pair_gives():
-    ctx = load_mctx(builtin_document("paper:ex2.4")).context
-    zero = inline_ideal_mask(ctx, "R=0 V=0 W=0 S=0")
-    [(first, second)] = ideal_blocks(ctx, [zero], "right")
-    assert (first.members, second.members) == (1, 1)
-    mask = inline_ideal_mask(ctx, "R=0,4 V=0 W=0 S=0")
-    with pytest.raises(NotAnIdealError, match=r"T\(paper:ex2.4\) is not a right-sided ideal"):
-        ideal_blocks(ctx, [zero, mask], "right")
 
 
 # -- closure sets ---------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .context import (
     ContextSemiprimeReport,
     IdealQuadruple,
     MoritaContext,
-    OneSidedDecomposition,
     QuadruplePrimeReport,
     QuadrupleSemiprimeReport,
     RadicalQuadruple,
@@ -40,6 +39,7 @@ from .context import (
     quadruple_mask,
     quotient_context,
     side_decomposition,
+    slotted_blocks,
     validate_context,
     verify_quotient_iso,
 )
@@ -122,13 +122,13 @@ __all__ = [
     "prime_radical", "is_prime_ring", "is_semiprime_ring",
     # contexts
     "MoritaContext", "IdealQuadruple", "RadicalQuadruple",
-    "ClosureSets", "OneSidedDecomposition", "QuadruplePrimeReport",
+    "ClosureSets", "QuadruplePrimeReport",
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
     "is_slotted_ideal", "lattice_prime_flags",
     "decompose_ideal", "block_ideals", "block_ideal_masks",
-    "side_decomposition", "closure_sets",
+    "side_decomposition", "slotted_blocks", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",
     "context_prime_radical", "quotient_context", "verify_quotient_iso",
     "is_prime_context", "is_semiprime_context", "is_surjective_context",

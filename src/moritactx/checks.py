@@ -111,7 +111,7 @@ def _block_audit(ctx: MoritaContext, order_cap: int, lattice_cap: int,
         ideals = enumerate_ideals(ring, side, lattice_cap)
         pairs = block_ideal_masks(ctx, side, lattice_cap, order_cap)
         direct = {ideal.members for ideal in ideals}
-        missing = [side_decomposition(ctx, ideal.members, side, order_cap).blocks
+        missing = [side_decomposition(ctx, ideal.members, side, order_cap)
                    for ideal in ideals if ideal.members not in pairs]
         strays = [pair for mask, pair in pairs.items() if mask not in direct]
         failed = ([f"  {side} ideal {_pair_text(p)} is missing from the block pairs"

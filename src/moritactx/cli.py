@@ -17,19 +17,21 @@ from .catalog import BUILTIN_PATTERNS, builtin_context
 from .checks import CHECK_TOKENS, run_check
 from .context import (
     DEFAULT_ORDER_CAP,
+    IdealQuadruple,
+    _require_ring,
     block_ideal_masks,
     build_context_ring,
     check_prime_quadruple,
     check_semiprime_quadruple,
     context_prime_radical,
-    decompose_ideal,
     enumerate_context_ideals,
     is_slotted_ideal,
     is_surjective_context,
     lattice_prime_flags,
     product_span_vw,
     product_span_wv,
-    side_decomposition,
+    quadruple_mask,
+    slotted_blocks,
     validate_context,
 )
 from .errors import AlgebraError, CapacityError, ValidationFailedError
@@ -41,7 +43,7 @@ from .ideals import (
     prime_radical,
     verify_ideal,
 )
-from .mctx import ResolvedContext, inline_ideal_mask, load_mctx
+from .mctx import ResolvedContext, inline_ideal_parts, load_mctx
 from .modules import confirm_prime_submodule_witness, is_prime_submodule
 
 __all__ = ["run_command", "main"]
@@ -215,47 +217,44 @@ def _cmd_radical(args, out: _Printer) -> int:
 
 
 def _cmd_decompose(args, out: _Printer) -> int:
+    """Decide the ideal from its slot parts (``is_slotted_ideal``) and read its
+    slot or block form off them: T is built only to name a refused ideal's
+    first failure."""
     res = _load(args.src)
     ctx = res.context
     _context_header(out, res)
-    # A guard only: refuse above the order cap before the ideal's T-sized mask is formed.
     order_cap = _caps(args)[0]
-    build_context_ring(ctx, cap=order_cap)
+    _require_ring(ctx, order_cap)       # refuse above the order cap, as T would
     if args.ideal in res.ideals:
         named = res.ideals[args.ideal]
-        mask, side = named.mask, args.side or named.side
+        parts, side = named.parts, args.side or named.side
         out.line(f"ideal {named.name} ({side}-sided)")
         out.kv("ideal", named.name)
     else:
-        mask = inline_ideal_mask(ctx, args.ideal)
+        parts = inline_ideal_parts(ctx, args.ideal)
         side = args.side or "two"
         out.line(f"inline ideal ({side}-sided)")
         out.kv("ideal", "inline")
     out.kv("side", side)
+    if not is_slotted_ideal(ctx, parts, side):          # raises NotAnIdealError
+        verify_ideal(build_context_ring(ctx, cap=order_cap), quadruple_mask(ctx, *parts), side)
     if side == "two":
-        quad = decompose_ideal(ctx, mask, order_cap)
+        quad = IdealQuadruple.of(ctx, parts)
         out.line(f"slot form: {quad}")
         out.kv("slots", str(quad))
         for law, ok, _ in quad.conditions():
             out.line(f"  {law}: {_flag(ok)}")
         out.line("decomposition: ok")
-        out.kv("ok", True)
-    else:
-        dec = side_decomposition(ctx, mask, side, order_cap)
-        out.line(f"block 1: {dec.part1_view.format_subset(dec.part1_mask)}"
-                 f" (submodule: {_flag(dec.part1_closed)})")
-        out.line(f"block 2: {dec.part2_view.format_subset(dec.part2_mask)}"
-                 f" (submodule: {_flag(dec.part2_closed)})")
-        out.line(f"blocks embed as ideals: {_flag(dec.part1_embeds)}"
-                 f"/{_flag(dec.part2_embeds)}")
-        out.line(f"pairing containments: {_flag(dec.pairing_1_to_2)}"
-                 f"/{_flag(dec.pairing_2_to_1)}")
-        out.line(f"reconstructs the ideal: {_flag(dec.reconstructs)}")
-        out.kv("block1", dec.part1_view.format_subset(dec.part1_mask))
-        out.kv("block2", dec.part2_view.format_subset(dec.part2_mask))
-        out.kv("ok", dec.all_hold)
-        if not dec.all_hold:
-            return 1
+    else:                               # an ideal's blocks: the block theorem's flags hold
+        first, second = map(str, slotted_blocks(ctx, parts, side))
+        out.line(f"block 1: {first} (submodule: yes)")
+        out.line(f"block 2: {second} (submodule: yes)")
+        out.line("blocks embed as ideals: yes/yes")
+        out.line("pairing containments: yes/yes")
+        out.line("reconstructs the ideal: yes")
+        out.kv("block1", first)
+        out.kv("block2", second)
+    out.kv("ok", True)
     return 0
 
 
@@ -323,7 +322,7 @@ def _cmd_report(args, out: _Printer) -> int:
 def _cmd_example(args, out: _Printer) -> int:
     res = builtin_context(f"paper:{args.name}")
     ctx = res.context
-    order_cap = _caps(args)[0]
+    order_cap, lattice_cap = _caps(args)
     ring = build_context_ring(ctx, cap=order_cap)
     _context_header(out, res)
     facts: list[tuple[str, bool]] = []
@@ -334,30 +333,31 @@ def _cmd_example(args, out: _Printer) -> int:
         out.kv(text.replace(" ", "_"), holds)
 
     if args.name == "ex2.4":
-        mask = res.ideals["U"].mask
+        named = res.ideals["U"]
+        mask = named.mask
         fact("U is a right ideal", check_ideal(ring, mask, "right").holds)
         fact("U is not a left ideal", not check_ideal(ring, mask, "left").holds)
-        dec = side_decomposition(ctx, mask, "right", order_cap)
-        out.line(f"  block 1: {dec.part1_view.format_subset(dec.part1_mask)}")
-        out.line(f"  block 2: {dec.part2_view.format_subset(dec.part2_mask)}")
-        fact("blocks reconstruct U", dec.all_hold)
-        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask, "right")
+        blocks = slotted_blocks(ctx, named.parts, "right")
+        view, block = blocks[0].module, blocks[0].members
+        out.line(f"  block 1: {blocks[0]}")
+        out.line(f"  block 2: {blocks[1]}")
+        pairs = block_ideal_masks(ctx, "right", lattice_cap, order_cap)
+        fact("blocks reconstruct U", pairs.get(mask) == blocks)
+        verdict = is_prime_submodule(view, block, "right")
         fact("block 1 is not a prime submodule", not verdict.holds)
         if verdict.witness is not None:
             scalar, element = verdict.witness
-            out.line(f"  witness: scalar {dec.part1_view.ring.label(scalar)},"
-                     f" element {dec.part1_view.label(element)}")
+            out.line(f"  witness: scalar {view.ring.label(scalar)}, element {view.label(element)}")
             fact("witness scalar is 2", scalar == 2)
         fact("the pair (scalar 2, element (2, 2)) also witnesses it",
-             confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask, "right",
-                                             2, 2 * ctx.mod_w.order + 2))
+             confirm_prime_submodule_witness(view, block, "right", 2, 2 * ctx.mod_w.order + 2))
         fact("U is not prime as a one-sided ideal",
              not is_prime_ideal(verify_ideal(ring, mask, "right")).holds)
 
     elif args.name == "ex2.8":
         mask = res.ideals["H"].mask
         fact("H is a two-sided ideal", check_ideal(ring, mask, "two").holds)
-        quad = decompose_ideal(ctx, mask, order_cap)
+        quad = IdealQuadruple.of(ctx, res.ideals["H"].parts)
         out.line(f"  slot form: {quad}")
         report = check_prime_quadruple(ctx, quad, order_cap)
         fact("slot description of primeness holds", report.cond2)
@@ -372,7 +372,7 @@ def _cmd_example(args, out: _Printer) -> int:
     else:
         mask = res.ideals["H"].mask
         fact("H is a two-sided ideal", check_ideal(ring, mask, "two").holds)
-        quad = decompose_ideal(ctx, mask, order_cap)
+        quad = IdealQuadruple.of(ctx, res.ideals["H"].parts)
         out.line(f"  slot form: {quad}")
         report = check_semiprime_quadruple(ctx, quad, order_cap)
         fact("H is not semiprime", not report.is_semiprime)

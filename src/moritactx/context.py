@@ -63,7 +63,6 @@ __all__ = [
     "IdealQuadruple",
     "RadicalQuadruple",
     "ClosureSets",
-    "OneSidedDecomposition",
     "QuadruplePrimeReport",
     "QuadrupleSemiprimeReport",
     "ContextPrimeReport",
@@ -82,6 +81,7 @@ __all__ = [
     "block_ideals",
     "block_ideal_masks",
     "side_decomposition",
+    "slotted_blocks",
     "closure_sets",
     "check_prime_quadruple",
     "check_semiprime_quadruple",
@@ -490,7 +490,8 @@ def _colon(ctx: MoritaContext, product: _SlotProduct, in_target: np.ndarray) -> 
 class IdealQuadruple:
     """A two-sided ideal of a context ring, sliced into its four slots. The
     slots are taken as given, as ``enumerate_context_ideals`` and
-    ``decompose_ideal`` derive them; ``verify_ideal`` on ``member_mask()``
+    ``decompose_ideal`` derive them, or as ``of`` wraps the parts of an ideal
+    ``is_slotted_ideal`` has decided; ``verify_ideal`` on ``member_mask()``
     checks a hand-built quadruple."""
 
     context: MoritaContext
@@ -503,6 +504,13 @@ class IdealQuadruple:
     def __post_init__(self) -> None:    # the order, computed once: the slots never change
         object.__setattr__(self, "size", self.r_part.size * self.v_part.size
                            * self.w_part.size * self.s_part.size)
+
+    @classmethod
+    def of(cls, ctx: MoritaContext, masks) -> IdealQuadruple:
+        """The quadruple of the four slot masks (R, V, W, S), taken as given."""
+        i_mask, v1_mask, w1_mask, j_mask = masks
+        return cls(ctx, Ideal(ctx.ring_r, i_mask, "two"), Submodule(ctx.mod_v, v1_mask, "bi"),
+                   Submodule(ctx.mod_w, w1_mask, "bi"), Ideal(ctx.ring_s, j_mask, "two"))
 
     @property
     def masks(self) -> tuple[int, int, int, int]:
@@ -582,9 +590,7 @@ def decompose_ideal(ctx: MoritaContext, u, cap: int = DEFAULT_ORDER_CAP) -> Idea
     """
     ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), "two")
     in_u = bool_array(ideal.members, ctx.order)
-    i_mask, v1_mask, w1_mask, j_mask = map(mask_from_bool, _parts(ctx, in_u, _SLOTS))
-    return IdealQuadruple(ctx, Ideal(ctx.ring_r, i_mask, "two"), Submodule(ctx.mod_v, v1_mask, "bi"),
-                          Submodule(ctx.mod_w, w1_mask, "bi"), Ideal(ctx.ring_s, j_mask, "two"))
+    return IdealQuadruple.of(ctx, map(mask_from_bool, _parts(ctx, in_u, _SLOTS)))
 
 
 def enumerate_context_ideals(ctx: MoritaContext,
@@ -705,46 +711,6 @@ def lattice_prime_flags(quads: list[IdealQuadruple]) -> list[tuple[bool, bool] |
 # -- one-sided ideals and their block decompositions ------------------------------
 
 
-@dataclass(frozen=True)
-class OneSidedDecomposition:
-    """A one-sided ideal of a context ring split into two coordinate blocks.
-
-    Right ideals project onto pairs over (first ring, second module) and
-    (first module, second ring); left ideals onto (first ring, first
-    module) and (second module, second ring). The flags record what holds
-    of the blocks: one-sided closure, the solo-matrix embeddings back into
-    the ideal, the two cross-block pairing containments, and whether
-    blockwise membership reproduces the ideal exactly.
-    """
-
-    context: MoritaContext
-    side: str
-    part1_view: ModuleView
-    part2_view: ModuleView
-    part1_mask: int
-    part2_mask: int
-    part1_closed: bool
-    part2_closed: bool
-    part1_embeds: bool
-    part2_embeds: bool
-    pairing_1_to_2: bool
-    pairing_2_to_1: bool
-    reconstructs: bool
-
-    @property
-    def blocks(self) -> tuple[Submodule, Submodule]:
-        """The two blocks as submodules of their views, as ``block_ideals`` gives them."""
-        return (Submodule(self.part1_view, self.part1_mask, self.side),
-                Submodule(self.part2_view, self.part2_mask, self.side))
-
-    @property
-    def all_hold(self) -> bool:
-        return (self.part1_closed and self.part2_closed
-                and self.part1_embeds and self.part2_embeds
-                and self.pairing_1_to_2 and self.pairing_2_to_1
-                and self.reconstructs)
-
-
 def _side_blocks(side: str) -> tuple:
     """The slot pairs of a ``side``-sided ideal's two coordinate blocks; the
     corner ring acting on a block acts on each of its slots from ``side``."""
@@ -862,49 +828,34 @@ def block_ideal_masks(ctx: MoritaContext, side: str, cap: int = DEFAULT_LATTICE_
     return ctx._cache[key]
 
 
-def side_decomposition(ctx: MoritaContext, u, side: str,
-                       cap: int = DEFAULT_ORDER_CAP) -> OneSidedDecomposition:
-    """Project a one-sided ideal onto its two coordinate blocks and audit them.
+def slotted_blocks(ctx: MoritaContext, masks, side: str) -> tuple[Submodule, Submodule]:
+    """The two coordinate blocks of the product of the slot subsets ``masks``
+    (R, V, W, S), as subsets of the ``side`` pair views: each block is the
+    product of its two slots' parts, (a, b) at a·|k2| + b as in the views.
+    When the product is a ``side``-sided ideal (``is_slotted_ideal``) they
+    are its blocks, the pair ``block_ideal_masks`` keys by its mask; no
+    table of T is read."""
+    inside = [bool_array(m, n) for m, n in zip(masks, ctx.dims)]
+    return tuple(Submodule(view, mask_from_bool(np.outer(inside[k1], inside[k2])), side)
+                 for view, (k1, k2) in zip(_pair_views(ctx, side), _side_blocks(side)))
 
-    Every flag in the result is computed, not assumed; for genuine
-    one-sided ideals they all come out true. The pairing flags send a
-    block's members through the slot products with the carrier on the
-    absorbing side. ``block_ideals`` gives the same blocks for every ideal
-    of a side at once; this audit serves one ideal: ``moritactx decompose``
-    and ``example``, and the ideals checks 2.1 and 2.2 find missing from
-    the block pairs.
+
+def side_decomposition(ctx: MoritaContext, u, side: str,
+                       cap: int = DEFAULT_ORDER_CAP) -> tuple[Submodule, Submodule]:
+    """The blocks of a ``side``-sided ideal of T given by its mask ``u``: its
+    projections onto the two coordinate blocks, as submodules of the pair
+    views. Checks 2.1 and 2.2 name by them the ideals of T they find missing
+    from the block pairs; an ideal given by slot parts has its blocks from
+    ``slotted_blocks``, and every ideal of a side has them from ``block_ideals``.
 
     ``side`` is checked before T is built (under the order cap ``cap``) or
     scanned, and a mask that fails verification raises NotAnIdealError.
     """
     blocks = _side_blocks(side)
     ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), side)
-    views, dims = _pair_views(ctx, side), ctx.dims
-    in_u = bool_array(ideal.members, ctx.order).reshape(dims)
-    inside = _parts(ctx, in_u, blocks)
-    by_slot = [dict(zip(slots, np.divmod(np.flatnonzero(ins), dims[slots[1]])))
-               for slots, ins in zip(blocks, inside)]        # each block's members, by slot
-    products = _block_products(ctx, side)
-
-    def carried(src: int) -> bool:
-        image = {p.dst: p.table[by_slot[src][k]] for k, p in products.items() if k in by_slot[src]}
-        k1, k2 = blocks[1 - src]
-        place = views[1 - src].addgroup.place                 # a·|k2| in the view's dtype
-        return bool(inside[1 - src][place[image[k1]] + image[k2]].all())
-
-    part_masks = [mask_from_bool(x) for x in inside]
-    closed = [bool(check_closed(v, m, side)) for v, m in zip(views, part_masks)]
-    zeros = [c.zero for c in _carriers(ctx)]    # a block alone: U's slice at zero elsewhere
-    embeds = [bool(in_u[tuple(slice(None) if k in slots else z for k, z in enumerate(zeros))]
-                   .ravel()[ins].all()) for slots, ins in zip(blocks, inside)]
-    return OneSidedDecomposition(
-        context=ctx, side=side, part1_view=views[0], part2_view=views[1],
-        part1_mask=part_masks[0], part2_mask=part_masks[1],
-        part1_closed=closed[0], part2_closed=closed[1],
-        part1_embeds=embeds[0], part2_embeds=embeds[1],
-        pairing_1_to_2=carried(0), pairing_2_to_1=carried(1),
-        reconstructs=bool((_grid(ctx, zip(blocks, inside)) == in_u).all()),
-    )
+    inside = _parts(ctx, bool_array(ideal.members, ctx.order), blocks)
+    return tuple(Submodule(view, mask_from_bool(x), side)
+                 for view, x in zip(_pair_views(ctx, side), inside))
 
 
 # -- closure sets -----------------------------------------------------------------

@@ -58,7 +58,7 @@ __all__ = [
     "serialize_document",
     "resolve_document",
     "load_mctx",
-    "inline_ideal_mask",
+    "inline_ideal_parts",
 ]
 
 Rows = tuple[tuple[int, ...], ...]
@@ -136,8 +136,9 @@ class ContextDocument:
 class NamedIdeal:
     """A named candidate ideal: the product of its four slot ``parts``, masks
     of R, V, W and S. ``is_slotted_ideal(context, parts, side)`` decides it
-    without T; ``mask``, its member mask in the context ring, is formed only
-    when asked for."""
+    without T, and its slot form (``IdealQuadruple.of``) or its blocks
+    (``slotted_blocks``) are read off the parts; ``mask``, its member mask
+    in the context ring, is formed only when asked for."""
 
     name: str
     side: str
@@ -581,10 +582,11 @@ def _ideal_parts(ctx: MoritaContext, spec: IdealSpec) -> tuple[int, int, int, in
             _part_mask(spec.s, ctx.ring_s.label, ctx.ring_s.order, "second ring"))
 
 
-def inline_ideal_mask(ctx: MoritaContext, text: str) -> int:
-    """Mask for a free-standing part listing like ``R=0,4 V=all W=all S=all``."""
+def inline_ideal_parts(ctx: MoritaContext, text: str) -> tuple[int, int, int, int]:
+    """Slot parts, masks of R, V, W and S, of a free-standing part listing
+    like ``R=0,4 V=all W=all S=all``."""
     tokens = ["ideal", "_"] + text.split()
-    return quadruple_mask(ctx, *_ideal_parts(ctx, _parse_ideal(tokens, 1, text)))
+    return _ideal_parts(ctx, _parse_ideal(tokens, 1, text))
 
 
 def load_mctx(text: str) -> ResolvedContext:

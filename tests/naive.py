@@ -454,6 +454,50 @@ def block_pairs(ctx, side: str) -> list[tuple]:
             if holds[0][j][i] and holds[1][i][j]]
 
 
+def block_audit(ctx, mask: int, side: str) -> dict[str, bool]:
+    """The block theorem's flags for the ``side``-sided ideal U of T given by
+    its mask, read in T with none of the block kernels: each projection of U
+    onto a coordinate block, (R, W) and (V, S) for a right ideal, (R, V) and
+    (W, S) for a left one, is closed under the slots' sums and under the
+    block's corner ring acting through T (``closed1``, ``closed2``); each
+    block element alone in its two slots, zeros elsewhere, lies in U
+    (``embeds1``, ``embeds2``); each block times the off-diagonal slot it
+    meets on the absorbing side lands alone in the other block
+    (``carries1``, ``carries2``); and U is the product of the two blocks
+    (``reconstructs``: it lies in that product, so their sizes decide)."""
+    ring, carriers = build_context_ring(ctx), _carriers(ctx)
+    members = np.flatnonzero(bool_array(mask, ctx.order))
+    coords = np.unravel_index(members, ctx.dims)
+    blocks = ((0, 2), (1, 3)) if side == "right" else ((0, 1), (2, 3))
+
+    def alone(slots, values) -> np.ndarray:
+        """Elements of T with the given values in ``slots``, zero elsewhere."""
+        grid = [np.full(len(values[0]), c.zero) for c in carriers]
+        for k, v in zip(slots, values):
+            grid[k] = v
+        return np.ravel_multi_index(grid, ctx.dims)
+
+    def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:     # x·y, y on the absorbing side
+        return ring.mul[x[:, None], y] if side == "right" else ring.mul[y[:, None], x].T
+
+    parts = [np.unique(np.stack([coords[k1], coords[k2]]), axis=1) for k1, k2 in blocks]
+    embedded = [alone(slots, part) for slots, part in zip(blocks, parts)]
+    flags = {}
+    for n, ((k1, k2), part, own) in enumerate(zip(blocks, parts, embedded), 1):
+        first, second = carriers[k1], carriers[k2]
+        sums = alone((k1, k2), (first.add[part[0][:, None], part[0]].ravel(),
+                                second.add[part[1][:, None], part[1]].ravel()))
+        corner = alone((3 * (n - 1),), (np.arange(ctx.dims[3 * (n - 1)]),))
+        acting = ({1, 2} - {k1, k2}).pop()
+        across = alone((acting,), (np.arange(ctx.dims[acting]),))
+        flags[f"closed{n}"] = bool(np.isin(np.concatenate([sums, times(own, corner).ravel()]),
+                                           own).all())
+        flags[f"embeds{n}"] = bool(np.isin(own, members).all())
+        flags[f"carries{n}"] = bool(np.isin(times(own, across), embedded[2 - n]).all())
+    flags["reconstructs"] = len(members) == parts[0].shape[1] * parts[1].shape[1]
+    return flags
+
+
 def pairwise_join_closure(group, seeds) -> list[int]:
     """Every join of the seeds: each mask found joined with every seed until
     a fixpoint, in the order found, a pair spanned only when no found mask

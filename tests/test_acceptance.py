@@ -13,8 +13,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from naive import (components, is_prime_ideal_pairwise, is_semiprime_ideal_pairwise,
-                   members_of, naive_ideals)
+from naive import (block_audit, components, is_prime_ideal_pairwise,
+                   is_semiprime_ideal_pairwise, members_of, naive_ideals)
 
 from moritactx import (
     Ideal,
@@ -45,6 +45,7 @@ from moritactx import (
     product_span_vw,
     product_span_wv,
     side_decomposition,
+    slotted_blocks,
     validate_context,
     verify_ideal,
     verify_quotient_iso,
@@ -92,8 +93,10 @@ def test_right_ideal_blocks(capsys):
         assert check_ideal(ring, mask, "right").holds
         assert not check_ideal(ring, mask, "left").holds
 
-        dec = side_decomposition(ctx, mask, "right")
-        assert dec.all_hold
+        blocks = side_decomposition(ctx, mask, "right")
+        assert blocks == slotted_blocks(ctx, res.ideals["U"].parts, "right")
+        assert all(block_audit(ctx, mask, "right").values())
+        view, first = blocks[0].module, blocks[0].members
 
         # Block 1 collects the (corner, second-carrier) pairs with corner
         # component in {0, 4}; the second coordinate runs over everything.
@@ -101,15 +104,14 @@ def test_right_ideal_blocks(capsys):
         for r in (0, 4):
             for w in range(8):
                 expected |= 1 << (r * 8 + w)
-        assert dec.part1_mask == expected
+        assert first == expected
 
-        verdict = is_prime_submodule(dec.part1_view, dec.part1_mask, "right")
+        verdict = is_prime_submodule(view, first, "right")
         assert not verdict.holds
         scalar, _element = verdict.witness
         assert scalar == 2
         # The historical witness pair (2, (2, 2)) also certifies the failure.
-        assert confirm_prime_submodule_witness(dec.part1_view, dec.part1_mask, "right",
-                                               2, 2 * 8 + 2)
+        assert confirm_prime_submodule_witness(view, first, "right", 2, 2 * 8 + 2)
 
         assert not is_prime_ideal(verify_ideal(ring, mask, "right")).holds
 

@@ -143,7 +143,7 @@ def test_decompose_checks_the_order_cap_before_forming_a_mask(capsys, monkeypatc
     # a grid of 10⁹ bools. The cap is checked first, so none is formed.
     def forbidden(*args):
         raise AssertionError("a mask of T was formed")
-    monkeypatch.setattr("moritactx.cli.inline_ideal_mask", forbidden)
+    monkeypatch.setattr("moritactx.cli.quadruple_mask", forbidden)
     code, out, err = run(capsys, "decompose", "full:180", "--ideal", "R=0 V=0 W=0 S=0")
     assert (code, out) == (3, "")
     assert err == ("capacity: context ring of full:180 has order 1049760000, over the cap 10000 "
@@ -376,21 +376,20 @@ def test_report_summary_formats_only_the_radical(monkeypatch, capsys):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_one_sided_listing_reads_blocks_from_the_block_pairs(monkeypatch, capsys, side):
-    from moritactx import cli
+    from moritactx import context
 
     def refuse(*args):
         raise AssertionError("side_decomposition called")
 
-    monkeypatch.setattr(cli, "side_decomposition", refuse)
+    monkeypatch.setattr(context, "side_decomposition", refuse)
     code, out, _ = run(capsys, "ideals", "paper:ex2.8", "--side", side)
     assert code == 0 and "(block form: NO)" not in out
     assert out.count("(block form: yes)") == 56
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_one_sided_listing_builds_no_context_ring(monkeypatch, capsys, side):
-    # The listing reads the block pairs alone: with every route to T
-    # refused it still prints the recorded bytes.
+def _recorded_without_t(monkeypatch, capsys, argv):
+    """Run ``argv`` with every route to T refused and compare it with its
+    recorded bytes in the golden transcript."""
     from moritactx import cli, context
     from test_cli_golden import GOLDEN
 
@@ -399,7 +398,22 @@ def test_one_sided_listing_builds_no_context_ring(monkeypatch, capsys, side):
 
     for module in (cli, context):
         monkeypatch.setattr(module, "build_context_ring", refuse)
-    argv = ["ideals", "paper:ex2.8", "--side", side]
     head = f"$ moritactx {' '.join(argv)}  [exit 0]\n"
     recorded = GOLDEN.read_text(encoding="utf-8").split(head, 1)[1].split("$ moritactx", 1)[0]
     assert run(capsys, *argv) == (0, recorded, "")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_sided_listing_builds_no_context_ring(monkeypatch, capsys, side):
+    # The listing reads the block pairs alone: with every route to T
+    # refused it still prints the recorded bytes.
+    _recorded_without_t(monkeypatch, capsys, ["ideals", "paper:ex2.8", "--side", side])
+
+
+@pytest.mark.parametrize("argv", [["decompose", "paper:ex2.4", "--ideal", "U"],
+                                  ["decompose", "paper:ex2.8", "--ideal", "H"]])
+def test_decompose_builds_no_context_ring(monkeypatch, capsys, argv):
+    # A valid ideal is decided from its slot parts and its slot or block
+    # form read off them: with every route to T refused, the right ideal U
+    # and the two-sided H still print the recorded bytes.
+    _recorded_without_t(monkeypatch, capsys, argv)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -30,13 +31,16 @@ from moritactx import (
     is_semiprime_context,
     is_surjective_context,
     enumerate_ideals,
+    enumerate_submodules,
     is_prime_ideal,
+    is_slotted_ideal,
     make_zn,
     product_span_vw,
     product_span_wv,
     quadruple_mask,
     quotient_context,
     side_decomposition,
+    slotted_blocks,
     validate_context,
     validate_ring,
     verify_ideal,
@@ -47,12 +51,13 @@ from moritactx.ideals import DEFAULT_LATTICE_CAP
 from moritactx.catalog import battery_names, builtin_context, builtin_document
 from moritactx.checks import run_check
 from moritactx.context import _carriers
-from moritactx.mctx import inline_ideal_mask, load_mctx
+from moritactx.mctx import inline_ideal_parts, load_mctx
 from moritactx.spans import SumGroup
 from moritactx.validation import SplitTable
 
-from naive import (block_pairs, is_nilpotent_ideal, members_of, naive_context_product,
-                   naive_context_sum, naive_quadruple_ideals, quotient_iso_by_quotient_ring)
+from naive import (block_audit, block_pairs, is_nilpotent_ideal, members_of,
+                   naive_context_product, naive_context_sum, naive_quadruple_ideals,
+                   quotient_iso_by_quotient_ring)
 
 
 def ctx_of(name):
@@ -240,7 +245,7 @@ def test_helpers_read_t_under_their_own_cap():
     assert answers["prime"].is_prime is False
     assert answers["semiprime"].is_semiprime is False
     assert answers["decompose"].masks == zero.masks
-    assert answers["side"].all_hold
+    assert answers["side"] == slotted_blocks(ctx, zero.masks, "right")
     assert answers["quotient"]
 
 
@@ -367,16 +372,17 @@ def test_one_sided_blocks_on_triangular_context(side):
     ctx = ctx_of("tri:4,2")
     ring = build_context_ring(ctx)
     for ideal in enumerate_ideals(ring, side):
-        dec = side_decomposition(ctx, ideal.members, side)
-        assert dec.all_hold, (side, bin(ideal.members))
+        assert all(block_audit(ctx, ideal.members, side).values()), (side, bin(ideal.members))
 
 
 def test_block_shapes_of_the_z8_right_ideal():
     res = builtin_context("paper:ex2.4")
-    dec = side_decomposition(res.context, res.ideals["U"].mask, "right")
+    first, _ = side_decomposition(res.context, res.ideals["U"].mask, "right")
     # first block: 4Z8 in the corner ring, everything in the module slot
-    got = {divmod(i, 8) for i in members_of(dec.part1_mask, 16 * 4)}
+    got = {divmod(i, 8) for i in members_of(first.members, 16 * 4)}
     assert got == {(r, w) for r in (0, 4) for w in range(8)}
+    # U is no left ideal: read on the left, the oracle's audit fails
+    assert not all(block_audit(res.context, res.ideals["U"].mask, "left").values())
     ring = build_context_ring(res.context)
     assert not is_prime_ideal(verify_ideal(ring, res.ideals["U"].mask, "right")).holds
 
@@ -438,8 +444,8 @@ def test_quadruple_reports_take_their_quadruple_as_given(name, monkeypatch):
 def test_cached_side_decompositions_match_fresh_ones(name):
     # block_ideals caches a side's decompositions on the context as block
     # pairs, one per one-sided ideal of T: as masks of T they are exactly
-    # the ideals enumerate_ideals finds, and each pair holds the blocks a
-    # fresh side_decomposition reads off its ideal.
+    # the ideals enumerate_ideals finds, each pair holds the blocks a fresh
+    # side_decomposition reads off its ideal, and the oracle's audit holds.
     ctx = load_mctx(builtin_document(name)).context
     ring = build_context_ring(ctx)
     for side in ("right", "left"):
@@ -450,10 +456,30 @@ def test_cached_side_decompositions_match_fresh_ones(name):
         found = enumerate_ideals(ring, side)
         assert set(pairs) == {ideal.members for ideal in found}, side
         for ideal in found:
-            dec = side_decomposition(ctx, ideal.members, side)
-            first, second = pairs[ideal.members]
-            assert (first.members, second.members) == (dec.part1_mask, dec.part2_mask)
-            assert dec.blocks == (first, second) and dec.all_hold, (side, ideal.members)
+            assert side_decomposition(ctx, ideal.members, side) == pairs[ideal.members]
+            assert all(block_audit(ctx, ideal.members, side).values()), (side, ideal.members)
+
+
+@pytest.mark.parametrize("name", battery_names() + ["nc:one", "nc:zero"])
+def test_slot_part_products_have_the_blocks_t_projects(name):
+    # decompose and example read a one-sided ideal's blocks off its slot
+    # parts. Parts drawn from each slot's lattice on the side, kept when
+    # their product is an ideal, have as blocks the products of their block
+    # slots: what side_decomposition projects from T, and the oracle's audit
+    # holds of them.
+    ctx = (_noncommutative_ks("tri:2,2", name[3:]) if name.startswith("nc:")
+           else load_mctx(builtin_document(name)).context)
+    for side in ("right", "left"):
+        lattices = [enumerate_ideals(ctx.ring_r, side), enumerate_submodules(ctx.mod_v, side),
+                    enumerate_submodules(ctx.mod_w, side), enumerate_ideals(ctx.ring_s, side)]
+        rng = random.Random(f"{name} {side}")
+        draws = {tuple(rng.choice(lattice).members for lattice in lattices) for _ in range(200)}
+        ideals = [parts for parts in sorted(draws) if is_slotted_ideal(ctx, parts, side)]
+        assert ideals, side
+        for parts in ideals:
+            mask = quadruple_mask(ctx, *parts)
+            assert slotted_blocks(ctx, parts, side) == side_decomposition(ctx, mask, side)
+            assert all(block_audit(ctx, mask, side).values()), (side, parts)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -574,7 +600,7 @@ def test_block_checks_name_what_the_block_pairs_get_wrong(broken, monkeypatch):
 
 def test_a_non_ideal_is_refused_on_every_call():
     ctx = load_mctx(builtin_document("paper:ex2.4")).context
-    mask = inline_ideal_mask(ctx, "R=0,4 V=0 W=0 S=0")
+    mask = quadruple_mask(ctx, *inline_ideal_parts(ctx, "R=0,4 V=0 W=0 S=0"))
     for _ in range(2):
         with pytest.raises(NotAnIdealError):
             side_decomposition(ctx, mask, "right")

@@ -14,11 +14,12 @@ from moritactx import (
     load_mctx,
     make_zn,
     parse_mctx,
+    quadruple_mask,
     resolve_document,
     serialize_document,
 )
 from moritactx.catalog import battery_names, builtin_context, builtin_document
-from moritactx.mctx import CarrierSpec, ProductSpec, inline_ideal_mask
+from moritactx.mctx import CarrierSpec, ProductSpec, inline_ideal_parts
 
 EVEN_ODD_DOC = """\
 context ex
@@ -104,8 +105,9 @@ def test_named_ideal_masks():
     named = res.ideals["U"]
     assert named.side == "right"
     assert bin(named.mask).count("1") == 2 * 2 * 8 * 8
-    inline = inline_ideal_mask(res.context, "R=0,4 V=0,4 W=all S=all")
-    assert inline == named.mask
+    inline = inline_ideal_parts(res.context, "R=0,4 V=0,4 W=all S=all")
+    assert inline == named.parts
+    assert quadruple_mask(res.context, *inline) == named.mask
 
 
 def test_ideal_line_errors():

@@ -35,7 +35,6 @@ from .context import (
     lattice_prime_flags,
     product_span_vw,
     product_span_wv,
-    quadruple_conditions,
     quadruple_mask,
     quotient_context,
     side_decomposition,
@@ -125,7 +124,7 @@ __all__ = [
     "ClosureSets", "QuadruplePrimeReport",
     "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
     "validate_context", "build_context_ring", "build_ks_context",
-    "quadruple_mask", "quadruple_conditions", "enumerate_context_ideals",
+    "quadruple_mask", "enumerate_context_ideals",
     "is_slotted_ideal", "lattice_prime_flags",
     "decompose_ideal", "block_ideals", "block_ideal_masks",
     "side_decomposition", "slotted_blocks", "closure_sets",

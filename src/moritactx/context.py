@@ -73,7 +73,6 @@ __all__ = [
     "build_context_ring",
     "build_ks_context",
     "decompose_ideal",
-    "quadruple_conditions",
     "quadruple_mask",
     "enumerate_context_ideals",
     "is_slotted_ideal",
@@ -491,8 +490,8 @@ class IdealQuadruple:
     """A two-sided ideal of a context ring, sliced into its four slots. The
     slots are taken as given, as ``enumerate_context_ideals`` and
     ``decompose_ideal`` derive them, or as ``of`` wraps the parts of an ideal
-    ``is_slotted_ideal`` has decided; ``verify_ideal`` on ``member_mask()``
-    checks a hand-built quadruple."""
+    ``is_slotted_ideal`` has decided, which checks a hand-built one at any
+    order."""
 
     context: MoritaContext
     r_part: Ideal
@@ -529,9 +528,6 @@ class IdealQuadruple:
             cache[key] = quadruple_mask(self.context, *self.masks)
         return cache[key]
 
-    def conditions(self) -> list[tuple[str, bool, tuple | None]]:
-        return quadruple_conditions(self.context, *self.masks)
-
     def __str__(self) -> str:
         return "(" + ", ".join(f"{tag}={c.format_subset(m)}" for tag, c, m
                                in zip("RVWS", _carriers(self.context), self.masks)) + ")"
@@ -547,36 +543,6 @@ def quadruple_mask(ctx: MoritaContext, i_mask: int, v1_mask: int,
     """Members of the context ring whose four slots lie in the four sets."""
     masks = (i_mask, v1_mask, w1_mask, j_mask)
     return mask_from_bool(_grid(ctx, zip(_SLOTS, map(bool_array, masks, ctx.dims))))
-
-
-def quadruple_conditions(ctx: MoritaContext, i_mask: int, v1_mask: int,
-                         w1_mask: int, j_mask: int) -> list[tuple[str, bool, tuple | None]]:
-    """The eight compatibility conditions a slot quadruple must satisfy.
-
-    Returns (law, ok, witness) triples in the order of ``_slot_products``.
-    The slots must be additively closed, as an ideal's are: a law holds
-    when its source slot lies in its colon at the target, decided at
-    generator width. A quadruple of closed slots forms an ideal of the
-    context ring exactly when all eight hold. A failing law is scanned in
-    full for its lex-first witness: (slot element, carrier element), or
-    (carrier element, slot element) for the laws with the carrier on the
-    left.
-    """
-    inside = [bool_array(m, n) for m, n in zip((i_mask, v1_mask, w1_mask, j_mask), ctx.dims)]
-    found = []
-    for p in _slot_products(ctx):
-        if _colon(ctx, p, inside[p.dst])[inside[p.src]].all():
-            found.append((p.law, True, None))
-            continue
-        members = np.flatnonzero(inside[p.src])
-        bad = ~inside[p.dst][p.table[members]]          # [slot element, carrier element]
-        if p.carrier_first:
-            y, x = np.argwhere(bad.T)[0]
-        else:
-            x, y = np.argwhere(bad)[0]
-        pair = (int(members[x]), int(y))
-        found.append((p.law, False, pair[::-1] if p.carrier_first else pair))
-    return found
 
 
 def decompose_ideal(ctx: MoritaContext, u, cap: int = DEFAULT_ORDER_CAP) -> IdealQuadruple:
@@ -640,23 +606,43 @@ def enumerate_context_ideals(ctx: MoritaContext,
     return found
 
 
-def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> bool:
+def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> Verdict:
     """Is the product of the four slot subsets ``masks`` (R, V, W, S) an ideal
     of the context ring of the given sidedness? Decided slotwise; no table
-    of T is read.
+    of T is read, at any order.
 
     A product of subsets is a subgroup exactly when each is, and it absorbs
     T on a side exactly when each slot is a submodule on that side
     (``check_closed``) and the four cross-slot products with the carrier on
     that side land in their target slots (all eight for a two-sided ideal),
     each decided by ``_colon`` on the carrier's generators.
+
+    The witness is the first failure in slot terms: a slot that is not
+    closed gives its tag and ``check_closed``'s witness, e.g. ("R", "add",
+    a, b); otherwise the first broken law in ``_slot_products`` order is
+    scanned in full for its lex-first pair, (law, slot element, carrier
+    element), or (law, carrier element, slot element) for the laws with the
+    carrier on the left.
     """
     per_slot = _SIDEDNESS if sidedness == "two" else (sidedness,) * 4
-    if not all(check_closed(c, m, sd) for c, m, sd in zip(_carriers(ctx), masks, per_slot)):
-        return False
+    for tag, carrier, mask, sd in zip("RVWS", _carriers(ctx), masks, per_slot):
+        closed = check_closed(carrier, mask, sd)
+        if not closed:
+            return Verdict(False, (tag, *closed.witness))
     inside = [bool_array(m, n) for m, n in zip(masks, ctx.dims)]
-    return all(_colon(ctx, p, inside[p.dst])[inside[p.src]].all() for p in _slot_products(ctx)
-               if sidedness == "two" or p.carrier_first == (sidedness == "left"))
+    for p in _slot_products(ctx):
+        if sidedness != "two" and p.carrier_first != (sidedness == "left"):
+            continue
+        if _colon(ctx, p, inside[p.dst])[inside[p.src]].all():
+            continue
+        members = np.flatnonzero(inside[p.src])
+        bad = ~inside[p.dst][p.table[members]]          # [slot element, carrier element]
+        if p.carrier_first:
+            y, x = np.argwhere(bad.T)[0]
+            return Verdict(False, (p.law, int(y), int(members[x])))
+        x, y = np.argwhere(bad)[0]
+        return Verdict(False, (p.law, int(members[x]), int(y)))
+    return Verdict(True)
 
 
 # -- prime and semiprime flags from the coatoms of the two-sided lattice ----------

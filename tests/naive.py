@@ -547,15 +547,35 @@ def onehot_orbit_classes(act: np.ndarray) -> tuple[np.ndarray, list[int]]:
 def full_scan_verify_closed(carrier, mask: int, actions) -> None:
     """Raise NotASubmoduleError unless the mask holds zero and is closed under
     addition and each (side, normalized action table) in ``actions``."""
+    witness = full_scan_closed_witness(carrier, mask, actions)
+    if witness is not None:
+        kind = witness[0]
+        raise NotASubmoduleError("submodule must contain zero" if kind == "zero"
+                                 else "subset is not closed under addition" if kind == "add"
+                                 else f"subset is not stable under the {kind} ring action")
+
+
+def full_scan_closed_witness(carrier, mask: int, actions) -> tuple | None:
+    """The lex-first failure of ``full_scan_verify_closed``'s scan over every
+    sum and every product: ("zero",), ("add", a, b), ("left", r, x) or
+    ("right", x, r); None when the mask is closed."""
     members = indices_of(mask, carrier.order)
     inside = bool_array(mask, carrier.order)
     if members.size == 0 or not inside[carrier.zero]:
-        raise NotASubmoduleError("submodule must contain zero")
-    if not inside[carrier.add[np.ix_(members, members)]].all():
-        raise NotASubmoduleError("subset is not closed under addition")
+        return ("zero",)
+    sums = inside[carrier.add[np.ix_(members, members)]]
+    if not sums.all():
+        i, j = map(int, np.argwhere(~sums)[0])
+        return ("add", int(members[i]), int(members[j]))
     for side, act in actions:
-        if not inside[act[:, members]].all():
-            raise NotASubmoduleError(f"subset is not stable under the {side} ring action")
+        prods = inside[act[:, members]]
+        if not prods.all():
+            if side == "left":
+                r, i = map(int, np.argwhere(~prods)[0])
+                return ("left", r, int(members[i]))
+            i, r = map(int, np.argwhere(~prods.T)[0])
+            return ("right", int(members[i]), r)
+    return None
 
 
 def span_cyclic_masks(module, side: str) -> list[int]:

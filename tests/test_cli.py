@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,30 +139,46 @@ def test_decompose_inline_ideal(capsys):
     assert "decomposition: ok" in out
 
 
-def test_decompose_checks_the_order_cap_before_forming_a_mask(capsys, monkeypatch):
-    # full:180 has order 1 049 760 000: the inline ideal's mask of T would be
-    # a grid of 10⁹ bools. The cap is checked first, so none is formed.
-    def forbidden(*args):
-        raise AssertionError("a mask of T was formed")
-    monkeypatch.setattr("moritactx.cli.quadruple_mask", forbidden)
-    code, out, err = run(capsys, "decompose", "full:180", "--ideal", "R=0 V=0 W=0 S=0")
-    assert (code, out) == (3, "")
-    assert err == ("capacity: context ring of full:180 has order 1049760000, over the cap 10000 "
-                   "(tables need 259496680 MiB) (raise --cap to proceed)\n")
+@pytest.mark.parametrize("side", ["two", "right"])
+def test_decompose_answers_above_the_order_cap(monkeypatch, capsys, side):
+    # full:180 has order 1 049 760 000: T's mul would need 259 496 680 MiB
+    # and a mask of T is a grid of 10⁹ bools. Both are refused; the ideal
+    # is decided from its slot parts and its form read off them.
+    _refuse_t(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decompose", "full:180", "--ideal", "R=0 V=0 W=0 S=0",
+                             "--side", side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out.endswith("decomposition: ok\n" if side == "two"
+                        else "reconstructs the ideal: yes\n")
+    assert peak < 100 * 2**20, peak
+
+
+def test_decompose_names_a_slot_failure_above_the_order_cap(monkeypatch, capsys):
+    _refuse_t(monkeypatch)
+    code, out, err = run(capsys, "decompose", "full:180", "--ideal", "R=0,90 V=0 W=0 S=0",
+                         "--side", "right")
+    assert (code, out) == (2, "")
+    assert err == ("error: the product of the parts (R={0, 90}, V={0}, W={0}, S={0}) is not a "
+                   "right-sided ideal of T(full:180); first failure ('r_part*V<=v_part', 90, 1)\n")
 
 
 def test_decompose_non_ideal_is_invalid_input(capsys):
     code, _, err = run(capsys, "decompose", "full:4", "--ideal", "R=0,1 V=0 W=0 S=0")
     assert code == 2
-    assert "error" in err
+    assert err.endswith("first failure ('R', 'add', 1, 1)\n")
 
 
 def test_decompose_one_sided_non_ideal_is_invalid_input(capsys):
     code, out, err = run(capsys, "decompose", "paper:ex2.4", "--ideal", "R=0,4 V=0 W=0 S=0",
                          "--side", "right")
     assert (code, out) == (2, "")
-    assert err == ("error: subset {(0, 0, 0, 0), (4, 0, 0, 0)} of T(paper:ex2.4) is not a "
-                   "right-sided ideal; first failure ('right', 2048, 64)\n")
+    assert err == ("error: the product of the parts (R={0, 4}, V={0}, W={0}, S={0}) is not a "
+                   "right-sided ideal of T(paper:ex2.4); first failure ('r_part*V<=v_part', 4, 1)\n")
 
 
 def test_check_passes(capsys):
@@ -387,17 +404,25 @@ def test_one_sided_listing_reads_blocks_from_the_block_pairs(monkeypatch, capsys
     assert out.count("(block form: yes)") == 56
 
 
-def _recorded_without_t(monkeypatch, capsys, argv):
-    """Run ``argv`` with every route to T refused and compare it with its
-    recorded bytes in the golden transcript."""
-    from moritactx import cli, context
-    from test_cli_golden import GOLDEN
+def _refuse_t(monkeypatch):
+    """Refuse every route to T: its build, and a mask of T from slot parts."""
+    from moritactx import cli, context, mctx
 
     def refuse(*args, **kwargs):
-        raise AssertionError("build_context_ring called")
+        raise AssertionError("T or a mask of T was formed")
 
     for module in (cli, context):
         monkeypatch.setattr(module, "build_context_ring", refuse)
+    for module in (context, mctx):
+        monkeypatch.setattr(module, "quadruple_mask", refuse)
+
+
+def _recorded_without_t(monkeypatch, capsys, argv):
+    """Run ``argv`` with every route to T refused and compare it with its
+    recorded bytes in the golden transcript."""
+    from test_cli_golden import GOLDEN
+
+    _refuse_t(monkeypatch)
     head = f"$ moritactx {' '.join(argv)}  [exit 0]\n"
     recorded = GOLDEN.read_text(encoding="utf-8").split(head, 1)[1].split("$ moritactx", 1)[0]
     assert run(capsys, *argv) == (0, recorded, "")

@@ -25,11 +25,14 @@ nothing yet.
 
 The slot products behind the two-sided laws, the closure sets and the block
 views are compared on all 18 battery contexts (and full:60 for the first
-two): ``quadruple_conditions`` against the full-row laws (verdict and
-witness) on every candidate quadruple, compatible or not (on full:60, every
-one with J = I); ``closure_sets`` against its definition on every pair of
-corner ideals; and each block view's addition, action, zero and labels
-against T's sum and product formulas.
+two): ``is_slotted_ideal``'s verdict and witness on each side against the
+first failing full-row law of that side, on every candidate quadruple,
+compatible or not (on full:60, every one with J = I); ``closure_sets``
+against its definition on every pair of corner ideals; and each block
+view's addition, action, zero and labels against T's sum and product
+formulas. On seeded slot subsets, most of them not closed, the witness
+names the first slot the full closure scan finds open, and that scan's
+witness.
 
 ``bitsets.distinct`` is compared with ``np.unique`` on small arrays, and the
 pairing spans it seeds with ``np.unique``'s on the battery contexts and on
@@ -38,23 +41,26 @@ every ``slot-large`` context of the benchmark.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 from naive import (fingerprint_is_prime_submodule, fingerprint_prime_scan,
-                   full_row_quadruple_conditions, full_scan_check_ideal, full_scan_verify_closed,
-                   least_semiprime_witness, naive_closure_sets, naive_context_product,
-                   naive_context_sum, pairwise_join_closure, plain_join_closure,
-                   span_bicyclic_masks, span_cyclic_masks, span_principal_masks)
+                   full_row_quadruple_conditions, full_scan_check_ideal, full_scan_closed_witness,
+                   full_scan_verify_closed, least_semiprime_witness, naive_closure_sets,
+                   naive_context_product, naive_context_sum, pairwise_join_closure,
+                   plain_join_closure, span_bicyclic_masks, span_cyclic_masks,
+                   span_principal_masks)
+from test_context import _noncommutative_ks
 
 from moritactx import (NotASubmoduleError, battery_names, build_context_ring, build_ks_context,
                        builtin_context, builtin_document, check_ideal, closure_sets,
                        enumerate_ideals, enumerate_submodules, is_prime_ideal,
-                       is_prime_submodule, is_semiprime_ideal, load_mctx, product_span_vw,
-                       product_span_wv, quadruple_conditions, ring_bimodule, ring_from_tables,
-                       verify_submodule)
+                       is_prime_submodule, is_semiprime_ideal, is_slotted_ideal, load_mctx,
+                       product_span_vw, product_span_wv, ring_bimodule, ring_from_tables,
+                       Verdict, verify_submodule)
 from moritactx.bitsets import bool_array, distinct, is_subset
 from moritactx.context import _pair_views
 from moritactx.spans import AddGroup, cyclic_masks
@@ -297,9 +303,10 @@ def _failure(verify, *args) -> str | None:
     return None
 
 
-def _actions(module, side: str):
-    return [(s, act) for s, act in (("left", module.left_act), ("right", module.right_act.T))
-            if side in (s, "bi")]
+def _actions(carrier, sidedness: str):
+    """(side, normalized action table) for each side ``sidedness`` names."""
+    sides = ("left", "right") if sidedness in ("two", "bi") else (sidedness,)
+    return [(side, carrier.action(side)[1]) for side in sides]
 
 
 def _bicyclic_masks(module) -> list[int]:
@@ -367,25 +374,73 @@ def _slot_lattices(ctx) -> list[list[int]]:
             [c.members for c in enumerate_ideals(ctx.ring_s, "two")]]
 
 
+# The full-row laws each side's ideals obey: the first four carry a slot
+# times the carrier on its right, the last four the carrier times a slot.
+SIDE_LAWS = {"two": slice(0, 8), "right": slice(0, 4), "left": slice(4, 8)}
+
+
 @pytest.mark.parametrize("name", SLOT_CONTEXTS)
 def test_quadruple_conditions_match_the_full_rows(name):
     # Every corner ideal × bisubmodule quadruple, compatible or not, so that
-    # failing laws and their witnesses are compared too.
+    # failing laws and their witnesses are compared too. Its slots are closed
+    # on every side, so the verdict is decided by the laws alone.
     ctx = builtin_context(name).context
     r_ideals, v_subs, w_subs, s_ideals = _slot_lattices(ctx)
     quads = product(r_ideals, v_subs, w_subs, s_ideals)
     if name == "full:60":
         # Each law reads one corner and one module slot, and both corners are
         # Z60, so the quadruples with J = I still meet every pair of members
-        # that each law reads: 12³ calls instead of 12⁴.
+        # that each law reads: 12³ quadruples instead of 12⁴.
         assert r_ideals == s_ideals
         quads = ((i, v1, w1, i) for i, v1, w1 in product(r_ideals, v_subs, w_subs))
     failing = 0
     for quad in quads:
-        conditions = quadruple_conditions(ctx, *quad)
-        assert conditions == full_row_quadruple_conditions(ctx, *quad), (name, quad)
-        failing += sum(not ok for _, ok, _ in conditions)
+        rows = full_row_quadruple_conditions(ctx, *quad)
+        for side, laws in SIDE_LAWS.items():
+            failed = [(law, *pair) for law, ok, pair in rows[laws] if not ok]
+            expected = Verdict(False, failed[0]) if failed else Verdict(True)
+            assert is_slotted_ideal(ctx, quad, side) == expected, (name, quad, side)
+        failing += sum(not ok for _, ok, _ in rows)
     assert failing or ctx.mod_v.order == ctx.mod_w.order == 1, name
+
+
+@pytest.mark.parametrize("name", [*CONTEXTS, "paper:ex2.4", "nc:one", "nc:zero"])
+def test_slotted_ideal_witness_names_the_first_open_slot(name):
+    # Seeded slot subsets, most of them not closed: random subsets, subsets
+    # that miss zero, and additive spans of random elements, which are
+    # subgroups but rarely submodules. The witness is the tag of the first
+    # slot the full scan finds open, followed by that scan's witness, and
+    # with every slot closed the first failing full-row law of the side.
+    ctx = (_noncommutative_ks("tri:2,2", name[3:]) if name.startswith("nc:")
+           else builtin_context(name).context)
+    carriers = (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s)
+    rng = random.Random(name)
+
+    def draw(carrier) -> int:
+        n, zero = carrier.order, 1 << carrier.zero
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.getrandbits(n) | zero
+        if kind == 1:
+            return rng.getrandbits(n) & ~zero
+        if kind == 2:
+            return carrier.addgroup.span_mask(rng.sample(range(n), min(n, 2)))
+        return zero
+
+    open_slots = 0
+    for _ in range(60):
+        parts = tuple(draw(c) for c in carriers)
+        for side in SIDES:
+            per_slot = ("two", "bi", "bi", "two") if side == "two" else (side,) * 4
+            found = [(tag, *w) for tag, c, m, sd in zip("RVWS", carriers, parts, per_slot)
+                     if (w := full_scan_closed_witness(c, m, _actions(c, sd))) is not None]
+            open_slots += bool(found)
+            found = found or [(law, *pair) for law, ok, pair
+                              in full_row_quadruple_conditions(ctx, *parts)[SIDE_LAWS[side]]
+                              if not ok]
+            expected = Verdict(False, found[0]) if found else Verdict(True)
+            assert is_slotted_ideal(ctx, parts, side) == expected, (name, side, parts)
+    assert open_slots, name
 
 
 @pytest.mark.parametrize("name", SLOT_CONTEXTS)

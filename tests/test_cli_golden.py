@@ -1,6 +1,6 @@
-"""The CLI's stdout on the battery contexts (and ``validate``, ``primes``
-and two reports on the benchmark's large ones), against a recorded
-transcript.
+"""The CLI's stdout on the battery contexts (and ``validate``, ``primes``,
+``radical`` and two reports on the benchmark's large ones), against a
+recorded transcript.
 
 Each invocation runs in process and contributes a header line with its
 arguments and exit code, then its stdout. Running this module as a script
@@ -36,6 +36,7 @@ def invocations() -> list[list[str]]:
     runs += [["validate", name] for name in SLOT_LARGE]
     runs += [["primes", name] for name in SLOT_LARGE]
     runs += [["report", "zero:100,101"], ["report", "full:60"]]
+    runs += [["radical", name] for name in names + SLOT_LARGE]
     return runs
 
 

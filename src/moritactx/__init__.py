@@ -26,6 +26,7 @@ from .context import (
     check_semiprime_quadruple,
     closure_sets,
     context_prime_radical,
+    context_prime_spectrum,
     decompose_ideal,
     enumerate_context_ideals,
     is_prime_context,
@@ -67,7 +68,6 @@ from .ideals import (
     is_semiprime_ring,
     prime_radical,
     prime_spectrum,
-    principal_ideal,
     verify_ideal,
 )
 from .mctx import (
@@ -116,7 +116,7 @@ __all__ = [
     "enumerate_submodules", "is_prime_submodule", "confirm_prime_submodule_witness",
     "quotient_module",
     # ideals
-    "Ideal", "check_ideal", "verify_ideal", "principal_ideal", "enumerate_ideals",
+    "Ideal", "check_ideal", "verify_ideal", "enumerate_ideals",
     "is_prime_ideal", "is_semiprime_ideal", "confirm_prime_witness", "prime_spectrum",
     "prime_radical", "is_prime_ring", "is_semiprime_ring",
     # contexts
@@ -129,8 +129,8 @@ __all__ = [
     "decompose_ideal", "block_ideals", "block_ideal_masks",
     "side_decomposition", "slotted_blocks", "closure_sets",
     "check_prime_quadruple", "check_semiprime_quadruple",
-    "context_prime_radical", "quotient_context", "verify_quotient_iso",
-    "is_prime_context", "is_semiprime_context", "is_surjective_context",
+    "context_prime_spectrum", "context_prime_radical", "quotient_context",
+    "verify_quotient_iso", "is_prime_context", "is_semiprime_context", "is_surjective_context",
     "product_span_vw", "product_span_wv",
     # documents and catalog
     "ContextDocument", "ResolvedContext", "parse_mctx", "serialize_document",

@@ -13,17 +13,21 @@ import argparse
 import os
 import sys
 
+from .bitsets import indices_of
 from .catalog import BUILTIN_PATTERNS, builtin_context
 from .checks import CHECK_TOKENS, run_check
 from .context import (
     DEFAULT_ORDER_CAP,
     IdealQuadruple,
+    _carriers,
+    _side_blocks,
     _slot_products,
     block_ideal_masks,
     build_context_ring,
     check_prime_quadruple,
     check_semiprime_quadruple,
     context_prime_radical,
+    context_prime_spectrum,
     enumerate_context_ideals,
     is_slotted_ideal,
     is_surjective_context,
@@ -39,7 +43,6 @@ from .ideals import (
     check_ideal,
     confirm_prime_witness,
     is_prime_ideal,
-    prime_radical,
     verify_ideal,
 )
 from .mctx import ResolvedContext, inline_ideal_parts, load_mctx
@@ -176,7 +179,7 @@ def _cmd_primes(args, out: _Printer) -> int:
     lattice_cap = _caps(args)[1]
     _context_header(out, res)
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
-    verdicts = lattice_prime_flags(quads)
+    verdicts = lattice_prime_flags(quads, lattice_cap)
     proper = [(quad, v) for quad, v in zip(quads, verdicts) if v is not None]
     out.line(f"proper two-sided ideals: {len(proper)}")
     out.kv("proper", len(proper))
@@ -199,20 +202,30 @@ def _cmd_primes(args, out: _Printer) -> int:
 
 
 def _cmd_radical(args, out: _Printer) -> int:
+    """The slotwise radical against the meet of T's corner-lifted primes: T is not built."""
     res = _load(args.src)
     ctx = res.context
-    order_cap, lattice_cap = _caps(args)
+    lattice_cap = _caps(args)[1]
     _context_header(out, res)
     radical = context_prime_radical(ctx, cap=lattice_cap)
     out.line(f"prime radical: {radical}")
     out.kv("radical", str(radical))
-    checked = ctx.order <= order_cap
-    matches = checked and (prime_radical(build_context_ring(ctx, cap=order_cap), lattice_cap)
-                           .members == radical.member_mask())
-    out.line(f"matches the intersection of primes: {_flag(matches)}"
-             + ("" if checked else " (ring too large to cross-check)"))
-    out.kv("cross_checked", checked)
-    return 1 if checked and not matches else 0
+    matches = context_prime_spectrum(ctx, lattice_cap)[1] == radical.masks
+    out.line(f"matches the intersection of primes: {_flag(matches)}")
+    out.kv("cross_checked", True)
+    return 0 if matches else 1
+
+
+def _block_labels(ctx, parts, side: str) -> list[str]:
+    """Each block of the product of the slot parts, itself the product of its
+    two slots' parts, labelled as the block views label it: (a, b) in their
+    index order a·|k2| + b, from the slot carriers' labels. No view is built."""
+    carriers, found = _carriers(ctx), []
+    for k1, k2 in _side_blocks(side):
+        (a, xs), (b, ys) = ((carriers[k], indices_of(parts[k], carriers[k].order).tolist())
+                            for k in (k1, k2))
+        found.append("{" + ", ".join(f"({a.label(x)}, {b.label(y)})" for x in xs for y in ys) + "}")
+    return found
 
 
 def _cmd_decompose(args, out: _Printer) -> int:
@@ -245,7 +258,7 @@ def _cmd_decompose(args, out: _Printer) -> int:
             out.line(f"  {p.law}: yes")
         out.line("decomposition: ok")
     else:                               # an ideal's blocks: the block theorem's flags hold
-        first, second = map(str, slotted_blocks(ctx, parts, side))
+        first, second = _block_labels(ctx, parts, side)
         out.line(f"block 1: {first} (submodule: yes)")
         out.line(f"block 2: {second} (submodule: yes)")
         out.line("blocks embed as ideals: yes/yes")
@@ -292,7 +305,7 @@ def _cmd_report(args, out: _Printer) -> int:
     quads = enumerate_context_ideals(ctx, cap=lattice_cap)
     out.line(f"two-sided ideals: {len(quads)}")
     out.kv("two_sided_ideals", len(quads))
-    verdicts = lattice_prime_flags(quads)
+    verdicts = lattice_prime_flags(quads, lattice_cap)
     for k, (quad, v) in enumerate(zip(quads, verdicts)):
         if not out.summary:
             flags = ("improper" if v is None

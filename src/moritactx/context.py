@@ -40,6 +40,7 @@ from .ideals import (
     is_semiprime_ideal,
     is_semiprime_ring,
     prime_radical,
+    prime_spectrum,
     verify_ideal,
 )
 from .modules import (
@@ -76,6 +77,7 @@ __all__ = [
     "quadruple_mask",
     "enumerate_context_ideals",
     "is_slotted_ideal",
+    "context_prime_spectrum",
     "lattice_prime_flags",
     "block_ideals",
     "block_ideal_masks",
@@ -645,53 +647,48 @@ def is_slotted_ideal(ctx: MoritaContext, masks, sidedness: str) -> Verdict:
     return Verdict(True)
 
 
-# -- prime and semiprime flags from the coatoms of the two-sided lattice ----------
+# -- T's primes lifted from its corners ---------------------------------------------
 
 
-def _containment(quads: list[IdealQuadruple]) -> np.ndarray:
-    """``contains[p, q]``: quads[p] ⊆ quads[q], slotwise: each slot's
-    distinct masks, lattice members and so submodules on the members' side,
-    are compared once (``generator_table``), and the matrix is read off
-    their indices a block of rows at a time, so that no second n×n table is
-    formed. The table (n² bytes) is checked against physical memory first."""
-    n = len(quads)
-    _require_memory(n * n, f"containment table of {n} two-sided ideals")
-    contains = np.ones((n, n), dtype=bool)
-    step = max(1, 2**22 // n)
-    for k, (carrier, sidedness) in enumerate(zip(_carriers(quads[0].context), _SIDEDNESS)):
-        distinct = sorted({q.masks[k] for q in quads})
-        index = {m: i for i, m in enumerate(distinct)}
-        sub = generator_table(distinct, carrier.member_generators(sidedness, distinct),
-                              carrier.order).T
-        at = np.array([index[q.masks[k]] for q in quads])
-        for lo in range(0, n, step):
-            contains[lo:lo + step] &= sub[at[lo:lo + step]][:, at]
-    return contains
+def context_prime_spectrum(ctx: MoritaContext, cap: int) -> tuple[frozenset, tuple]:
+    """T's prime ideals as slot masks (R, V, W, S), lifted from the corners'
+    primes (``prime_spectrum`` under ``cap``), and their slotwise meet, the
+    prime radical; cached. No table or lattice of T is read.
 
-
-def lattice_prime_flags(quads: list[IdealQuadruple]) -> list[tuple[bool, bool] | None]:
-    """(prime, semiprime) for each ideal of ``quads``, the whole two-sided
-    lattice as ``enumerate_context_ideals`` returns it, None for the
-    improper one. T is never built and no table of T is read.
-
-    T is finite and unital, hence Artinian, so a proper ideal is prime
-    exactly when it is maximal, and semiprime exactly when it contains the
-    prime radical, the meet of the maximal ideals (Lam, *A First Course in
-    Noncommutative Rings*, §4 and §10). The maximal ideals are the
-    lattice's coatoms: proper ideals that no other proper ideal contains.
-    Each ideal is the product of its slots, so the meet is the slotwise AND
-    of the coatoms' masks, and containing it is slotwise too.
+    T has idempotents e11 and e22 with corners R and S, and no prime of T
+    contains both. Those without e11 are the P_p = (p, {v : vW ⊆ p},
+    {w : Vw ⊆ p}, {s : VsW ⊆ p}) for p in Spec R, those without e22 mirror
+    them from Spec S (A. D. Sands, "Radicals and Morita contexts", *J.
+    Algebra* 24, 1973). Each slot is the ``_colon`` of the first product
+    carrying it into a slot already known, at generator width.
     """
-    proper = np.array([q.is_proper() for q in quads], dtype=bool)
-    contains = _containment(quads)
-    np.fill_diagonal(contains, False)
-    contains[:, ~proper] = False
-    coatom = proper & ~contains.any(axis=1)
-    radical = [full_mask(n) for n in quads[0].context.dims]
-    for p in np.flatnonzero(coatom):
-        radical = [r & m for r, m in zip(radical, quads[p].masks)]
-    return [(bool(c), all(map(is_subset, radical, q.masks))) if is_proper else None
-            for q, is_proper, c in zip(quads, proper, coatom)]
+    key = ("spectrum", cap)
+    if key in ctx._cache:
+        return ctx._cache[key]
+    primes: dict = {}
+    for corner, ring in ((_R, ctx.ring_r), (_S, ctx.ring_s)):
+        for prime in prime_spectrum(ring, cap):
+            inside = {corner: bool_array(prime.members, ring.order)}
+            for p in _slot_products(ctx):   # one pass: each module slot's product comes first
+                if p.dst in inside and p.src not in inside:
+                    inside[p.src] = _colon(ctx, p, inside[p.dst])
+            primes[tuple(mask_from_bool(inside[k]) for k in range(4))] = None
+    meet = [full_mask(n) for n in ctx.dims]
+    for masks in primes:
+        meet = [m & x for m, x in zip(meet, masks)]
+    ctx._cache[key] = (frozenset(primes), tuple(meet))
+    return ctx._cache[key]
+
+
+def lattice_prime_flags(quads: list[IdealQuadruple], cap: int) -> list[tuple[bool, bool] | None]:
+    """(prime, semiprime) for each two-sided ideal of ``quads``, None for the
+    improper one: prime when its slots are a lifted prime's
+    (``context_prime_spectrum`` under ``cap``), semiprime when it contains
+    their meet, slotwise (T is finite, hence Artinian: Lam, *A First Course
+    in Noncommutative Rings*, §4 and §10)."""
+    primes, meet = context_prime_spectrum(quads[0].context, cap)
+    return [(q.masks in primes, all(map(is_subset, meet, q.masks))) if q.is_proper() else None
+            for q in quads]
 
 
 # -- one-sided ideals and their block decompositions ------------------------------

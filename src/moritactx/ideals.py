@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 from .bitsets import bool_array, full_mask
 from .errors import NotAnIdealError, NotProperError
-from .spans import Subset, check_closed, cyclic_masks, prime_pair, semiprime_element
+from .spans import Subset, check_closed, prime_pair, semiprime_element
 from .validation import Verdict
 
 __all__ = [
     "Ideal",
     "DEFAULT_LATTICE_CAP",
-    "principal_ideal",
     "enumerate_ideals",
     "check_ideal",
     "verify_ideal",
@@ -74,15 +73,6 @@ def verify_ideal(ring, mask: int, sidedness: str) -> Ideal:
             f"subset {ring.format_subset(mask)} of {ring.name} is not a {sidedness}-sided ideal; "
             f"first failure {verdict.witness}")
     return Ideal(ring, mask, sidedness)
-
-
-# -- principal ideals and the lattice ------------------------------------------
-
-
-def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
-    """Smallest ideal of the named sidedness containing the element index a:
-    the orbit aT or Ta, or TaT, the sum of the (g*a)T (``cyclic_masks``)."""
-    return Ideal(ring, cyclic_masks(ring, sidedness)[int(a)], sidedness)
 
 
 def enumerate_ideals(ring, sidedness: str = "two", cap: int = DEFAULT_LATTICE_CAP) -> list[Ideal]:

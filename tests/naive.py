@@ -14,12 +14,12 @@ one-sided ideals by an ``is_subset`` loop over masks, the
 lattice-pairwise primeness and nilpotency routes with the nilpotent
 radical built on them, and the slotwise products of two-sided ideals of a
 context ring with the prime and semiprime flags read off products of
-lattice covers.
+lattice covers and off the lattice's coatoms.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from moritactx import (Ideal, ModuleView, NotASubmoduleError, NotProperError, Ve
                        build_context_ring, confirm_prime_witness, enumerate_ideals,
                        enumerate_submodules, quotient_context, quotient_ring,
                        verify_submodule)
-from moritactx.bitsets import bool_array, indices_of, is_subset, mask_from_bool
+from moritactx.bitsets import bool_array, full_mask, indices_of, is_subset, mask_from_bool
 from moritactx.context import (_PAIRING_LAWS, _block_products, _carriers, _lands, _pair_views,
                                _rule, _side_blocks)
 from moritactx.ideals import DEFAULT_LATTICE_CAP
-from moritactx.spans import _classes
+from moritactx.spans import _classes, cyclic_masks
 from moritactx.validation import ValidationReport, Violation, violations_of
 
 
@@ -819,6 +819,11 @@ def quotient_iso_by_quotient_ring(ctx, cap: int = DEFAULT_LATTICE_CAP) -> Verdic
 # -- lattice-pairwise routes ----------------------------------------------------------
 
 
+def principal_ideal(ring, a: int, sidedness: str = "two") -> Ideal:
+    """The ideal of the named sidedness that a generates: its cyclic mask."""
+    return Ideal(ring, cyclic_masks(ring, sidedness)[a], sidedness)
+
+
 def confirm_semiprime_witness(ring, mask: int, a: int) -> bool:
     """Does the element a actually refute semiprimeness of the given subset?"""
     return confirm_prime_witness(ring, mask, a, a)
@@ -879,14 +884,38 @@ def ideal_product(ctx, a, b) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def lattice_covers(quads) -> list[list[bool]]:
-    """``covers[p][q]``: quads[q] covers quads[p], P ⊊ Q with no ideal of
-    the list strictly between, from slotwise containment."""
-    n = len(quads)
-    below = [[p != q and all(map(is_subset, quads[p].masks, quads[q].masks)) for q in range(n)]
-             for p in range(n)]
-    return [[below[p][q] and not any(below[p][r] and below[r][q] for r in range(n))
-             for q in range(n)] for p in range(n)]
+def lattice_covers(quads) -> np.ndarray:
+    """``covers[p, q]``: quads[q] covers quads[p], P ⊊ Q with no ideal of
+    the list strictly between. Containment is slotwise, ``is_subset`` on
+    each slot's distinct masks; the ideals strictly between are counted by
+    a float32 product of the containment matrix with itself, exact below
+    2**24 ideals."""
+    slots = []
+    for k in range(4):
+        index = {m: i for i, m in enumerate(sorted({quad.masks[k] for quad in quads}))}
+        sub = np.array([[is_subset(a, b) for b in index] for a in index])
+        at = np.array([index[quad.masks[k]] for quad in quads])
+        slots.append(sub[np.ix_(at, at)])
+    below = np.logical_and.reduce(slots)
+    np.fill_diagonal(below, False)
+    between = below.astype(np.float32) @ below.astype(np.float32)
+    return below & (between == 0)
+
+
+def coatom_flags(quads) -> list[tuple[bool, bool] | None]:
+    """(prime, semiprime) for each ideal of the whole two-sided lattice
+    ``quads``, None for the improper one, by the coatom rule. T is finite
+    and unital, hence Artinian, so a proper ideal is prime exactly when it
+    is maximal, an ideal T covers, and semiprime exactly when it contains
+    the prime radical, the slotwise meet of the coatoms (Lam, *A First
+    Course in Noncommutative Rings*, §4 and §10)."""
+    proper = [quad.is_proper() for quad in quads]
+    coatom = lattice_covers(quads)[:, proper.index(False)]
+    meet = [full_mask(n) for n in quads[0].context.dims]
+    for quad in compress(quads, coatom):
+        meet = [m & x for m, x in zip(meet, quad.masks)]
+    return [(bool(c), all(map(is_subset, meet, quad.masks))) if ok else None
+            for quad, ok, c in zip(quads, proper, coatom)]
 
 
 def cover_product_flags(ctx, quads) -> list[tuple[bool, bool] | None]:

@@ -21,10 +21,10 @@ from naive import onehot_orbit_classes
 
 from moritactx import (FiniteRing, battery_names, build_context_ring, builtin_context,
                        builtin_document, check_ideal, enumerate_ideals, enumerate_submodules,
-                       is_prime_ideal, is_prime_submodule, load_mctx, principal_ideal,
-                       ring_bimodule, side_decomposition, verify_submodule)
+                       is_prime_ideal, is_prime_submodule, load_mctx, ring_bimodule,
+                       side_decomposition, verify_submodule)
 from moritactx.context import _pair_views
-from moritactx.spans import orbit_classes
+from moritactx.spans import cyclic_masks, orbit_classes
 
 SMALL = [name for name in battery_names()
          if builtin_context(name).context.order <= 256]
@@ -89,13 +89,13 @@ def test_a_bad_sidedness_raises_value_error(cached):
     module = ring_bimodule(ring)
     if cached:                              # every valid cyclic list and lattice first
         for sidedness in ("left", "right", "two"):
-            principal_ideal(ring, ring.one, sidedness)
+            cyclic_masks(ring, sidedness)
             enumerate_ideals(ring, sidedness)
         for sidedness in ("left", "right", "bi"):
             enumerate_submodules(module, sidedness)
     zero = 1 << ring.zero
     calls = [(lambda: check_ideal(ring, zero, "bi"), RING_TEXT),
-             (lambda: principal_ideal(ring, ring.one, "bi"), RING_TEXT),
+             (lambda: cyclic_masks(ring, "bi"), RING_TEXT),
              (lambda: enumerate_ideals(ring, "bi"), RING_TEXT),
              (lambda: verify_submodule(module, zero, "two"), MODULE_TEXT),
              (lambda: enumerate_submodules(module, "two"), MODULE_TEXT),

@@ -113,18 +113,26 @@ def test_radical_output(capsys):
 
 
 def test_radical_flags_a_disagreeing_direct_radical(capsys, monkeypatch):
-    # The "matches" line reports the comparison the command actually ran.
-    monkeypatch.setattr("moritactx.cli.prime_radical",
-                        lambda ring, cap: Ideal(ring, full_mask(ring.order), "two"))
+    # The "matches" line reports the comparison the command actually ran:
+    # with no lifted prime, their meet is all of T.
+    monkeypatch.setattr("moritactx.cli.context_prime_spectrum",
+                        lambda ctx, cap: (frozenset(), tuple(full_mask(n) for n in ctx.dims)))
     code, out, _ = run(capsys, "radical", "full:3")
     assert code == 1
     assert "matches the intersection of primes: NO" in out
 
 
-def test_radical_above_the_cap_is_not_cross_checked(capsys):
-    code, out, _ = run(capsys, "radical", "full:4", "--cap", "100", "--summary")
-    assert code == 0
-    assert "cross_checked=false" in out.splitlines()
+@pytest.mark.parametrize("argv", [["full:180"], ["zero:100,101", "--cap", "20000"]])
+def test_radical_is_cross_checked_at_every_order_without_t(monkeypatch, capsys, argv):
+    # full:180 is far above the order cap and zero:100,101 fits under the
+    # raised one: both compare the slotwise radical with the meet of T's
+    # primes lifted from the corners, with every route to T refused.
+    _refuse_t(monkeypatch)
+    code, out, err = run(capsys, "radical", *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("matches the intersection of primes: yes\n")
+    code, out, _ = run(capsys, "radical", *argv, "--summary")
+    assert code == 0 and "cross_checked=true" in out.splitlines()
 
 
 def test_decompose_named_ideal(capsys):
@@ -156,6 +164,38 @@ def test_decompose_answers_above_the_order_cap(monkeypatch, capsys, side):
     assert out.endswith("decomposition: ok\n" if side == "two"
                         else "reconstructs the ideal: yes\n")
     assert peak < 100 * 2**20, peak
+
+
+def test_decompose_side_labels_its_blocks_without_block_views(monkeypatch, capsys, tmp_path):
+    # Each block is the product of two slot parts, so its labels are read
+    # off the slot carriers' labels: no block view, whose action tables
+    # alone took 23 MiB here, is built, and the run peaks near the
+    # two-sided one. A fresh document each run, so both load the context.
+    from moritactx import context
+    from moritactx.catalog import builtin_document
+
+    def refuse(*args):
+        raise AssertionError("a block view was built")
+
+    _refuse_t(monkeypatch)
+    monkeypatch.setattr(context, "_pair_views", refuse)
+    doc = tmp_path / "full180.mctx"
+    doc.write_text(builtin_document("full:180"))
+    peaks = {}
+    for side in ("two", "right"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "decompose", str(doc), "--ideal", "R=0 V=0 W=0 S=0",
+                                 "--side", side)
+            peaks[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+    assert out == ("context full:180\ndims: (180, 180, 180, 180)\norder: 1049760000\n"
+                   "inline ideal (right-sided)\nblock 1: {(0, 0)} (submodule: yes)\n"
+                   "block 2: {(0, 0)} (submodule: yes)\nblocks embed as ideals: yes/yes\n"
+                   "pairing containments: yes/yes\nreconstructs the ideal: yes\n")
+    assert peaks["right"] < 1.5 * peaks["two"], peaks
 
 
 def test_decompose_names_a_slot_failure_above_the_order_cap(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from moritactx import (
     make_zn,
     prime_radical,
     prime_spectrum,
-    principal_ideal,
     verify_ideal,
 )
 
@@ -36,6 +35,7 @@ from naive import (
     naive_prime_radical,
     members_of,
     nilpotent_radical,
+    principal_ideal,
 )
 
 

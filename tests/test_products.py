@@ -1,11 +1,12 @@
-"""The prime and semiprime flags read off the coatoms of the two-sided
-lattice, products of two-sided ideals, and named ideals decided in slot
-form.
+"""T's primes lifted from its corners' primes, the prime and semiprime
+flags read off them, products of two-sided ideals, and named ideals
+decided in slot form.
 
 None of the library's routes here builds T. Under the order cap the built
 T is their oracle; above it, the paper's slot descriptions are. Beside
-the T scans, the flags read off products of pairs of covers
-(``naive.cover_product_flags``) are a second oracle.
+the T scans, the lattice's coatoms (``naive.coatom_flags``) and the flags
+read off products of pairs of covers (``naive.cover_product_flags``) are
+oracles at every order.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from moritactx import (
     builtin_context,
     closure_sets,
     context_prime_radical,
+    context_prime_spectrum,
     enumerate_context_ideals,
     enumerate_ideals,
     enumerate_submodules,
@@ -37,7 +39,8 @@ from moritactx import (
 from moritactx.bitsets import full_mask, is_subset
 from moritactx.catalog import battery_names, builtin_document
 from moritactx.cli import run_command
-from moritactx.context import _containment, _pair_views
+from moritactx.context import DEFAULT_ORDER_CAP, _pair_views
+from moritactx.ideals import DEFAULT_LATTICE_CAP
 
 from test_cli_golden import SLOT_LARGE
 from test_context import _noncommutative_ks
@@ -56,13 +59,13 @@ _NONCOMMUTATIVE = {"tri:2,2 scalar one": "one", "tri:2,2 scalar zero": "zero"}
 
 
 def _flag_context(name: str):
-    """A battery context, or one of the two scalar contexts over T(tri:2,2)."""
+    """A builtin context, or one of the two scalar contexts over T(tri:2,2)."""
     if name in _NONCOMMUTATIVE:
         return _noncommutative_ks("tri:2,2", _NONCOMMUTATIVE[name])
     return builtin_context(name).context
 
 
-def _coatom_meet(quads, flags) -> tuple[int, ...]:
+def _prime_meet(quads, flags) -> tuple[int, ...]:
     """The slotwise AND of the ideals flagged prime."""
     meet = [full_mask(n) for n in quads[0].context.dims]
     for quad, flag in zip(quads, flags):
@@ -73,12 +76,12 @@ def _coatom_meet(quads, flags) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("name", battery_names() + list(_NONCOMMUTATIVE))
 def test_cover_flags_agree_with_the_built_ring(name):
-    # The coatom flags against the T scans and against the products of
-    # covers; their meet against the paper's slotwise radical.
+    # The lifted flags against the T scans and against the products of
+    # covers; their primes' meet against the paper's slotwise radical.
     ctx = _flag_context(name)
     ring = build_context_ring(ctx)
     quads = enumerate_context_ideals(ctx)
-    flags = lattice_prime_flags(quads)
+    flags = lattice_prime_flags(quads, DEFAULT_LATTICE_CAP)
     assert len(flags) == len(quads)
     assert flags == naive.cover_product_flags(ctx, quads)
     for quad, flag in zip(quads, flags):
@@ -87,7 +90,7 @@ def test_cover_flags_agree_with_the_built_ring(name):
             assert flag is None
             continue
         assert flag == (bool(is_prime_ideal(ideal)), bool(is_semiprime_ideal(ideal))), str(quad)
-    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks
+    assert _prime_meet(quads, flags) == context_prime_radical(ctx).masks
 
 
 @pytest.mark.parametrize("name", battery_names())
@@ -113,8 +116,25 @@ def test_covers_are_the_lattice_covers(name):
     below = [[a != b and is_subset(a, b) for b in masks] for a in masks]
     expected = [proper[p] and not any(proper[q] and below[p][q] for q in range(len(masks)))
                 for p in range(len(masks))]
-    assert _containment(quads).tolist() == [[is_subset(a, b) for b in masks] for a in masks]
-    assert [flag is not None and flag[0] for flag in lattice_prime_flags(quads)] == expected
+    flags = lattice_prime_flags(quads, DEFAULT_LATTICE_CAP)
+    assert flags == naive.coatom_flags(quads)
+    assert [flag is not None and flag[0] for flag in flags] == expected
+
+
+@pytest.mark.parametrize("name", battery_names() + list(_NONCOMMUTATIVE) + ["M4(Z2)"] + SLOT_LARGE)
+def test_lifted_primes_are_the_coatoms_and_the_primes_of_t(name):
+    # The corner primes' lifts are the lattice's coatoms at every order,
+    # and T's primes where T fits; their meet is the slotwise radical.
+    ctx = _noncommutative_ks("full:2") if name == "M4(Z2)" else _flag_context(name)
+    primes, meet = context_prime_spectrum(ctx, DEFAULT_LATTICE_CAP)
+    quads = enumerate_context_ideals(ctx)
+    assert primes == {q.masks for q, flag in zip(quads, naive.coatom_flags(quads))
+                      if flag is not None and flag[0]}
+    if ctx.order <= DEFAULT_ORDER_CAP:
+        ring = build_context_ring(ctx)
+        assert primes == {q.masks for q in quads if q.is_proper()
+                          and is_prime_ideal(Ideal(ring, q.member_mask(), "two"))}
+    assert meet == context_prime_radical(ctx).masks
 
 
 @pytest.mark.parametrize("name", SLOT_LARGE)
@@ -134,8 +154,8 @@ def test_cover_flags_match_the_slot_descriptions_above_the_cap(name):
         return corner[key]
 
     quads = enumerate_context_ideals(ctx)
-    flags = lattice_prime_flags(quads)
-    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks
+    flags = lattice_prime_flags(quads, DEFAULT_LATTICE_CAP)
+    assert _prime_meet(quads, flags) == context_prime_radical(ctx).masks
     for quad, flag in zip(quads, flags):
         if flag is None:
             continue
@@ -159,10 +179,10 @@ def test_flags_of_four_by_four_matrices_without_building_t():
     # only proper two-sided ideal, zero, is prime and is the radical.
     ctx = _noncommutative_ks("full:2")
     quads = enumerate_context_ideals(ctx)
-    flags = lattice_prime_flags(quads)
+    flags = lattice_prime_flags(quads, DEFAULT_LATTICE_CAP)
     assert len(quads) == 2 and flags == [(True, True), None]
     zero = tuple(1 << c.zero for c in (ctx.ring_r, ctx.mod_v, ctx.mod_w, ctx.ring_s))
-    assert _coatom_meet(quads, flags) == context_prime_radical(ctx).masks == zero
+    assert _prime_meet(quads, flags) == context_prime_radical(ctx).masks == zero
     assert "ring" not in ctx._cache
 
 
@@ -223,7 +243,7 @@ def test_report_decides_named_ideals_above_the_cap(tmp_path, capsys):
 # -- tables that would not fit in memory ----------------------------------------------
 
 
-@pytest.mark.parametrize("argv", [["radical", "full:60"],
+@pytest.mark.parametrize("argv", [["check", "full:60", "--theorem", "2.9"],
                                   ["ideals", "tri:240,180", "--side", "right"]])
 def test_tables_over_physical_memory_exit_3_before_allocating(capsys, argv):
     # Both rings need tables of millions of MiB: no machine grants them.
@@ -285,18 +305,3 @@ def test_the_cap_comes_first_and_a_built_ring_is_reused(monkeypatch):
         build_context_ring(_fresh("full:6"), cap=100)
     assert info.value.cap == 100
     assert build_context_ring(built) is ring
-
-
-@pytest.mark.parametrize("spare", [-1, 0])
-def test_containment_table_checks_memory_before_allocating(monkeypatch, capsys, spare):
-    # ex2.12 has 21 two-sided ideals: _containment holds one bool table of
-    # 21 × 21 entries.
-    monkeypatch.setattr("moritactx.context._physical_memory", lambda: 21 * 21 + spare)
-    code = run_command(["primes", "paper:ex2.12"])
-    captured = capsys.readouterr()
-    if spare < 0:
-        assert (code, captured.out) == (3, "")
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("capacity: containment table of 21 ")
-    else:
-        assert code == 0 and captured.out

@@ -13,7 +13,6 @@ from moritactx import (
     load_mctx,
     make_zn,
     parse_mctx,
-    principal_ideal,
     quadruple_mask,
     serialize_document,
 )
@@ -23,7 +22,7 @@ from moritactx.context import _SLOTS, _grid, _parts
 from moritactx.spans import AddGroup, SumGroup
 
 from naive import (components, naive_additive_span, naive_is_ideal, naive_is_subgroup,
-                   members_of, plain_join_closure)
+                   members_of, plain_join_closure, principal_ideal)
 
 rings = st.integers(min_value=2, max_value=10).map(make_zn)
 

@@ -13,7 +13,6 @@ from moritactx import (
     Violation,
     build_context_ring,
     make_zn,
-    principal_ideal,
     quotient_context,
     quotient_ring,
     ring_from_tables,
@@ -73,7 +72,7 @@ from moritactx.bitsets import indices_of
 from moritactx.catalog import battery_names, builtin_context
 from moritactx.validation import as_table
 
-from naive import full_scan_verify_ring_map
+from naive import full_scan_verify_ring_map, principal_ideal
 
 
 def test_ring_from_tables_round_trip(z4):

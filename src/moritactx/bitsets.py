@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .validation import _BLOCK
+
 __all__ = [
     "mask_from_bool",
     "bool_array",
@@ -43,9 +45,10 @@ def is_subset(a: int, b: int) -> bool:
 def generator_table(sups: list[int], gens: np.ndarray, size: int) -> np.ndarray:
     """[i, j]: does ``sups[i]`` hold each element of row ``gens[j]``? For sups that are
     submodules on the members' side and rows of member generators (or of their products with an
-    absorbing carrier's), that is member j ⊆ (or carried into) sups[i]. Packed, 1 MiB a block."""
+    absorbing carrier's), that is member j ⊆ (or carried into) sups[i]. Packed, a block of sups
+    within ``_BLOCK`` bytes at a time (one sup if wider)."""
     nbytes = (size + 7) // 8
-    step = max(1, 2**20 // nbytes)                  # sups a block: 1 MiB packed
+    step = max(1, _BLOCK // nbytes)
     table = np.ones((len(sups), len(gens)), dtype=bool)
     for lo in range(0, len(sups), step):
         rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in sups[lo:lo + step]),

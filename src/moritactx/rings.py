@@ -18,7 +18,7 @@ from .bitsets import as_mask
 from .errors import InvalidOrderError, MalformedTableError
 from .ideals import verify_ideal
 from .spans import Carrier, as_group
-from .validation import (ValidationReport, Verdict, Violation, abelian_group_violations,
+from .validation import (_BLOCK, ValidationReport, Verdict, Violation, abelian_group_violations,
                          additive_second, as_square_table, as_table, associative, law_witness,
                          require_ok, ring_generators, violations_of)
 
@@ -78,7 +78,7 @@ class FiniteRing(Carrier):
         if not (self.mul[self.one] == idx).all() or not (self.mul[:, self.one] == idx).all():
             raise MalformedTableError("one is not a two-sided multiplicative identity")
         for add, zero in summands:
-            step = max(1, 2**22 // add.shape[0])    # rows per chunk: at most 4 MiB of bools
+            step = max(1, _BLOCK // add.shape[0])   # rows per chunk: within _BLOCK bools
             for lo in range(0, add.shape[0], step):
                 if not ((add[lo:lo + step] == zero).sum(axis=1) == 1).all():
                     raise MalformedTableError("some element lacks a unique additive inverse")

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bitsets import bool_array, distinct, full_mask, indices_of, mask_from_bool
 from .errors import CapacityError, MalformedTableError
-from .validation import _BLOCK, SplitTable, Verdict, as_square_table, index_dtype
+from .validation import (_BLOCK, SplitTable, Verdict, as_square_table, index_dtype,
+                         law_witness)
 
 __all__ = ["AddGroup", "SumGroup", "as_group", "Carrier", "Subset", "check_closed",
            "orbit_classes", "cyclic_masks", "prime_pair", "semiprime_element"]
@@ -172,10 +173,15 @@ class AddGroup:
         """Cosets of a subgroup: (representatives, projection).
 
         Each coset is represented by its least member, in ascending order;
-        the projection sends every element to the rank of its coset.
+        the projection sends every element to the rank of its coset. The
+        least member of x + U is read a block of elements x at a time, each
+        block's sums within ``_BLOCK`` entries (one x if |U| is wider).
         """
         members = indices_of(mask, self.order)
-        rep_of = self.sums(np.arange(self.order)[:, None], members).min(axis=1)
+        idx, rep_of = np.arange(self.order), np.empty(self.order, dtype=np.int64)
+        step = max(1, _BLOCK // members.size)
+        for lo in range(0, self.order, step):
+            rep_of[lo:lo + step] = self.sums(idx[lo:lo + step, None], members).min(axis=1)
         reps = distinct(rep_of, self.order)
         rank = np.full(self.order, -1, dtype=np.int64)
         rank[reps] = np.arange(reps.size)
@@ -243,7 +249,9 @@ def check_closed(carrier, mask: int, sidedness: str) -> Verdict:
     span of its generators, and each act[g], g over the acting ring's
     additive generators, sends those inside. A mask that fails is scanned
     in full for the lex-first witness: ("zero",), ("add", a, b),
-    ("left", r, x) or ("right", x, r).
+    ("left", r, x) or ("right", x, r), through ``law_witness``: a block of
+    rows a, each row the sums a + x or the products r.x, x.r over every
+    member x or ring element r, within ``_BLOCK`` entries at a time.
     """
     group, actions = carrier.addgroup, carrier.actions(sidedness)
     inside = bool_array(mask, group.order)
@@ -254,18 +262,17 @@ def check_closed(carrier, mask: int, sidedness: str) -> Verdict:
                                       for _, act, rgens in actions):
         return Verdict(True)
     members = np.flatnonzero(inside)
-    sums = inside[group.sums(members[:, None], members)]
-    if not sums.all():
-        i, j = map(int, np.argwhere(~sums)[0])
-        return Verdict(False, ("add", int(members[i]), int(members[j])))
-    for side, act, _ in actions:
-        prods = inside[act[:, members]]
-        if not prods.all():
-            if side == "left":
-                r, i = map(int, np.argwhere(~prods)[0])
-                return Verdict(False, ("left", r, int(members[i])))
-            i, r = map(int, np.argwhere(~prods.T)[0])
-            return Verdict(False, ("right", int(members[i]), r))
+    k = members.size                    # rows r then members x on the left, x then r on the right
+    scans = [("add", k, k, lambda a: group.sums(members[a, None], members))] + [
+        ("left", act.shape[0], k, lambda r, act=act: act[r, members]) if side == "left" else
+        ("right", k, act.shape[0], lambda x, act=act: act[:, members[x]].T)
+        for side, act, _ in actions]
+    for kind, rows, cols, entries in scans:
+        hit = law_witness((rows, 1, cols), lambda a: inside[entries(a)][:, None], lambda a: True)
+        if hit is not None:
+            a, _, b = hit
+            return Verdict(False, (kind, a if kind == "left" else int(members[a]),
+                                   b if kind == "right" else int(members[b])))
     return Verdict(True)
 
 
@@ -278,13 +285,13 @@ def _classes(rows: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
 
 
 def _column_zeros(act: np.ndarray, zero: int) -> np.ndarray:
-    """#{r : act[r, x] = zero} for each column x, a chunk of rows at a time
-    (at most 4 MiB and 65 535 rows): the chunk's bools summed as uint8 into
-    uint16, which cannot wrap and is several times faster than
-    ``count_nonzero``'s intp sums."""
+    """#{r : act[r, x] = zero} for each column x, a chunk of rows within
+    ``_BLOCK`` entries at a time (one row if wider, at most 65 535 rows):
+    the chunk's bools summed as uint8 into uint16, which cannot wrap and is
+    several times faster than ``count_nonzero``'s intp sums."""
     n, m = act.shape
     zeros = np.zeros(m, dtype=np.int64)
-    step = min(max(1, 2**22 // m), 2**16 - 1)
+    step = min(max(1, _BLOCK // m), 2**16 - 1)
     for lo in range(0, n, step):
         zeros += (act[lo:lo + step] == zero).view(np.uint8).sum(axis=0, dtype=np.uint16)
     return zeros

@@ -11,7 +11,9 @@ failed law's lex-first witness; ``validate_ring`` always runs them. Every
 check goes through one search (``law_witness``), which decides a block of
 rows, about ``_BLOCK`` entries, per numpy call and never holds a whole cube;
 the full scans use it in the three shapes every ring, bimodule and pairing
-law takes."""
+law takes. ``_BLOCK`` is the package's one scratch budget: every chunked
+kernel of the package holds one block of about that many entries at a
+time, so a job's peak is the tables it keeps plus one block."""
 
 from __future__ import annotations
 
@@ -106,6 +108,12 @@ def index_dtype(order: int) -> np.dtype:
     return np.dtype(np.uint16 if order <= 1 << 16 else np.int32)
 
 
+# The one scratch budget of every chunked kernel: the entries one block
+# holds (of a law's side, a table's slab, zero masks, packed masks), or one
+# row or column when that alone is wider. Numpy's call overhead is paid per
+# block, not per row, and no kernel holds a whole cube or n × |U| slab.
+_BLOCK = 1 << 16
+
 _ALL = slice(None)
 
 
@@ -158,24 +166,26 @@ class SplitTable:
         bottom part is zero's, the digits carrying nothing. Down a column
         that count is the product of the two halves' column counts; down a
         column of the transpose (a row x) it is (A @ Bᵀ)[hi(x), lo(x)], A
-        and B the halves' zero masks: float32 products of a block of
-        columns at a time, exact as a block has at most 2^20 columns. The
+        and B the halves' zero masks. Both read a block of columns at a
+        time, the two masks of a block within ``_BLOCK`` entries: float32
+        products, exact as a block has at most ``_BLOCK`` columns. The
         product is ``einsum``'s own loop, not a BLAS call: a threaded BLAS
         took 30 ms and more for one (36 × 1296) · (1296 × 36) product on a
         2-core host, 300 times its single-threaded time."""
-        top, bottom = self.top, self.bottom
+        top, bottom, n = self.top, self.bottom, self.shape[0]
         m = bottom.shape[0]
-        at_top, at_bottom = top == zero - zero % m, bottom == zero % m
-        if not self._flip:
-            return at_top.sum(axis=0) * at_bottom.sum(axis=0)
-        counts = np.zeros((top.shape[0], m), dtype=np.int64)
-        step = max(1, 2**20 // (top.shape[0] + m))         # at most 4 MiB of float32 a block
-        for lo in range(0, self.shape[0], step):
-            block = slice(lo, lo + step)
-            counts += np.einsum("ac,bc->ab", at_top[:, block].astype(np.float32),
-                                at_bottom[:, block].astype(np.float32)).astype(np.int64)
+        counts = np.zeros((top.shape[0], m) if self._flip else n, dtype=np.int64)
+        step = max(1, _BLOCK // (top.shape[0] + m))
+        for lo in range(0, n, step):
+            cols = slice(lo, lo + step)
+            at_top, at_bottom = top[:, cols] == zero - zero % m, bottom[:, cols] == zero % m
+            if not self._flip:
+                counts[cols] = at_top.sum(axis=0) * at_bottom.sum(axis=0)
+            else:
+                counts += np.einsum("ac,bc->ab", at_top.astype(np.float32),
+                                    at_bottom.astype(np.float32)).astype(np.int64)
         hi, lo = self.digits
-        return counts[hi, lo]
+        return counts[hi, lo] if self._flip else counts
 
     def _read(self, rows, cols):
         """numpy's ``[rows, cols]`` of the table, not of its transpose."""
@@ -260,12 +270,6 @@ def as_square_table(data, what: str) -> np.ndarray:
     return arr
 
 
-# Entries of one side of a law that one block holds: rows are decided this
-# many entries at a time, so a law pays numpy's call overhead per block, not
-# per row, and a full scan still never holds a whole cube.
-_BLOCK = 1 << 16
-
-
 def law_witness(shape: tuple[int, int, int], lhs, rhs) -> tuple | None:
     """Lex-first (i, j, k) with ``lhs(rows)[., j, k] != rhs(rows)[., j, k]``
     over a law's cube of ``shape`` (n, J, K), or None when none differs.
@@ -281,8 +285,8 @@ def law_witness(shape: tuple[int, int, int], lhs, rhs) -> tuple | None:
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         diff = lhs(rows) != rhs(rows)
-        if diff.any():
-            i, j, k = map(int, np.argwhere(diff)[0])
+        if diff.any():                      # the first differing entry, not a list of all
+            i, j, k = map(int, np.unravel_index(diff.argmax(), diff.shape))
             return (start + i, j, k)
     return None
 

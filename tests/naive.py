@@ -563,7 +563,7 @@ def full_scan_closed_witness(carrier, mask: int, actions) -> tuple | None:
     inside = bool_array(mask, carrier.order)
     if members.size == 0 or not inside[carrier.zero]:
         return ("zero",)
-    sums = inside[carrier.add[np.ix_(members, members)]]
+    sums = inside[carrier.addgroup.sums(members[:, None], members)]
     if not sums.all():
         i, j = map(int, np.argwhere(~sums)[0])
         return ("add", int(members[i]), int(members[j]))
@@ -576,6 +576,16 @@ def full_scan_closed_witness(carrier, mask: int, actions) -> tuple | None:
             i, r = map(int, np.argwhere(~prods.T)[0])
             return ("right", int(members[i]), r)
     return None
+
+
+def full_scan_check_closed(carrier, mask: int, sidedness: str) -> Verdict:
+    """``check_closed``'s verdict and witness from the full scan alone, as
+    it once ran after a failed generator-width pass: every sum of members
+    and every product with a member, each scan formed whole, not a block
+    of rows at a time."""
+    witness = full_scan_closed_witness(
+        carrier, mask, [(side, act) for side, act, _ in carrier.actions(sidedness)])
+    return Verdict(witness is None, witness)
 
 
 def span_cyclic_masks(module, side: str) -> list[int]:

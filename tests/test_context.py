@@ -269,6 +269,19 @@ def test_validation_catches_broken_pairings(z2):
     report = validate_context(ctx)
     assert not report.ok
     assert any("vw" in v.law for v in report.violations)
+    assert validate_context(ctx) == report
+
+
+def test_pairing_laws_run_once_per_context(monkeypatch):
+    # Loading validates the context; ``report`` and ``validate`` ask again
+    # and read the kept verdict, under the name the context has then.
+    calls = []
+    real = context._pairings_hold
+    monkeypatch.setattr(context, "_pairings_hold", lambda ctx: calls.append(ctx) or real(ctx))
+    ctx = load_mctx(builtin_document("full:3")).context
+    assert len(calls) == 1
+    ctx.name = "renamed"
+    assert str(validate_context(ctx)) == "context renamed: ok" and len(calls) == 1
 
 
 # -- scaled contexts -------------------------------------------------------------

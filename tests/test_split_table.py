@@ -103,7 +103,7 @@ def test_the_table_holds_only_its_halves():
 @pytest.mark.parametrize("name", battery_names() + ["zero:100,101"])
 def test_zero_counts_from_the_halves_match_a_count_of_every_entry(name):
     # The plain count reads the table a chunk of rows at a time. On
-    # zero:100,101 the transpose's counts take two blocks of columns.
+    # zero:100,101 the counts take 31 blocks of 326 columns each.
     ring = build_context_ring(builtin_context(name).context, cap=20_000)
     for side in ("left", "right"):
         act = ring.action(side)[1]
@@ -144,7 +144,7 @@ def test_block_pair_filter_on_full_60_allocates_under_5_mib(side):
 @pytest.mark.parametrize("size", [1, 7, 64, 5000])
 def test_subset_table_matches_is_subset(size):
     # Each sub is the set of its row's elements, so the kernel is a subset
-    # table of any masks. 3500 sups over 5000 elements take three 1 MiB blocks.
+    # table of any masks. 3500 sups over 5000 elements take 34 blocks of 104.
     rng = random.Random(size)
     gens = np.array([[rng.randrange(size) for _ in range(3)] for _ in range(100)])
     subs = [sum({1 << int(e) for e in row}) for row in gens]

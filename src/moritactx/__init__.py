@@ -11,13 +11,10 @@ from .catalog import BUILTIN_PATTERNS, battery_names, builtin_context, builtin_d
 from .checks import CHECK_TOKENS, CheckResult, run_check
 from .context import (
     ClosureSets,
-    ContextPrimeReport,
-    ContextSemiprimeReport,
     IdealQuadruple,
     MoritaContext,
-    QuadruplePrimeReport,
-    QuadrupleSemiprimeReport,
-    RadicalQuadruple,
+    RingReport,
+    SlotReport,
     block_ideal_masks,
     block_ideals,
     build_context_ring,
@@ -120,9 +117,7 @@ __all__ = [
     "is_prime_ideal", "is_semiprime_ideal", "confirm_prime_witness", "prime_spectrum",
     "prime_radical", "is_prime_ring", "is_semiprime_ring",
     # contexts
-    "MoritaContext", "IdealQuadruple", "RadicalQuadruple",
-    "ClosureSets", "QuadruplePrimeReport",
-    "QuadrupleSemiprimeReport", "ContextPrimeReport", "ContextSemiprimeReport",
+    "MoritaContext", "IdealQuadruple", "ClosureSets", "SlotReport", "RingReport",
     "validate_context", "build_context_ring", "build_ks_context",
     "quadruple_mask", "enumerate_context_ideals",
     "is_slotted_ideal", "lattice_prime_flags",

@@ -28,6 +28,7 @@ from .context import (
     enumerate_context_ideals,
     is_prime_context,
     is_semiprime_context,
+    is_surjective_context,
     quotient_context,
     side_decomposition,
     verify_quotient_iso,
@@ -223,21 +224,20 @@ def _check_prime_quadruple_description(res: ResolvedContext, order_cap: int,
     ok = True
     lines = []
     quads = _proper_quadruples(ctx, lattice_cap)
+    surjective = is_surjective_context(ctx)
     prime = described = 0
-    surjective = None
     for quad in quads:
         report = check_prime_quadruple(ctx, quad, order_cap)
-        surjective = report.surjective
-        prime += report.is_prime
+        prime += report.holds
         described += report.cond2
-        if not report.forward_ok:
+        if report.holds and not report.cond2:
             ok = False
             lines.append(f"  prime quadruple misses its slot description: {quad}")
-        if not report.converse_ok:
+        if report.cond2 and surjective and not report.holds:
             ok = False
             lines.append(f"  described quadruple fails primeness despite spanning: {quad}")
     lines.insert(0, f"proper quadruples: {len(quads)}, prime: {prime}, slot description "
-                    f"holds for {described}, pairings span: {_yes(bool(surjective))}")
+                    f"holds for {described}, pairings span: {_yes(surjective)}")
     return ok, lines
 
 
@@ -252,11 +252,11 @@ def _check_semiprime_quadruple_description(res: ResolvedContext, order_cap: int,
     semiprime = 0
     for quad in quads:
         report = check_semiprime_quadruple(ctx, quad, order_cap)
-        semiprime += report.is_semiprime
-        if report.theorem_violation:
+        semiprime += report.holds
+        if report.holds != report.cond2:
             ok = False
             lines.append(f"  descriptions split for {quad}: elementwise "
-                         f"{report.is_semiprime}, slots {report.cond2}")
+                         f"{report.holds}, slots {report.cond2}")
     lines.insert(0, f"proper quadruples: {len(quads)}, semiprime: {semiprime}, "
                     f"descriptions agree on all: {_yes(ok)}")
     return ok, lines
@@ -290,36 +290,44 @@ def _check_quotient_iso(res: ResolvedContext, order_cap: int,
     return bool(verdict), lines
 
 
+def _chain(conds: tuple[bool, ...], surjective: bool) -> tuple[bool, bool]:
+    """The two claims about graded conditions, strongest first: each implies
+    the next (the chain), and under spanning pairings the last implies the
+    first (the converse)."""
+    return (all(b or not a for a, b in zip(conds, conds[1:])),
+            conds[0] or not (conds[-1] and surjective))
+
+
+def _ring_chain(ctx: MoritaContext, report, word: str) -> tuple[bool, list[str]]:
+    """Checks 2.13 and 2.14: ``report``'s graded conditions (a ``RingReport``)
+    against ``_chain``, with the facts they rest on."""
+    surjective = is_surjective_context(ctx)
+    chain, converse = _chain(report.conds, surjective)
+    steps = [f"({k})" for k in range(1, len(report.conds) + 1)]
+    corners = f"corners {word}: {report.r_ok}/{report.s_ok}"
+    if report.v_ok is not None:
+        corners += f"; carriers prime both-sided: {report.v_ok}/{report.w_ok}"
+    return chain and converse, [
+        f"ring {word}: {report.holds}",
+        corners,
+        f"pairings span: {_yes(surjective)}",
+        f"chain {'=>'.join(steps)}: {_yes(chain)}",
+        f"converse {steps[-1]}=>(1) under spanning: {_yes(converse)}",
+    ]
+
+
 def _check_prime_ring_chain(res: ResolvedContext, order_cap: int,
                             lattice_cap: int) -> tuple[bool, list[str]]:
     """The graded primeness conditions weaken down the chain, and spanning
     pairings pull the weakest back up to the strongest."""
-    report = is_prime_context(res.context, order_cap)
-    ok = report.chain_ok and report.converse_ok
-    lines = [
-        f"ring prime: {report.t_prime}",
-        f"corners prime: {report.r_prime}/{report.s_prime}; "
-        f"carriers prime both-sided: {report.v_prime}/{report.w_prime}",
-        f"pairings span: {_yes(report.surjective)}",
-        f"chain (1)=>(2)=>(3)=>(4): {_yes(report.chain_ok)}",
-        f"converse (4)=>(1) under spanning: {_yes(report.converse_ok)}",
-    ]
-    return ok, lines
+    return _ring_chain(res.context, is_prime_context(res.context, order_cap), "prime")
 
 
 def _check_semiprime_ring_chain(res: ResolvedContext, order_cap: int,
                                 lattice_cap: int) -> tuple[bool, list[str]]:
     """Same chain audit for semiprimeness (corners only)."""
-    report = is_semiprime_context(res.context, order_cap)
-    ok = report.chain_ok and report.converse_ok
-    lines = [
-        f"ring semiprime: {report.t_semiprime}",
-        f"corners semiprime: {report.r_semiprime}/{report.s_semiprime}",
-        f"pairings span: {_yes(report.surjective)}",
-        f"chain (1)=>(2)=>(3): {_yes(report.chain_ok)}",
-        f"converse (3)=>(1) under spanning: {_yes(report.converse_ok)}",
-    ]
-    return ok, lines
+    return _ring_chain(res.context, is_semiprime_context(res.context, order_cap),
+                       "semiprime")
 
 
 def _is_zero_divisor(ring, index: int) -> bool:
@@ -342,11 +350,11 @@ def _check_scaled_criteria(res: ResolvedContext, order_cap: int,
     semi_rep = is_semiprime_context(ctx, order_cap)
     expect_prime = bool(is_prime_ring(ring)) and s_idx != ring.zero
     expect_semi = bool(is_semiprime_ring(ring)) and not _is_zero_divisor(ring, s_idx)
-    ok = prime_rep.t_prime == expect_prime and semi_rep.t_semiprime == expect_semi
+    ok = prime_rep.holds == expect_prime and semi_rep.holds == expect_semi
     lines = [
         f"scaling element: {ring.label(s_idx)} of {ring.name}",
-        f"ring prime: {prime_rep.t_prime}; criterion (base prime, scalar nonzero): {expect_prime}",
-        f"ring semiprime: {semi_rep.t_semiprime}; criterion (base semiprime, "
+        f"ring prime: {prime_rep.holds}; criterion (base prime, scalar nonzero): {expect_prime}",
+        f"ring semiprime: {semi_rep.holds}; criterion (base semiprime, "
         f"scalar not a zero-divisor): {expect_semi}",
         f"criteria matched: {_yes(ok)}",
     ]

@@ -37,7 +37,7 @@ from .context import (
     slotted_blocks,
     validate_context,
 )
-from .errors import AlgebraError, CapacityError, NotAnIdealError, ValidationFailedError
+from .errors import AlgebraError, CapacityError, MctxError, NotAnIdealError, ValidationFailedError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
     check_ideal,
@@ -240,6 +240,9 @@ def _cmd_decompose(args, out: _Printer) -> int:
         parts, side = named.parts, args.side or named.side
         out.line(f"ideal {named.name} ({side}-sided)")
         out.kv("ideal", named.name)
+    elif "=" not in args.ideal:         # a bare word names an ideal, not a part listing
+        raise MctxError(f"unknown ideal {args.ideal!r}: the document names "
+                        f"{', '.join(sorted(res.ideals)) or 'no ideals'}")
     else:
         parts = inline_ideal_parts(ctx, args.ideal)
         side = args.side or "two"
@@ -373,8 +376,8 @@ def _cmd_example(args, out: _Printer) -> int:
         out.line(f"  slot form: {quad}")
         report = check_prime_quadruple(ctx, quad, order_cap)
         fact("slot description of primeness holds", report.cond2)
-        fact("pairing products do not span", not report.surjective)
-        fact("H is not prime", not report.is_prime)
+        fact("pairing products do not span", not is_surjective_context(ctx))
+        fact("H is not prime", not report.holds)
         if report.witness is not None:
             a, b = report.witness
             out.line(f"  witness: a={ring.label(a)}, b={ring.label(b)}")
@@ -387,14 +390,14 @@ def _cmd_example(args, out: _Printer) -> int:
         quad = IdealQuadruple.of(ctx, res.ideals["H"].parts)
         out.line(f"  slot form: {quad}")
         report = check_semiprime_quadruple(ctx, quad, order_cap)
-        fact("H is not semiprime", not report.is_semiprime)
+        fact("H is not semiprime", not report.holds)
         expected = ctx.encode(0, 0, 0, 2)
         if report.witness is not None:
             out.line(f"  witness: {ring.label(report.witness)}")
         fact("witness is the diagonal element (0, 2)", report.witness == expected)
         fact("slot description fails too", not report.cond2)
         fact("because the zero ideal is not semiprime in the second ring",
-             not report.s_semiprime)
+             not report.s_ok)
 
     ok = all(holds for _, holds in facts)
     out.line(f"example {args.name}: {'reproduced' if ok else 'MISMATCH'}")

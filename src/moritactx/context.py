@@ -5,8 +5,9 @@ arrays — r and s on the diagonal, v and w off it — provided the pairings
 are biadditive, linear over the ring actions, balanced, and mixed-
 associative. Everything downstream lives here: building that ring,
 splitting its ideals into four slots, the closure sets tying module slots
-to corner ideals, prime/semiprime reports for slotted ideals and for the
-ring itself, the slotted prime radical, and the quotient construction.
+to corner ideals, the facts the prime and semiprime theorems relate (one
+record for a slotted ideal, one for the ring itself; the checks state the
+theorems), the slotted prime radical, and the quotient construction.
 
 Index convention for the built ring: element (r, v, w, s) sits at
 ``((r*|V| + v)*|W| + w)*|S| + s``, so a subset of T is a bool grid of shape
@@ -62,12 +63,9 @@ from .validation import (_BLOCK, SplitTable, ValidationReport, Verdict, Violatio
 __all__ = [
     "MoritaContext",
     "IdealQuadruple",
-    "RadicalQuadruple",
     "ClosureSets",
-    "QuadruplePrimeReport",
-    "QuadrupleSemiprimeReport",
-    "ContextPrimeReport",
-    "ContextSemiprimeReport",
+    "SlotReport",
+    "RingReport",
     "QuotientContextResult",
     "DEFAULT_ORDER_CAP",
     "validate_context",
@@ -538,11 +536,6 @@ class IdealQuadruple:
                                in zip("RVWS", _carriers(self.context), self.masks)) + ")"
 
 
-@dataclass(frozen=True)
-class RadicalQuadruple(IdealQuadruple):
-    """The prime radical of a context ring, in the same slot form."""
-
-
 def quadruple_mask(ctx: MoritaContext, i_mask: int, v1_mask: int,
                    w1_mask: int, j_mask: int) -> int:
     """Members of the context ring whose four slots lie in the four sets."""
@@ -898,57 +891,28 @@ def closure_sets(ctx: MoritaContext, i, j) -> ClosureSets:
 
 
 @dataclass(frozen=True)
-class QuadruplePrimeReport:
-    """Primeness of a slotted ideal, against its corner-and-closure description.
-
-    ``cond2`` is the slot-level description: both corners pass the
-    elementwise primeness condition and both module slots equal their
-    closure sets (which must also agree pairwise). ``forward_ok`` and
-    ``converse_ok`` are the two implications between it and actual
-    primeness in the context ring, the converse gated on surjectivity.
-    """
+class SlotReport:
+    """A slotted ideal's elementwise primeness or semiprimeness in T
+    (``holds``, with the scan's witness) next to its slot description: the
+    same test on each corner, and whether each module slot equals both of
+    its closure sets. Checks 2.7 and 2.11 state the theorems relating them."""
 
     quadruple: IdealQuadruple
-    is_prime: bool
-    witness: tuple | None
-    cond2: bool
-    surjective: bool
-    r_prime: bool
-    s_prime: bool
+    holds: bool
+    witness: tuple | int | None
+    r_ok: bool
+    s_ok: bool
     v_matches: bool
     w_matches: bool
     closures: ClosureSets
 
     @property
-    def forward_ok(self) -> bool:
-        return (not self.is_prime) or self.cond2
-
-    @property
-    def converse_ok(self) -> bool:
-        return (not (self.cond2 and self.surjective)) or self.is_prime
+    def cond2(self) -> bool:
+        """The slot description: both corners pass and both module slots match."""
+        return self.r_ok and self.s_ok and self.v_matches and self.w_matches
 
 
-@dataclass(frozen=True)
-class QuadrupleSemiprimeReport:
-    """Semiprimeness of a slotted ideal; the two descriptions must agree outright."""
-
-    quadruple: IdealQuadruple
-    is_semiprime: bool
-    witness: int | None
-    cond2: bool
-    r_semiprime: bool
-    s_semiprime: bool
-    v_matches: bool
-    w_matches: bool
-    closures: ClosureSets
-
-    @property
-    def theorem_violation(self) -> bool:
-        """True when the elementwise answer and the slot description split."""
-        return self.is_semiprime != self.cond2
-
-
-def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test, cap: int) -> tuple:
+def _slot_report(ctx: MoritaContext, quad: IdealQuadruple, test, cap: int) -> SlotReport:
     """``test`` (elementwise primeness or semiprimeness) on the slotted ideal
     in T (order cap ``cap``), then its slot description: ``test`` on each
     corner, and whether each module slot equals both of its closure sets.
@@ -962,41 +926,29 @@ def _slot_description(ctx: MoritaContext, quad: IdealQuadruple, test, cap: int) 
     sets = closure_sets(ctx, quad.r_part, quad.s_part)
     r_ok, s_ok = (not c.is_proper() or bool(test(c)) for c in (quad.r_part, quad.s_part))
     _, v1_mask, w1_mask, _ = quad.masks
-    return (verdict, r_ok, s_ok, v1_mask == sets.v_into_r == sets.v_into_s,
-            w1_mask == sets.w_into_r == sets.w_into_s, sets)
+    return SlotReport(quad, bool(verdict), verdict.witness, r_ok, s_ok,
+                      v1_mask == sets.v_into_r == sets.v_into_s,
+                      w1_mask == sets.w_into_r == sets.w_into_s, sets)
 
 
 def check_prime_quadruple(ctx: MoritaContext, quad: IdealQuadruple,
-                          cap: int = DEFAULT_ORDER_CAP) -> QuadruplePrimeReport:
-    """Compare elementwise primeness of a slotted ideal in T (order cap ``cap``)
-    with its slot description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
-    verdict, r_prime, s_prime, v_matches, w_matches, sets = _slot_description(
-        ctx, quad, is_prime_ideal, cap)
-    return QuadruplePrimeReport(
-        quadruple=quad, is_prime=bool(verdict), witness=verdict.witness,
-        cond2=r_prime and s_prime and v_matches and w_matches,
-        surjective=is_surjective_context(ctx),
-        r_prime=r_prime, s_prime=s_prime,
-        v_matches=v_matches, w_matches=w_matches, closures=sets)
+                          cap: int = DEFAULT_ORDER_CAP) -> SlotReport:
+    """Elementwise primeness of a slotted ideal in T (order cap ``cap``) with
+    its slot description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
+    return _slot_report(ctx, quad, is_prime_ideal, cap)
 
 
 def check_semiprime_quadruple(ctx: MoritaContext, quad: IdealQuadruple,
-                              cap: int = DEFAULT_ORDER_CAP) -> QuadrupleSemiprimeReport:
-    """Compare elementwise semiprimeness of a slotted ideal in T (order cap ``cap``)
+                              cap: int = DEFAULT_ORDER_CAP) -> SlotReport:
+    """Elementwise semiprimeness of a slotted ideal in T (order cap ``cap``)
     with its slot description. ``quad`` must be an ideal of T (see ``IdealQuadruple``)."""
-    verdict, r_semiprime, s_semiprime, v_matches, w_matches, sets = _slot_description(
-        ctx, quad, is_semiprime_ideal, cap)
-    return QuadrupleSemiprimeReport(
-        quadruple=quad, is_semiprime=bool(verdict), witness=verdict.witness,
-        cond2=r_semiprime and s_semiprime and v_matches and w_matches,
-        r_semiprime=r_semiprime, s_semiprime=s_semiprime,
-        v_matches=v_matches, w_matches=w_matches, closures=sets)
+    return _slot_report(ctx, quad, is_semiprime_ideal, cap)
 
 
 # -- radical and quotient ----------------------------------------------------------
 
 
-def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> RadicalQuadruple:
+def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) -> IdealQuadruple:
     """The prime radical of the context ring, computed slotwise.
 
     Corner slots are the corner radicals; module slots are the closure
@@ -1009,13 +961,9 @@ def context_prime_radical(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP) ->
     rad_r = prime_radical(ctx.ring_r, cap)
     rad_s = prime_radical(ctx.ring_s, cap)
     sets = closure_sets(ctx, rad_r, rad_s)
-    result = RadicalQuadruple(
-        ctx, rad_r,
-        Submodule(ctx.mod_v, sets.v_into_r, "bi"),
-        Submodule(ctx.mod_w, sets.w_into_r, "bi"),
-        rad_s)
-    ctx._cache[key] = result
-    return result
+    ctx._cache[key] = IdealQuadruple.of(ctx, (rad_r.members, sets.v_into_r,
+                                              sets.w_into_r, rad_s.members))
+    return ctx._cache[key]
 
 
 @dataclass(frozen=True)
@@ -1024,7 +972,7 @@ class QuotientContextResult:
     as an int array."""
 
     context: MoritaContext
-    radical: RadicalQuadruple
+    radical: IdealQuadruple
     proj_r: np.ndarray
     proj_s: np.ndarray
     proj_v: np.ndarray
@@ -1092,7 +1040,7 @@ def verify_quotient_iso(ctx: MoritaContext, cap: int = DEFAULT_LATTICE_CAP,
     return verify_ring_map(ring, target, proj)
 
 
-# -- whole-ring prime and semiprime reports ------------------------------------------
+# -- whole-ring prime and semiprime facts --------------------------------------------
 
 
 def _prime_module(mod: Bimodule) -> bool:
@@ -1106,100 +1054,41 @@ def _prime_module(mod: Bimodule) -> bool:
 
 
 @dataclass(frozen=True)
-class ContextPrimeReport:
-    """Primeness of the context ring next to its slot-level descriptions.
+class RingReport:
+    """Primeness or semiprimeness of T itself (``holds``, with the scan's
+    witness) next to the same test on each corner and, for primeness only,
+    whether each carrier's zero is a prime submodule on each side (``v_ok``
+    and ``w_ok``, None for semiprimeness). Checks 2.13 and 2.14 state the
+    theorems relating them."""
 
-    The graded conditions: (1) the ring itself is prime; (2) both corners
-    are prime rings and both carriers are prime modules on each side; (3)
-    both corners are prime; (4) at least one corner is prime. Each implies
-    the next, and surjectivity closes the loop from (4) back to (1).
-    """
-
-    t_prime: bool
-    witness: tuple | None
-    r_prime: bool
-    s_prime: bool
-    v_prime: bool
-    w_prime: bool
-    surjective: bool
+    holds: bool
+    witness: tuple | int | None
+    r_ok: bool
+    s_ok: bool
+    v_ok: bool | None = None
+    w_ok: bool | None = None
 
     @property
-    def cond1(self) -> bool:
-        return self.t_prime
-
-    @property
-    def cond2(self) -> bool:
-        return self.r_prime and self.s_prime and self.v_prime and self.w_prime
-
-    @property
-    def cond3(self) -> bool:
-        return self.r_prime and self.s_prime
-
-    @property
-    def cond4(self) -> bool:
-        return self.r_prime or self.s_prime
-
-    @property
-    def chain_ok(self) -> bool:
-        steps = (self.cond1, self.cond2, self.cond3, self.cond4)
-        return all((not a) or b for a, b in zip(steps, steps[1:]))
-
-    @property
-    def converse_ok(self) -> bool:
-        return (not (self.cond4 and self.surjective)) or self.cond1
+    def conds(self) -> tuple[bool, ...]:
+        """The paper's graded conditions, strongest first: (1) T itself; for
+        primeness (2) both corners and both carriers; then both corners; last
+        one corner. Each implies the next; spanning pairings close the loop."""
+        corners = (self.r_ok and self.s_ok, self.r_ok or self.s_ok)
+        if self.v_ok is None:
+            return (self.holds, *corners)
+        return (self.holds, corners[0] and self.v_ok and self.w_ok, *corners)
 
 
-@dataclass(frozen=True)
-class ContextSemiprimeReport:
-    """Semiprimeness of the context ring next to its corner descriptions."""
-
-    t_semiprime: bool
-    witness: int | None
-    r_semiprime: bool
-    s_semiprime: bool
-    surjective: bool
-
-    @property
-    def cond1(self) -> bool:
-        return self.t_semiprime
-
-    @property
-    def cond2(self) -> bool:
-        return self.r_semiprime and self.s_semiprime
-
-    @property
-    def cond3(self) -> bool:
-        return self.r_semiprime or self.s_semiprime
-
-    @property
-    def chain_ok(self) -> bool:
-        steps = (self.cond1, self.cond2, self.cond3)
-        return all((not a) or b for a, b in zip(steps, steps[1:]))
-
-    @property
-    def converse_ok(self) -> bool:
-        return (not (self.cond3 and self.surjective)) or self.cond1
-
-
-def is_prime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> ContextPrimeReport:
+def is_prime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> RingReport:
     """Zero-ideal primeness of the built ring, with all slot-level facts."""
-    ring = build_context_ring(ctx, cap)
-    verdict = is_prime_ring(ring)
-    return ContextPrimeReport(
-        t_prime=bool(verdict), witness=verdict.witness,
-        r_prime=bool(is_prime_ring(ctx.ring_r)),
-        s_prime=bool(is_prime_ring(ctx.ring_s)),
-        v_prime=_prime_module(ctx.mod_v),
-        w_prime=_prime_module(ctx.mod_w),
-        surjective=is_surjective_context(ctx))
+    verdict = is_prime_ring(build_context_ring(ctx, cap))
+    return RingReport(bool(verdict), verdict.witness, bool(is_prime_ring(ctx.ring_r)),
+                      bool(is_prime_ring(ctx.ring_s)),
+                      _prime_module(ctx.mod_v), _prime_module(ctx.mod_w))
 
 
-def is_semiprime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> ContextSemiprimeReport:
+def is_semiprime_context(ctx: MoritaContext, cap: int = DEFAULT_ORDER_CAP) -> RingReport:
     """Zero-ideal semiprimeness of the built ring, with corner facts."""
-    ring = build_context_ring(ctx, cap)
-    verdict = is_semiprime_ring(ring)
-    return ContextSemiprimeReport(
-        t_semiprime=bool(verdict), witness=verdict.witness,
-        r_semiprime=bool(is_semiprime_ring(ctx.ring_r)),
-        s_semiprime=bool(is_semiprime_ring(ctx.ring_s)),
-        surjective=is_surjective_context(ctx))
+    verdict = is_semiprime_ring(build_context_ring(ctx, cap))
+    return RingReport(bool(verdict), verdict.witness, bool(is_semiprime_ring(ctx.ring_r)),
+                      bool(is_semiprime_ring(ctx.ring_s)))

@@ -169,7 +169,7 @@ def _column(line: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
-def _int_token(token: str, what: str, line_no: int, line: str) -> int:
+def _int_token(token: str, what: str, line_no: int | None, line: str) -> int:
     try:
         return int(token)
     except ValueError:
@@ -177,7 +177,7 @@ def _int_token(token: str, what: str, line_no: int, line: str) -> int:
                         line_no, _column(line, token)) from None
 
 
-def _csv_token(token: str, what: str, line_no: int, line: str) -> tuple[int, ...]:
+def _csv_token(token: str, what: str, line_no: int | None, line: str) -> tuple[int, ...]:
     values = []
     for piece in token.split(","):
         if not piece:
@@ -195,13 +195,14 @@ def _is_row_line(head: str) -> bool:
     return True
 
 
-def _parse_ideal(tokens: list[str], line_no: int, line: str) -> IdealSpec:
-    keyword = tokens[0]
-    if len(tokens) != 6:
-        raise MctxError(f"expected: {keyword} <name> R=<parts> V=<parts> W=<parts> S=<parts>",
-                        line_no, 1)
+_PARTS_USAGE = "R=<parts> V=<parts> W=<parts> S=<parts>"
+
+
+def _parse_parts(tokens: list[str], line_no: int | None, line: str) -> tuple[PartSpec, ...]:
+    """The parts R, V, W and S of four part tokens, each given once;
+    ``line_no`` None drops the position from the errors."""
     parts: dict[str, PartSpec] = {}
-    for token in tokens[2:]:
+    for token in tokens:
         key, eq, value = token.partition("=")
         if not eq or key not in ("R", "V", "W", "S"):
             raise MctxError(f"ideal part must look like R=<parts>, got {token!r}",
@@ -212,11 +213,14 @@ def _parse_ideal(tokens: list[str], line_no: int, line: str) -> IdealSpec:
             parts[key] = PartSpec("all")
         else:
             parts[key] = PartSpec("subset", _csv_token(value, f"{key} part", line_no, line))
-    missing = [k for k in ("R", "V", "W", "S") if k not in parts]
-    if missing:
-        raise MctxError(f"ideal {tokens[1]!r} is missing parts: {', '.join(missing)}", line_no, 1)
-    return IdealSpec(tokens[1], _IDEAL_KEYWORDS[keyword],
-                     parts["R"], parts["V"], parts["W"], parts["S"])
+    return tuple(parts[k] for k in "RVWS")
+
+
+def _parse_ideal(tokens: list[str], line_no: int, line: str) -> IdealSpec:
+    keyword = tokens[0]
+    if len(tokens) != 6:
+        raise MctxError(f"expected: {keyword} <name> {_PARTS_USAGE}", line_no, 1)
+    return IdealSpec(tokens[1], _IDEAL_KEYWORDS[keyword], *_parse_parts(tokens[2:], line_no, line))
 
 
 def parse_mctx(text: str) -> ContextDocument:
@@ -584,9 +588,12 @@ def _ideal_parts(ctx: MoritaContext, spec: IdealSpec) -> tuple[int, int, int, in
 
 def inline_ideal_parts(ctx: MoritaContext, text: str) -> tuple[int, int, int, int]:
     """Slot parts, masks of R, V, W and S, of a free-standing part listing
-    like ``R=0,4 V=all W=all S=all``."""
-    tokens = ["ideal", "_"] + text.split()
-    return _ideal_parts(ctx, _parse_ideal(tokens, 1, text))
+    like ``R=0,4 V=all W=all S=all``. Its errors cite no position: the
+    listing is not a line of a document."""
+    tokens = text.split()
+    if len(tokens) != 4:
+        raise MctxError(f"expected: {_PARTS_USAGE}")
+    return _ideal_parts(ctx, IdealSpec("inline", "two", *_parse_parts(tokens, None, text)))
 
 
 def load_mctx(text: str) -> ResolvedContext:

@@ -192,7 +192,7 @@ def residue_bimodule(g: int, left_ring, right_ring, name: str | None = None) -> 
         return Bimodule(one, 0,
                         left_ring, np.zeros((left_ring.order, 1), dtype=np.int32),
                         right_ring, np.zeros((1, right_ring.order), dtype=np.int32),
-                        labels=["0"], name=name or "0")
+                        name=name or "0")
     idx = np.arange(g, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % g
 
@@ -207,8 +207,7 @@ def residue_bimodule(g: int, left_ring, right_ring, name: str | None = None) -> 
     rvals = reduce_ring(right_ring)
     lact = (lvals[:, None] * idx[None, :]) % g
     ract = (idx[:, None] * rvals[None, :]) % g
-    mod = Bimodule(add, 0, left_ring, lact, right_ring, ract,
-                   labels=[str(i) for i in range(g)], name=name or f"Z{g}-residue")
+    mod = Bimodule(add, 0, left_ring, lact, right_ring, ract, name=name or f"Z{g}-residue")
     require_ok(validate_bimodule(mod), f"reduction mod {g} is not compatible with the acting rings: ")
     return mod
 

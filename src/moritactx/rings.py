@@ -106,7 +106,7 @@ def make_zn(n: int) -> FiniteRing:
     mul %= n
     for table in (add, mul):
         table.setflags(write=False)
-    return FiniteRing(add, mul, zero=0, one=1, labels=[str(i) for i in range(n)], name=f"Z{n}")
+    return FiniteRing(add, mul, zero=0, one=1, name=f"Z{n}")
 
 
 def _identity(table: np.ndarray) -> int | None:

@@ -53,6 +53,7 @@ from moritactx import (
     verify_submodule,
 )
 from moritactx.catalog import battery_names
+from moritactx.checks import _chain
 from moritactx.context import _pair_views
 
 
@@ -141,9 +142,9 @@ def test_prime_needs_spanning(capsys):
 
         report = check_prime_quadruple(ctx, decompose_ideal(ctx, mask))
         assert report.cond2
-        assert not report.surjective
-        assert not report.is_prime
-        assert report.forward_ok and report.converse_ok
+        assert not is_surjective_context(ctx)
+        assert not report.holds
+        assert _chain((report.holds, report.cond2), False) == (True, True)
         assert confirm_prime_witness(ring, mask,
                                      ctx.encode(3, 0, 0, 3), ctx.encode(1, 0, 0, 2))
 
@@ -159,11 +160,10 @@ def test_semiprime_corner_failure(capsys):
 
         assert check_ideal(ring, mask, "two").holds
         report = check_semiprime_quadruple(ctx, decompose_ideal(ctx, mask))
-        assert not report.is_semiprime
+        assert not report.holds
         assert report.witness == ctx.encode(0, 0, 0, 2)
         assert not report.cond2
-        assert not report.s_semiprime
-        assert not report.theorem_violation
+        assert not report.s_ok
 
 
 def test_prime_slot_description(capsys):
@@ -174,13 +174,15 @@ def test_prime_slot_description(capsys):
         checked = 0
         gap_witnesses = 0
         for name, ctx in _battery():
+            surjective = is_surjective_context(ctx)
             for quad in enumerate_context_ideals(ctx):
                 if not quad.is_proper():
                     continue
                 report = check_prime_quadruple(ctx, quad)
-                assert report.forward_ok, (name, quad.masks)
-                assert report.converse_ok, (name, quad.masks)
-                if name == "paper:ex2.8" and report.cond2 and not report.is_prime:
+                forward, converse = _chain((report.holds, report.cond2), surjective)
+                assert forward, (name, quad.masks)
+                assert converse, (name, quad.masks)
+                if name == "paper:ex2.8" and report.cond2 and not report.holds:
                     gap_witnesses += 1
                 checked += 1
         assert checked > 100
@@ -207,7 +209,7 @@ def test_semiprime_slot_description(capsys):
                 if not quad.is_proper():
                     continue
                 report = check_semiprime_quadruple(ctx, quad)
-                assert not report.theorem_violation, (name, quad.masks)
+                assert report.holds == report.cond2, (name, quad.masks)
                 checked += 1
         assert checked > 100
 
@@ -226,24 +228,26 @@ def test_corner_chain_implications(capsys):
     # neither converse is free without it.
     with _criterion(capsys, "corner-chain-implications"):
         for name, ctx in _battery():
+            surjective = is_surjective_context(ctx)
             prime = is_prime_context(ctx)
             semi = is_semiprime_context(ctx)
-            assert prime.chain_ok and prime.converse_ok, name
-            assert semi.chain_ok and semi.converse_ok, name
-            if is_surjective_context(ctx):
-                assert prime.surjective and semi.surjective, name
-                if prime.cond4:
-                    assert prime.cond1, name
-                if semi.cond3:
-                    assert semi.cond1, name
+            assert _chain(prime.conds, surjective) == (True, True), name
+            assert _chain(semi.conds, surjective) == (True, True), name
+            if surjective:
+                if prime.conds[-1]:
+                    assert prime.holds, name
+                if semi.conds[-1]:
+                    assert semi.holds, name
 
         # Two prime corners, dead pairings: the context ring is not prime.
-        prime = is_prime_context(builtin_context("zero:2,2").context)
-        assert prime.cond4 and not prime.surjective and not prime.cond1
+        ctx = builtin_context("zero:2,2").context
+        prime = is_prime_context(ctx)
+        assert prime.conds[-1] and not is_surjective_context(ctx) and not prime.holds
 
         # One semiprime corner is not enough either.
-        semi = is_semiprime_context(builtin_context("zero:2,4").context)
-        assert semi.cond3 and not semi.surjective and not semi.cond1
+        ctx = builtin_context("zero:2,4").context
+        semi = is_semiprime_context(ctx)
+        assert semi.conds[-1] and not is_surjective_context(ctx) and not semi.holds
 
 
 def _scaled_formula_mul(ctx, ring, s_idx: int) -> np.ndarray:

@@ -221,6 +221,26 @@ def test_decompose_one_sided_non_ideal_is_invalid_input(capsys):
                    "right-sided ideal of T(paper:ex2.4); first failure ('r_part*V<=v_part', 4, 1)\n")
 
 
+@pytest.mark.parametrize("src, names", [("paper:ex2.4", "U"), ("full:4", "no ideals")])
+def test_decompose_unknown_ideal_lists_the_named_ones(capsys, src, names):
+    code, out, err = run(capsys, "decompose", src, "--ideal", "nosuch")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown ideal 'nosuch': the document names {names}\n"
+
+
+@pytest.mark.parametrize("listing, message", [
+    ("R=0,x V=all W=all S=all", "R part must be an integer, got 'x'"),
+    ("R=0 V=0", "expected: R=<parts> V=<parts> W=<parts> S=<parts>"),
+    ("R=0 V=0 W=0 S=0 X=1", "expected: R=<parts> V=<parts> W=<parts> S=<parts>"),
+    ("R=0 R=0 V=0 S=0", "ideal part R given twice"),
+    ("Q=0 V=0 W=0 S=0", "ideal part must look like R=<parts>, got 'Q=0'"),
+])
+def test_decompose_inline_listing_errors_cite_no_document_position(capsys, listing, message):
+    code, out, err = run(capsys, "decompose", "paper:ex2.4", "--ideal", listing)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "full:6", "--theorem", "2.9")
     assert code == 0

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Survey scaled contexts K_s(Z_n): primeness and semiprimeness for every s.
+"""Survey scaled contexts K_s(Z_n): the ``ks`` check on every ks:<n>:<s>.
 
-For each modulus the table shows, per scaling element, whether the scaled
-context ring is prime/semiprime, next to the predicted answer (base ring
-prime and s nonzero; base ring semiprime and s not a zero-divisor).
-A trailing ``!`` would mark a disagreement — none is expected.
+For each modulus n up to ``--max-n`` and each scaling element s, the
+``ks`` check decides whether the scaled context ring is prime and
+semiprime, and compares each answer with its criterion (base ring prime
+and s nonzero; base ring semiprime and s not a zero-divisor). Its report
+lines are printed under the context's name; the last line counts the
+contexts where a criterion failed, and the exit status is nonzero if any
+did.
 """
 
 from __future__ import annotations
@@ -12,23 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from moritactx import (
-    build_context_ring,
-    build_ks_context,
-    is_prime_ring,
-    is_semiprime_ring,
-    make_zn,
-)
-
-
-def zero_divisors(ring) -> set[int]:
-    out = set()
-    for a in range(ring.order):
-        for b in range(ring.order):
-            if b != ring.zero and (ring.mul[a, b] == ring.zero or ring.mul[b, a] == ring.zero):
-                out.add(a)
-                break
-    return out
+from moritactx import builtin_context, run_check
 
 
 def main() -> int:
@@ -38,22 +25,13 @@ def main() -> int:
 
     mismatches = 0
     for n in range(2, args.max_n + 1):
-        base = make_zn(n)
-        base_prime = bool(is_prime_ring(base))
-        base_semi = bool(is_semiprime_ring(base))
-        divisors = zero_divisors(base)
-        print(f"Z{n}  (prime: {base_prime}, semiprime: {base_semi})")
         for s in range(n):
-            ring = build_context_ring(build_ks_context(base, s))
-            got_prime = bool(is_prime_ring(ring))
-            got_semi = bool(is_semiprime_ring(ring))
-            want_prime = base_prime and s != base.zero
-            want_semi = base_semi and s not in divisors
-            bad = got_prime != want_prime or got_semi != want_semi
-            mismatches += bad
-            print(f"  s={s}: prime {got_prime!s:5s} (predicted {want_prime!s:5s})"
-                  f"  semiprime {got_semi!s:5s} (predicted {want_semi!s:5s})"
-                  f"{'  !' if bad else ''}")
+            name = f"ks:{n}:{s}"
+            result = run_check("ks", builtin_context(name))
+            mismatches += not result.passed
+            print(f"{name:8s} {'PASS' if result.passed else 'FAIL'}")
+            for line in result.lines:
+                print(f"    {line}")
     print(f"mismatches: {mismatches}")
     return 1 if mismatches else 0
 

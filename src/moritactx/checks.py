@@ -69,58 +69,59 @@ def _check_ideal_slot_forms(res: ResolvedContext, order_cap: int,
     """Two-sided ideals are exactly the compatible slot quadruples; one-sided
     ideals split into closed, mutually pairing coordinate blocks."""
     ctx = res.context
-    ring = build_context_ring(ctx, order_cap)
-    quads = enumerate_context_ideals(ctx, lattice_cap)
-    direct = enumerate_ideals(ring, "two", lattice_cap)
-    ok = {q.member_mask() for q in quads} == {c.members for c in direct}
-    if ok:
-        lines = [f"two-sided ideals: {len(quads)} (slot and direct enumeration agree)"]
-    else:
-        lines = [f"two-sided ideals: slot enumeration found {len(quads)}, "
-                 f"direct enumeration found {len(direct)} (they DISAGREE)"]
-    for quad in quads:
-        if decompose_ideal(ctx, quad.member_mask(), order_cap).masks != quad.masks:
-            ok = False
-            lines.append(f"  slot round-trip failed for {quad}")
-    blocks_ok, block_lines = _block_audit(ctx, order_cap, lattice_cap, "block form holds")
-    return ok and blocks_ok, lines + block_lines
+    quads = {quad.member_mask(): quad for quad in enumerate_context_ideals(ctx, lattice_cap)}
+    failed, found, _ = _audit(ctx, "two", quads, order_cap, lattice_cap)
+    head = (f"two-sided ideals: {found} (slot and direct enumeration agree)" if not failed else
+            f"two-sided ideals: slot enumeration found {len(quads)}, "
+            f"direct enumeration found {found} (they DISAGREE)")
+    blocks_ok, block_lines = _block_sides(ctx, "block form holds", order_cap, lattice_cap)
+    return not failed and blocks_ok, [head, *failed, *block_lines]
 
 
 def _check_block_embeddings(res: ResolvedContext, order_cap: int,
                             lattice_cap: int) -> tuple[bool, list[str]]:
     """Each block element of a one-sided ideal, placed alone in its two
-    slots with zeros elsewhere, is a member of the ideal."""
-    return _block_audit(res.context, order_cap, lattice_cap, "solo embeddings hold")
+    slots with zeros elsewhere, is a member of the ideal: every ideal is
+    the product of its closed, mutually carried blocks."""
+    return _block_sides(res.context, "solo embeddings hold", order_cap, lattice_cap)
 
 
 def _pair_text(pair) -> str:
     return f"{pair[0]} (+) {pair[1]}"
 
 
-def _block_audit(ctx: MoritaContext, order_cap: int, lattice_cap: int,
-                 what: str) -> tuple[bool, list[str]]:
-    """Per side, the one-sided ideals of T against the compatible block
-    pairs: equal sets are the block theorem both ways (every ideal is the
-    product of its closed, mutually carried blocks, each of which embeds
-    alone, and every such product is an ideal). ``what`` counts the ideals
-    found among the pairs; each ideal missing from them and each pair that
-    is no ideal is named."""
+def _audit(ctx: MoritaContext, side: str, listing: dict, order_cap: int,
+           lattice_cap: int) -> tuple[list[str], int, int]:
+    """T's ``side`` ideals against ``listing``, the same ideals by the slot
+    route (quadruples for "two", block pairs otherwise) keyed by mask of T:
+    equal sets are the paper's description both ways, and no ideal of T is
+    verified alone. A line names each ideal of T missing from the listing,
+    by its projection, and each listed item that is no ideal; then the
+    counts of T's ideals and of those listed."""
     ring = build_context_ring(ctx, order_cap)
-    ok = True
-    lines = []
+    direct = [ideal.members for ideal in enumerate_ideals(ring, side, lattice_cap)]
+    two = side == "two"
+    kind, item, text = (("two-sided ideal", "slot quadruple", str) if two
+                        else (f"{side} ideal", "block pair", _pair_text))
+    missing = [decompose_ideal(ctx, mask, order_cap) if two
+               else side_decomposition(ctx, mask, side, order_cap)
+               for mask in direct if mask not in listing]
+    strays = listing.keys() - set(direct)
+    return ([f"  {kind} {text(x)} is missing from the {item}s" for x in missing]
+            + [f"  {item} {text(x)} is not a {kind}" for mask, x in listing.items()
+               if mask in strays]), len(direct), len(direct) - len(missing)
+
+
+def _block_sides(ctx: MoritaContext, what: str, order_cap: int,
+                 lattice_cap: int) -> tuple[bool, list[str]]:
+    """``_audit`` of the compatible block pairs on each side; ``what``
+    counts T's ideals found among them."""
+    ok, lines = True, []
     for side in ("right", "left"):
-        ideals = enumerate_ideals(ring, side, lattice_cap)
         pairs = block_ideal_masks(ctx, side, lattice_cap, order_cap)
-        direct = {ideal.members for ideal in ideals}
-        missing = [side_decomposition(ctx, ideal.members, side, order_cap)
-                   for ideal in ideals if ideal.members not in pairs]
-        strays = [pair for mask, pair in pairs.items() if mask not in direct]
-        failed = ([f"  {side} ideal {_pair_text(p)} is missing from the block pairs"
-                   for p in missing]
-                  + [f"  block pair {_pair_text(p)} is not a {side} ideal" for p in strays])
+        failed, found, listed = _audit(ctx, side, pairs, order_cap, lattice_cap)
         ok = ok and not failed
-        lines.extend(failed)
-        lines.append(f"{side} ideals: {len(ideals)}, {what} for {len(direct & pairs.keys())}")
+        lines += [*failed, f"{side} ideals: {found}, {what} for {listed}"]
     return ok, lines
 
 

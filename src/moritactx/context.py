@@ -414,6 +414,14 @@ def _parts(ctx: MoritaContext, in_t: np.ndarray, groups) -> list[np.ndarray]:
             for group in groups]
 
 
+def _projected(ctx: MoritaContext, u, sidedness: str, groups, cap: int) -> list[int]:
+    """``_parts`` of a ``sidedness`` ideal of T given by its mask ``u``, as
+    masks: ``decompose_ideal`` and ``side_decomposition``. ``u`` is verified
+    in T, built under the order cap ``cap`` (NotAnIdealError)."""
+    ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), sidedness)
+    return [mask_from_bool(x) for x in _parts(ctx, bool_array(ideal.members, ctx.order), groups)]
+
+
 class _SlotProduct(NamedTuple):
     """A slot times a whole carrier, landing in another slot: ``table[x, y]``
     is x·y for x in slot ``src`` and y in slot ``carrier``, or y·x when
@@ -544,17 +552,13 @@ def quadruple_mask(ctx: MoritaContext, i_mask: int, v1_mask: int,
 
 
 def decompose_ideal(ctx: MoritaContext, u, cap: int = DEFAULT_ORDER_CAP) -> IdealQuadruple:
-    """Slice a two-sided ideal of the context ring into its slot quadruple.
-
-    ``u`` is checked to be a two-sided ideal of T, built under the order
-    cap ``cap``; its slots are then its projections onto the four slots.
-    That the ideal is exactly the slotwise product of closed slots meeting
-    the eight compatibility conditions is the paper's description,
-    asserted by check 2.1 and the tests rather than re-derived here.
+    """Slice a two-sided ideal of the context ring into its slot quadruple:
+    its projections onto the four slots, ``u`` verified a two-sided ideal
+    of T built under the order cap ``cap``. Check 2.1 names by it each
+    ideal of T missing from the slot quadruples; that the quadruples are
+    exactly T's ideals is the paper's description, which that check asserts.
     """
-    ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), "two")
-    in_u = bool_array(ideal.members, ctx.order)
-    return IdealQuadruple.of(ctx, map(mask_from_bool, _parts(ctx, in_u, _SLOTS)))
+    return IdealQuadruple.of(ctx, _projected(ctx, u, "two", _SLOTS, cap))
 
 
 def enumerate_context_ideals(ctx: MoritaContext,
@@ -830,11 +834,8 @@ def side_decomposition(ctx: MoritaContext, u, side: str,
     ``side`` is checked before T is built (under the order cap ``cap``) or
     scanned, and a mask that fails verification raises NotAnIdealError.
     """
-    blocks = _side_blocks(side)
-    ideal = verify_ideal(build_context_ring(ctx, cap), as_mask(u), side)
-    inside = _parts(ctx, bool_array(ideal.members, ctx.order), blocks)
-    return tuple(Submodule(view, mask_from_bool(x), side)
-                 for view, x in zip(_pair_views(ctx, side), inside))
+    inside = _projected(ctx, u, side, _side_blocks(side), cap)
+    return tuple(Submodule(view, mask, side) for view, mask in zip(_pair_views(ctx, side), inside))
 
 
 # -- closure sets -----------------------------------------------------------------

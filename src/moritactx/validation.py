@@ -126,8 +126,8 @@ class SplitTable:
 
     It reads as an ndarray would, with numpy's result shapes: int, slice
     and array row keys, ``[:, cols]``, ``np.ix_`` and broadcast index
-    pairs, and ``.T`` for the transpose. A block of rows or columns is a
-    broadcast add of the two halves; an entry elsewhere is two gathers. It
+    pairs, and ``.T`` for the transpose. A block of columns is a broadcast
+    add of the two halves; a row or an entry elsewhere is two gathers. It
     has no ``__array__``, so nothing forms the n×n table by accident:
     ``table[:, :]`` does so on purpose.
     """
@@ -191,8 +191,6 @@ class SplitTable:
         """numpy's ``[rows, cols]`` of the table, not of its transpose."""
         top, bottom, (hi, lo) = self.top, self.bottom, self.digits
         if isinstance(cols, slice) and cols == _ALL:
-            if isinstance(rows, slice) and rows.step in (None, 1):
-                return self._row_block(*rows.indices(self.shape[0])[:2])
             return np.add(top[hi[rows]], bottom[lo[rows]])
         if isinstance(rows, slice) and rows == _ALL:               # (a, b, ...) -> (n, ...)
             out = top[:, cols][:, None] + bottom[:, cols][None]
@@ -205,25 +203,6 @@ class SplitTable:
             if isinstance(rows, slice):
                 rows = every[rows].reshape((-1,) + (1,) * np.ndim(cols))
         return top[hi[rows], cols] + bottom[lo[rows], cols]
-
-    def _row_block(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1: each run of rows sharing a top digit is that
-        top row plus a slice of ``bottom``, whole runs in one broadcast."""
-        top, bottom, m = self.top, self.bottom, self.bottom.shape[0]
-        out = np.empty((max(stop - start, 0), self.shape[1]), self.dtype)
-        at = start
-        while at < stop:
-            a, b = divmod(at, m)
-            whole = (stop - at) // m if b == 0 else 0
-            if whole:
-                np.add(top[a:a + whole, None], bottom,
-                       out=out[at - start:at - start + whole * m].reshape(whole, m, -1))
-                at += whole * m
-            else:
-                end = min(stop, (a + 1) * m)
-                np.add(top[a], bottom[b:b + end - at], out=out[at - start:end - start])
-                at = end
-        return out
 
 
 def as_table(data, rows: int | None, cols: int | None, what: str, limit: int | None = None) -> np.ndarray:

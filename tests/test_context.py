@@ -13,6 +13,7 @@ import pytest
 from moritactx import (
     CapacityError,
     CentralityError,
+    IdealQuadruple,
     MalformedTableError,
     MoritaContext,
     NotAnIdealError,
@@ -413,8 +414,8 @@ def _noncommutative_ks(name, scalar="one"):
 
 @pytest.mark.parametrize("name", ["paper:ex2.4", "ks:6:0"])
 def test_block_checks_audit_no_one_sided_ideal_alone(name, monkeypatch):
-    # 2.1-2.3 compare whole sets of one-sided ideals: a passing run verifies
-    # no one-sided ideal of T on its own and decomposes none.
+    # 2.1-2.3 compare whole sets of ideals of every sidedness: a passing run
+    # verifies no ideal of T on its own and decomposes none.
     res = load_mctx(builtin_document(name))
     ring = build_context_ring(res.context)
     calls = Counter()
@@ -427,10 +428,11 @@ def test_block_checks_audit_no_one_sided_ideal_alone(name, monkeypatch):
 
     decomposed = []
     monkeypatch.setattr(ideals, "check_ideal", counting)
-    monkeypatch.setattr(checks, "side_decomposition", lambda *args: decomposed.append(args))
+    for reader in ("decompose_ideal", "side_decomposition"):
+        monkeypatch.setattr(checks, reader, lambda *args: decomposed.append(args))
     for token in BLOCK_TOKENS:
         assert run_check(token, res).passed, token
-    assert set(calls) <= {"two"} and decomposed == []
+    assert calls == Counter() and decomposed == []
 
 
 @pytest.mark.parametrize("name", ["paper:ex2.4", "ks:6:0"])
@@ -609,6 +611,27 @@ def test_block_checks_name_what_the_block_pairs_get_wrong(broken, monkeypatch):
     for token in ("2.1", "2.2"):
         result = run_check(token, res)
         assert not result.passed and named in result.lines, (token, result.lines)
+
+
+@pytest.mark.parametrize("broken", ["drop", "stray"])
+def test_slot_form_check_names_what_the_quadruples_get_wrong(broken, monkeypatch):
+    name = "full:4"
+    res = load_mctx(builtin_document(name))
+    assert list(run_check("2.1", res).lines) == _golden_lines(name, "2.1")
+    real = context.enumerate_context_ideals
+    stray = IdealQuadruple.of(res.context, inline_ideal_parts(res.context, "R=0,2 V=all W=0 S=0"))
+
+    def wrong(ctx, cap):
+        quads = real(ctx, cap)
+        return quads[:1] + quads[2:] if broken == "drop" else quads + [stray]
+
+    monkeypatch.setattr(checks, "enumerate_context_ideals", wrong)
+    named = {"drop": "  two-sided ideal (R={0, 2}, V={0, 2}, W={0, 2}, S={0, 2}) "
+                     "is missing from the slot quadruples",
+             "stray": "  slot quadruple (R={0, 2}, V={0, 1, 2, 3}, W={0}, S={0}) "
+                      "is not a two-sided ideal"}[broken]
+    result = run_check("2.1", res)
+    assert not result.passed and named in result.lines, result.lines
 
 
 def test_a_non_ideal_is_refused_on_every_call():
